@@ -9,7 +9,7 @@ providing ground truth for every stage.
 __version__ = "0.1.0"
 
 from .errors import EvdeformError
-from .events import Event, EventStream, read_stream, slice_by_time, write_stream
+from .events import EventStream, read_stream, slice_by_time, write_stream
 from .extraction import (
     CenterObservation,
     CorrespondingPoint,
@@ -18,6 +18,7 @@ from .extraction import (
     accumulate_cluster,
     calibration_profile,
     choose_accumulation_count,
+    correspondence_arrays,
     extract_center_sequence,
     match_corresponding,
     measurement_profile,
@@ -68,7 +69,6 @@ __all__ = [
     "CenterObservation",
     "CorrespondingPoint",
     "DeformationSeries",
-    "Event",
     "EventCluster",
     "EventStream",
     "EvdeformError",
@@ -86,6 +86,7 @@ __all__ = [
     "calibrate",
     "calibration_profile",
     "choose_accumulation_count",
+    "correspondence_arrays",
     "estimate_distortion",
     "estimate_fundamental_ransac",
     "euclidean_upgrade",

@@ -262,7 +262,7 @@ def bundle_adjust(
             break
 
         P = CAM_PARAMS * m
-        Wflat = Wf.transpose(0, 1, 2, 3).reshape(n, P, 3)
+        Wflat = Wf.reshape(n, P, 3)
         Hcc = np.zeros((P, P))
         for j in range(m):
             Hcc[CAM_PARAMS * j : CAM_PARAMS * (j + 1), CAM_PARAMS * j : CAM_PARAMS * (j + 1)] = U[j]
@@ -279,7 +279,6 @@ def bundle_adjust(
             Hcc_aug[frozen, frozen] = 1.0
 
             if refine_points:
-                Vd = V.copy()
                 dV = np.einsum("nii->ni", V).copy()
                 idx = np.arange(3)
                 Vaug = V.copy()

@@ -7,7 +7,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import InsufficientCorrespondences, SingularConfiguration
-from ..extraction import CorrespondingPoint
+from ..extraction import CorrespondingPoint, correspondence_arrays
 from ..geometry import (
     FundamentalPair,
     estimate_fundamental_weighted,
@@ -70,17 +70,8 @@ def build_measurement_matrix(
     camera_ids: Sequence[int],
 ) -> MeasurementMatrix:
     """Assemble pixels and a visibility mask; all scales start at 1."""
-    camera_ids = list(camera_ids)
-    m, n = len(camera_ids), len(points)
-    row = {cid: i for i, cid in enumerate(camera_ids)}
-    pixels = np.full((m, n, 2), np.nan)
-    vis = np.zeros((m, n), dtype=bool)
-    for j, cp in enumerate(points):
-        for obs in cp.observations:
-            if obs.camera_id in row:
-                i = row[obs.camera_id]
-                pixels[i, j] = obs.pixel
-                vis[i, j] = True
+    pixels, vis = correspondence_arrays(points, camera_ids)
+    m, n = vis.shape
     multi = (vis.sum(axis=0) >= 2).sum()
     full = int(vis.all(axis=0).sum())
     if multi < 8:
@@ -91,7 +82,6 @@ def build_measurement_matrix(
         raise InsufficientCorrespondences(
             f"need at least 8 points visible in all {m} cameras, got {full}"
         )
-    pixels[~vis] = 0.0
     return MeasurementMatrix(pixels, np.ones((m, n)), vis)
 
 

@@ -25,7 +25,7 @@ from ..errors import (
     NegativeFocalSquared,
     NoModel,
 )
-from ..extraction import CorrespondingPoint
+from ..extraction import CorrespondingPoint, correspondence_arrays
 from ..geometry import (
     CameraIntrinsics,
     CameraPose,
@@ -110,21 +110,6 @@ def write_iteration_log(path, records: Sequence[IterationRecord]) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def _corresponding_arrays(
-    points: Sequence[CorrespondingPoint], camera_ids: Sequence[int]
-) -> tuple[Array, Array]:
-    row = {cid: i for i, cid in enumerate(camera_ids)}
-    m, n = len(camera_ids), len(points)
-    pixels = np.zeros((m, n, 2))
-    vis = np.zeros((m, n), dtype=bool)
-    for j, cp in enumerate(points):
-        for obs in cp.observations:
-            if obs.camera_id in row:
-                pixels[row[obs.camera_id], j] = obs.pixel
-                vis[row[obs.camera_id], j] = True
-    return pixels, vis
-
-
 def _project_full(intr: CameraIntrinsics, pose: CameraPose, pts: Array) -> Array:
     """Full-model projection without the positive-depth guard (stats use)."""
     cam = pose.transform(pts)
@@ -138,13 +123,9 @@ def _triangulate_columns(
 ) -> Array:
     """DLT positions (3, len(cols)) from the visible cameras per column."""
     mats = np.stack([intr.K @ pose.matrix for intr, pose in zip(intrinsics, poses)])
-    out = np.zeros((3, len(cols)))
-    for k, j in enumerate(cols):
-        cams = np.flatnonzero(vis[:, j])
-        X, _ = triangulate_linear(mats[cams], pixels[cams, j])
-        w = X[3] if abs(X[3]) > 1e-15 else 1e-15
-        out[:, k] = X[:3] / w
-    return out
+    X, _ = triangulate_linear(mats, pixels[:, cols], vis[:, cols])
+    w = np.where(np.abs(X[:, 3]) > 1e-15, X[:, 3], 1e-15)
+    return (X[:, :3] / w[:, None]).T
 
 
 def _reprojection_stats(
@@ -186,7 +167,7 @@ def calibrate(
         raise InsufficientCorrespondences(f"reference camera {reference} unseen in the data")
     ref_row = camera_ids.index(reference)
 
-    raw, vis = _corresponding_arrays(points, camera_ids)
+    raw, vis = correspondence_arrays(points, camera_ids)
     n = len(points)
     full_vis = int(vis.all(axis=0).sum())
     if full_vis < config.min_full_visibility:
@@ -324,15 +305,9 @@ def calibrate(
         points3d = _triangulate_columns(working, vis, intrinsics, poses, active)
 
         # --- bundle adjustment -------------------------------------------
-        cam_idx, pt_idx, obs_px = [], [], []
-        for k, j in enumerate(active):
-            for i in np.flatnonzero(vis[:, j]):
-                cam_idx.append(i)
-                pt_idx.append(k)
-                obs_px.append(working[i, j])
-        cam_idx = np.array(cam_idx)
-        pt_idx = np.array(pt_idx)
-        obs_px = np.array(obs_px)
+        # one observation per visible (point, camera), ordered by point
+        pt_idx, cam_idx = np.nonzero(vis[:, active].T)
+        obs_px = working[cam_idx, active[pt_idx]]
         options = BundleOptions(
             refine_focal=config.refine_focal,
             refine_principal=config.principal_mode == "free",

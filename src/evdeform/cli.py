@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -33,6 +34,7 @@ from .errors import (
     InsufficientCorrespondences,
     ParseError,
     StreamTooShort,
+    UnknownCamera,
 )
 from .extraction import (
     calibration_profile,
@@ -84,8 +86,6 @@ def cmd_simulate(args) -> int:
         print("simulate needs --scenario or --preset", file=sys.stderr)
         return EXIT_USAGE
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -152,8 +152,6 @@ def cmd_extract(args) -> int:
     else:
         config = measurement_profile(args.blink_freq)
     if args.n is not None:
-        from dataclasses import replace
-
         config = replace(config, n=args.n)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -192,8 +190,11 @@ def cmd_calibrate(args) -> int:
     config = CalibrationConfig(seed=args.seed if args.seed is not None else 0)
     if args.config:
         overrides = json.loads(Path(args.config).read_text())
-        from dataclasses import replace
-
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object of config fields")
+        unknown = sorted(set(overrides) - {f.name for f in fields(CalibrationConfig)})
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
         config = replace(config, **overrides)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -226,8 +227,11 @@ def _parse_anchor(spec: str | None):
     parts = spec.split(":")
     if len(parts) != 3 or parts[0] != "baseline":
         raise ConfigError(f"bad anchor spec {spec!r}; expected baseline:A,B:mm")
-    a, b = (int(v) for v in parts[1].split(","))
-    return a, b, float(parts[2])
+    try:
+        a, b = (int(v) for v in parts[1].split(","))
+        return a, b, float(parts[2])
+    except ValueError:
+        raise ConfigError(f"bad anchor spec {spec!r}; expected baseline:A,B:mm") from None
 
 
 def cmd_measure(args) -> int:
@@ -244,6 +248,9 @@ def cmd_measure(args) -> int:
     if anchor is not None:
         a, b, dist_mm = anchor
         centers = camera_centers(rig)
+        missing = [cid for cid in (a, b) if cid not in centers]
+        if missing:
+            raise UnknownCamera(f"anchor camera(s) {missing} not in the calibration")
         rig = anchor_scale(rig, dist_mm, (centers[a], centers[b]))
     else:
         print("warning: no metric anchor given; series is in internal units",
@@ -345,7 +352,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ParseError, StreamTooShort, InsufficientCorrespondences,
-            EmptySeries, FileNotFoundError) as exc:
+            EmptySeries, UnknownCamera, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EvdeformError as exc:

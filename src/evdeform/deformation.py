@@ -1,9 +1,11 @@
 """Reference-frame rebasing, marker triangulation and deformation series.
 
-Triangulation is a linear intersection over the undistorted rays of every
-contributing camera followed by one Gauss-Newton step on reprojection error.
-Positions come out in the reference camera's frame, multiplied by the rig's
-metric scale when one has been anchored.
+Triangulation works on whole arrays of samples: each camera's pixels are
+undistorted in one call, every sample is intersected linearly over the rays
+of the cameras that see it (geometry.triangulate_linear, shared with
+calibration), and one batched Gauss-Newton step refines the points on the
+reprojection error. Positions come out in the reference camera's frame,
+multiplied by the rig's metric scale when one has been anchored.
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySeries, RankDeficient, UnknownCamera, ZeroObservedDistance
-from .extraction import CorrespondingPoint
+from .errors import EmptySeries, UnknownCamera, ZeroObservedDistance
+from .extraction import CorrespondingPoint, correspondence_arrays
 from .geometry import (
     CameraIntrinsics,
     CameraPose,
@@ -112,84 +114,82 @@ def load_rig(path, metric_scale: float | None = None) -> RigCalibration:
     )
 
 
-@dataclass(frozen=True)
-class TriangulatedPoint:
-    position: Array  # reference frame, scaled by metric_scale when present
-    residual_px: float
-    camera_count: int
+def triangulate(
+    rig: RigCalibration, pixels: Array, visibility: Array
+) -> tuple[Array, Array, Array, Array]:
+    """Intersect the undistorted rays of n samples at once.
 
-
-def triangulate(rig: RigCalibration, observation: CorrespondingPoint) -> TriangulatedPoint:
-    """Intersect the undistorted rays of one corresponding point.
-
-    Raises RankDeficient for fewer than two cameras or near-parallel rays
-    (condition number of the normal system above 1e12).
+    pixels: (m, n, 2) distorted pixels, visibility: (m, n), rows in the rig's
+    camera order (see extraction.correspondence_arrays). Each sample is the
+    linear intersection of its rays refined by one Gauss-Newton step on the
+    pixel reprojection error. Returns positions (n, 3), RMS residuals (n,)
+    in pixels, camera counts (n,) and an ok mask (n,). A sample is not ok
+    when fewer than two cameras see it, its rays are near parallel
+    (condition number of the normal system above 1e12), it intersects at
+    infinity, or it lies behind a camera that sees it; its position is then
+    NaN and its residual inf.
     """
-    rows = [rig.index(o.camera_id) for o in observation.observations]
-    if len(rows) < 2:
-        raise RankDeficient(f"{len(rows)} camera(s) cannot intersect a point")
-    ideal = []
-    mats = []
-    for o, i in zip(observation.observations, rows):
-        intr = rig.intrinsics[i]
-        px = undistort_pixels(intr, o.pixel.reshape(1, 2))[0]
-        ideal.append(intr.normalized_from_pixel(px))
-        mats.append(rig.poses[i].matrix)
-    ideal = np.array(ideal)
-    mats = np.stack(mats)
-    X, s = triangulate_linear(mats, ideal)
-    if s[2] < 1e-15 or (s[0] / s[2]) ** 2 > _CONDITION_LIMIT:
-        raise RankDeficient(
-            f"normal system condition {(s[0] / max(s[2], 1e-300)) ** 2:.3g} exceeds 1e12"
-        )
-    if abs(X[3]) < 1e-15:
-        raise RankDeficient("intersection at infinity")
-    p = X[:3] / X[3]
+    pixels = np.asarray(pixels, dtype=float)
+    visibility = np.asarray(visibility, dtype=bool)
+    m, n = visibility.shape
+    ideal = np.zeros((m, n, 2))
+    normalized = np.zeros((m, n, 2))
+    for i, intr in enumerate(rig.intrinsics):
+        cols = np.flatnonzero(visibility[i])
+        if len(cols):
+            ideal[i, cols] = undistort_pixels(intr, pixels[i, cols])
+            normalized[i, cols] = intr.normalized_from_pixel(ideal[i, cols])
+    X, s = triangulate_linear(
+        np.stack([pose.matrix for pose in rig.poses]), normalized, visibility
+    )
+    counts = visibility.sum(axis=0)
+    ok = (counts >= 2) & (s[:, 2] >= 1e-15)
+    ok[ok] = (s[ok, 0] / s[ok, 2]) ** 2 <= _CONDITION_LIMIT
+    ok &= np.abs(X[:, 3]) >= 1e-15
+    p = np.full((n, 3), np.nan)
+    p[ok] = X[ok, :3] / X[ok, 3:]
 
-    # one Gauss-Newton step on the pixel reprojection error
-    p = _refine_point(rig, rows, observation, p)
-    residual = _rms_residual(rig, rows, observation, p)
-    return TriangulatedPoint(p * rig.scale, residual, len(rows))
+    # one Gauss-Newton step on the pixel reprojection error; a sample behind
+    # a contributing camera or with a singular normal matrix stays unrefined
+    refine = ok.copy()
+    JtJ = np.zeros((n, 3, 3))
+    Jtr = np.zeros((n, 3))
+    sq = np.zeros(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, (intr, pose) in enumerate(zip(rig.intrinsics, rig.poses)):
+            seen = visibility[i] & ok
+            x, y, z, err = _pixel_error(intr, pose, p[seen], ideal[i, seen])
+            refine[seen] &= z > 1e-12
+            duv = np.zeros((len(z), 2, 3))
+            duv[:, 0, 0] = intr.fx / z
+            duv[:, 0, 2] = -intr.fx * x / z**2
+            duv[:, 1, 1] = intr.fy / z
+            duv[:, 1, 2] = -intr.fy * y / z**2
+            J = duv @ pose.rotation
+            JtJ[seen] += J.transpose(0, 2, 1) @ J
+            Jtr[seen] += np.einsum("kab,ka->kb", J, err)
+        refine[refine] = np.linalg.det(JtJ[refine]) != 0.0  # where solve would raise
+        p[refine] += np.linalg.solve(JtJ[refine], -Jtr[refine][..., None])[..., 0]
+        for i, (intr, pose) in enumerate(zip(rig.intrinsics, rig.poses)):
+            seen = visibility[i] & ok
+            _, _, z, err = _pixel_error(intr, pose, p[seen], ideal[i, seen])
+            sq[seen] += np.where(z > 1e-12, (err**2).sum(axis=1), np.inf)
+    residuals = np.full(n, np.inf)
+    residuals[ok] = np.sqrt(sq[ok] / counts[ok])
+    ok &= residuals < np.inf  # not behind a camera that sees it
+    p[~ok] = np.nan
+    return p * rig.scale, residuals, counts, ok
 
 
-def _refine_point(rig, rows, observation, p: Array) -> Array:
-    J = np.zeros((2 * len(rows), 3))
-    r = np.zeros(2 * len(rows))
-    for k, (o, i) in enumerate(zip(observation.observations, rows)):
-        intr, pose = rig.intrinsics[i], rig.poses[i]
-        cam = pose.transform(p)
-        x, y, z = cam
-        if z <= 1e-12:
-            return p
-        u = x / z * intr.fx + intr.cx
-        v = y / z * intr.fy + intr.cy
-        obs = undistort_pixels(intr, o.pixel.reshape(1, 2))[0]
-        r[2 * k] = u - obs[0]
-        r[2 * k + 1] = v - obs[1]
-        duv = np.array(
-            [[intr.fx / z, 0.0, -intr.fx * x / z**2], [0.0, intr.fy / z, -intr.fy * y / z**2]]
-        )
-        J[2 * k : 2 * k + 2] = duv @ pose.rotation
-    JtJ = J.T @ J
-    try:
-        step = np.linalg.solve(JtJ, -J.T @ r)
-    except np.linalg.LinAlgError:
-        return p
-    return p + step
+def _pixel_error(intr: CameraIntrinsics, pose: CameraPose, points: Array, ideal: Array):
+    """Camera coordinates x, y, z of points and their ideal-pixel error.
 
-
-def _rms_residual(rig, rows, observation, p: Array) -> float:
-    errs = []
-    for o, i in zip(observation.observations, rows):
-        intr, pose = rig.intrinsics[i], rig.poses[i]
-        cam = pose.transform(p)
-        if cam[2] <= 1e-12:
-            return float("inf")
-        u = cam[0] / cam[2] * intr.fx + intr.cx
-        v = cam[1] / cam[2] * intr.fy + intr.cy
-        obs = undistort_pixels(intr, o.pixel.reshape(1, 2))[0]
-        errs.append((u - obs[0]) ** 2 + (v - obs[1]) ** 2)
-    return float(np.sqrt(np.mean(errs)))
+    The pose is applied as one vector-matrix product per point, so a point's
+    result does not depend on how many points are passed with it.
+    """
+    x, y, z = ((points[:, None, :] @ pose.rotation.T)[:, 0] + pose.translation).T
+    err = np.stack([x / z * intr.fx + intr.cx, y / z * intr.fy + intr.cy], axis=1) - ideal
+    return x, y, z, err
 
 
 @dataclass(frozen=True)
@@ -257,39 +257,33 @@ def measure_deformation(
 ) -> DeformationSeries:
     """Triangulate a matched sequence into a deformation time series.
 
-    Samples whose RMS reprojection residual exceeds the threshold are
-    dropped (counted); raises EmptySeries when nothing survives.
+    Samples that do not triangulate, whose RMS reprojection residual exceeds
+    the threshold, or whose time does not exceed the last kept sample's are
+    dropped (counted). Raises UnknownCamera for an observation from a camera
+    outside the rig and EmptySeries when nothing survives.
     """
-    ts, pos, res, cams = [], [], [], []
-    dropped = 0
-    last_t = -np.inf
-    for cp in matched:
-        try:
-            tri = triangulate(rig, cp)
-        except RankDeficient:
-            dropped += 1
-            continue
-        if tri.residual_px > config.residual_threshold_px:
-            dropped += 1
-            continue
-        t = cp.mean_t
-        if t <= last_t:
-            dropped += 1
-            continue
-        last_t = t
-        ts.append(t)
-        pos.append(tri.position)
-        res.append(tri.residual_px)
-        cams.append(tri.camera_count)
-    if not ts:
+    matched = list(matched)
+    unknown = {o.camera_id for cp in matched for o in cp.observations} - set(rig.camera_ids)
+    if unknown:
+        raise UnknownCamera(f"camera(s) {sorted(unknown)} not in rig")
+    positions, residuals, counts, ok = triangulate(
+        rig, *correspondence_arrays(matched, rig.camera_ids)
+    )
+    t = np.array([cp.mean_t for cp in matched])
+    passed = np.flatnonzero(ok & (residuals <= config.residual_threshold_px))
+    # kept times strictly increase, so the last kept time is the running max
+    # over every earlier sample that passed
+    earlier = np.maximum.accumulate(np.concatenate([[-np.inf], t[passed][:-1]]))
+    kept = passed[t[passed] > earlier]
+    if not len(kept):
         raise EmptySeries(f"no sample passed the {config.residual_threshold_px} px filter")
     return DeformationSeries(
         reference_camera=rig.reference_camera,
-        t_us=np.array(ts),
-        positions=np.array(pos),
-        residuals_px=np.array(res),
-        camera_counts=np.array(cams, dtype=np.int64),
-        dropped=dropped,
+        t_us=t[kept],
+        positions=positions[kept],
+        residuals_px=residuals[kept],
+        camera_counts=counts[kept],
+        dropped=len(matched) - len(kept),
         baseline_window=config.baseline_window,
         metric=rig.metric_scale is not None,
     )

@@ -98,10 +98,6 @@ class UnknownCamera(EvdeformError):
     """Referenced camera id is not part of the rig."""
 
 
-class RankDeficient(EvdeformError):
-    """Triangulation rays are (near) parallel or too few."""
-
-
 class EmptySeries(EvdeformError):
     """No triangulated sample survived the residual filter."""
 

@@ -1,16 +1,15 @@
 """Event data model and bit-exact file I/O for multi-camera recordings.
 
-Streams hold column arrays (timestamp, x, y, polarity) for speed but expose
-a sequence-of-Event view. Two on-disk formats: a CSV with header
-``t_us,x,y,polarity`` and a little-endian binary format with a 16-byte
-header carrying magic, version and the declared sensor size.
+Streams hold column arrays (timestamp, x, y, polarity). Two on-disk
+formats: a CSV with header ``t_us,x,y,polarity`` and a little-endian binary
+format with a 16-byte header carrying magic, version and the declared
+sensor size.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -21,13 +20,6 @@ BINARY_VERSION = 1
 CSV_HEADER = "t_us,x,y,polarity"
 
 _RECORD_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")])
-
-
-class Event(NamedTuple):
-    t: int
-    x: int
-    y: int
-    polarity: bool
 
 
 @dataclass(frozen=True)
@@ -67,13 +59,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __getitem__(self, i: int) -> Event:
-        return Event(int(self.t[i]), int(self.x[i]), int(self.y[i]), bool(self.polarity[i]))
-
-    def __iter__(self) -> Iterator[Event]:
-        for i in range(len(self)):
-            yield self[i]
 
     @property
     def sensor(self) -> tuple[int, int]:

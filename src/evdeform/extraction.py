@@ -3,7 +3,8 @@
 Events are accumulated in fixed-count windows; each window's centroid,
 covariance and mean timestamp form one center observation. Observations
 from different cameras are grouped into corresponding points by timestamp
-proximity.
+proximity, and correspondence_arrays lays the groups out as the pixel and
+visibility arrays that calibration and triangulation work on.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyCluster, StreamTooShort
-from .events import Event, EventStream
+from .events import EventStream
 
 
 @dataclass(frozen=True)
@@ -225,20 +226,13 @@ def choose_accumulation_count(
     return int(np.clip(n, n_min, n_max))
 
 
-def accumulate_cluster(events: Sequence[Event] | EventStream) -> EventCluster:
+def accumulate_cluster(events: EventStream) -> EventCluster:
     """Centroid, population covariance and mean timestamp of an event group."""
-    if isinstance(events, EventStream):
-        if len(events) == 0:
-            raise EmptyCluster("no events to accumulate")
-        xs = events.x.astype(float)
-        ys = events.y.astype(float)
-        ts = events.t
-    else:
-        if len(events) == 0:
-            raise EmptyCluster("no events to accumulate")
-        xs = np.array([e.x for e in events], dtype=float)
-        ys = np.array([e.y for e in events], dtype=float)
-        ts = np.array([e.t for e in events], dtype=np.int64)
+    if len(events) == 0:
+        raise EmptyCluster("no events to accumulate")
+    xs = events.x.astype(float)
+    ys = events.y.astype(float)
+    ts = events.t
     n = len(xs)
     mx, my = xs.mean(), ys.mean()
     cov = np.array(
@@ -453,6 +447,26 @@ def match_corresponding(
             groups.append(CorrespondingPoint(obs, max(times) - min(times)))
     groups.sort(key=lambda g: g.mean_t)
     return groups
+
+
+def correspondence_arrays(
+    points: Sequence[CorrespondingPoint], camera_ids: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels (m, n, 2) and visibility (m, n) of n groups over m cameras.
+
+    Row i holds camera camera_ids[i]; pixels a camera does not see are zero,
+    and observations from cameras outside camera_ids are ignored.
+    """
+    row = {cid: i for i, cid in enumerate(camera_ids)}
+    pixels = np.zeros((len(camera_ids), len(points), 2))
+    visibility = np.zeros((len(camera_ids), len(points)), dtype=bool)
+    for j, cp in enumerate(points):
+        for obs in cp.observations:
+            i = row.get(obs.camera_id)
+            if i is not None:
+                pixels[i, j] = obs.pixel
+                visibility[i, j] = True
+    return pixels, visibility
 
 
 def _closest_unused(tcs: list[float], used: np.ndarray, t: float, t_th: float) -> int | None:

@@ -558,21 +558,38 @@ def estimate_fundamental_ransac(
 # triangulation core (shared by calibration and deformation)
 # ---------------------------------------------------------------------------
 
-def triangulate_linear(matrices: Array, pixels: Array) -> tuple[Array, Array]:
-    """Homogeneous linear intersection of >= 2 rays.
+def triangulate_linear(
+    matrices: Array, points: Array, visibility: Array
+) -> tuple[Array, Array]:
+    """Homogeneous linear intersection of the visible rays of every column.
 
-    matrices: (k, 3, 4) projection matrices, pixels: (k, 2). Returns the
-    homogeneous solution (4,) and the singular values of the design matrix.
+    matrices: (m, 3, 4) projection matrices, points: (m, n, 2) image points,
+    visibility: (m, n). Column j's design matrix stacks u P[2] - P[0] and
+    v P[2] - P[1] for each camera that sees it, in camera order. Returns the
+    homogeneous solutions (n, 4) and the singular values (n, 4) of each
+    design matrix; a column seen by k < 2 cameras has 4 - 2k zero singular
+    values, and one seen by none is all zeros. Columns seen by the same set
+    of cameras share one stacked SVD.
     """
     matrices = np.asarray(matrices, dtype=float)
-    pixels = np.asarray(pixels, dtype=float)
-    rows = []
-    for P, (u, v) in zip(matrices, pixels):
-        rows.append(u * P[2] - P[0])
-        rows.append(v * P[2] - P[1])
-    A = np.array(rows)
-    _, s, Vt = np.linalg.svd(A)
-    return Vt[-1], s
+    points = np.asarray(points, dtype=float)
+    visibility = np.asarray(visibility, dtype=bool)
+    n = visibility.shape[1]
+    # (m, n, 2, 4): both design rows of every camera for every column
+    rows = points[..., None] * matrices[:, None, None, 2] - matrices[:, None, :2]
+    X = np.zeros((n, 4))
+    s = np.zeros((n, 4))
+    patterns, group = np.unique(visibility.T, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    for k, seen in enumerate(patterns):
+        if not seen.any():
+            continue
+        cols = np.flatnonzero(group == k)
+        A = rows[seen][:, cols].transpose(1, 0, 2, 3).reshape(len(cols), -1, 4)
+        _, sv, Vt = np.linalg.svd(A)
+        X[cols] = Vt[:, -1]
+        s[cols, : sv.shape[1]] = sv
+    return X, s
 
 
 # ---------------------------------------------------------------------------

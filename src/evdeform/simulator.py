@@ -148,10 +148,6 @@ class SimulationResult:
     streams: list[EventStream]
     truth: GroundTruth
 
-    def __iter__(self):
-        yield self.streams
-        yield self.truth
-
 
 def blink_schedule(config: ScenarioConfig) -> tuple[Array, Array]:
     """Transition times (µs) and polarities over the scenario duration."""

@@ -270,20 +270,13 @@ def check_span_grid(seed: int, calibration: CalibrationResult) -> CheckResult:
     xs = np.arange(7) * 50.0 - 150.0
     points = np.stack([xs, np.full(7, 120.0), np.full(7, 5150.0)], axis=1)
     draws = 40
-    mean_positions = []
-    for p in points:
-        acc = np.zeros(3)
-        for _ in range(draws):
-            obs = []
-            for ci, (intr, pose) in enumerate(cams):
-                px = project_pinhole(intr, pose, p.reshape(1, 3))[0]
-                px = px + rng.normal(0.0, 0.3, 2)
-                cluster = EventCluster(px, np.zeros((2, 2)), 1, 0.0)
-                obs.append(CenterObservation(ci, px, 0.0, cluster))
-            tri = triangulate(rig, CorrespondingPoint(tuple(obs), 0.0))
-            acc += tri.position
-        mean_positions.append(acc / draws)
-    mean_positions = np.stack(mean_positions)
+    # column p * draws + d holds draw d of point p; noise is drawn point by
+    # point, draw by draw, camera by camera
+    exact = np.stack([project_pinhole(intr, pose, points) for intr, pose in cams])
+    noise = rng.normal(0.0, 0.3, (len(points) * draws, len(cams), 2))
+    pixels = np.repeat(exact, draws, axis=1) + noise.transpose(1, 0, 2)
+    positions, _, _, _ = triangulate(rig, pixels, np.ones(pixels.shape[:2], dtype=bool))
+    mean_positions = positions.reshape(len(points), draws, 3).sum(axis=1) / draws
 
     figures = {}
     errors = {}
@@ -509,15 +502,8 @@ def _prop_reference_invariance(seed: int) -> float:
     dists = []
     for reference in range(3):
         rig = rebase_extrinsics(poses, reference, [intr] * 3)
-        positions = []
-        for p in markers:
-            obs = []
-            for ci, pose in enumerate(poses):
-                px = project_pinhole(intr, pose, p.reshape(1, 3))[0]
-                cluster = EventCluster(px, np.zeros((2, 2)), 1, 0.0)
-                obs.append(CenterObservation(ci, px, 0.0, cluster))
-            positions.append(triangulate(rig, CorrespondingPoint(tuple(obs), 0.0)).position)
-        positions = np.stack(positions)
+        pixels = np.stack([project_pinhole(intr, pose, markers) for pose in poses])
+        positions, _, _, _ = triangulate(rig, pixels, np.ones((3, len(markers)), dtype=bool))
         d = [
             np.linalg.norm(positions[i] - positions[j])
             for i in range(4)

@@ -147,6 +147,19 @@ class TestCalibrate:
         assert code == 1
         assert (out / "calibration.json").exists()  # best-so-far still written
 
+    def test_unknown_config_key_exits_2(self, observations, tmp_path, capsys):
+        overrides = tmp_path / "config.json"
+        overrides.write_text(json.dumps({"reproj_target": 0.3, "reproj_targte": 0.2}))
+        out = tmp_path / "cal"
+        code = main(
+            ["calibrate", "--observations", str(observations), "--out", str(out),
+             "--config", str(overrides)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "reproj_targte" in err[0]
+        assert not (out / "calibration.json").exists()
+
     def test_rerun_identical_calibration(self, observations, tmp_path):
         out1, out2 = tmp_path / "c1", tmp_path / "c2"
         assert main(["calibrate", "--observations", str(observations), "--out",
@@ -230,6 +243,46 @@ class TestMeasure:
              "--observations", str(empty), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    def test_anchor_camera_outside_rig_exits_2(self, sway_setup, tmp_path, capsys):
+        root, cal, sway_obs = sway_setup
+        code = main(
+            ["measure", "--calibration", str(cal / "calibration.json"),
+             "--observations", str(sway_obs), "--anchor", "baseline:0,7:4640",
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "7" in err[0]
+
+    def test_malformed_anchor_exits_2(self, sway_setup, tmp_path, capsys):
+        root, cal, sway_obs = sway_setup
+        code = main(
+            ["measure", "--calibration", str(cal / "calibration.json"),
+             "--observations", str(sway_obs), "--anchor", "baseline:0,x:4640",
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_observations_from_camera_outside_rig_exit_2(self, sway_setup, tmp_path, capsys):
+        root, cal, sway_obs = sway_setup
+        obs = tmp_path / "obs"
+        obs.mkdir()
+        for path in sway_obs.glob("observations_cam*.csv"):
+            (obs / path.name).write_text(path.read_text())
+        header, *rows = (sway_obs / "observations_cam0.csv").read_text().splitlines()
+        (obs / "observations_cam7.csv").write_text(
+            "\n".join([header] + ["7" + row[row.index(","):] for row in rows]) + "\n"
+        )
+        code = main(
+            ["measure", "--calibration", str(cal / "calibration.json"),
+             "--observations", str(obs), "--anchor", "baseline:0,1:4640",
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "7" in err[0]
 
 
 class TestVerify:

@@ -1,4 +1,6 @@
 """Reference rebasing, linear intersection and deformation series."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,10 @@ from evdeform.deformation import (
 )
 from evdeform.errors import (
     EmptySeries,
-    RankDeficient,
     UnknownCamera,
     ZeroObservedDistance,
 )
-from evdeform.extraction import CorrespondingPoint
+from evdeform.extraction import CorrespondingPoint, correspondence_arrays
 from evdeform.geometry import (
     CameraPose,
     project_pinhole,
@@ -85,6 +86,10 @@ class TestRebaseExtrinsics:
             np.testing.assert_allclose(recomposed_t, original.translation, atol=1e-12)
 
 
+def _triangulate_groups(rig, groups):
+    return triangulate(rig, *correspondence_arrays(groups, rig.camera_ids))
+
+
 class TestTriangulate:
     def test_axis_point_noiseless(self, intrinsics_1800):
         p1 = CameraPose.identity()
@@ -95,10 +100,11 @@ class TestTriangulate:
         for ci, pose in enumerate([p1, p2]):
             px = project_pinhole(intrinsics_1800, pose, point.reshape(1, 3))[0]
             obs.append(synthetic_observation(ci, px, 0.0))
-        out = triangulate(rig, CorrespondingPoint(tuple(obs), 0.0))
-        np.testing.assert_allclose(out.position, point, atol=1e-9)
-        assert out.residual_px < 1e-9
-        assert out.camera_count == 2
+        pos, res, counts, ok = _triangulate_groups(rig, [CorrespondingPoint(tuple(obs), 0.0)])
+        np.testing.assert_allclose(pos[0], point, atol=1e-9)
+        assert res[0] < 1e-9
+        assert counts[0] == 2
+        assert ok[0]
 
     def test_monte_carlo_error_ball(self, rig_cameras):
         """0.2 px noise at rig geometry keeps 3D errors in a small ball."""
@@ -107,24 +113,22 @@ class TestTriangulate:
         point = np.array([50.0, -80.0, 5300.0])
         ref_pose = rig_cameras[0][1]
         truth_in_ref = ref_pose.transform(point.reshape(1, 3))[0]
-        errors = []
-        for _ in range(200):
-            obs = []
-            for ci, (intr, pose) in enumerate(rig_cameras):
-                px = project_pinhole(intr, pose, point.reshape(1, 3))[0]
-                px = px + rng.normal(0, 0.2, 2)
-                obs.append(synthetic_observation(ci, px, 0.0))
-            out = triangulate(rig, CorrespondingPoint(tuple(obs), 0.0))
-            errors.append(np.linalg.norm(out.position - truth_in_ref))
-        errors = np.array(errors)
+        groups = correspondences_from_points(
+            rig_cameras, np.tile(point, (200, 1)), noise_px=0.2, rng=rng
+        )
+        pos, _, _, ok = _triangulate_groups(rig, groups)
+        assert ok.all()
+        errors = np.linalg.norm(pos - truth_in_ref, axis=1)
         assert errors.mean() < 1.5  # mm at ~5 m depth with metre baselines
         assert errors.max() < 5.0
 
     def test_single_camera_rank_deficient(self, intrinsics_1800):
         rig = make_rig()
         obs = (synthetic_observation(0, [640.0, 360.0], 0.0),)
-        with pytest.raises(RankDeficient):
-            triangulate(rig, CorrespondingPoint(obs, 0.0))
+        pos, res, counts, ok = _triangulate_groups(rig, [CorrespondingPoint(obs, 0.0)])
+        assert not ok[0]
+        assert counts[0] == 1
+        assert np.isnan(pos[0]).all() and res[0] == np.inf
 
     def test_near_parallel_rays_rejected(self, intrinsics_1800):
         # two cameras almost on top of each other
@@ -136,8 +140,9 @@ class TestTriangulate:
         for ci, pose in enumerate([p1, p2]):
             px = project_pinhole(intrinsics_1800, pose, point.reshape(1, 3))[0]
             obs.append(synthetic_observation(ci, px, 0.0))
-        with pytest.raises(RankDeficient):
-            triangulate(rig, CorrespondingPoint(tuple(obs), 0.0))
+        _, _, counts, ok = _triangulate_groups(rig, [CorrespondingPoint(tuple(obs), 0.0)])
+        assert counts[0] == 2
+        assert not ok[0]
 
     def test_kept_samples_respect_reprojection(self, rig_cameras):
         rig = make_rig(rig_cameras)
@@ -150,6 +155,65 @@ class TestTriangulate:
             rig, _timestamped(groups), MeasureConfig(residual_threshold_px=1.0)
         )
         assert np.all(series.residuals_px <= 1.0)
+
+
+def _group(cameras, ids, point):
+    """Noiseless group of one point seen by the given cameras; the pixel is
+    the pinhole image even for a camera the point lies behind."""
+    obs = []
+    for ci in ids:
+        intr, pose = cameras[ci]
+        cam = pose.transform(point)
+        obs.append(synthetic_observation(ci, intr.pixel_from_normalized(cam[:2] / cam[2]), 0.0))
+    return CorrespondingPoint(tuple(obs), 0.0)
+
+
+def _mixed_batch(rig_cameras):
+    """The canonical rig plus a camera 3 placed 1e-7 mm from camera 0.
+
+    Six noiseless groups, three seen by cameras 0-2 and one by each pair of
+    them, followed by three bad ones: a single camera, near-parallel rays
+    (cameras 0 and 3) and a point behind camera 0. Returns the rig cameras,
+    the groups and the six true points in camera 0's frame.
+    """
+    intr0, pose0 = rig_cameras[0]
+    twin = CameraPose(pose0.rotation, pose0.translation + np.array([1e-7, 0.0, 0.0]))
+    cameras = tuple(rig_cameras) + ((intr0, twin),)
+    rng = np.random.default_rng(21)
+    points = np.array([0.0, 0.0, 5200.0]) + rng.uniform(-1, 1, (6, 3)) * 400.0
+    ids = [(0, 1, 2)] * 3 + list(itertools.combinations(range(3), 2))
+    behind = pose0.center - 1000.0 * pose0.rotation[2]
+    bad = [((1,), points[0]), ((0, 3), points[1]), ((0, 1, 2), behind)]
+    groups = [_group(cameras, c, p) for c, p in zip(ids, points)]
+    groups += [_group(cameras, c, p) for c, p in bad]
+    return cameras, _timestamped(groups), pose0.transform(points)
+
+
+class TestMixedVisibilityBatch:
+    def test_columns_match_alone_truth_and_masks(self, rig_cameras):
+        cameras, groups, truth = _mixed_batch(rig_cameras)
+        rig = make_rig(cameras)
+        pixels, vis = correspondence_arrays(groups, rig.camera_ids)
+        batch = triangulate(rig, pixels, vis)
+        for j in range(len(groups)):
+            alone = triangulate(rig, pixels[:, j : j + 1], vis[:, j : j + 1])
+            for whole, one in zip(batch, alone):
+                assert whole[j : j + 1].tobytes() == one.tobytes(), j
+        positions, residuals, counts, ok = batch
+        np.testing.assert_allclose(positions[:6], truth, rtol=0, atol=1e-9)
+        assert np.all(residuals[:6] < 1e-9)
+        np.testing.assert_array_equal(counts, [3, 3, 3, 2, 2, 2, 1, 2, 3])
+        np.testing.assert_array_equal(ok, [True] * 6 + [False] * 3)
+        assert np.isnan(positions[6:]).all() and np.all(residuals[6:] == np.inf)
+
+    def test_measure_drops_exactly_the_bad_samples(self, rig_cameras):
+        cameras, groups, truth = _mixed_batch(rig_cameras)
+        rig = make_rig(cameras)
+        series = measure_deformation(rig, groups, MeasureConfig(baseline_window=1))
+        assert series.dropped == 3
+        np.testing.assert_array_equal(series.t_us, [g.mean_t for g in groups[:6]])
+        np.testing.assert_allclose(series.positions, truth, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(series.camera_counts, [3, 3, 3, 2, 2, 2])
 
 
 def _timestamped(groups):
@@ -248,16 +312,10 @@ class TestReferenceInvariance:
         all_dists = []
         for reference in range(3):
             rig = rebase_extrinsics(poses, reference, intr)
-            positions = []
-            for p in markers:
-                obs = []
-                for ci, pose in enumerate(poses):
-                    px = project_pinhole(intr[ci], pose, p.reshape(1, 3))[0]
-                    obs.append(synthetic_observation(ci, px, 0.0))
-                positions.append(
-                    triangulate(rig, CorrespondingPoint(tuple(obs), 0.0)).position
-                )
-            positions = np.stack(positions)
+            positions, _, _, ok = _triangulate_groups(
+                rig, correspondences_from_points(rig_cameras, markers)
+            )
+            assert ok.all()
             d = [
                 np.linalg.norm(positions[i] - positions[j])
                 for i in range(5)

@@ -33,7 +33,7 @@ class TestReadWrite:
         path.write_text("t_us,x,y,polarity\n5,100,200,1\n")
         stream, warnings = read_stream(path, "csv", sensor=(1280, 720))
         assert len(stream) == 1
-        assert stream[0] == (5, 100, 200, True)
+        assert (stream.t[0], stream.x[0], stream.y[0], stream.polarity[0]) == (5, 100, 200, True)
         assert warnings == 0
 
     def test_empty_file(self, tmp_path):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from evdeform.errors import EmptyCluster, StreamTooShort
-from evdeform.events import Event, EventStream
+from evdeform.events import EventStream
 from evdeform.extraction import (
     CenterObservation,
     EventCluster,
@@ -63,22 +63,21 @@ class TestChooseAccumulationCount:
             choose_accumulation_count(250.0, -1.0, 1000.0)
 
 
+def _stream(t, x, y):
+    """ON events of camera 0 on a 1280x720 sensor from column lists."""
+    return EventStream(0, 1280, 720, t, x, y, np.ones(len(t), dtype=bool))
+
+
 class TestAccumulateCluster:
     def test_single_event(self):
-        c = accumulate_cluster([Event(5, 100, 200, True)])
+        c = accumulate_cluster(_stream([5], [100], [200]))
         np.testing.assert_array_equal(c.centroid, [100.0, 200.0])
         np.testing.assert_array_equal(c.covariance, np.zeros((2, 2)))
         assert c.t_c == 5.0
         assert c.count == 1
 
     def test_symmetric_square(self):
-        events = [
-            Event(10, 0, 0, True),
-            Event(20, 0, 2, True),
-            Event(30, 2, 0, True),
-            Event(40, 2, 2, True),
-        ]
-        c = accumulate_cluster(events)
+        c = accumulate_cluster(_stream([10, 20, 30, 40], [0, 0, 2, 2], [0, 2, 0, 2]))
         np.testing.assert_allclose(c.centroid, [1.0, 1.0])
         assert c.t_c == 25.0
         np.testing.assert_allclose(c.covariance, [[1.0, 0.0], [0.0, 1.0]])
@@ -98,7 +97,7 @@ class TestAccumulateCluster:
 
     def test_empty_cluster(self):
         with pytest.raises(EmptyCluster):
-            accumulate_cluster([])
+            accumulate_cluster(_stream([], [], []))
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(4)

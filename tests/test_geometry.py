@@ -22,6 +22,7 @@ from evdeform.geometry import (
     save_calibration_document,
     skew,
     symmetric_epipolar_distance,
+    triangulate_linear,
     undistort,
     undistort_pixels,
 )
@@ -253,3 +254,34 @@ class TestPoseValidation:
                 np.array([xn[0], xn[1], 1.0]) * p1.transform(p.reshape(1, 3))[0, 2]
             )
             np.testing.assert_allclose(ray, p, atol=1e-9)
+
+
+class TestTriangulateLinear:
+    def test_batch_matches_per_column_loop(self):
+        """Every visibility pattern, including none and one camera, in one
+        batch; each column equals the design-matrix SVD built column by
+        column, bit for bit."""
+        rng = np.random.default_rng(8)
+        m, n = 3, 200
+        mats = rng.normal(size=(m, 3, 4))
+        points = rng.normal(size=(m, n, 2)) * 300.0
+        vis = rng.random((m, n)) < 0.6
+        X, s = triangulate_linear(mats, points, vis)
+        for j in range(n):
+            rows = []
+            for P, (u, v) in zip(mats[vis[:, j]], points[vis[:, j], j]):
+                rows += [u * P[2] - P[0], v * P[2] - P[1]]
+            if not rows:
+                assert not X[j].any() and not s[j].any()
+                continue
+            _, sv, Vt = np.linalg.svd(np.array(rows))
+            assert X[j].tobytes() == Vt[-1].tobytes()
+            assert s[j, : len(sv)].tobytes() == sv.tobytes() and not s[j, len(sv) :].any()
+
+    def test_noiseless_rays_meet_at_the_point(self, small_rig):
+        intr, poses = small_rig
+        pts = np.array([[0.0, 0.0, 5000.0], [300.0, -200.0, 4500.0]])
+        mats = np.stack([intr.K @ p.matrix for p in poses])
+        pix = np.stack([project_pinhole(intr, p, pts) for p in poses])
+        X, _ = triangulate_linear(mats, pix, np.ones((2, 2), dtype=bool))
+        np.testing.assert_allclose(X[:, :3] / X[:, 3:], pts, atol=1e-6)
