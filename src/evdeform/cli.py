@@ -27,6 +27,7 @@ from .deformation import (
     write_summary,
 )
 from .errors import (
+    BoundsError,
     CalibrationFailed,
     ConfigError,
     EmptySeries,
@@ -348,11 +349,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "format", None) is None:
-        args.format = getattr(args, "format_default", "binary")
+        args.format = getattr(args, "format_default", None)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, StreamTooShort, InsufficientCorrespondences,
-            EmptySeries, UnknownCamera, FileNotFoundError) as exc:
+    except (ConfigError, ParseError, BoundsError, StreamTooShort,
+            InsufficientCorrespondences, EmptySeries, UnknownCamera,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EvdeformError as exc:

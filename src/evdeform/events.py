@@ -7,7 +7,6 @@ sensor size.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +19,15 @@ BINARY_VERSION = 1
 CSV_HEADER = "t_us,x,y,polarity"
 
 _RECORD_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")])
+
+# The CSV reader reads and parses blocks of about this many bytes, cut at
+# newlines, so its buffers and temporaries stay a few times the block in size
+# rather than the file's: each is kept below the 4 MB from which numpy asks
+# for huge pages.
+_CSV_BLOCK_BYTES = 1 << 20
+_CSV_MAX_DIGITS = 18  # every such integer fits int64
+_LF, _CR, _COMMA, _ZERO = (np.uint8(ord(c)) for c in "\n\r,0")
+_POWERS_OF_TEN = 10 ** np.arange(1, _CSV_MAX_DIGITS + 1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -121,10 +129,10 @@ def read_stream(
 def write_stream(stream: EventStream, path, format: str = "csv") -> None:
     path = Path(path)
     if format == "csv":
-        pol = stream.polarity.astype(np.uint8)
-        rows = zip(stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), pol.tolist())
-        body = "\n".join(f"{t},{x},{y},{p}" for t, x, y, p in rows)
-        path.write_text(CSV_HEADER + "\n" + body + ("\n" if body else ""))
+        body = _format_csv(stream)
+        with open(path, "wb") as fh:
+            fh.write((CSV_HEADER + "\n").encode())
+            fh.write(body)
     elif format == "binary":
         header = bytearray(16)
         header[0:8] = BINARY_MAGIC
@@ -143,31 +151,131 @@ def write_stream(stream: EventStream, path, format: str = "csv") -> None:
         raise ValueError(f"unknown format {format!r}")
 
 
+def _format_csv(stream: EventStream) -> np.ndarray:
+    """The rows ``t,x,y,polarity`` and newline as one buffer, digits scattered in."""
+    columns = (stream.t, stream.x, stream.y)
+    widths = [np.searchsorted(_POWERS_OF_TEN, v, side="right") + 1 for v in columns]
+    if any(w.max(initial=0) > _CSV_MAX_DIGITS for w in widths):
+        raise ValueError(f"a value has more than the {_CSV_MAX_DIGITS} digits a CSV allows")
+    row_end = np.cumsum(widths[0] + widths[1] + widths[2] + 5)  # 3 commas, polarity, LF
+    out = np.empty(int(row_end[-1]) if len(stream) else 0, dtype=np.uint8)
+    out[row_end - 1] = _LF
+    out[row_end - 2] = _ZERO + stream.polarity
+    field_end = row_end - 3  # the comma after y
+    for value, width in zip(columns[::-1], widths[::-1]):
+        out[field_end] = _COMMA
+        at, rest = field_end - 1, value
+        while len(rest):  # one decimal place per turn, least significant first
+            rest, digit = np.divmod(rest, 10)
+            out[at] = _ZERO + digit
+            more = rest > 0
+            if not more.all():
+                rest, at = rest[more], at[more]
+            at = at - 1
+        field_end = field_end - width - 1
+    return out
+
+
 def _read_csv(path: Path):
-    t, x, y, p = [], [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (lineno == 1 and row[0].strip() == "t_us"):
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            try:
-                t.append(int(row[0]))
-                x.append(int(row[1]))
-                y.append(int(row[2]))
-                pol = int(row[3])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if pol not in (0, 1):
-                raise ParseError(f"{path}:{lineno}: polarity must be 0 or 1, got {pol}")
-            p.append(bool(pol))
-    return (
-        np.array(t, dtype=np.int64),
-        np.array(x, dtype=np.int64),
-        np.array(y, dtype=np.int64),
-        np.array(p, dtype=bool),
-    )
+    """Parse an event CSV with numpy, block by block, cut at newlines.
+
+    The grammar: an optional line-1 header whose first field is ``t_us``;
+    LF or CRLF line endings; blank lines skipped; the last line may lack
+    its newline. Every other line is exactly four non-negative decimal
+    integers of at most 18 digits, the last one 0 or 1. Anything else is a
+    ParseError naming ``path:line``.
+    """
+    blocks, rest, offset = [], b"", 0
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(_CSV_BLOCK_BYTES)
+            data = rest + chunk
+            cut = data.rfind(b"\n") + 1 if chunk else len(data)
+            if cut:
+                blocks.append(_parse_csv_block(data, cut, offset, path))
+            elif len(data) >= _CSV_BLOCK_BYTES:  # far beyond any row or header
+                line = _line_number(path, offset)
+                raise ParseError(f"{path}:{line}: line longer than {_CSV_BLOCK_BYTES} bytes")
+            rest, offset = data[cut:], offset + cut
+            if not chunk:
+                break
+    if not blocks:
+        return (np.zeros(0, np.int64),) * 3 + (np.zeros(0, bool),)
+    return tuple(np.concatenate(cols) for cols in zip(*blocks))
+
+
+def _parse_csv_block(data: bytes, size: int, offset: int, path: Path):
+    """Columns of the lines in data[:size], which starts at file offset
+    ``offset`` and ends just past a newline or at the end of the file."""
+    buf = np.frombuffer(data, np.uint8, size)
+    is_newline = buf == _LF
+    is_comma = buf == _COMMA
+    delim = np.flatnonzero(is_newline | is_comma)  # where each field ends
+    line_end = np.flatnonzero(is_newline[delim])  # each line's newline, in delim
+    if buf[-1] != _LF:  # the last line of a file without a final newline
+        delim = np.append(delim, size)
+        line_end = np.append(line_end, len(delim) - 1)
+    newline = delim[line_end]
+    first = np.concatenate(([0], newline[:-1] + 1))
+    crlf = (newline > first) & (buf[newline - 1] == _CR) & (newline < size)
+    last = newline - crlf  # one past each line's content
+    digits = buf - _ZERO
+    # any byte but a digit, comma or newline is bad unless it is a CRLF's CR
+    bad_byte = np.flatnonzero(~((digits < 10) | is_comma | is_newline))
+    bad_byte = np.setdiff1d(bad_byte, last[crlf], assume_unique=True)
+    bad = np.zeros(len(newline), dtype=bool)
+    bad[np.searchsorted(newline, bad_byte)] = True
+    rows = last > first
+    bad |= rows & (np.diff(line_end, prepend=-1) != 4)  # fields per line
+    if offset == 0 and data.startswith(b"t_us") and data[4:5] in (b"", b",", b"\r", b"\n"):
+        bad[0] = rows[0] = False  # the header
+    rows &= ~bad
+    row_end = line_end[rows]
+    ends = [delim[row_end - 3], delim[row_end - 2], delim[row_end - 1], last[rows]]
+    starts = [first[rows]] + [e + 1 for e in ends[:3]]
+    widths = [e - s for s, e in zip(starts, ends)]
+    polarity = digits[np.minimum(starts[3], size - 1)]  # clipped for a row ending in ","
+    row_bad = (widths[3] != 1) | (polarity > 1)
+    for w in widths[:3]:
+        row_bad |= (w < 1) | (w > _CSV_MAX_DIGITS)
+    bad[rows] = row_bad
+    if bad.any():
+        line = int(np.flatnonzero(bad)[0])
+        lo = int(first[line])
+        reason = _row_error(data[lo:last[line]])
+        raise ParseError(f"{path}:{_line_number(path, offset + lo)}: {reason}")
+    columns = []
+    for end, w in zip(ends[:3], widths[:3]):
+        # right-aligned digit accumulation; only the leading places need a mask
+        span = int(w.max(initial=0))
+        short = span - int(w.min(initial=span))
+        value = np.zeros(len(end), dtype=np.int64)
+        for i in range(span):
+            digit = digits.take(end - span + i, mode="clip")
+            if i < short:
+                digit = np.where(w >= span - i, digit, 0)
+            value = value * 10 + digit
+        columns.append(value)
+    return columns[0], columns[1], columns[2], polarity == 1
+
+
+def _row_error(content: bytes) -> str:
+    """What is wrong with a rejected line (given without its line ending)."""
+    fields = content.split(b",")
+    if len(fields) != 4:
+        return f"expected 4 fields, got {len(fields)}"
+    for name, field in zip(CSV_HEADER.split(","), fields):
+        if not field.isdigit():
+            return f"{name} {field.decode(errors='replace')!r} is not a decimal integer"
+        if len(field) > _CSV_MAX_DIGITS:
+            return f"{name} has {len(field)} digits, at most {_CSV_MAX_DIGITS} allowed"
+    return f"polarity must be 0 or 1, got {fields[3].decode()!r}"
+
+
+def _line_number(path: Path, offset: int) -> int:
+    """1-based line of the byte at ``offset``; only error paths need it."""
+    with open(path, "rb") as fh:
+        return fh.read(offset).count(b"\n") + 1
 
 
 def _read_binary(path: Path):
@@ -188,6 +296,10 @@ def _read_binary(path: Path):
             f"{_RECORD_DTYPE.itemsize}"
         )
     records = np.frombuffer(body, dtype=_RECORD_DTYPE)
+    too_late = np.flatnonzero(records["t"] > np.iinfo(np.int64).max)
+    if len(too_late):
+        i = int(too_late[0])
+        raise ParseError(f"{path}: record {i}: timestamp {records['t'][i]} does not fit int64")
     return (
         width,
         height,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -65,7 +66,7 @@ class CorrespondingPoint:
     def camera_ids(self) -> tuple[int, ...]:
         return tuple(o.camera_id for o in self.observations)
 
-    @property
+    @cached_property
     def mean_t(self) -> float:
         return float(np.mean([o.t_c for o in self.observations]))
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from evdeform.cli import main
+from evdeform.events import EventStream, write_stream
 from evdeform.simulator import (
     Sinusoid3DTrajectory,
     preset_paper_rig,
@@ -75,7 +76,7 @@ class TestExtract:
         for cam in info["cameras"].values():
             assert abs(cam["observations"] - transitions) <= 0.05 * transitions
 
-    def test_empty_stream_exits_2(self, tmp_path):
+    def test_empty_stream_exits_2(self, tmp_path, capsys):
         streams = tmp_path / "streams"
         streams.mkdir()
         (streams / "streams.json").write_text(json.dumps({
@@ -87,6 +88,45 @@ class TestExtract:
         (streams / "events_cam0.csv").write_text("t_us,x,y,polarity\n")
         code = main(["extract", "--streams", str(streams), "--out", str(tmp_path / "o")])
         assert code == 2
+        assert "burst sizes" in capsys.readouterr().err  # read as the CSV streams.json names
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("5,1280,1,1", "outside declared sensor"),
+            ("-5,1,1,1", "events_cam0.csv:2: t_us '-5'"),
+            ("1" * 23 + ",1,1,1", "events_cam0.csv:2: t_us has 23 digits"),
+        ],
+        ids=["out-of-sensor", "negative-timestamp", "23-digit-timestamp"],
+    )
+    def test_bad_csv_event_exits_2_with_one_line(self, tmp_path, capsys, row, message):
+        streams = tmp_path / "streams"
+        streams.mkdir()
+        (streams / "streams.json").write_text(json.dumps({
+            "format": "csv",
+            "cameras": [
+                {"camera_id": 0, "file": "events_cam0.csv", "width": 1280, "height": 720}
+            ],
+        }))
+        (streams / "events_cam0.csv").write_text(f"t_us,x,y,polarity\n{row}\n")
+        code = main(["extract", "--streams", str(streams), "--format", "csv",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
+
+    def test_binary_timestamp_beyond_int64_exits_2(self, tmp_path, capsys):
+        streams = tmp_path / "streams"
+        streams.mkdir()
+        stream = EventStream(0, 64, 64, [1, 2], [3, 4], [5, 6], [True, False])
+        write_stream(stream, streams / "events_cam0.bin", "binary")
+        raw = bytearray((streams / "events_cam0.bin").read_bytes())
+        raw[16:24] = (2**64 - 5).to_bytes(8, "little")
+        (streams / "events_cam0.bin").write_bytes(bytes(raw))
+        code = main(["extract", "--streams", str(streams), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "does not fit int64" in err[0]
 
     def test_profile_changes_window_size(self, preset_run, tmp_path):
         out_c = tmp_path / "cal"

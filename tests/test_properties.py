@@ -1,8 +1,18 @@
 """Property-based invariants over randomized inputs."""
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from evdeform.events import EventStream, concat_streams, slice_by_time
+from evdeform.events import (
+    CSV_HEADER,
+    EventStream,
+    concat_streams,
+    read_stream,
+    slice_by_time,
+    write_stream,
+)
 from evdeform.extraction import accumulate_cluster, choose_accumulation_count
 from evdeform.geometry import (
     CameraIntrinsics,
@@ -55,6 +65,37 @@ def test_slice_partition_reconstructs_stream(seed, n, cuts):
     np.testing.assert_array_equal(merged.x, stream.x)
     np.testing.assert_array_equal(merged.y, stream.y)
     np.testing.assert_array_equal(merged.polarity, stream.polarity)
+
+
+SENSOR = 2**31 - 1  # EventStream holds pixel coordinates as int32
+PIXEL = st.one_of(st.integers(0, 2000), st.integers(0, SENSOR - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.one_of(st.integers(0, 2000), st.integers(0, 10**18 - 1)),
+            PIXEL,
+            PIXEL,
+            st.booleans(),
+        ),
+        max_size=60,
+    ).map(sorted)
+)
+def test_csv_write_read_round_trip(rows):
+    columns = [np.array([r[k] for r in rows], dtype=np.int64) for k in range(3)]
+    polarity = np.array([r[3] for r in rows], dtype=bool)
+    stream = EventStream(0, SENSOR, SENSOR, *columns, polarity)
+    reference = CSV_HEADER + "\n" + "".join(f"{t},{x},{y},{int(p)}\n" for t, x, y, p in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.csv"
+        write_stream(stream, path, "csv")
+        assert path.read_bytes() == reference.encode()
+        loaded, warnings = read_stream(path, "csv", sensor=(SENSOR, SENSOR))
+    assert warnings == 0
+    for got, want in zip((loaded.t, loaded.x, loaded.y, loaded.polarity), (*columns, polarity)):
+        np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=50, deadline=None)
