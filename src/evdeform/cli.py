@@ -40,6 +40,7 @@ from .errors import (
 from .extraction import (
     calibration_profile,
     extract_center_sequence,
+    extraction_diagnostics,
     match_corresponding,
     measurement_profile,
     read_observations,
@@ -168,6 +169,9 @@ def cmd_extract(args) -> int:
             "noise_rejected": result.noise_count,
             "partial_discards": result.partial_discards,
             "n": result.n,
+            "width": stream.width,
+            "height": stream.height,
+            **extraction_diagnostics(result, stream.sensor),
         }
     (out / "extraction.json").write_text(
         json.dumps({"profile": args.profile, "cameras": counts}, indent=2) + "\n"
@@ -177,6 +181,18 @@ def cmd_extract(args) -> int:
     for cid, c in counts.items():
         print(f"cam{cid}: {c['observations']} observations (window n={c['n']})")
     return EXIT_OK
+
+
+def _extracted_sensor(obs_dir: Path) -> tuple[int, int] | None:
+    """The sensor size extraction.json records for the cameras, if it exists."""
+    path = obs_dir / "extraction.json"
+    if not path.exists():
+        return None
+    cameras = json.loads(path.read_text())["cameras"].values()
+    sizes = {(c["width"], c["height"]) for c in cameras if "width" in c and "height" in c}
+    if len(sizes) > 1:
+        raise ConfigError(f"{path}: cameras differ in sensor size {sorted(sizes)}")
+    return sizes.pop() if sizes else None
 
 
 def cmd_calibrate(args) -> int:
@@ -189,6 +205,9 @@ def cmd_calibrate(args) -> int:
     sequences = [read_observations(f) for f in files]
     groups = match_corresponding(sequences, t_th=args.t_th_us)
     config = CalibrationConfig(seed=args.seed if args.seed is not None else 0)
+    sensor = _extracted_sensor(obs_dir)
+    if sensor is not None:
+        config = replace(config, sensor=sensor)
     if args.config:
         overrides = json.loads(Path(args.config).read_text())
         if not isinstance(overrides, dict):

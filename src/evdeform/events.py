@@ -26,6 +26,7 @@ _RECORD_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")]
 # for huge pages.
 _CSV_BLOCK_BYTES = 1 << 20
 _CSV_MAX_DIGITS = 18  # every such integer fits int64
+_INT32_MAX = np.iinfo(np.int32).max
 _LF, _CR, _COMMA, _ZERO = (np.uint8(ord(c)) for c in "\n\r,0")
 _POWERS_OF_TEN = 10 ** np.arange(1, _CSV_MAX_DIGITS + 1, dtype=np.int64)
 
@@ -43,27 +44,26 @@ class EventStream:
     polarity: np.ndarray
 
     def __post_init__(self):
+        if max(self.width, self.height) > _INT32_MAX:
+            raise BoundsError(f"sensor {self.width}x{self.height} does not fit int32")
+        # pixels are checked against the sensor before the int32 cast, which wraps
+        x, y = np.asarray(self.x), np.asarray(self.y)
         object.__setattr__(self, "t", np.asarray(self.t, dtype=np.int64))
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.int32))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.int32))
         object.__setattr__(self, "polarity", np.asarray(self.polarity, dtype=bool))
         n = len(self.t)
-        if not (len(self.x) == len(self.y) == len(self.polarity) == n):
+        if not (len(x) == len(y) == len(self.polarity) == n):
             raise ValueError("event columns differ in length")
         if n:
             if self.t.min() < 0:
                 raise ValueError("negative timestamp")
             if np.any(np.diff(self.t) < 0):
                 raise ValueError("timestamps must be non-decreasing")
-            if (
-                self.x.min() < 0
-                or self.x.max() >= self.width
-                or self.y.min() < 0
-                or self.y.max() >= self.height
-            ):
+            if x.min() < 0 or x.max() >= self.width or y.min() < 0 or y.max() >= self.height:
                 raise BoundsError(
                     f"event pixel outside sensor {self.width}x{self.height}"
                 )
+        object.__setattr__(self, "x", x.astype(np.int32, copy=False))
+        object.__setattr__(self, "y", y.astype(np.int32, copy=False))
 
     def __len__(self) -> int:
         return len(self.t)

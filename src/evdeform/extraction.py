@@ -20,6 +20,18 @@ import numpy as np
 from .errors import EmptyCluster, StreamTooShort
 from .events import EventStream
 
+# A window of at least this many events gates on its own running mean.
+_MEAN_GATE_COUNT = 8
+# A window time that does not exceed the last emitted one moves this far
+# past it, far below any matching threshold.
+_TIE_NUDGE_US = 1e-3
+# each window time, given the (already moved) one emitted before it
+_NUDGE_TIES = np.frompyfunc(lambda last, t: t if t > last else last + _TIE_NUDGE_US, 2, 1)
+# Gating solves chunks of at most this many events at a time; a chunk whose
+# decisions still change after this many rounds keeps only its settled part.
+_CHUNK_EVENTS = 4096
+_CHUNK_ROUNDS = 4
+
 
 @dataclass(frozen=True)
 class EventCluster:
@@ -37,9 +49,21 @@ class EventCluster:
         object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float).reshape(2, 2))
         if self.count < 1:
             raise EmptyCluster("cluster must hold at least one event")
-        eigs = np.linalg.eigvalsh(self.covariance)
-        if eigs.min() < -1e-9 * max(eigs.max(), 1.0):
-            raise ValueError("covariance is not positive semidefinite")
+        _require_psd(self.covariance[None])
+
+    @classmethod
+    def _trusted(cls, **fields) -> EventCluster:
+        """A cluster from fields already of the right types, shapes and checks."""
+        cluster = object.__new__(cls)
+        cluster.__dict__.update(fields)
+        return cluster
+
+
+def _require_psd(covariances: np.ndarray) -> None:
+    """Raise ValueError unless every 2x2 covariance in the stack is PSD."""
+    eigs = np.linalg.eigvalsh(covariances)  # ascending
+    if np.any(eigs[:, 0] < -1e-9 * np.maximum(eigs[:, -1], 1.0)):
+        raise ValueError("covariance is not positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -202,6 +226,19 @@ class ExtractionResult:
         return len(self.observations)
 
 
+def extraction_diagnostics(result: ExtractionResult, sensor: tuple[int, int]) -> dict:
+    """Window time spread (t_max - t_min) and the share of the sensor area
+    the bounding box of the centers covers."""
+    spread = np.array([o.cluster.t_max - o.cluster.t_min for o in result.observations])
+    pixels = np.array([o.pixel for o in result.observations])
+    width, height = pixels.max(axis=0) - pixels.min(axis=0)
+    return {
+        "window_spread_us_median": float(np.median(spread)),
+        "window_spread_us_max": int(spread.max()),
+        "center_bbox_sensor_share": float(width * height / (sensor[0] * sensor[1])),
+    }
+
+
 def choose_accumulation_count(
     blink_freq: float,
     marker_speed: float,
@@ -282,13 +319,20 @@ def _resolve_n(stream: EventStream, config: ExtractionConfig) -> int:
 def extract_center_sequence(stream: EventStream, config: ExtractionConfig) -> ExtractionResult:
     """Slide non-overlapping windows of n gated events over the stream.
 
-    Events join the current window only within gate_radius of the running
-    centroid (bootstrapped from the median of the first n events); gated-out
-    events count as noise. An optional reset gap discards a partial window
-    whenever the accepted-event stream pauses, which keeps windows aligned
-    to blink bursts.
+    Events join the current window only within gate_radius of its gate
+    center; gated-out events count as noise. The gate center is the window's
+    running mean once it holds _MEAN_GATE_COUNT events, and otherwise a
+    reference: the median of the first n events at the start, then the mean
+    of the last emitted window. An optional reset gap discards a partial
+    window as soon as any event comes more than reset_gap_us after its last
+    accepted event, which keeps windows aligned to blink bursts; a discarded
+    window of at least _MEAN_GATE_COUNT events moves the reference to its
+    mean.
     """
     n = _resolve_n(stream, config)
+    if n * max(stream.width, stream.height) >= 2**53:
+        raise ValueError(f"window n={n} too large for exact sums over a {stream.width}x"
+                         f"{stream.height} sensor")
     if config.polarity == "on":
         sel = stream.polarity
     elif config.polarity == "off":
@@ -303,87 +347,173 @@ def extract_center_sequence(stream: EventStream, config: ExtractionConfig) -> Ex
     total = len(ts)
     if total < n:
         raise StreamTooShort(f"{total} events of requested polarity, window needs {n}")
-
-    boot = min(n, total)
-    ref_x = float(np.median(xs[:boot]))
-    ref_y = float(np.median(ys[:boot]))
+    start = _Carry(ref_x=float(np.median(xs[:n])), ref_y=float(np.median(ys[:n])))
     gate2 = config.gate_radius * config.gate_radius
-    reset_gap = config.reset_gap_us
-
-    observations: list[CenterObservation] = []
-    noise = 0
-    partial = 0
-    sx = sy = st = sxx = syy = sxy = 0.0
-    count = 0
-    t_first = t_last = 0.0
-    last_emit_t: float | None = None
-
-    t_list = ts.tolist()
-    x_list = xs.tolist()
-    y_list = ys.tolist()
-
-    for i in range(total):
-        t = t_list[i]
-        if reset_gap is not None and count and t - t_last > reset_gap:
-            if count >= 8:
-                # keep tracking the marker across bursts too small to fill
-                # a window; tiny partials (stray noise) never move the gate
-                ref_x, ref_y = sx / count, sy / count
-            partial += count
-            sx = sy = st = sxx = syy = sxy = 0.0
-            count = 0
-        x = x_list[i]
-        y = y_list[i]
-        if count >= 8:
-            cx, cy = sx / count, sy / count
-        else:
-            cx, cy = ref_x, ref_y
-        dx, dy = x - cx, y - cy
-        if dx * dx + dy * dy > gate2:
-            noise += 1
-            continue
-        if count == 0:
-            t_first = t
-        sx += x
-        sy += y
-        st += t
-        sxx += x * x
-        syy += y * y
-        sxy += x * y
-        t_last = t
-        count += 1
-        if count == n:
-            mx, my, mt = sx / n, sy / n, st / n
-            cov = np.array(
-                [
-                    [max(sxx / n - mx * mx, 0.0), sxy / n - mx * my],
-                    [sxy / n - mx * my, max(syy / n - my * my, 0.0)],
-                ]
-            )
-            # equal-timestamp windows would tie; nudge far below any t_th
-            if last_emit_t is not None and mt <= last_emit_t:
-                mt = last_emit_t + 1e-3
-            cluster = EventCluster(
-                centroid=np.array([mx, my]),
-                covariance=cov,
-                count=n,
-                t_c=mt,
-                t_min=int(t_first),
-                t_max=int(t_last),
-            )
-            observations.append(
-                CenterObservation(stream.camera_id, cluster.centroid, mt, cluster)
-            )
-            last_emit_t = mt
-            ref_x, ref_y = mx, my
-            sx = sy = st = sxx = syy = sxy = 0.0
-            count = 0
-
-    if not observations:
+    accepted, firsts, partial = _gate(ts, xs, ys, start, n, gate2, config.reset_gap_us)
+    if not len(firsts):
         raise StreamTooShort(
-            f"only {total - noise} events passed the spatial gate, window needs {n}"
+            f"only {len(accepted)} events passed the spatial gate, window needs {n}"
         )
-    return ExtractionResult(tuple(observations), noise, partial, n)
+    members = accepted[firsts[:, None] + np.arange(n)]  # each window's event indices
+    observations = _observations(stream.camera_id, ts, xs, ys, members)
+    return ExtractionResult(observations, total - len(accepted), partial, n)
+
+
+@dataclass(frozen=True)
+class _Carry:
+    """Gating state between two events: the open window and the reference.
+
+    sx and sy sum the open window's coordinates. Coordinates are integers
+    and n * sensor size stays below 2**53, so every such sum is exact and the
+    same in any order of addition.
+    """
+
+    count: int = 0
+    sx: float = 0.0
+    sy: float = 0.0
+    t_last: float = 0.0
+    ref_x: float = 0.0
+    ref_y: float = 0.0
+
+    def center(self) -> tuple[float, float]:
+        if self.count >= _MEAN_GATE_COUNT:
+            return self.sx / self.count, self.sy / self.count
+        return self.ref_x, self.ref_y
+
+
+def _gate(ts, xs, ys, start: _Carry, n: int, gate2: float, gap: float | None):
+    """Gating decisions of the whole stream, solved chunk by chunk.
+
+    Returns the indices of the accepted events, the position among them of
+    each emitted window's first event, and the number of accepted events
+    that pauses discarded. A chunk's decisions start as a guess (every event
+    gated on the center the chunk starts with) and are re-derived from
+    themselves until they repeat. Each round is right at least up to its
+    first change, so a chunk still changing after _CHUNK_ROUNDS rounds keeps
+    only that prefix and the next chunk is sized to it.
+    """
+    carry, size, lo = start, _CHUNK_EVENTS, 0
+    accepted, firsts, partial, n_accepted = [], [], 0, 0
+    while lo < len(ts):
+        t, x, y = ts[lo:lo + size], xs[lo:lo + size], ys[lo:lo + size]
+        cx, cy = carry.center()
+        guess = (x - cx) ** 2 + (y - cy) ** 2 <= gate2
+        for _ in range(_CHUNK_ROUNDS):
+            decided, *state = _gate_chunk(t, x, y, guess, carry, n, gate2, gap)
+            change = np.flatnonzero(decided != guess)
+            if not len(change):
+                size = min(2 * size, _CHUNK_EVENTS)
+                break
+            guess = decided
+        else:
+            size = int(change[0]) + 1
+            t, x, y, guess = t[:size], x[:size], y[:size], decided[:size]
+            decided, *state = _gate_chunk(t, x, y, guess, carry, n, gate2, gap)
+        carry, closes, discarded = state
+        accepted.append(lo + np.flatnonzero(decided))
+        firsts.append(n_accepted + closes - (n - 1))
+        n_accepted += len(accepted[-1])
+        partial += discarded
+        lo += len(t)
+    if gap is not None and carry.count and ts[-1] - carry.t_last > gap:
+        partial += carry.count
+    return np.concatenate(accepted), np.concatenate(firsts), partial
+
+
+def _gate_chunk(ts, xs, ys, guess, carry: _Carry, n: int, gate2: float, gap: float | None):
+    """Decide a chunk's events from a guess of which ones it accepts.
+
+    The guess fixes the windows (their counts, running sums and pauses) and
+    with them each event's gate center. Returns the decisions those centers
+    give, the state after the chunk, the positions among the accepted
+    events where windows are emitted and the number of accepted events
+    pauses discard. A decision depends only on the decisions before it, so
+    where they agree with the guess up to some event they are the
+    sequential ones, and so is the first that does not.
+    """
+    acc = np.flatnonzero(guess)
+    k = len(acc)
+    ta = ts[acc]
+    if gap is None:
+        pause = np.zeros(k, dtype=bool)
+    else:
+        pause = np.diff(ta, prepend=carry.t_last) > gap
+    # window count after each accepted event: a pause starts over from 0,
+    # and the chunk's first run goes on from the carried count
+    index = np.arange(k)
+    run_first = np.maximum.accumulate(np.where(pause, index, 0))
+    carried = np.where(np.logical_or.accumulate(pause), 0, carry.count)
+    count = (carried + index - run_first) % n + 1
+    # running sums: totals since the chunk began (entry 1 holds the carried
+    # window's) less those before each window's first event
+    base = np.maximum.accumulate(np.where(count == 1, index + 1, 0))
+    totals = [
+        np.cumsum(np.concatenate(([0.0, s0], v[acc])))
+        for v, s0 in ((xs, carry.sx), (ys, carry.sy))
+    ]
+    means = [(total[2:] - total[base]) / count for total in totals]
+    # the reference moves to every emitted window's mean, and to the mean of
+    # every window of _MEAN_GATE_COUNT or more events a pause discards
+    moves = count == n
+    moves[:-1] |= pause[1:] & (count[:-1] >= _MEAN_GATE_COUNT)
+    ref = carry.center() if k and pause[0] else (carry.ref_x, carry.ref_y)
+    # slot j: after the chunk's first j accepted events
+    latest = np.maximum.accumulate(np.where(np.concatenate(([True], moves)), np.arange(k + 1), 0))
+    refs = [np.concatenate(([r], m))[latest] for r, m in zip(ref, means)]
+    # gate center of each slot: the window's own mean or the reference
+    own = (count >= _MEAN_GATE_COUNT) | (count == n)
+    slot = np.cumsum(guess) - guess  # of each event
+    dx, dy = (
+        v - np.concatenate(([c], np.where(own, m, r[1:])))[slot]
+        for v, c, m, r in zip((xs, ys), carry.center(), means, refs)
+    )
+    decided = dx * dx + dy * dy <= gate2
+    end = carry
+    if k:
+        left = int(count[-1]) % n
+        sx, sy = (float(t[-1] - t[base[-1]]) if left else 0.0 for t in totals)
+        end = _Carry(left, sx, sy, float(ta[-1]), float(refs[0][-1]), float(refs[1][-1]))
+    at = np.flatnonzero(pause)
+    discarded = np.where(at > 0, count[at - 1] % n, carry.count)  # open window before each pause
+    return decided, end, np.flatnonzero(count == n), int(discarded.sum())
+
+
+def _observations(camera_id: int, ts, xs, ys, members) -> tuple[CenterObservation, ...]:
+    """One observation per window; row i of members holds window i's event indices.
+
+    Sums run along each row in event order, as the windows were filled, so
+    they round as sequential sums do.
+    """
+    n = members.shape[1]
+
+    def mean(values):
+        return np.cumsum(values, axis=1)[:, -1] / n
+
+    wx, wy = xs[members], ys[members]
+    mx, my = mean(wx), mean(wy)
+    cov = np.empty((len(members), 2, 2))
+    cov[:, 0, 0] = mean(wx * wx) - mx * mx
+    cov[:, 1, 1] = mean(wy * wy) - my * my
+    cov[:, 0, 1] = cov[:, 1, 0] = mean(wx * wy) - mx * my
+    del wx, wy
+    for i in (0, 1):
+        cov[:, i, i] = np.where(cov[:, i, i] < 0.0, 0.0, cov[:, i, i])
+    _require_psd(cov)
+    t_c = _NUDGE_TIES.accumulate(mean(ts[members]), dtype=object)
+    t_min = ts[members[:, 0]].astype(np.int64)
+    t_max = ts[members[:, -1]].astype(np.int64)
+    centroids = np.stack([mx, my], axis=1)
+    return tuple(
+        CenterObservation(
+            camera_id,
+            c,
+            float(t),
+            EventCluster._trusted(
+                centroid=c, covariance=v, count=n, t_c=float(t), t_min=int(lo), t_max=int(hi)
+            ),
+        )
+        for c, v, t, lo, hi in zip(centroids, cov, t_c, t_min, t_max)
+    )
 
 
 def match_corresponding(

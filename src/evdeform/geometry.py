@@ -244,43 +244,50 @@ def _distortion_jacobian(intrinsics: CameraIntrinsics, xy: Array) -> Array:
 
 
 def undistort_pixels(intrinsics: CameraIntrinsics, pixels: Array) -> Array:
-    """Invert the distortion model by damped Newton iteration.
+    """Invert the distortion model by damped Newton iteration, pixel by pixel.
 
     Round-trips distort(undistort(p)) to p within 1e-8 px for coefficient
     magnitudes up to |k| = 1, |p| = 0.01; raises NoConvergence past 1e-6 px
-    after 20 iterations.
+    after 20 iterations. Each pixel stops and damps on its own residual, so
+    its result does not depend on the pixels passed with it.
     """
     pixels = np.asarray(pixels, dtype=float)
     if not intrinsics.distortion.any():
         return pixels.copy()
-    xd = intrinsics.normalized_from_pixel(pixels)
+    xd = intrinsics.normalized_from_pixel(pixels).reshape(-1, 2)
     x = xd.copy()
     scale = max(intrinsics.fx, intrinsics.fy)
-    residual = distort_normalized(intrinsics, x) - xd
+
+    def error(at, rows):  # per-pixel max-norm residual
+        return np.abs(distort_normalized(intrinsics, at) - xd[rows]).max(axis=-1)
+
+    rows = np.arange(len(x))
+    err = error(x, rows)
     for _ in range(_UNDISTORT_MAX_ITERS):
-        if np.abs(residual).max() * scale < _UNDISTORT_TARGET_PX:
+        rows = rows[err[rows] * scale >= _UNDISTORT_TARGET_PX]
+        if not len(rows):
             break
-        J = _distortion_jacobian(intrinsics, x)
-        det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+        xr = x[rows]
+        residual = distort_normalized(intrinsics, xr) - xd[rows]
+        J = _distortion_jacobian(intrinsics, xr)
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         det = np.where(np.abs(det) < 1e-12, 1.0, det)
-        step = np.empty_like(x)
-        step[..., 0] = (J[..., 1, 1] * residual[..., 0] - J[..., 0, 1] * residual[..., 1]) / det
-        step[..., 1] = (J[..., 0, 0] * residual[..., 1] - J[..., 1, 0] * residual[..., 0]) / det
-        alpha = 1.0
-        for _ in range(4):  # damp steps that overshoot
-            trial = x - alpha * step
-            trial_residual = distort_normalized(intrinsics, trial) - xd
-            if np.abs(trial_residual).max() <= np.abs(residual).max():
-                break
-            alpha *= 0.5
-        x = x - alpha * step
-        residual = distort_normalized(intrinsics, x) - xd
-    final = np.abs(residual).max() * scale
+        step = np.empty_like(xr)
+        step[:, 0] = (J[:, 1, 1] * residual[:, 0] - J[:, 0, 1] * residual[:, 1]) / det
+        step[:, 1] = (J[:, 0, 0] * residual[:, 1] - J[:, 1, 0] * residual[:, 0]) / det
+        alpha = np.ones(len(rows))
+        kept = np.zeros(len(rows), dtype=bool)
+        for _ in range(4):  # halve steps that overshoot, at most 4 times
+            kept |= error(xr - alpha[:, None] * step, rows) <= err[rows]
+            alpha = np.where(kept, alpha, 0.5 * alpha)
+        x[rows] = xr - alpha[:, None] * step
+        err[rows] = error(x[rows], rows)
+    final = err.max(initial=0.0) * scale
     if final > _UNDISTORT_FAIL_PX:
         raise NoConvergence(
             f"undistortion residual {final:.3g} px after {_UNDISTORT_MAX_ITERS} iterations"
         )
-    return intrinsics.pixel_from_normalized(x)
+    return intrinsics.pixel_from_normalized(x.reshape(pixels.shape))
 
 
 def undistort(intrinsics: CameraIntrinsics, pixel: Array) -> Array:

@@ -7,6 +7,7 @@ import pytest
 
 from evdeform.cli import main
 from evdeform.events import EventStream, write_stream
+from evdeform.geometry import CameraIntrinsics
 from evdeform.simulator import (
     Sinusoid3DTrajectory,
     preset_paper_rig,
@@ -128,6 +129,28 @@ class TestExtract:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "does not fit int64" in err[0]
 
+    def test_pixel_beyond_int32_exits_2(self, tmp_path, capsys):
+        streams = tmp_path / "streams"
+        streams.mkdir()
+        (streams / "streams.json").write_text(json.dumps({
+            "format": "csv",
+            "cameras": [
+                {"camera_id": 0, "file": "events_cam0.csv", "width": 2**40, "height": 2**40}
+            ],
+        }))
+        (streams / "events_cam0.csv").write_text("0,4294967301,0,1\n")
+        code = main(["extract", "--streams", str(streams), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "does not fit int32" in err[0]
+
+    def test_extraction_json_records_sensor_and_diagnostics(self, observations):
+        info = json.loads((observations / "extraction.json").read_text())
+        for cam in info["cameras"].values():
+            assert (cam["width"], cam["height"]) == (1280, 720)
+            assert 0 < cam["window_spread_us_median"] <= cam["window_spread_us_max"]
+            assert 0 < cam["center_bbox_sensor_share"] < 1
+
     def test_profile_changes_window_size(self, preset_run, tmp_path):
         out_c = tmp_path / "cal"
         out_m = tmp_path / "meas"
@@ -199,6 +222,21 @@ class TestCalibrate:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "reproj_targte" in err[0]
         assert not (out / "calibration.json").exists()
+
+    def test_principal_point_follows_the_extracted_sensor(self, tmp_path):
+        config = preset_paper_rig()
+        small = CameraIntrinsics(900.0, 900.0, 319.5, 239.5, width=640, height=480)
+        config = replace(config, cameras=tuple((small, pose) for _, pose in config.cameras),
+                         duration_s=1.0)
+        scenario = tmp_path / "scenario.json"
+        save_scenario(scenario, config)
+        sim, obs, cal = tmp_path / "sim", tmp_path / "obs", tmp_path / "cal"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(sim)]) == 0
+        assert main(["extract", "--streams", str(sim), "--out", str(obs)]) == 0
+        assert main(["calibrate", "--observations", str(obs), "--out", str(cal),
+                     "--seed", "3"]) in (0, 1)
+        for cam in json.loads((cal / "calibration.json").read_text())["cameras"]:
+            assert (cam["cx"], cam["cy"], cam["width"], cam["height"]) == (319.5, 239.5, 640, 480)
 
     def test_rerun_identical_calibration(self, observations, tmp_path):
         out1, out2 = tmp_path / "c1", tmp_path / "c2"

@@ -108,6 +108,12 @@ class TestReadWrite:
         with pytest.raises(BoundsError):
             read_stream(path, "csv", sensor=(1280, 720))
 
+    def test_pixel_beyond_int32_is_bounds_error(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("0,4294967301,0,1\n")  # 2**32 + 5, which int32 wraps to 5
+        with pytest.raises(BoundsError, match="does not fit int32"):
+            read_stream(path, "csv", sensor=(2**40, 2**40))
+
     def test_binary_timestamp_beyond_int64(self, tmp_path):
         path = tmp_path / "s.bin"
         write_stream(random_stream(3, seed=1), path, "binary")
@@ -271,6 +277,15 @@ class TestStreamModel:
     def test_pixel_bounds_enforced(self):
         with pytest.raises(BoundsError):
             EventStream(0, 10, 10, [1, 2], [0, 10], [0, 0], [True, True])
+
+    def test_values_beyond_int32_rejected_before_the_cast(self):
+        wide = np.array([2**32 + 5], dtype=np.int64)
+        with pytest.raises(BoundsError, match="outside sensor"):
+            EventStream(0, 10, 10, [1], wide, [0], [True])
+        with pytest.raises(BoundsError, match="does not fit int32"):
+            EventStream(0, 2**31, 10, [1], wide, [0], [True])
+        edge = EventStream(0, 2**31 - 1, 10, [1], [2**31 - 2], [9], [True])
+        assert edge.x.dtype == np.int32 and edge.x[0] == 2**31 - 2
 
     def test_make_stream_sorts_stably(self):
         stream, warnings = make_stream(

@@ -1,16 +1,24 @@
 """Window accumulation, cluster statistics and temporal matching."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from evdeform import extraction
 from evdeform.errors import EmptyCluster, StreamTooShort
 from evdeform.events import EventStream
 from evdeform.extraction import (
     CenterObservation,
     EventCluster,
     ExtractionConfig,
+    ExtractionResult,
+    _resolve_n,
     accumulate_cluster,
+    calibration_profile,
     choose_accumulation_count,
     extract_center_sequence,
+    extraction_diagnostics,
+    measurement_profile,
     match_corresponding,
     read_observations,
     write_observations,
@@ -19,11 +27,96 @@ from evdeform.simulator import (
     ScenarioConfig,
     StaticTrajectory,
     paper_rig_cameras,
+    preset_paper_rig,
     projected_marker,
     simulate,
 )
 
 from conftest import synthetic_observation
+
+
+def reference_extract_center_sequence(stream, config):
+    """Per-event loop over the stream: the reference for extract_center_sequence."""
+    n = _resolve_n(stream, config)
+    sel = {"on": stream.polarity, "off": ~stream.polarity, "both": slice(None)}[config.polarity]
+    ts = stream.t[sel].astype(np.float64)
+    xs = stream.x[sel].astype(np.float64)
+    ys = stream.y[sel].astype(np.float64)
+    total = len(ts)
+    if total < n:
+        raise StreamTooShort(f"{total} events of requested polarity, window needs {n}")
+    ref_x = float(np.median(xs[:n]))
+    ref_y = float(np.median(ys[:n]))
+    gate2 = config.gate_radius * config.gate_radius
+    reset_gap = config.reset_gap_us
+    observations = []
+    noise = partial = count = 0
+    sx = sy = st = sxx = syy = sxy = 0.0
+    t_first = t_last = 0.0
+    last_emit_t = None
+    for t, x, y in zip(ts.tolist(), xs.tolist(), ys.tolist()):
+        if reset_gap is not None and count and t - t_last > reset_gap:
+            if count >= 8:
+                ref_x, ref_y = sx / count, sy / count
+            partial += count
+            sx = sy = st = sxx = syy = sxy = 0.0
+            count = 0
+        if count >= 8:
+            cx, cy = sx / count, sy / count
+        else:
+            cx, cy = ref_x, ref_y
+        dx, dy = x - cx, y - cy
+        if dx * dx + dy * dy > gate2:
+            noise += 1
+            continue
+        if count == 0:
+            t_first = t
+        sx += x
+        sy += y
+        st += t
+        sxx += x * x
+        syy += y * y
+        sxy += x * y
+        t_last = t
+        count += 1
+        if count == n:
+            mx, my, mt = sx / n, sy / n, st / n
+            cov = np.array(
+                [
+                    [max(sxx / n - mx * mx, 0.0), sxy / n - mx * my],
+                    [sxy / n - mx * my, max(syy / n - my * my, 0.0)],
+                ]
+            )
+            if last_emit_t is not None and mt <= last_emit_t:
+                mt = last_emit_t + 1e-3
+            cluster = EventCluster(np.array([mx, my]), cov, n, mt, int(t_first), int(t_last))
+            observations.append(CenterObservation(stream.camera_id, cluster.centroid, mt, cluster))
+            last_emit_t = mt
+            ref_x, ref_y = mx, my
+            sx = sy = st = sxx = syy = sxy = 0.0
+            count = 0
+    if not observations:
+        raise StreamTooShort(
+            f"only {total - noise} events passed the spatial gate, window needs {n}"
+        )
+    return ExtractionResult(tuple(observations), noise, partial, n)
+
+
+def assert_same_extraction(got, want):
+    """Bitwise equality of two extraction results, field by field."""
+    assert (got.noise_count, got.partial_discards, got.n) == (
+        want.noise_count, want.partial_discards, want.n
+    )
+    assert len(got.observations) == len(want.observations)
+    for a, b in zip(got.observations, want.observations):
+        ca, cb = a.cluster, b.cluster
+        assert a.camera_id == b.camera_id
+        assert type(a.t_c) is type(b.t_c) is float and a.t_c.hex() == b.t_c.hex()
+        assert ca.t_c.hex() == cb.t_c.hex()
+        assert (ca.count, ca.t_min, ca.t_max) == (cb.count, cb.t_min, cb.t_max)
+        assert type(ca.t_min) is type(ca.t_max) is int
+        for u, v in ((a.pixel, b.pixel), (ca.centroid, cb.centroid), (ca.covariance, cb.covariance)):
+            assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
 
 
 class TestChooseAccumulationCount:
@@ -205,6 +298,116 @@ class TestExtractCenterSequence:
         for obs in out.observations[:20]:
             cov = obs.cluster.covariance
             assert abs(cov[0, 1]) <= 0.1 * max(cov[0, 0], cov[1, 1])
+
+
+def _blob_stream(t, centers, rng, spread=2, width=1280, height=720):
+    """Events scattered around one center per event, clipped to the sensor."""
+    centers = np.asarray(centers)
+    x = np.clip(np.round(centers[:, 0] + rng.normal(0, spread, len(t))), 0, width - 1)
+    y = np.clip(np.round(centers[:, 1] + rng.normal(0, spread, len(t))), 0, height - 1)
+    return EventStream(0, width, height, t, x.astype(int), y.astype(int), rng.random(len(t)) < 0.5)
+
+
+def _moving_marker(seconds=0.5, noise_rate=0.02):
+    """Camera 0 of the preset sweep: a moving, blinking marker with noise."""
+    config = replace(preset_paper_rig(), duration_s=seconds, noise_rate=noise_rate)
+    config = replace(config, cameras=config.cameras[:1])
+    return simulate(config).streams[0]
+
+
+def _noise_only(events=20_000, seed=5):
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.integers(0, 1_000_000, events))
+    return EventStream(0, 1280, 720, t, rng.integers(0, 1280, events),
+                       rng.integers(0, 720, events), rng.random(events) < 0.5)
+
+
+def _marker_jump(jump_px):
+    """A blob that jumps by jump_px halfway through, in bursts 1 ms apart."""
+    rng = np.random.default_rng(8)
+    t = np.repeat(np.arange(200) * 1000, 60) + np.tile(np.arange(60), 200)
+    centers = np.where((t < 100_000)[:, None], [300.0, 300.0], [300.0 + jump_px, 300.0])
+    return _blob_stream(t, centers, rng)
+
+
+def _tied_times():
+    """Bursts of 40 events sharing one timestamp, so window times tie."""
+    rng = np.random.default_rng(9)
+    t = np.repeat(np.arange(50) * 7, 40)
+    return _blob_stream(t, np.full((len(t), 2), 500.0), rng)
+
+
+EQUALITY_CASES = {
+    "polarity-both": (lambda: _moving_marker(), calibration_profile(250.0)),
+    "polarity-on": (lambda: _moving_marker(), replace(calibration_profile(250.0), polarity="on")),
+    "polarity-off": (lambda: _moving_marker(), replace(measurement_profile(250.0), polarity="off")),
+    "n-below-8": (lambda: _moving_marker(), ExtractionConfig(n=5, gate_radius=15.0, reset_gap_us=200.0)),
+    "n-below-8-no-gap": (lambda: _moving_marker(), ExtractionConfig(n=5, gate_radius=15.0)),
+    "no-reset-gap": (lambda: _moving_marker(), replace(calibration_profile(250.0), reset_gap_us=None)),
+    "noise-only": (_noise_only, ExtractionConfig(n=20, gate_radius=100.0, reset_gap_us=5000.0)),
+    "noise-only-wide-gate": (_noise_only, ExtractionConfig(n=50, gate_radius=300.0)),
+    "jump-beyond-gate": (lambda: _marker_jump(80.0), ExtractionConfig(n=50, gate_radius=30.0, reset_gap_us=200.0)),
+    "jump-within-gate": (lambda: _marker_jump(20.0), ExtractionConfig(n=50, gate_radius=30.0)),
+    "tied-times": (_tied_times, ExtractionConfig(n=10, gate_radius=30.0)),
+    "many-chunks": (lambda: _moving_marker(1.0), measurement_profile(250.0)),
+}
+
+
+class TestMatchesReference:
+    """The array solver is bitwise the per-event reference loop."""
+
+    @pytest.mark.parametrize("case", EQUALITY_CASES, ids=list(EQUALITY_CASES))
+    def test_bitwise_equal(self, case):
+        make, config = EQUALITY_CASES[case]
+        stream = make()
+        assert_same_extraction(
+            extract_center_sequence(stream, config),
+            reference_extract_center_sequence(stream, config),
+        )
+
+    def test_cases_reach_their_paths(self):
+        tied = extract_center_sequence(_tied_times(), EQUALITY_CASES["tied-times"][1])
+        assert [o.t_c for o in tied.observations[:4]] == [0.0, 0.001, 0.002, 0.003]
+        stream, config = _moving_marker(1.0), measurement_profile(250.0)
+        assert len(stream) > 10 * extraction._CHUNK_EVENTS
+        out = extract_center_sequence(stream, config)
+        assert out.partial_discards > 0 and out.noise_count > 0
+        lost = extract_center_sequence(_marker_jump(80.0), EQUALITY_CASES["jump-beyond-gate"][1])
+        assert lost.noise_count >= 100 * 60  # every event after the jump
+
+    def test_stream_too_short_message(self):
+        config = ExtractionConfig(n=30, gate_radius=1.0)
+        stream = _noise_only(200)
+        with pytest.raises(StreamTooShort) as want:
+            reference_extract_center_sequence(stream, config)
+        with pytest.raises(StreamTooShort, match=str(want.value)):
+            extract_center_sequence(stream, config)
+
+    def test_window_too_large_for_exact_sums(self):
+        stream = EventStream(0, 2**31 - 1, 8, [0], [0], [0], [True])
+        with pytest.raises(ValueError, match="exact sums"):
+            extract_center_sequence(stream, ExtractionConfig(n=2**23))
+
+    def test_non_psd_covariance_raises_like_the_cluster(self):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            EventCluster(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 3, 0.0)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            extraction._require_psd(np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]]))
+
+
+class TestExtractionDiagnostics:
+    def test_spread_and_coverage(self):
+        obs = []
+        for k, (px, lo, hi) in enumerate([((10, 20), 0, 40), ((110, 70), 100, 110), ((60, 20), 200, 290)]):
+            cluster = EventCluster(np.array(px, float), np.eye(2), 10, float(lo), lo, hi)
+            obs.append(CenterObservation(0, cluster.centroid, float(lo), cluster))
+        result = ExtractionResult(tuple(obs), 0, 0, 10)
+        diag = extraction_diagnostics(result, (200, 100))
+        assert diag == {
+            "window_spread_us_median": 40.0,
+            "window_spread_us_max": 90,
+            "center_bbox_sensor_share": 100 * 50 / (200 * 100),
+        }
 
 
 class TestMatchCorresponding:

@@ -26,6 +26,7 @@ from evdeform.geometry import (
     undistort,
     undistort_pixels,
 )
+from evdeform.verify import TABLE_DISTORTION
 TABLE_CAM1 = (-0.05359, 0.33899, -0.00157, -0.00479)
 
 
@@ -99,6 +100,13 @@ class TestUndistort:
         xy = intr.normalized_from_pixel(ideal)
         roundtrip = intr.pixel_from_normalized(distort_normalized(intr, xy))
         assert np.abs(roundtrip - pixels).max() < 1e-8
+
+
+    def test_batch_equals_each_pixel_alone(self):
+        intr = CameraIntrinsics(1778.5077, 1772.3397, 639.5, 359.5, *TABLE_DISTORTION)
+        pixels = np.random.default_rng(0).uniform([0, 0], [1280, 720], (500, 2))
+        alone = np.stack([undistort_pixels(intr, p[None])[0] for p in pixels])
+        assert undistort_pixels(intr, pixels).tobytes() == alone.tobytes()
 
 
 class TestFundamentalFromCalibrated:

@@ -1,8 +1,11 @@
 """Property-based invariants over randomized inputs."""
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from evdeform.events import (
@@ -13,13 +16,21 @@ from evdeform.events import (
     slice_by_time,
     write_stream,
 )
-from evdeform.extraction import accumulate_cluster, choose_accumulation_count
+from evdeform import extraction
+from evdeform.errors import StreamTooShort
+from evdeform.extraction import (
+    ExtractionConfig,
+    accumulate_cluster,
+    choose_accumulation_count,
+    extract_center_sequence,
+)
 from evdeform.geometry import (
     CameraIntrinsics,
     distort_normalized,
     rotation_from_axis_angle,
     undistort_pixels,
 )
+from test_extraction import assert_same_extraction, reference_extract_center_sequence
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -96,6 +107,46 @@ def test_csv_write_read_round_trip(rows):
     assert warnings == 0
     for got, want in zip((loaded.t, loaded.x, loaded.y, loaded.polarity), (*columns, polarity)):
         np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    events=st.integers(1, 400),
+    width=st.sampled_from([8, 40, 1280]),
+    noise=st.sampled_from([0.0, 0.1, 0.5]),
+    n=st.integers(1, 30),
+    gate=st.sampled_from([0.5, 2.0, 5.0, 30.0]),
+    gap=st.sampled_from([None, 0.5, 3.0, 50.0]),
+    polarity=st.sampled_from(["on", "off", "both"]),
+    chunk=st.sampled_from([1, 3, 16, 4096]),
+    rounds=st.integers(1, 4),
+)
+def test_extraction_equals_reference_loop(
+    seed, events, width, noise, n, gate, gap, polarity, chunk, rounds
+):
+    """Marker bursts that jump every 30 events, with noise and tied timestamps.
+
+    Small chunks and few rounds drive the solver through chunk boundaries
+    and settled-prefix commits, which full-size chunks rarely reach.
+    """
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.choice([0, 1, 5, 100, 1000], events, p=[0.3, 0.3, 0.2, 0.15, 0.05]))
+    spots = rng.integers(0, width, (events // 30 + 1, 2))[np.arange(events) // 30]
+    x = np.clip(spots[:, 0] + rng.integers(-3, 4, events), 0, width - 1)
+    y = np.clip(spots[:, 1] % 8 + rng.integers(-3, 4, events), 0, 7)
+    lost = rng.random(events) < noise
+    x[lost] = rng.integers(0, width, lost.sum())
+    stream = EventStream(0, width, 8, t, x, y, rng.random(events) < 0.5)
+    config = ExtractionConfig(n=n, gate_radius=gate, reset_gap_us=gap, polarity=polarity)
+    with mock.patch.multiple(extraction, _CHUNK_EVENTS=chunk, _CHUNK_ROUNDS=rounds):
+        try:
+            want = reference_extract_center_sequence(stream, config)
+        except StreamTooShort as exc:
+            with pytest.raises(StreamTooShort, match=re.escape(str(exc))):
+                extract_center_sequence(stream, config)
+            return
+        assert_same_extraction(extract_center_sequence(stream, config), want)
 
 
 @settings(max_examples=50, deadline=None)
