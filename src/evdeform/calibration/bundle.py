@@ -7,6 +7,7 @@ pinning one translation component of another camera.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,10 +156,11 @@ def dense_jacobian(
     r, Jc, Jp = residuals_and_blocks(intrinsics, poses, points, cam_idx, pt_idx, pixels)
     k = len(cam_idx)
     J = np.zeros((2 * k, CAM_PARAMS * m + 3 * n))
-    for o in range(k):
-        c, p = cam_idx[o], pt_idx[o]
-        J[2 * o : 2 * o + 2, CAM_PARAMS * c : CAM_PARAMS * (c + 1)] = Jc[o]
-        J[2 * o : 2 * o + 2, CAM_PARAMS * m + 3 * p : CAM_PARAMS * m + 3 * p + 3] = Jp[o]
+    rows = (2 * np.arange(k)[:, None] + np.arange(2))[:, :, None]
+    cam_cols = CAM_PARAMS * np.asarray(cam_idx)[:, None] + np.arange(CAM_PARAMS)
+    pt_cols = CAM_PARAMS * m + 3 * np.asarray(pt_idx)[:, None] + np.arange(3)
+    J[rows, cam_cols[:, None, :]] = Jc
+    J[rows, pt_cols[:, None, :]] = Jp
     return r.ravel(), J
 
 
@@ -200,6 +202,89 @@ def apply_perturbation(
     return new_intr, new_poses, new_points
 
 
+def scatter_blocks(index: Array, blocks: Array, count: int) -> Array:
+    """Sum blocks (k, ...) into ``count`` slots by ``index`` (k,).
+
+    Bitwise ``np.add.at(zeros, index, blocks)``: each flat slot
+    ``index * block_size + offset`` accumulates in observation order.
+    """
+    size = math.prod(blocks.shape[1:])
+    flat = (index[:, None] * size + np.arange(size)).ravel()
+    sums = np.bincount(flat, weights=blocks.ravel(), minlength=count * size)
+    return sums.astype(float, copy=False).reshape((count,) + blocks.shape[1:])
+
+
+@dataclass(frozen=True)
+class NormalEquations:
+    """Blocks of JᵀJ and Jᵀr for P = CAM_PARAMS * m camera and 3n point
+    parameters: the block-diagonal camera part Hcc (P, P), the point blocks
+    V (n, 3, 3), the coupling W as Wflat (n, P, 3) and Wt (P, 3n), and the
+    gradients g_c (m, CAM_PARAMS) and g_p (n, 3)."""
+
+    Hcc: Array
+    V: Array
+    Wflat: Array
+    Wt: Array
+    g_c: Array
+    g_p: Array
+
+
+def normal_equations(
+    r: Array, Jc: Array, Jp: Array, cam_idx: Array, pt_idx: Array, m: int, n: int
+) -> NormalEquations:
+    U = scatter_blocks(cam_idx, np.einsum("koa,kob->kab", Jc, Jc), m)
+    V = scatter_blocks(pt_idx, np.einsum("koa,kob->kab", Jp, Jp), n)
+    W = scatter_blocks(pt_idx * m + cam_idx, np.einsum("koa,kob->kab", Jc, Jp), n * m)
+    g_c = scatter_blocks(cam_idx, np.einsum("koa,ko->ka", Jc, r), m)
+    g_p = scatter_blocks(pt_idx, np.einsum("koa,ko->ka", Jp, r), n)
+    P = CAM_PARAMS * m
+    Hcc = np.zeros((P, P))
+    for j in range(m):
+        Hcc[CAM_PARAMS * j : CAM_PARAMS * (j + 1), CAM_PARAMS * j : CAM_PARAMS * (j + 1)] = U[j]
+    Wflat = W.reshape(n, P, 3)
+    Wt = Wflat.transpose(1, 0, 2).reshape(P, 3 * n)
+    return NormalEquations(Hcc, V, Wflat, Wt, g_c, g_p)
+
+
+def schur_step(
+    ne: NormalEquations, lam: float, frozen: Array, refine_points: bool
+) -> tuple[Array, Array, Array, Array]:
+    """One damped Levenberg-Marquardt step with the point blocks eliminated.
+
+    Returns the reduced camera system S (P, P), its right-hand side (P,),
+    the camera step (P,) and the point step (n, 3). Frozen camera
+    parameters get identity rows and a zero step. Raises LinAlgError when a
+    damped point block or S is singular.
+    """
+    Hcc_aug = ne.Hcc.copy()
+    diag = np.diag(ne.Hcc)
+    np.fill_diagonal(Hcc_aug, diag + lam * np.maximum(diag, 1e-12))
+    Hcc_aug[frozen, :] = 0.0
+    Hcc_aug[:, frozen] = 0.0
+    Hcc_aug[frozen, frozen] = 1.0
+    n = len(ne.V)
+    if not refine_points:
+        rhs = np.where(frozen, 0.0, -ne.g_c.ravel())
+        dc = np.where(frozen, 0.0, np.linalg.solve(Hcc_aug, rhs))
+        return Hcc_aug, rhs, dc, np.zeros((n, 3))
+
+    dV = np.einsum("nii->ni", ne.V)
+    idx = np.arange(3)
+    Vaug = ne.V.copy()
+    Vaug[:, idx, idx] = dV + lam * np.maximum(dV, 1e-12)
+    Vinv = np.linalg.inv(Vaug)
+    # W V⁻¹ written straight into Wt's (P, 3n) layout: a transposing copy
+    # of the (n, P, 3) product would cost several times the product itself
+    WVt = np.empty((len(ne.Wt), n, 3))
+    np.matmul(ne.Wflat, Vinv, out=WVt.transpose(1, 0, 2))
+    WVt = WVt.reshape(len(ne.Wt), -1)
+    S = Hcc_aug - WVt @ ne.Wt.T
+    rhs = np.where(frozen, 0.0, -(ne.g_c.ravel() - WVt @ ne.g_p.ravel()))
+    dc = np.where(frozen, 0.0, np.linalg.solve(S, rhs))
+    dp = np.matmul(Vinv, -(ne.g_p + (dc @ ne.Wt).reshape(n, 3))[:, :, None])[:, :, 0]
+    return S, rhs, dc, dp
+
+
 def _cost(intrinsics, poses, points, cam_idx, pt_idx, pixels) -> float:
     r, _, _ = residuals_and_blocks(intrinsics, poses, points, cam_idx, pt_idx, pixels)
     return 0.5 * float(np.sum(r * r))
@@ -229,6 +314,7 @@ def bundle_adjust(
     n = len(points)
 
     free_cam = _pin_auto_axis(poses, _camera_free_mask(m, options), options)
+    frozen = ~free_cam.ravel()
     refine_points = options.refine_points
 
     cost = _cost(intrinsics, poses, points, cam_idx, pt_idx, pixels)
@@ -243,70 +329,25 @@ def bundle_adjust(
         if not refine_points:
             Jp = np.zeros_like(Jp)
 
-        U = np.zeros((m, CAM_PARAMS, CAM_PARAMS))
-        np.add.at(U, cam_idx, np.einsum("koa,kob->kab", Jc, Jc))
-        V = np.zeros((n, 3, 3))
-        np.add.at(V, pt_idx, np.einsum("koa,kob->kab", Jp, Jp))
-        Wf = np.zeros((n, m, CAM_PARAMS, 3))
-        np.add.at(Wf, (pt_idx, cam_idx), np.einsum("koa,kob->kab", Jc, Jp))
-        g_c = np.zeros((m, CAM_PARAMS))
-        np.add.at(g_c, cam_idx, np.einsum("koa,ko->ka", Jc, r))
-        g_p = np.zeros((n, 3))
-        np.add.at(g_p, pt_idx, np.einsum("koa,ko->ka", Jp, r))
+        ne = normal_equations(r, Jc, Jp, cam_idx, pt_idx, m, n)
 
         grad_inf = max(
-            np.abs(g_c).max(initial=0.0), np.abs(g_p).max(initial=0.0) if refine_points else 0.0
+            np.abs(ne.g_c).max(initial=0.0),
+            np.abs(ne.g_p).max(initial=0.0) if refine_points else 0.0,
         )
         if grad_inf < options.gradient_tol:
             converged = True
             break
 
-        P = CAM_PARAMS * m
-        Wflat = Wf.reshape(n, P, 3)
-        Hcc = np.zeros((P, P))
-        for j in range(m):
-            Hcc[CAM_PARAMS * j : CAM_PARAMS * (j + 1), CAM_PARAMS * j : CAM_PARAMS * (j + 1)] = U[j]
-
         stepped = False
         best_rejected = np.inf
         while lam <= options.lambda_max:
-            Hcc_aug = Hcc.copy()
-            diag = np.diag(Hcc)
-            np.fill_diagonal(Hcc_aug, diag + lam * np.maximum(diag, 1e-12))
-            frozen = ~free_cam.ravel()
-            Hcc_aug[frozen, :] = 0.0
-            Hcc_aug[:, frozen] = 0.0
-            Hcc_aug[frozen, frozen] = 1.0
-
-            if refine_points:
-                dV = np.einsum("nii->ni", V).copy()
-                idx = np.arange(3)
-                Vaug = V.copy()
-                Vaug[:, idx, idx] = dV + lam * np.maximum(dV, 1e-12)
-                try:
-                    Vinv = np.linalg.inv(Vaug)
-                except np.linalg.LinAlgError:
-                    lam *= options.lambda_up
-                    continue
-                S = Hcc_aug - np.einsum("nic,ncd,njd->ij", Wflat, Vinv, Wflat)
-                rhs = -(g_c.ravel() - np.einsum("nic,ncd,nd->i", Wflat, Vinv, g_p))
-            else:
-                S = Hcc_aug
-                rhs = -g_c.ravel()
-            rhs = np.where(frozen, 0.0, rhs)
             try:
-                dc = np.linalg.solve(S, rhs)
+                _, _, dc, dp = schur_step(ne, lam, frozen, refine_points)
             except np.linalg.LinAlgError:
                 lam *= options.lambda_up
                 continue
-            dc = np.where(frozen, 0.0, dc)
-            if refine_points:
-                dp = np.einsum(
-                    "ncd,nd->nc", Vinv, -(g_p + np.einsum("nic,i->nc", Wflat, dc))
-                )
-                delta = np.concatenate([dc, dp.ravel()])
-            else:
-                delta = np.concatenate([dc, np.zeros(3 * n)])
+            delta = np.concatenate([dc, dp.ravel()])
 
             try:
                 cand = apply_perturbation(intrinsics, poses, points, delta, refine_points)

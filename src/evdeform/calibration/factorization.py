@@ -264,7 +264,7 @@ def projective_factorize(
         scales = balance_scales(pixels, scales)
         Ws = (hom * scales[:, :, None]).transpose(0, 2, 1).reshape(3 * m, -1)
         try:
-            U, D, Vt = np.linalg.svd(Ws)
+            U, D, Vt = np.linalg.svd(Ws, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise SingularConfiguration(f"SVD failed: {exc}") from exc
         total = float(np.sqrt(np.sum(D * D)))

@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     StreamTooShort,
     UnknownCamera,
+    read_json,
 )
 from .extraction import (
     calibration_profile,
@@ -122,7 +123,7 @@ def _load_streams(streams_dir: Path, fmt: str | None):
     meta_path = streams_dir / "streams.json"
     streams = []
     if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
+        meta = read_json(meta_path, ParseError)
         fmt = fmt or meta.get("format", "csv")
         for cam in meta["cameras"]:
             stream, _ = read_stream(
@@ -188,7 +189,7 @@ def _extracted_sensor(obs_dir: Path) -> tuple[int, int] | None:
     path = obs_dir / "extraction.json"
     if not path.exists():
         return None
-    cameras = json.loads(path.read_text())["cameras"].values()
+    cameras = read_json(path, ParseError)["cameras"].values()
     sizes = {(c["width"], c["height"]) for c in cameras if "width" in c and "height" in c}
     if len(sizes) > 1:
         raise ConfigError(f"{path}: cameras differ in sensor size {sorted(sizes)}")
@@ -209,7 +210,7 @@ def cmd_calibrate(args) -> int:
     if sensor is not None:
         config = replace(config, sensor=sensor)
     if args.config:
-        overrides = json.loads(Path(args.config).read_text())
+        overrides = read_json(args.config, ConfigError)
         if not isinstance(overrides, dict):
             raise ConfigError(f"{args.config}: expected a JSON object of config fields")
         unknown = sorted(set(overrides) - {f.name for f in fields(CalibrationConfig)})

@@ -1,4 +1,8 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types shared across the toolkit, and the JSON
+reader that turns a malformed file into one of them."""
+
+import json
+from pathlib import Path
 
 
 class EvdeformError(Exception):
@@ -118,3 +122,11 @@ class DegenerateTrajectoryWarning(UserWarning):
 
 class FieldOfViewWarning(UserWarning):
     """Marker leaves a camera's field of view for over 10% of the run."""
+
+
+def read_json(path, error: type[EvdeformError]):
+    """Parse a JSON file; text that is not UTF-8 JSON raises ``error``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise error(f"{path}: invalid JSON: {exc}") from None

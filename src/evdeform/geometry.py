@@ -17,7 +17,9 @@ from .errors import (
     InsufficientPoints,
     NoConvergence,
     NoModel,
+    ParseError,
     PointBehindCamera,
+    read_json,
 )
 
 Array = np.ndarray
@@ -413,7 +415,8 @@ def eight_point(h1: Array, h2: Array, weights: Array | None = None) -> Array:
     A = _fundamental_design(h1, h2)
     if weights is not None:
         A = A * weights[:, None]
-    _, _, Vt = np.linalg.svd(A)
+    # thin factors hold the null vector unless there are fewer rows than unknowns
+    _, _, Vt = np.linalg.svd(A, full_matrices=len(A) < A.shape[1])
     F = Vt[-1].reshape(3, 3)
     U, s, Vt = np.linalg.svd(F)
     return U @ np.diag([s[0], s[1], 0.0]) @ Vt
@@ -640,7 +643,7 @@ def save_calibration_document(
 
 
 def load_calibration_document(path) -> tuple[int, list[tuple[int, CameraIntrinsics, CameraPose]]]:
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path, ParseError)
     if doc.get("format") != CALIBRATION_FORMAT:
         raise ValueError(f"not a calibration document: {path}")
     cameras = []

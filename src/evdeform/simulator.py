@@ -18,7 +18,7 @@ from typing import Protocol
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ConfigError, FieldOfViewWarning, PointBehindCamera
+from .errors import ConfigError, FieldOfViewWarning, PointBehindCamera, read_json
 from .events import EventStream
 from .geometry import CameraIntrinsics, CameraPose, project_points
 
@@ -476,7 +476,7 @@ def save_scenario(path, config: ScenarioConfig) -> None:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path, ConfigError)
     if doc.get("format") != SCENARIO_FORMAT:
         raise ConfigError(f"not a scenario file: {path}")
     cameras = []

@@ -15,6 +15,11 @@ from evdeform.simulator import (
 )
 
 
+def assert_invalid_json_line(capsys, path):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: invalid JSON: ")
+
+
 @pytest.fixture(scope="module")
 def preset_run(tmp_path_factory):
     """One preset simulation shared by the downstream command tests."""
@@ -43,6 +48,13 @@ class TestSimulate:
         scenario.write_text(json.dumps(doc))
         code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_invalid_scenario_json_exits_2(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text("{bad")
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert_invalid_json_line(capsys, scenario)
 
     def test_same_seed_identical_files(self, tmp_path):
         scenario = tmp_path / "scenario.json"
@@ -90,6 +102,14 @@ class TestExtract:
         code = main(["extract", "--streams", str(streams), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "burst sizes" in capsys.readouterr().err  # read as the CSV streams.json names
+
+    def test_invalid_streams_json_exits_2(self, tmp_path, capsys):
+        streams = tmp_path / "streams"
+        streams.mkdir()
+        (streams / "streams.json").write_text("{bad")
+        code = main(["extract", "--streams", str(streams), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert_invalid_json_line(capsys, streams / "streams.json")
 
     @pytest.mark.parametrize(
         "row, message",
@@ -223,6 +243,28 @@ class TestCalibrate:
         assert len(err) == 1 and "reproj_targte" in err[0]
         assert not (out / "calibration.json").exists()
 
+    def test_invalid_config_json_exits_2(self, observations, tmp_path, capsys):
+        overrides = tmp_path / "config.json"
+        overrides.write_text("{bad")
+        out = tmp_path / "cal"
+        code = main(
+            ["calibrate", "--observations", str(observations), "--out", str(out),
+             "--config", str(overrides)]
+        )
+        assert code == 2
+        assert_invalid_json_line(capsys, overrides)
+        assert not (out / "calibration.json").exists()
+
+    def test_invalid_extraction_json_exits_2(self, observations, tmp_path, capsys):
+        obs = tmp_path / "obs"
+        obs.mkdir()
+        for path in observations.glob("observations_cam*.csv"):
+            (obs / path.name).write_text(path.read_text())
+        (obs / "extraction.json").write_text("{bad")
+        code = main(["calibrate", "--observations", str(obs), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert_invalid_json_line(capsys, obs / "extraction.json")
+
     def test_principal_point_follows_the_extracted_sensor(self, tmp_path):
         config = preset_paper_rig()
         small = CameraIntrinsics(900.0, 900.0, 319.5, 239.5, width=640, height=480)
@@ -311,6 +353,16 @@ class TestMeasure:
         assert "internal units" in captured.err
         summary = json.loads((out / "summary.json").read_text())
         assert summary["metric_units"] is False
+
+    def test_invalid_calibration_json_exits_2(self, observations, tmp_path, capsys):
+        calibration = tmp_path / "calibration.json"
+        calibration.write_text("{bad")
+        code = main(
+            ["measure", "--calibration", str(calibration),
+             "--observations", str(observations), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert_invalid_json_line(capsys, calibration)
 
     def test_empty_observations_exits_2(self, sway_setup, tmp_path):
         root, cal, _ = sway_setup

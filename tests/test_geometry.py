@@ -11,9 +11,12 @@ from evdeform.errors import (
 from evdeform.geometry import (
     CameraIntrinsics,
     CameraPose,
+    _fundamental_design,
     distort_normalized,
+    eight_point,
     estimate_fundamental_ransac,
     fundamental_from_calibrated,
+    hartley_normalization,
     load_calibration_document,
     project,
     project_pinhole,
@@ -220,6 +223,29 @@ class TestRansac:
         p2, m2 = estimate_fundamental_ransac(x1, x2, threshold=1.0, seed=11)
         np.testing.assert_array_equal(m1, m2)
         np.testing.assert_array_equal(p1.fundamental, p2.fundamental)
+
+
+class TestEightPoint:
+    @pytest.mark.parametrize("n", [8, 9, 50, 1000])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_thin_svd_gives_the_full_svd_result(self, small_rig, n, weighted):
+        intr, (p1, p2) = small_rig
+        rng = np.random.default_rng(n)
+        pts = np.array([0, 0, 5000.0]) + rng.uniform(-800, 800, (n, 3))
+        x1 = project_pinhole(intr, p1, pts) + rng.normal(0, 0.3, (n, 2))
+        x2 = project_pinhole(intr, p2, pts) + rng.normal(0, 0.3, (n, 2))
+        _, h1 = hartley_normalization(x1)
+        _, h2 = hartley_normalization(x2)
+        w = rng.uniform(0.5, 2.0, n) if weighted else None
+
+        A = _fundamental_design(h1, h2)
+        if weighted:
+            A = A * w[:, None]
+        _, _, Vt = np.linalg.svd(A)  # full factors: Vt is always 9 x 9
+        U, s, Vt = np.linalg.svd(Vt[-1].reshape(3, 3))
+        reference = U @ np.diag([s[0], s[1], 0.0]) @ Vt
+
+        np.testing.assert_array_equal(eight_point(h1, h2, weights=w), reference)
 
 
 class TestCalibrationDocument:
