@@ -45,8 +45,7 @@ def main() -> int:
 
     t0 = time.time()
     calibration = calibrate(groups, CalibrationConfig(seed=args.seed))
-    print(f"calibrated in {time.time() - t0:.1f} s "
-          f"({len(calibration.iterations)} outer iterations)")
+    print(f"calibrated in {time.time() - t0:.1f} s")
     for cid in calibration.camera_ids:
         intr, _ = calibration.camera(cid)
         print(f"  cam{cid}: fx={intr.fx:8.2f} fy={intr.fy:8.2f} "

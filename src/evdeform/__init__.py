@@ -40,7 +40,6 @@ from .calibration import (
     build_measurement_matrix,
     bundle_adjust,
     calibrate,
-    estimate_distortion,
     euclidean_upgrade,
     projective_factorize,
     reject_outliers,
@@ -87,7 +86,6 @@ __all__ = [
     "calibration_profile",
     "choose_accumulation_count",
     "correspondence_arrays",
-    "estimate_distortion",
     "estimate_fundamental_ransac",
     "euclidean_upgrade",
     "extract_center_sequence",

@@ -1,7 +1,7 @@
 """Self-calibration of the camera array from corresponding points."""
 
 from .bundle import BundleOptions, BundleResult, bundle_adjust
-from .cleanup import DistortionFit, RejectionReport, estimate_distortion, reject_outliers
+from .cleanup import RejectionReport, distortion_gate, reject_outliers
 from .factorization import (
     MeasurementMatrix,
     ProjectiveReconstruction,
@@ -23,7 +23,6 @@ __all__ = [
     "BundleResult",
     "CalibrationConfig",
     "CalibrationResult",
-    "DistortionFit",
     "EuclideanUpgrade",
     "IterationRecord",
     "MeasurementMatrix",
@@ -33,7 +32,7 @@ __all__ = [
     "build_measurement_matrix",
     "bundle_adjust",
     "calibrate",
-    "estimate_distortion",
+    "distortion_gate",
     "euclidean_upgrade",
     "projective_factorize",
     "reject_outliers",

@@ -1,30 +1,40 @@
 """Damped least-squares refinement of cameras and points on reprojection error.
 
-Parameters per camera: rotation update (left-multiplied exponential), camera
-translation, fx, fy, cx, cy. Point blocks are eliminated with a Schur
-complement. The gauge is fixed by freezing the reference camera's pose and
-pinning one translation component of another camera.
+Residuals project through the full camera model, distortion included. The
+12 parameters per camera are [w0 w1 w2 | t0 t1 t2 | fx fy | k1 k2 p1 p2]:
+rotation update (left-multiplied exponential), camera translation, focal
+lengths and the radial-tangential coefficients. The principal point stays
+fixed. Point blocks are eliminated with a Schur complement. The gauge is
+fixed by freezing the reference camera's pose and pinning one translation
+component of another camera.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import DivergedBA
-from ..geometry import CameraIntrinsics, CameraPose, orthonormalize, rotation_from_axis_angle
+from ..geometry import (
+    CameraIntrinsics,
+    CameraPose,
+    _distortion_jacobian,
+    distort_normalized,
+    orthonormalize,
+    rotation_from_axis_angle,
+)
 
 Array = np.ndarray
 
-CAM_PARAMS = 10  # [w0 w1 w2 | t0 t1 t2 | fx fy | cx cy]
+CAM_PARAMS = 12  # [w0 w1 w2 | t0 t1 t2 | fx fy | k1 k2 p1 p2]
 
 
 @dataclass(frozen=True)
 class BundleOptions:
     refine_points: bool = True
     refine_focal: bool = True
-    refine_principal: bool = False
+    refine_distortion: tuple[int, ...] = ()  # cameras with free k1 k2 p1 p2
     frozen_cameras: tuple[int, ...] = (0,)
     # (camera, axis) translation component pinned for the scale gauge;
     # "auto" picks the largest component of the first free camera
@@ -55,7 +65,8 @@ class BundleResult:
 def _camera_free_mask(m: int, options: BundleOptions) -> Array:
     mask = np.ones((m, CAM_PARAMS), dtype=bool)
     mask[:, 6:8] = options.refine_focal
-    mask[:, 8:10] = options.refine_principal
+    mask[:, 8:12] = False
+    mask[list(options.refine_distortion), 8:12] = True
     for c in options.frozen_cameras:
         mask[c, :6] = False
     pin = options.scale_pin
@@ -84,6 +95,38 @@ def _pin_auto_axis(poses: list[CameraPose], mask: Array, options: BundleOptions)
     return mask
 
 
+def _project(
+    intrinsics: list[CameraIntrinsics],
+    poses: list[CameraPose],
+    points: Array,
+    cam_idx: Array,
+    pt_idx: Array,
+    pixels: Array,
+) -> tuple[Array, Array, Array, Array]:
+    """Residual (k, 2) of every observation under the full camera model,
+    with the camera-frame points (k, 3), normalized points (k, 2) and
+    distorted normalized points (k, 2) it passed through.
+
+    Camera by camera through CameraPose and distort_normalized, so the
+    residuals are bit-identical with the reprojection statistics (an exact
+    fixed point at the optimum). Residual convention: projected - observed.
+    """
+    k = len(cam_idx)
+    P = points[pt_idx]
+    Xc = np.empty((k, 3))
+    xy = np.empty((k, 2))
+    xyd = np.empty((k, 2))
+    for j, (intr, pose) in enumerate(zip(intrinsics, poses)):
+        sel = cam_idx == j
+        Xc[sel] = pose.transform(P[sel])
+        xy[sel] = Xc[sel, :2] / Xc[sel, 2:3]
+        xyd[sel] = distort_normalized(intr, xy[sel])
+    f = np.array([(i.fx, i.fy) for i in intrinsics])[cam_idx]
+    c = np.array([(i.cx, i.cy) for i in intrinsics])[cam_idx]
+    r = xyd * f + c - pixels
+    return r, Xc, xy, xyd
+
+
 def residuals_and_blocks(
     intrinsics: list[CameraIntrinsics],
     poses: list[CameraPose],
@@ -92,39 +135,31 @@ def residuals_and_blocks(
     pt_idx: Array,
     pixels: Array,
 ) -> tuple[Array, Array, Array]:
-    """Per-observation residual (k, 2) and Jacobian blocks (k, 2, 10) and
-    (k, 2, 3) of the pinhole projection wrt camera and point parameters.
+    """Per-observation residual (k, 2) and Jacobian blocks (k, 2, 12) and
+    (k, 2, 3) of the distorted projection wrt camera and point parameters.
 
     Residual convention: projected - observed.
     """
+    r, Xc, xy, xyd = _project(intrinsics, poses, points, cam_idx, pt_idx, pixels)
     k = len(cam_idx)
     R = np.stack([p.rotation for p in poses])[cam_idx]  # (k,3,3)
     t = np.stack([p.translation for p in poses])[cam_idx]
-    fx = np.array([i.fx for i in intrinsics])[cam_idx]
-    fy = np.array([i.fy for i in intrinsics])[cam_idx]
-    cx = np.array([i.cx for i in intrinsics])[cam_idx]
-    cy = np.array([i.cy for i in intrinsics])[cam_idx]
-
-    P = points[pt_idx]  # (k,3)
-    # transform camera by camera through CameraPose so projections are
-    # bit-identical with project_pinhole (exact fixed point at the optimum)
-    Xc = np.empty((k, 3))
-    for j, pose in enumerate(poses):
-        sel = cam_idx == j
-        if np.any(sel):
-            Xc[sel] = pose.transform(P[sel])
+    f = np.array([(i.fx, i.fy) for i in intrinsics])[cam_idx]
     RX = Xc - t
-    x, y, z = Xc[:, 0], Xc[:, 1], Xc[:, 2]
-    u = x / z * fx + cx
-    v = y / z * fy + cy
-    r = np.stack([u, v], axis=1) - pixels
+    z = Xc[:, 2]
+    x, y = xy[:, 0], xy[:, 1]
 
-    # d(u,v)/dXc
-    duv_dXc = np.zeros((k, 2, 3))
-    duv_dXc[:, 0, 0] = fx / z
-    duv_dXc[:, 0, 2] = -fx * x / (z * z)
-    duv_dXc[:, 1, 1] = fy / z
-    duv_dXc[:, 1, 2] = -fy * y / (z * z)
+    # d(xd, yd)/d(x, y) of the distortion model, camera by camera
+    Jd = np.empty((k, 2, 2))
+    for j, intr in enumerate(intrinsics):
+        Jd[cam_idx == j] = _distortion_jacobian(intr, xy[cam_idx == j])
+    # d(x, y)/dXc of the perspective division
+    dxy_dXc = np.zeros((k, 2, 3))
+    dxy_dXc[:, 0, 0] = 1.0 / z
+    dxy_dXc[:, 0, 2] = -x / z
+    dxy_dXc[:, 1, 1] = 1.0 / z
+    dxy_dXc[:, 1, 2] = -y / z
+    duv_dXc = f[:, :, None] * (Jd @ dxy_dXc)
 
     # dXc/dw = -[RX]x for a left-multiplied rotation update
     sk = np.zeros((k, 3, 3))
@@ -135,15 +170,17 @@ def residuals_and_blocks(
     sk[:, 2, 0] = -RX[:, 1]
     sk[:, 2, 1] = RX[:, 0]
 
+    r2 = x * x + y * y
     Jc = np.zeros((k, 2, CAM_PARAMS))
-    Jc[:, :, 0:3] = np.einsum("kab,kbc->kac", duv_dXc, -sk)
+    Jc[:, :, 0:3] = duv_dXc @ -sk
     Jc[:, :, 3:6] = duv_dXc
-    Jc[:, 0, 6] = x / z
-    Jc[:, 1, 7] = y / z
-    Jc[:, 0, 8] = 1.0
-    Jc[:, 1, 9] = 1.0
+    Jc[:, 0, 6] = xyd[:, 0]
+    Jc[:, 1, 7] = xyd[:, 1]
+    # d(xd, yd)/d(k1, k2, p1, p2), scaled to pixels
+    Jc[:, 0, 8:12] = f[:, 0:1] * np.stack([x * r2, x * r2 * r2, 2.0 * x * y, r2 + 2.0 * x * x], axis=1)
+    Jc[:, 1, 8:12] = f[:, 1:2] * np.stack([y * r2, y * r2 * r2, r2 + 2.0 * y * y, 2.0 * x * y], axis=1)
 
-    Jp = np.einsum("kab,kbc->kac", duv_dXc, R)
+    Jp = duv_dXc @ R
     return r, Jc, Jp
 
 
@@ -183,17 +220,11 @@ def apply_perturbation(
         else:  # frozen poses stay bit-identical
             new_poses.append(poses[j])
         intr = intrinsics[j]
-        if d[6:10].any():
-            new_intr.append(
-                CameraIntrinsics(
-                    fx=intr.fx + d[6],
-                    fy=intr.fy + d[7],
-                    cx=intr.cx + d[8],
-                    cy=intr.cy + d[9],
-                    k1=intr.k1, k2=intr.k2, p1=intr.p1, p2=intr.p2,
-                    width=intr.width, height=intr.height,
-                )
-            )
+        if d[6:12].any():
+            new_intr.append(replace(
+                intr, fx=intr.fx + d[6], fy=intr.fy + d[7], k1=intr.k1 + d[8],
+                k2=intr.k2 + d[9], p1=intr.p1 + d[10], p2=intr.p2 + d[11],
+            ))
         else:
             new_intr.append(intr)
     new_points = points
@@ -232,10 +263,18 @@ class NormalEquations:
 def normal_equations(
     r: Array, Jc: Array, Jp: Array, cam_idx: Array, pt_idx: Array, m: int, n: int
 ) -> NormalEquations:
-    U = scatter_blocks(cam_idx, np.einsum("koa,kob->kab", Jc, Jc), m)
+    # camera by camera: the (k, 12, 12) blocks of all observations and their
+    # flat scatter indices would be the largest buffers of the whole solve.
+    # Row sums accumulate in observation order, as scatter_blocks does.
+    U = np.zeros((m, CAM_PARAMS, CAM_PARAMS))
+    g_c = np.zeros((m, CAM_PARAMS))
+    for j in range(m):
+        sel = cam_idx == j
+        Jj, rj = Jc[sel], r[sel]
+        U[j] = np.einsum("koa,kob->kab", Jj, Jj).sum(axis=0)
+        g_c[j] = np.einsum("koa,ko->ka", Jj, rj).sum(axis=0)
     V = scatter_blocks(pt_idx, np.einsum("koa,kob->kab", Jp, Jp), n)
     W = scatter_blocks(pt_idx * m + cam_idx, np.einsum("koa,kob->kab", Jc, Jp), n * m)
-    g_c = scatter_blocks(cam_idx, np.einsum("koa,ko->ka", Jc, r), m)
     g_p = scatter_blocks(pt_idx, np.einsum("koa,ko->ka", Jp, r), n)
     P = CAM_PARAMS * m
     Hcc = np.zeros((P, P))
@@ -286,7 +325,7 @@ def schur_step(
 
 
 def _cost(intrinsics, poses, points, cam_idx, pt_idx, pixels) -> float:
-    r, _, _ = residuals_and_blocks(intrinsics, poses, points, cam_idx, pt_idx, pixels)
+    r = _project(intrinsics, poses, points, cam_idx, pt_idx, pixels)[0]
     return 0.5 * float(np.sum(r * r))
 
 

@@ -1,4 +1,5 @@
-"""Outlier rejection against the current calibration, and distortion fitting."""
+"""Outlier rejection against the current calibration, and the coverage gate
+that decides whether a camera's distortion is refined."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -9,9 +10,11 @@ from ..errors import AllRejected
 from ..geometry import (
     CameraIntrinsics,
     CameraPose,
+    distort_normalized,
     fundamental_from_calibrated,
     relative_pose,
     symmetric_epipolar_distance,
+    undistort_pixels,
 )
 
 Array = np.ndarray
@@ -34,6 +37,14 @@ class RejectionReport:
         return len(self.removed)
 
 
+def project_unguarded(intr: CameraIntrinsics, pose: CameraPose, pts: Array) -> Array:
+    """Full-model projection of world points (k, 3) without the
+    positive-depth guard of geometry.project_points."""
+    cam = pose.transform(pts)
+    z = np.where(np.abs(cam[:, 2]) < 1e-12, 1e-12, cam[:, 2])
+    return intr.pixel_from_normalized(distort_normalized(intr, cam[:, :2] / z[:, None]))
+
+
 def reject_outliers(
     pixels: Array,
     visibility: Array,
@@ -47,11 +58,16 @@ def reject_outliers(
 
     A point is removed when any visible camera pair's symmetric point-to-
     epipolar-line distance exceeds d_h or any per-camera reprojection error
-    exceeds xi_th. Pixels are expected in the undistorted frame. Raises
-    AllRejected when nothing survives.
+    exceeds xi_th. Pixels are raw observations: the reprojection test uses
+    the full camera model and the epipolar test their undistorted positions.
+    Raises AllRejected when nothing survives.
     """
     m, n, _ = pixels.shape
     removed: dict[int, Removal] = {}
+    undistorted = pixels.copy()
+    for j in range(m):
+        cols = np.flatnonzero(visibility[j])
+        undistorted[j, cols] = undistort_pixels(intrinsics[j], pixels[j, cols])
 
     for a in range(m):
         for b in range(a + 1, m):
@@ -62,7 +78,7 @@ def reject_outliers(
                 intrinsics[a], intrinsics[b], relative_pose(poses[a], poses[b])
             )
             d = symmetric_epipolar_distance(
-                pair.fundamental, pixels[a, shared], pixels[b, shared]
+                pair.fundamental, undistorted[a, shared], undistorted[b, shared]
             )
             for col, dist in zip(shared[d > d_h], d[d > d_h]):
                 col = int(col)
@@ -73,12 +89,11 @@ def reject_outliers(
         cols = np.flatnonzero(visibility[j])
         if not len(cols):
             continue
-        cam = poses[j].transform(points3d[:, cols].T)
-        z = cam[:, 2]
-        safe_z = np.where(np.abs(z) < 1e-12, 1e-12, z)
-        proj = intrinsics[j].pixel_from_normalized(cam[:, :2] / safe_z[:, None])
+        pts = points3d[:, cols].T
+        proj = project_unguarded(intrinsics[j], poses[j], pts)
         err = np.linalg.norm(proj - pixels[j, cols], axis=1)
-        err = np.where(z <= 0, np.inf, err)  # behind the camera is never an inlier
+        # behind the camera is never an inlier
+        err = np.where(poses[j].transform(pts)[:, 2] <= 0, np.inf, err)
         for col, e in zip(cols[err > xi_th], err[err > xi_th]):
             col = int(col)
             if col not in removed or removed[col].value < e:
@@ -93,48 +108,25 @@ def reject_outliers(
     return RejectionReport(kept, [removed[i] for i in sorted(removed)])
 
 
-@dataclass(frozen=True)
-class DistortionFit:
-    k1: float
-    k2: float
-    p1: float
-    p2: float
-    skipped: bool = False
-    reason: str | None = None
-
-    @property
-    def coefficients(self) -> Array:
-        return np.array([self.k1, self.k2, self.p1, self.p2])
-
-
-_SKIPPED = DistortionFit(0.0, 0.0, 0.0, 0.0, skipped=True)
-
-
-def estimate_distortion(
-    points3d: Array,
+def distortion_gate(
     observed: Array,
     intrinsics: CameraIntrinsics,
-    pose: CameraPose,
     min_points: int = 20,
     min_area_fraction: float = 0.3,
-) -> DistortionFit:
-    """Linear fit of the radial-tangential coefficients, intrinsics frozen.
+) -> str | None:
+    """Why one camera's observations cannot constrain k1 k2 p1 p2, or None.
 
-    Skips (all-zero output, skipped flag) when coverage is too uneven:
-    fewer than min_points observations, a bounding box under 30% of the
-    sensor area, or all points on one side of the principal point.
+    Too uneven a coverage leaves the coefficients to absorb noise: fewer
+    than min_points observations, a bounding box under min_area_fraction of
+    the sensor, or all points on one side of the principal point.
     """
-    points3d = np.asarray(points3d, dtype=float).reshape(-1, 3)
     observed = np.asarray(observed, dtype=float).reshape(-1, 2)
-    n = len(points3d)
-    if n < min_points:
-        return DistortionFit(0, 0, 0, 0, skipped=True, reason=f"only {n} correspondences")
+    if len(observed) < min_points:
+        return f"only {len(observed)} correspondences"
     span = observed.max(axis=0) - observed.min(axis=0)
     area = span[0] * span[1] / (intrinsics.width * intrinsics.height)
     if area < min_area_fraction:
-        return DistortionFit(
-            0, 0, 0, 0, skipped=True, reason=f"coverage {area:.0%} of sensor area"
-        )
+        return f"coverage {area:.0%} of sensor area"
     u, v = observed[:, 0], observed[:, 1]
     if (
         np.all(u < intrinsics.cx)
@@ -142,27 +134,5 @@ def estimate_distortion(
         or np.all(v < intrinsics.cy)
         or np.all(v > intrinsics.cy)
     ):
-        return DistortionFit(0, 0, 0, 0, skipped=True, reason="all points in one half")
-
-    cam = pose.transform(points3d)
-    z = cam[:, 2]
-    good = z > 0
-    x = cam[good, 0] / z[good]
-    y = cam[good, 1] / z[good]
-    xd = (observed[good, 0] - intrinsics.cx) / intrinsics.fx
-    yd = (observed[good, 1] - intrinsics.cy) / intrinsics.fy
-    r2 = x * x + y * y
-    A = np.zeros((2 * len(x), 4))
-    A[0::2, 0] = x * r2
-    A[0::2, 1] = x * r2 * r2
-    A[0::2, 2] = 2 * x * y
-    A[0::2, 3] = r2 + 2 * x * x
-    A[1::2, 0] = y * r2
-    A[1::2, 1] = y * r2 * r2
-    A[1::2, 2] = r2 + 2 * y * y
-    A[1::2, 3] = 2 * x * y
-    b = np.empty(2 * len(x))
-    b[0::2] = xd - x
-    b[1::2] = yd - y
-    coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return DistortionFit(float(coef[0]), float(coef[1]), float(coef[2]), float(coef[3]))
+        return "all points in one half"
+    return None

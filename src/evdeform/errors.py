@@ -1,7 +1,8 @@
 """Exception and warning types shared across the toolkit, and the JSON
-reader that turns a malformed file into one of them."""
+readers that turn a malformed file into one of them."""
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -86,9 +87,9 @@ class AllRejected(EvdeformError):
 
 
 class CalibrationFailed(EvdeformError):
-    """Calibration loop hit its iteration cap above the target error.
+    """Calibration ended above the target reprojection error.
 
-    Carries the best result seen so far in ``result``.
+    Carries the calibration it reached in ``result`` when there is one.
     """
 
     def __init__(self, message, result=None):
@@ -130,3 +131,25 @@ def read_json(path, error: type[EvdeformError]):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise error(f"{path}: invalid JSON: {exc}") from None
+
+
+def read_document(path, error: type[EvdeformError], fmt: str) -> dict:
+    """Parse a JSON document that must be an object whose "format" is fmt."""
+    doc = read_json(path, error)
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    if doc.get("format") != fmt:
+        raise error(f"{path}: field 'format' is {doc.get('format')!r}, expected {fmt!r}")
+    return doc
+
+
+@contextmanager
+def document_fields(path, error: type[EvdeformError]):
+    """Report a missing or ill-typed field met while reading a parsed JSON
+    document as ``error`` naming the path and the field."""
+    try:
+        yield
+    except KeyError as exc:
+        raise error(f"{path}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise error(f"{path}: malformed field: {exc}") from None

@@ -19,7 +19,8 @@ from .errors import (
     NoModel,
     ParseError,
     PointBehindCamera,
-    read_json,
+    document_fields,
+    read_document,
 )
 
 Array = np.ndarray
@@ -643,16 +644,17 @@ def save_calibration_document(
 
 
 def load_calibration_document(path) -> tuple[int, list[tuple[int, CameraIntrinsics, CameraPose]]]:
-    doc = read_json(path, ParseError)
-    if doc.get("format") != CALIBRATION_FORMAT:
-        raise ValueError(f"not a calibration document: {path}")
-    cameras = []
-    for cam in doc["cameras"]:
-        intr = CameraIntrinsics(
-            fx=cam["fx"], fy=cam["fy"], cx=cam["cx"], cy=cam["cy"],
-            k1=cam["k1"], k2=cam["k2"], p1=cam["p1"], p2=cam["p2"],
-            width=cam["width"], height=cam["height"],
-        )
-        pose = CameraPose(np.array(cam["R"], dtype=float), np.array(cam["T"], dtype=float))
-        cameras.append((int(cam["camera_id"]), intr, pose))
-    return int(doc["reference_camera"]), cameras
+    """Read a rig written by save_calibration_document; a document of another
+    format or with a missing or malformed field raises ParseError."""
+    doc = read_document(path, ParseError, CALIBRATION_FORMAT)
+    with document_fields(path, ParseError):
+        cameras = []
+        for cam in doc["cameras"]:
+            intr = CameraIntrinsics(
+                fx=cam["fx"], fy=cam["fy"], cx=cam["cx"], cy=cam["cy"],
+                k1=cam["k1"], k2=cam["k2"], p1=cam["p1"], p2=cam["p2"],
+                width=cam["width"], height=cam["height"],
+            )
+            pose = CameraPose(np.array(cam["R"], dtype=float), np.array(cam["T"], dtype=float))
+            cameras.append((int(cam["camera_id"]), intr, pose))
+        return int(doc["reference_camera"]), cameras

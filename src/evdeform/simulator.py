@@ -18,7 +18,13 @@ from typing import Protocol
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ConfigError, FieldOfViewWarning, PointBehindCamera, read_json
+from .errors import (
+    ConfigError,
+    FieldOfViewWarning,
+    PointBehindCamera,
+    document_fields,
+    read_document,
+)
 from .events import EventStream
 from .geometry import CameraIntrinsics, CameraPose, project_points
 
@@ -476,33 +482,34 @@ def save_scenario(path, config: ScenarioConfig) -> None:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    doc = read_json(path, ConfigError)
-    if doc.get("format") != SCENARIO_FORMAT:
-        raise ConfigError(f"not a scenario file: {path}")
-    cameras = []
-    for cam in doc["cameras"]:
-        intr = CameraIntrinsics(
-            fx=cam["fx"], fy=cam["fy"], cx=cam["cx"], cy=cam["cy"],
-            k1=cam.get("k1", 0.0), k2=cam.get("k2", 0.0),
-            p1=cam.get("p1", 0.0), p2=cam.get("p2", 0.0),
-            width=cam["width"], height=cam["height"],
+    """Read a scenario written by save_scenario; a file of another format or
+    with a missing or malformed field raises ConfigError."""
+    doc = read_document(path, ConfigError, SCENARIO_FORMAT)
+    with document_fields(path, ConfigError):
+        cameras = []
+        for cam in doc["cameras"]:
+            intr = CameraIntrinsics(
+                fx=cam["fx"], fy=cam["fy"], cx=cam["cx"], cy=cam["cy"],
+                k1=cam.get("k1", 0.0), k2=cam.get("k2", 0.0),
+                p1=cam.get("p1", 0.0), p2=cam.get("p2", 0.0),
+                width=cam["width"], height=cam["height"],
+            )
+            pose = CameraPose(np.array(cam["R"], dtype=float), np.array(cam["T"], dtype=float))
+            cameras.append((intr, pose))
+        return ScenarioConfig(
+            cameras=tuple(cameras),
+            trajectory=_trajectory_from_json(doc["trajectory"]),
+            marker_radius_mm=doc["marker_radius_mm"],
+            blink_freq_hz=doc["blink_freq_hz"],
+            duty_cycle=doc["duty_cycle"],
+            contrast_threshold=doc["contrast_threshold"],
+            led_log_amplitude=doc.get("led_log_amplitude", 1.0),
+            noise_rate=doc.get("noise_rate", 0.0),
+            latency_jitter_std_us=doc.get("latency_jitter_std_us", 0.0),
+            duration_s=doc["duration_s"],
+            seed=doc.get("seed", 0),
+            edge_band=doc.get("edge_band", 0.0),
         )
-        pose = CameraPose(np.array(cam["R"], dtype=float), np.array(cam["T"], dtype=float))
-        cameras.append((intr, pose))
-    return ScenarioConfig(
-        cameras=tuple(cameras),
-        trajectory=_trajectory_from_json(doc["trajectory"]),
-        marker_radius_mm=doc["marker_radius_mm"],
-        blink_freq_hz=doc["blink_freq_hz"],
-        duty_cycle=doc["duty_cycle"],
-        contrast_threshold=doc["contrast_threshold"],
-        led_log_amplitude=doc.get("led_log_amplitude", 1.0),
-        noise_rate=doc.get("noise_rate", 0.0),
-        latency_jitter_std_us=doc.get("latency_jitter_std_us", 0.0),
-        duration_s=doc["duration_s"],
-        seed=doc.get("seed", 0),
-        edge_band=doc.get("edge_band", 0.0),
-    )
 
 
 def export_ground_truth(out_dir, truth: GroundTruth) -> list[Path]:

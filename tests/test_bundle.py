@@ -23,6 +23,8 @@ from evdeform.geometry import (
 )
 from evdeform.simulator import paper_rig_cameras
 
+TABLE_CAM1 = (-0.05359, 0.33899, -0.00157, -0.00479)
+
 
 @pytest.fixture
 def scene():
@@ -156,20 +158,21 @@ class TestJacobian:
         pix = pix + rng.normal(0, 1.0, pix.shape)  # nonzero residuals
         keep = 24
         ci, pi, px = cam_idx[:keep], pt_idx[:keep], pix[:keep]
-        _, J = dense_jacobian(intr, poses, pts, ci, pi, px)
         P = CAM_PARAMS * 3 + 3 * len(pts)
         h = 1e-6
-        Jfd = np.zeros_like(J)
-        for q in range(P):
-            d = np.zeros(P)
-            d[q] = h
-            ip, pp, xp = apply_perturbation(intr, poses, pts, d, True)
-            rp, _, _ = residuals_and_blocks(ip, pp, xp, ci, pi, px)
-            im, pm, xm = apply_perturbation(intr, poses, pts, -d, True)
-            rm, _, _ = residuals_and_blocks(im, pm, xm, ci, pi, px)
-            Jfd[:, q] = (rp.ravel() - rm.ravel()) / (2 * h)
-        denom = np.maximum(np.abs(Jfd), 1e-6 * np.abs(Jfd).max())
-        assert (np.abs(J - Jfd) / denom).max() < 1e-4
+        for cams in (intr, [i.with_distortion(*TABLE_CAM1) for i in intr]):
+            _, J = dense_jacobian(cams, poses, pts, ci, pi, px)
+            Jfd = np.zeros_like(J)
+            for q in range(P):
+                d = np.zeros(P)
+                d[q] = h
+                ip, pp, xp = apply_perturbation(cams, poses, pts, d, True)
+                rp, _, _ = residuals_and_blocks(ip, pp, xp, ci, pi, px)
+                im, pm, xm = apply_perturbation(cams, poses, pts, -d, True)
+                rm, _, _ = residuals_and_blocks(im, pm, xm, ci, pi, px)
+                Jfd[:, q] = (rp.ravel() - rm.ravel()) / (2 * h)
+            denom = np.maximum(np.abs(Jfd), 1e-6 * np.abs(Jfd).max())
+            assert (np.abs(J - Jfd) / denom).max() < 1e-4
 
 
     def test_dense_jacobian_equals_the_fill_loop(self, scene):
@@ -238,6 +241,14 @@ class TestSchurStep:
         r, Jc, Jp, _, (_, poses, pts, cam_idx, pt_idx, _) = masked_blocks(scene, BundleOptions())
         m, n = len(poses), len(pts)
         ne = normal_equations(r, Jc, Jp, cam_idx, pt_idx, m, n)
+        U = np.zeros((m, CAM_PARAMS, CAM_PARAMS))
+        np.add.at(U, cam_idx, np.einsum("koa,kob->kab", Jc, Jc))
+        g_c = np.zeros((m, CAM_PARAMS))
+        np.add.at(g_c, cam_idx, np.einsum("koa,ko->ka", Jc, r))
+        for j in range(m):
+            block = slice(CAM_PARAMS * j, CAM_PARAMS * (j + 1))
+            np.testing.assert_array_equal(ne.Hcc[block, block], U[j])
+        np.testing.assert_array_equal(ne.g_c, g_c)
         W = np.zeros((n, m, CAM_PARAMS, 3))
         np.add.at(W, (pt_idx, cam_idx), np.einsum("koa,kob->kab", Jc, Jp))
         g_p = np.zeros((n, 3))

@@ -1,4 +1,4 @@
-"""The outer self-calibration loop on synthetic correspondences."""
+"""Self-calibration on synthetic correspondences."""
 import json
 
 import numpy as np
@@ -83,7 +83,7 @@ class TestCalibrate:
             np.testing.assert_array_equal(a.translation, b.translation)
 
     def test_distorted_observations_recovered(self, rig_cameras):
-        """The loop undistorts working coordinates once coefficients emerge."""
+        """Distortion is refined jointly with focal lengths, poses and points."""
         intr_true = [i.with_distortion(*TABLE_CAM1) for i, _ in rig_cameras]
         poses = [p for _, p in rig_cameras]
         rng = np.random.default_rng(8)
@@ -123,12 +123,35 @@ class TestCalibrate:
             groups.append(CorrespondingPoint(tuple(obs), 0.0))
         result = calibrate(groups, CalibrationConfig(seed=3))
         assert result.converged
-        assert max(result.mean_reprojection.values()) < 0.3
-        # distortion this mild is largely absorbed by focal and structure;
-        # the loop must still settle on a self-consistent model
+        assert max(result.mean_reprojection.values()) < 1e-6
+        # full-sensor coverage frees every camera's distortion in the bundle
+        # adjustment, which then recovers focal lengths and coefficients
+        assert not any("distortion_skipped" in a for a in result.iterations[0].actions)
         for intr in result.intrinsics:
-            assert abs(intr.fx - 1800.0) / 1800.0 < 0.05
-            assert abs(intr.fy - 1800.0) / 1800.0 < 0.05
+            assert abs(intr.fx - 1800.0) / 1800.0 < 1e-6
+            assert abs(intr.fy - 1800.0) / 1800.0 < 1e-6
+            np.testing.assert_allclose(intr.distortion, TABLE_CAM1, rtol=0, atol=1e-6)
+
+    def test_rejected_column_is_solved_without(self, rig_cameras):
+        """An outlier RANSAC lets through is rejected after the bundle
+        adjustment, which then runs once more on the kept columns."""
+        from conftest import synthetic_observation
+        from evdeform.extraction import CorrespondingPoint
+
+        groups = correspondences_from_points(rig_cameras, sample_points(100))
+        obs = list(groups[17].observations)
+        obs[1] = synthetic_observation(1, obs[1].pixel + 6.0, obs[1].t_c)
+        groups[17] = CorrespondingPoint(tuple(obs), 0.0)
+        # a wide RANSAC threshold keeps the outlier in the first solve
+        result = calibrate(groups, CalibrationConfig(seed=2, ransac_threshold=50.0))
+        actions = result.iterations[0].actions
+        assert "rejected=1" in actions
+        assert sum(a.startswith("ba_steps=") for a in actions) == 2
+        assert 17 not in result.inlier_indices
+        assert len(result.inlier_indices) == 99
+        assert result.converged
+        # noiseless once the outlier is out: the re-solve reaches the exact fit
+        assert max(result.mean_reprojection.values()) < 1e-6
 
     def test_epipolar_consistency_of_result(self, rig_cameras):
         """F built from the solved calibration fits the inlier correspondences."""

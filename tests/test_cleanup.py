@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from evdeform.calibration.cleanup import estimate_distortion, reject_outliers
+from evdeform.calibration.bundle import BundleOptions, bundle_adjust
+from evdeform.calibration.cleanup import distortion_gate, reject_outliers
 from evdeform.errors import AllRejected
 from evdeform.geometry import (
     CameraIntrinsics,
@@ -89,6 +90,8 @@ class TestRejectOutliers:
 
 
 class TestEstimateDistortion:
+    """The coverage gate, and bundle adjustment with only k1 k2 p1 p2 free."""
+
     def _scene(self, coeffs, n=200, seed=1):
         intr_ideal = CameraIntrinsics(1800.0, 1800.0, 639.5, 359.5)
         intr_true = intr_ideal.with_distortion(*coeffs)
@@ -109,27 +112,32 @@ class TestEstimateDistortion:
         observed = intr_true.pixel_from_normalized(distort_normalized(intr_true, xy))
         return pts, observed, intr_ideal, pose
 
+    def _fit(self, pts, observed, intr, pose):
+        assert distortion_gate(observed, intr) is None
+        res = bundle_adjust(
+            [intr], [pose], pts, np.zeros(len(pts), dtype=np.int64), np.arange(len(pts)),
+            observed,
+            BundleOptions(refine_points=False, refine_focal=False,
+                          refine_distortion=(0,), scale_pin=None),
+        )
+        fit = res.intrinsics[0]
+        assert (fit.fx, fit.fy, fit.cx, fit.cy) == (intr.fx, intr.fy, intr.cx, intr.cy)
+        return fit.distortion
+
     def test_zero_distortion_recovered_as_zero(self):
-        pts, observed, intr, pose = self._scene((0.0, 0.0, 0.0, 0.0))
-        fit = estimate_distortion(pts, observed, intr, pose)
-        assert not fit.skipped
-        assert np.abs(fit.coefficients).max() < 1e-8
+        coefficients = self._fit(*self._scene((0.0, 0.0, 0.0, 0.0)))
+        assert np.abs(coefficients).max() < 1e-8
 
     def test_reported_coefficients_recovered(self):
-        pts, observed, intr, pose = self._scene(TABLE_CAM1)
-        fit = estimate_distortion(pts, observed, intr, pose)
-        assert not fit.skipped
-        for est, true in zip(fit.coefficients, TABLE_CAM1):
+        coefficients = self._fit(*self._scene(TABLE_CAM1))
+        for est, true in zip(coefficients, TABLE_CAM1):
             assert abs(est - true) <= max(0.05 * abs(true), 1e-3)
 
     def test_one_sided_coverage_skipped(self):
-        pts, observed, intr, pose = self._scene((0.01, 0.0, 0.0, 0.0))
+        _, observed, intr, _ = self._scene((0.01, 0.0, 0.0, 0.0))
         left = observed[:, 0] < 320  # left quarter of the sensor only
-        fit = estimate_distortion(pts[left], observed[left], intr, pose)
-        assert fit.skipped
-        assert np.abs(fit.coefficients).max() == 0.0
+        assert distortion_gate(observed[left], intr) is not None
 
     def test_too_few_points_skipped(self):
-        pts, observed, intr, pose = self._scene((0.01, 0.0, 0.0, 0.0))
-        fit = estimate_distortion(pts[:10], observed[:10], intr, pose)
-        assert fit.skipped
+        _, observed, intr, _ = self._scene((0.01, 0.0, 0.0, 0.0))
+        assert distortion_gate(observed[:10], intr) == "only 10 correspondences"

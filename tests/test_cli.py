@@ -20,6 +20,16 @@ def assert_invalid_json_line(capsys, path):
     assert len(err) == 1 and err[0].startswith(f"error: {path}: invalid JSON: ")
 
 
+def malformed_documents(fmt):
+    """JSON that parses but is not a usable document of format fmt, with
+    what the one-line error must name."""
+    return [
+        ('{"format": "x"}', "field 'format' is 'x'"),
+        (json.dumps({"format": fmt}), "missing field 'cameras'"),
+        ("[1]", "expected a JSON object, got list"),
+    ]
+
+
 @pytest.fixture(scope="module")
 def preset_run(tmp_path_factory):
     """One preset simulation shared by the downstream command tests."""
@@ -55,6 +65,15 @@ class TestSimulate:
         code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
         assert code == 2
         assert_invalid_json_line(capsys, scenario)
+
+    @pytest.mark.parametrize("text,named", malformed_documents("evdeform-scenario"))
+    def test_malformed_scenario_exits_2(self, tmp_path, capsys, text, named):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text)
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {scenario}: {named}")
 
     def test_same_seed_identical_files(self, tmp_path):
         scenario = tmp_path / "scenario.json"
@@ -221,7 +240,7 @@ class TestCalibrate:
 
     def test_unreachable_target_exits_1_with_best_effort(self, observations, tmp_path):
         overrides = tmp_path / "config.json"
-        overrides.write_text(json.dumps({"reproj_target": 1e-12, "max_iterations": 2}))
+        overrides.write_text(json.dumps({"reproj_target": 1e-12}))
         out = tmp_path / "cal"
         code = main(
             ["calibrate", "--observations", str(observations), "--out", str(out),
@@ -231,17 +250,20 @@ class TestCalibrate:
         assert (out / "calibration.json").exists()  # best-so-far still written
 
     def test_unknown_config_key_exits_2(self, observations, tmp_path, capsys):
-        overrides = tmp_path / "config.json"
-        overrides.write_text(json.dumps({"reproj_target": 0.3, "reproj_targte": 0.2}))
-        out = tmp_path / "cal"
-        code = main(
-            ["calibrate", "--observations", str(observations), "--out", str(out),
-             "--config", str(overrides)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "reproj_targte" in err[0]
-        assert not (out / "calibration.json").exists()
+        # a misspelt key, and keys of the removed outer calibration loop
+        for key, value in [("reproj_targte", 0.2), ("max_iterations", 2),
+                           ("principal_mode", "free")]:
+            overrides = tmp_path / "config.json"
+            overrides.write_text(json.dumps({"reproj_target": 0.3, key: value}))
+            out = tmp_path / key
+            code = main(
+                ["calibrate", "--observations", str(observations), "--out", str(out),
+                 "--config", str(overrides)]
+            )
+            assert code == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and key in err[0]
+            assert not (out / "calibration.json").exists()
 
     def test_invalid_config_json_exits_2(self, observations, tmp_path, capsys):
         overrides = tmp_path / "config.json"
@@ -363,6 +385,18 @@ class TestMeasure:
         )
         assert code == 2
         assert_invalid_json_line(capsys, calibration)
+
+    @pytest.mark.parametrize("text,named", malformed_documents("evdeform-calibration"))
+    def test_malformed_calibration_exits_2(self, observations, tmp_path, capsys, text, named):
+        calibration = tmp_path / "calibration.json"
+        calibration.write_text(text)
+        code = main(
+            ["measure", "--calibration", str(calibration),
+             "--observations", str(observations), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {calibration}: {named}")
 
     def test_empty_observations_exits_2(self, sway_setup, tmp_path):
         root, cal, _ = sway_setup

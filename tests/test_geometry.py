@@ -6,6 +6,7 @@ from evdeform.errors import (
     DegenerateBaseline,
     InsufficientPoints,
     NoModel,
+    ParseError,
     PointBehindCamera,
 )
 from evdeform.geometry import (
@@ -268,7 +269,7 @@ class TestCalibrationDocument:
     def test_rejects_other_documents(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match="field 'format' is 'something-else'"):
             load_calibration_document(path)
 
 
