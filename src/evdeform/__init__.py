@@ -9,16 +9,15 @@ providing ground truth for every stage.
 __version__ = "0.1.0"
 
 from .errors import EvdeformError
-from .events import EventStream, read_stream, slice_by_time, write_stream
+from .events import EventStream, read_stream, write_stream
 from .extraction import (
     CenterObservation,
+    Centers,
+    Correspondences,
     CorrespondingPoint,
-    EventCluster,
     ExtractionConfig,
-    accumulate_cluster,
     calibration_profile,
     choose_accumulation_count,
-    correspondence_arrays,
     extract_center_sequence,
     match_corresponding,
     measurement_profile,
@@ -37,7 +36,6 @@ from .calibration import (
     CalibrationResult,
     MeasurementMatrix,
     ProjectiveReconstruction,
-    build_measurement_matrix,
     bundle_adjust,
     calibrate,
     euclidean_upgrade,
@@ -66,9 +64,10 @@ __all__ = [
     "CameraIntrinsics",
     "CameraPose",
     "CenterObservation",
+    "Centers",
+    "Correspondences",
     "CorrespondingPoint",
     "DeformationSeries",
-    "EventCluster",
     "EventStream",
     "EvdeformError",
     "ExtractionConfig",
@@ -78,14 +77,11 @@ __all__ = [
     "ProjectiveReconstruction",
     "RigCalibration",
     "ScenarioConfig",
-    "accumulate_cluster",
     "anchor_scale",
-    "build_measurement_matrix",
     "bundle_adjust",
     "calibrate",
     "calibration_profile",
     "choose_accumulation_count",
-    "correspondence_arrays",
     "estimate_fundamental_ransac",
     "euclidean_upgrade",
     "extract_center_sequence",
@@ -99,7 +95,6 @@ __all__ = [
     "rebase_extrinsics",
     "reject_outliers",
     "simulate",
-    "slice_by_time",
     "solve_kruppa_focal",
     "triangulate",
     "undistort",

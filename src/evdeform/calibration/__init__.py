@@ -5,7 +5,6 @@ from .cleanup import RejectionReport, distortion_gate, reject_outliers
 from .factorization import (
     MeasurementMatrix,
     ProjectiveReconstruction,
-    build_measurement_matrix,
     projective_factorize,
 )
 from .kruppa import solve_kruppa_focal
@@ -29,7 +28,6 @@ __all__ = [
     "ProjectiveReconstruction",
     "RejectionReport",
     "UpgradeResult",
-    "build_measurement_matrix",
     "bundle_adjust",
     "calibrate",
     "distortion_gate",

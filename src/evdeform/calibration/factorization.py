@@ -2,12 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from ..errors import InsufficientCorrespondences, SingularConfiguration
-from ..extraction import CorrespondingPoint, correspondence_arrays
 from ..geometry import (
     FundamentalPair,
     estimate_fundamental_weighted,
@@ -49,10 +48,6 @@ class MeasurementMatrix:
         return self.pixels.shape[0]
 
     @property
-    def num_points(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
     def full_visibility_columns(self) -> Array:
         return np.flatnonzero(self.visibility.all(axis=0))
 
@@ -63,26 +58,6 @@ class MeasurementMatrix:
         scaled = hom * self.scales[:, cols, None]
         m, k, _ = scaled.shape
         return scaled.transpose(0, 2, 1).reshape(3 * m, k)
-
-
-def build_measurement_matrix(
-    points: Sequence[CorrespondingPoint],
-    camera_ids: Sequence[int],
-) -> MeasurementMatrix:
-    """Assemble pixels and a visibility mask; all scales start at 1."""
-    pixels, vis = correspondence_arrays(points, camera_ids)
-    m, n = vis.shape
-    multi = (vis.sum(axis=0) >= 2).sum()
-    full = int(vis.all(axis=0).sum())
-    if multi < 8:
-        raise InsufficientCorrespondences(
-            f"need at least 8 points seen by two or more cameras, got {multi}"
-        )
-    if full < 8:
-        raise InsufficientCorrespondences(
-            f"need at least 8 points visible in all {m} cameras, got {full}"
-        )
-    return MeasurementMatrix(pixels, np.ones((m, n)), vis)
 
 
 @dataclass

@@ -27,7 +27,7 @@ from ..errors import (
     NegativeFocalSquared,
     NoModel,
 )
-from ..extraction import CorrespondingPoint, correspondence_arrays
+from ..extraction import Correspondences
 from ..geometry import (
     CameraIntrinsics,
     CameraPose,
@@ -89,7 +89,7 @@ class CalibrationResult:
     poses: tuple[CameraPose, ...]  # relative to the reference camera
     reference_camera: int
     inlier_indices: Array
-    inliers: tuple[CorrespondingPoint, ...]
+    inliers: Correspondences  # the groups of points3d's columns
     points3d: Array  # (3, n_inliers), internal (scale-free) units
     mean_reprojection: dict[int, float]
     std_reprojection: dict[int, float]
@@ -142,16 +142,17 @@ def _warn_planar() -> None:
 
 
 def calibrate(
-    points: Sequence[CorrespondingPoint], config: CalibrationConfig = CalibrationConfig()
+    points: Correspondences, config: CalibrationConfig = CalibrationConfig()
 ) -> CalibrationResult:
     """Recover intrinsics, distortion and relative poses from matched centers.
 
+    The cameras are those that see at least one group, in camera id order.
     Raises InsufficientCorrespondences up front and CalibrationFailed (with
     the result attached) when the worst camera's mean reprojection error
     stays above the target.
     """
-    points = list(points)
-    camera_ids = sorted({obs.camera_id for cp in points for obs in cp.observations})
+    rows = sorted(np.flatnonzero(points.visibility.any(axis=1)), key=lambda i: points.camera_ids[i])
+    camera_ids = [points.camera_ids[i] for i in rows]
     m = len(camera_ids)
     if m < 2:
         raise InsufficientCorrespondences(f"need at least 2 cameras, got {m}")
@@ -160,7 +161,7 @@ def calibrate(
         raise InsufficientCorrespondences(f"reference camera {reference} unseen in the data")
     ref_row = camera_ids.index(reference)
 
-    raw, vis = correspondence_arrays(points, camera_ids)
+    raw, vis = points.pixels[rows], points.visibility[rows]
     n = len(points)
     full_vis = int(vis.all(axis=0).sum())
     if full_vis < config.min_full_visibility:
@@ -313,7 +314,7 @@ def calibrate(
         poses=tuple(poses),
         reference_camera=reference,
         inlier_indices=active.copy(),
-        inliers=tuple(points[j] for j in active),
+        inliers=points.take(active),
         points3d=points3d,
         mean_reprojection={camera_ids[i]: means[i] for i in range(m)},
         std_reprojection={camera_ids[i]: stds[i] for i in range(m)},

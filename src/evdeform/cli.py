@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 import time
 from dataclasses import fields, replace
@@ -36,7 +37,9 @@ from .errors import (
     ParseError,
     StreamTooShort,
     UnknownCamera,
+    document_fields,
     read_json,
+    read_object,
 )
 from .extraction import (
     calibration_profile,
@@ -121,25 +124,29 @@ def cmd_simulate(args) -> int:
 
 def _load_streams(streams_dir: Path, fmt: str | None):
     meta_path = streams_dir / "streams.json"
-    streams = []
     if meta_path.exists():
-        meta = read_json(meta_path, ParseError)
-        fmt = fmt or meta.get("format", "csv")
-        for cam in meta["cameras"]:
-            stream, _ = read_stream(
-                streams_dir / cam["file"],
-                fmt,
-                sensor=(cam["width"], cam["height"]),
-                camera_id=cam["camera_id"],
-            )
-            streams.append(stream)
-    else:
-        fmt = fmt or "binary"
-        suffix = ".csv" if fmt == "csv" else ".bin"
-        for i, path in enumerate(sorted(streams_dir.glob(f"events_cam*{suffix}"))):
-            cam_id = int(path.stem.replace("events_cam", ""))
-            stream, _ = read_stream(path, fmt, sensor=(1280, 720), camera_id=cam_id)
-            streams.append(stream)
+        meta = read_object(meta_path, ParseError)
+        with document_fields(meta_path, ParseError):
+            fmt = fmt or meta.get("format", "csv")
+            if fmt not in ("csv", "binary"):
+                raise ValueError(f"format {fmt!r} is neither 'csv' nor 'binary'")
+            cameras = [
+                (streams_dir / cam["file"],
+                 (operator.index(cam["width"]), operator.index(cam["height"])),
+                 operator.index(cam["camera_id"]))
+                for cam in meta["cameras"]
+            ]
+        return [
+            read_stream(path, fmt, sensor=sensor, camera_id=cid)[0]
+            for path, sensor, cid in cameras
+        ]
+    fmt = fmt or "binary"
+    suffix = ".csv" if fmt == "csv" else ".bin"
+    streams = []
+    for path in sorted(streams_dir.glob(f"events_cam*{suffix}")):
+        cam_id = int(path.stem.replace("events_cam", ""))
+        stream, _ = read_stream(path, fmt, sensor=(1280, 720), camera_id=cam_id)
+        streams.append(stream)
     return streams
 
 
@@ -189,11 +196,26 @@ def _extracted_sensor(obs_dir: Path) -> tuple[int, int] | None:
     path = obs_dir / "extraction.json"
     if not path.exists():
         return None
-    cameras = read_json(path, ParseError)["cameras"].values()
-    sizes = {(c["width"], c["height"]) for c in cameras if "width" in c and "height" in c}
+    doc = read_object(path, ParseError)
+    with document_fields(path, ParseError):
+        sizes = {
+            (operator.index(c["width"]), operator.index(c["height"]))
+            for c in doc["cameras"].values()
+            if "width" in c and "height" in c
+        }
     if len(sizes) > 1:
         raise ConfigError(f"{path}: cameras differ in sensor size {sorted(sizes)}")
     return sizes.pop() if sizes else None
+
+
+def _match_files(files: list[Path], t_th: float):
+    """Groups matched over observation files that each hold one camera."""
+    tables = [read_observations(f) for f in files]
+    ids = [t.camera_id for t in tables]
+    if len(set(ids)) < len(ids):
+        raise ParseError(f"{files[0].parent}: a camera id repeats across the observation "
+                         f"files (camera ids {ids})")
+    return match_corresponding(tables, t_th)
 
 
 def cmd_calibrate(args) -> int:
@@ -203,8 +225,7 @@ def cmd_calibrate(args) -> int:
     if len(files) < 2:
         print(f"need observations from >= 2 cameras in {obs_dir}", file=sys.stderr)
         return EXIT_USAGE
-    sequences = [read_observations(f) for f in files]
-    groups = match_corresponding(sequences, t_th=args.t_th_us)
+    groups = _match_files(files, args.t_th_us)
     config = CalibrationConfig(seed=args.seed if args.seed is not None else 0)
     sensor = _extracted_sensor(obs_dir)
     if sensor is not None:
@@ -263,8 +284,7 @@ def cmd_measure(args) -> int:
     if not files:
         print(f"no observations in {obs_dir}", file=sys.stderr)
         return EXIT_USAGE
-    sequences = [read_observations(f) for f in files]
-    groups = match_corresponding(sequences, t_th=args.t_th_us)
+    groups = _match_files(files, args.t_th_us)
     anchor = _parse_anchor(args.anchor)
     if anchor is not None:
         a, b, dist_mm = anchor

@@ -4,7 +4,9 @@ Triangulation works on whole arrays of samples: each camera's pixels are
 undistorted in one call, every sample is intersected linearly over the rays
 of the cameras that see it (geometry.triangulate_linear, shared with
 calibration), and one batched Gauss-Newton step refines the points on the
-reprojection error. Positions come out in the reference camera's frame,
+reprojection error. measure_deformation takes the pixel and visibility rows
+of a Correspondences table in the rig's camera order and times each sample
+by its group's mean_t. Positions come out in the reference camera's frame,
 multiplied by the rig's metric scale when one has been anchored.
 """
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySeries, UnknownCamera, ZeroObservedDistance
-from .extraction import CorrespondingPoint, correspondence_arrays
+from .extraction import Correspondences
 from .geometry import (
     CameraIntrinsics,
     CameraPose,
@@ -120,10 +122,10 @@ def triangulate(
     """Intersect the undistorted rays of n samples at once.
 
     pixels: (m, n, 2) distorted pixels, visibility: (m, n), rows in the rig's
-    camera order (see extraction.correspondence_arrays). Each sample is the
-    linear intersection of its rays refined by one Gauss-Newton step on the
-    pixel reprojection error. Returns positions (n, 3), RMS residuals (n,)
-    in pixels, camera counts (n,) and an ok mask (n,). A sample is not ok
+    camera order. Each sample is the linear intersection of its rays refined
+    by one Gauss-Newton step on the pixel reprojection error. Returns
+    positions (n, 3), RMS residuals (n,) in pixels, camera counts (n,) and
+    an ok mask (n,). A sample is not ok
     when fewer than two cameras see it, its rays are near parallel
     (condition number of the normal system above 1e12), it intersects at
     infinity, or it lies behind a camera that sees it; its position is then
@@ -252,24 +254,30 @@ class DeformationSeries:
 
 def measure_deformation(
     rig: RigCalibration,
-    matched: Sequence[CorrespondingPoint],
+    matched: Correspondences,
     config: MeasureConfig = MeasureConfig(),
 ) -> DeformationSeries:
-    """Triangulate a matched sequence into a deformation time series.
+    """Triangulate matched groups into a deformation time series.
 
-    Samples that do not triangulate, whose RMS reprojection residual exceeds
-    the threshold, or whose time does not exceed the last kept sample's are
-    dropped (counted). Raises UnknownCamera for an observation from a camera
-    outside the rig and EmptySeries when nothing survives.
+    Each group is one sample at its mean center time. Samples that do not
+    triangulate, whose RMS reprojection residual exceeds the threshold, or
+    whose time does not exceed the last kept sample's are dropped (counted).
+    Raises UnknownCamera when a camera outside the rig sees a group and
+    EmptySeries when nothing survives.
     """
-    matched = list(matched)
-    unknown = {o.camera_id for cp in matched for o in cp.observations} - set(rig.camera_ids)
+    rows = {cid: i for i, cid in enumerate(matched.camera_ids)}
+    seeing = {cid for cid, i in rows.items() if matched.visibility[i].any()}
+    unknown = seeing - set(rig.camera_ids)
     if unknown:
         raise UnknownCamera(f"camera(s) {sorted(unknown)} not in rig")
-    positions, residuals, counts, ok = triangulate(
-        rig, *correspondence_arrays(matched, rig.camera_ids)
-    )
-    t = np.array([cp.mean_t for cp in matched])
+    # the rig's cameras in its order; one without a row sees nothing
+    pixels = np.zeros((len(rig.camera_ids), len(matched), 2))
+    visibility = np.zeros((len(rig.camera_ids), len(matched)), dtype=bool)
+    for i, cid in enumerate(rig.camera_ids):
+        if cid in rows:
+            pixels[i], visibility[i] = matched.pixels[rows[cid]], matched.visibility[rows[cid]]
+    positions, residuals, counts, ok = triangulate(rig, pixels, visibility)
+    t = matched.mean_t
     passed = np.flatnonzero(ok & (residuals <= config.residual_threshold_px))
     # kept times strictly increase, so the last kept time is the running max
     # over every earlier sample that passed

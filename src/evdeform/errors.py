@@ -44,10 +44,6 @@ class BoundsError(EvdeformError):
 
 # marker extraction
 
-class EmptyCluster(EvdeformError):
-    """Cluster statistics requested for an empty event set."""
-
-
 class StreamTooShort(EvdeformError):
     """Fewer accepted events than one accumulation window."""
 
@@ -133,11 +129,17 @@ def read_json(path, error: type[EvdeformError]):
         raise error(f"{path}: invalid JSON: {exc}") from None
 
 
-def read_document(path, error: type[EvdeformError], fmt: str) -> dict:
-    """Parse a JSON document that must be an object whose "format" is fmt."""
+def read_object(path, error: type[EvdeformError]) -> dict:
+    """Parse a JSON file that must hold an object."""
     doc = read_json(path, error)
     if not isinstance(doc, dict):
         raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def read_document(path, error: type[EvdeformError], fmt: str) -> dict:
+    """Parse a JSON document that must be an object whose "format" is fmt."""
+    doc = read_object(path, error)
     if doc.get("format") != fmt:
         raise error(f"{path}: field 'format' is {doc.get('format')!r}, expected {fmt!r}")
     return doc

@@ -309,38 +309,3 @@ def _read_binary(path: Path):
         records["p"].astype(bool),
     )
 
-
-def slice_by_time(stream: EventStream, t0: int, t1: int) -> EventStream:
-    """Events with t0 <= t < t1, order preserved."""
-    if t0 > t1:
-        raise ValueError(f"t0 ({t0}) must not exceed t1 ({t1})")
-    lo = int(np.searchsorted(stream.t, t0, side="left"))
-    hi = int(np.searchsorted(stream.t, t1, side="left"))
-    return EventStream(
-        stream.camera_id,
-        stream.width,
-        stream.height,
-        stream.t[lo:hi],
-        stream.x[lo:hi],
-        stream.y[lo:hi],
-        stream.polarity[lo:hi],
-    )
-
-
-def concat_streams(parts: list[EventStream]) -> EventStream:
-    """Concatenate consecutive slices of one camera back into a stream."""
-    if not parts:
-        raise ValueError("nothing to concatenate")
-    first = parts[0]
-    for p in parts[1:]:
-        if p.camera_id != first.camera_id or p.sensor != first.sensor:
-            raise ValueError("streams belong to different cameras")
-    return EventStream(
-        first.camera_id,
-        first.width,
-        first.height,
-        np.concatenate([p.t for p in parts]),
-        np.concatenate([p.x for p in parts]),
-        np.concatenate([p.y for p in parts]),
-        np.concatenate([p.polarity for p in parts]),
-    )

@@ -1,23 +1,20 @@
 """Marker-center extraction from event streams and multi-camera matching.
 
 Events are accumulated in fixed-count windows; each window's centroid,
-covariance and mean timestamp form one center observation. Observations
-from different cameras are grouped into corresponding points by timestamp
-proximity, and correspondence_arrays lays the groups out as the pixel and
-visibility arrays that calibration and triangulation work on.
+covariance and mean timestamp form one row of the camera's Centers table.
+match_corresponding groups rows of different cameras by timestamp
+proximity into one Correspondences table, whose pixel and visibility
+arrays calibration and triangulation read directly.
 """
 from __future__ import annotations
 
-import csv
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyCluster, StreamTooShort
+from .errors import ParseError, StreamTooShort
 from .events import EventStream
 
 # A window of at least this many events gates on its own running mean.
@@ -33,72 +30,115 @@ _CHUNK_EVENTS = 4096
 _CHUNK_ROUNDS = 4
 
 
-@dataclass(frozen=True)
-class EventCluster:
-    """Accumulated event group: Gaussian mean, covariance, count, mean time."""
-
-    centroid: np.ndarray
-    covariance: np.ndarray
-    count: int
-    t_c: float
-    t_min: int = 0
-    t_max: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "centroid", np.asarray(self.centroid, dtype=float).reshape(2))
-        object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float).reshape(2, 2))
-        if self.count < 1:
-            raise EmptyCluster("cluster must hold at least one event")
-        _require_psd(self.covariance[None])
-
-    @classmethod
-    def _trusted(cls, **fields) -> EventCluster:
-        """A cluster from fields already of the right types, shapes and checks."""
-        cluster = object.__new__(cls)
-        cluster.__dict__.update(fields)
-        return cluster
-
-
-def _require_psd(covariances: np.ndarray) -> None:
-    """Raise ValueError unless every 2x2 covariance in the stack is PSD."""
+def _non_psd(covariances: np.ndarray) -> np.ndarray:
+    """Positions in the stack of the 2x2 covariances that are not PSD."""
     eigs = np.linalg.eigvalsh(covariances)  # ascending
-    if np.any(eigs[:, 0] < -1e-9 * np.maximum(eigs[:, -1], 1.0)):
-        raise ValueError("covariance is not positive semidefinite")
+    return np.flatnonzero(eigs[:, 0] < -1e-9 * np.maximum(eigs[:, -1], 1.0))
 
 
 @dataclass(frozen=True)
 class CenterObservation:
-    """One extracted marker center in one camera."""
+    """One marker center in one camera: a read-only row of Centers."""
 
     camera_id: int
     pixel: np.ndarray
     t_c: float
-    cluster: EventCluster
 
-    def __post_init__(self):
-        object.__setattr__(self, "pixel", np.asarray(self.pixel, dtype=float).reshape(2))
+
+@dataclass(frozen=True)
+class Centers:
+    """The marker centers of one camera, one row per window, in time order.
+
+    t_c (k,) holds the window mean times, pixel (k, 2) the centroids,
+    covariance (k, 2, 2) the population covariances of the event
+    coordinates, count (k,) the events per window and t_min, t_max (k,) the
+    first and last event times.
+    """
+
+    camera_id: int
+    t_c: np.ndarray
+    pixel: np.ndarray
+    covariance: np.ndarray
+    count: np.ndarray
+    t_min: np.ndarray
+    t_max: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t_c)
+
+    def __getitem__(self, i: int) -> CenterObservation:
+        return CenterObservation(self.camera_id, self.pixel[i], float(self.t_c[i]))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
 class CorrespondingPoint:
-    """Center observations of the same blink matched across cameras."""
+    """One matched group: a read-only column of Correspondences."""
 
     observations: tuple[CenterObservation, ...]
     match_time_spread: float
 
+
+@dataclass(frozen=True)
+class Correspondences:
+    """Centers of the same blinks matched across m cameras, one column per group.
+
+    Row i belongs to camera camera_ids[i]. index (m, n) holds each member's
+    row in its camera's Centers, -1 where the camera does not see the group;
+    pixels (m, n, 2) and t_c (m, n) hold the members' centroids and times,
+    zero where unseen. mean_t (n,) is the mean of each group's member times,
+    summed in row order, and spread (n,) their range.
+    """
+
+    camera_ids: tuple[int, ...]
+    index: np.ndarray
+    pixels: np.ndarray
+    t_c: np.ndarray
+    mean_t: np.ndarray
+    spread: np.ndarray
+
+    @classmethod
+    def from_members(cls, camera_ids, index, pixels, t_c) -> Correspondences:
+        """Groups from their members' rows, pixels and times; entries where
+        index is -1 are ignored."""
+        index = np.asarray(index, dtype=np.int64)
+        seen = index >= 0
+        pixels = np.where(seen[..., None], pixels, 0.0)
+        t_c = np.where(seen, t_c, 0.0)
+        total = np.zeros(index.shape[1])
+        for row in t_c:
+            total += row
+        first = np.where(seen, t_c, np.inf).min(axis=0, initial=np.inf)
+        last = np.where(seen, t_c, -np.inf).max(axis=0, initial=-np.inf)
+        return cls(tuple(camera_ids), index, pixels, t_c, total / seen.sum(axis=0), last - first)
+
     @property
-    def camera_ids(self) -> tuple[int, ...]:
-        return tuple(o.camera_id for o in self.observations)
+    def visibility(self) -> np.ndarray:
+        return self.index >= 0
 
-    @cached_property
-    def mean_t(self) -> float:
-        return float(np.mean([o.t_c for o in self.observations]))
+    def __len__(self) -> int:
+        return self.index.shape[1]
 
-    def pixel(self, camera_id: int) -> np.ndarray:
-        for o in self.observations:
-            if o.camera_id == camera_id:
-                return o.pixel
-        raise KeyError(f"camera {camera_id} not in this corresponding point")
+    def take(self, columns) -> Correspondences:
+        """The groups at the given columns, in that order."""
+        return Correspondences(
+            self.camera_ids, self.index[:, columns], self.pixels[:, columns],
+            self.t_c[:, columns], self.mean_t[columns], self.spread[columns],
+        )
+
+    def __getitem__(self, j: int) -> CorrespondingPoint:
+        return CorrespondingPoint(
+            tuple(
+                CenterObservation(self.camera_ids[i], self.pixels[i, j], float(self.t_c[i, j]))
+                for i in np.flatnonzero(self.index[:, j] >= 0)
+            ),
+            float(self.spread[j]),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -214,24 +254,18 @@ def estimate_burst_size(
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    observations: tuple[CenterObservation, ...]
+    observations: Centers
     noise_count: int
     partial_discards: int
     n: int
-
-    def __iter__(self):
-        return iter(self.observations)
-
-    def __len__(self):
-        return len(self.observations)
 
 
 def extraction_diagnostics(result: ExtractionResult, sensor: tuple[int, int]) -> dict:
     """Window time spread (t_max - t_min) and the share of the sensor area
     the bounding box of the centers covers."""
-    spread = np.array([o.cluster.t_max - o.cluster.t_min for o in result.observations])
-    pixels = np.array([o.pixel for o in result.observations])
-    width, height = pixels.max(axis=0) - pixels.min(axis=0)
+    centers = result.observations
+    spread = centers.t_max - centers.t_min
+    width, height = centers.pixel.max(axis=0) - centers.pixel.min(axis=0)
     return {
         "window_spread_us_median": float(np.median(spread)),
         "window_spread_us_max": int(spread.max()),
@@ -262,31 +296,6 @@ def choose_accumulation_count(
     blur_cap = event_rate * blur_budget / max(marker_speed, 1e-12)
     n = min(n, int(blur_cap))
     return int(np.clip(n, n_min, n_max))
-
-
-def accumulate_cluster(events: EventStream) -> EventCluster:
-    """Centroid, population covariance and mean timestamp of an event group."""
-    if len(events) == 0:
-        raise EmptyCluster("no events to accumulate")
-    xs = events.x.astype(float)
-    ys = events.y.astype(float)
-    ts = events.t
-    n = len(xs)
-    mx, my = xs.mean(), ys.mean()
-    cov = np.array(
-        [
-            [np.mean((xs - mx) ** 2), np.mean((xs - mx) * (ys - my))],
-            [np.mean((xs - mx) * (ys - my)), np.mean((ys - my) ** 2)],
-        ]
-    )
-    return EventCluster(
-        centroid=np.array([mx, my]),
-        covariance=cov,
-        count=n,
-        t_c=float(ts.mean(dtype=np.float64)),
-        t_min=int(ts.min()),
-        t_max=int(ts.max()),
-    )
 
 
 def _resolve_n(stream: EventStream, config: ExtractionConfig) -> int:
@@ -355,8 +364,8 @@ def extract_center_sequence(stream: EventStream, config: ExtractionConfig) -> Ex
             f"only {len(accepted)} events passed the spatial gate, window needs {n}"
         )
     members = accepted[firsts[:, None] + np.arange(n)]  # each window's event indices
-    observations = _observations(stream.camera_id, ts, xs, ys, members)
-    return ExtractionResult(observations, total - len(accepted), partial, n)
+    centers = _centers(stream.camera_id, ts, xs, ys, members)
+    return ExtractionResult(centers, total - len(accepted), partial, n)
 
 
 @dataclass(frozen=True)
@@ -478,8 +487,8 @@ def _gate_chunk(ts, xs, ys, guess, carry: _Carry, n: int, gate2: float, gap: flo
     return decided, end, np.flatnonzero(count == n), int(discarded.sum())
 
 
-def _observations(camera_id: int, ts, xs, ys, members) -> tuple[CenterObservation, ...]:
-    """One observation per window; row i of members holds window i's event indices.
+def _centers(camera_id: int, ts, xs, ys, members) -> Centers:
+    """One row per window; row i of members holds window i's event indices.
 
     Sums run along each row in event order, as the windows were filled, so
     they round as sequential sums do.
@@ -498,120 +507,73 @@ def _observations(camera_id: int, ts, xs, ys, members) -> tuple[CenterObservatio
     del wx, wy
     for i in (0, 1):
         cov[:, i, i] = np.where(cov[:, i, i] < 0.0, 0.0, cov[:, i, i])
-    _require_psd(cov)
-    t_c = _NUDGE_TIES.accumulate(mean(ts[members]), dtype=object)
-    t_min = ts[members[:, 0]].astype(np.int64)
-    t_max = ts[members[:, -1]].astype(np.int64)
-    centroids = np.stack([mx, my], axis=1)
-    return tuple(
-        CenterObservation(
-            camera_id,
-            c,
-            float(t),
-            EventCluster._trusted(
-                centroid=c, covariance=v, count=n, t_c=float(t), t_min=int(lo), t_max=int(hi)
-            ),
-        )
-        for c, v, t, lo, hi in zip(centroids, cov, t_c, t_min, t_max)
+    if len(_non_psd(cov)):
+        raise ValueError("covariance is not positive semidefinite")
+    t_c = _NUDGE_TIES.accumulate(mean(ts[members]), dtype=object).astype(np.float64)
+    return Centers(
+        camera_id, t_c, np.stack([mx, my], axis=1), cov, np.full(len(members), n),
+        ts[members[:, 0]].astype(np.int64), ts[members[:, -1]].astype(np.int64),
     )
 
 
-def match_corresponding(
-    sequences: Sequence[Sequence[CenterObservation]], t_th: float
-) -> list[CorrespondingPoint]:
-    """Greedy chronological grouping of observations within t_th of each other.
+def match_corresponding(sequences: Sequence[Centers], t_th: float) -> Correspondences:
+    """Greedy chronological grouping of centers within t_th of each other.
 
-    Each observation is used at most once; groups keep only members whose
-    pairwise time spread is within t_th; groups spanning fewer than two
-    cameras are dropped. The result does not depend on the order in which
-    the camera sequences are passed.
+    The earliest center not yet used anchors a group, the lowest camera id
+    first on a tie. Every other camera adds the unused center closest to
+    the anchor within t_th; while the members' time spread exceeds t_th the
+    one farthest from the anchor (the lowest camera id on a tie) leaves the
+    group and stays unused. The anchor and the remaining members are then
+    used, and a group of fewer than two cameras is dropped. Groups come out
+    sorted by mean_t, and the result does not depend on the order in which
+    the camera tables are passed. Center times must be finite.
+
+    Every center earlier than the anchor has been an anchor itself, so each
+    camera's used centers are a prefix of its table, and the unused center
+    closest to the anchor is the first unused one: one read position per
+    camera stands in for a search.
     """
     if t_th <= 0:
         raise ValueError("t_th must be positive")
-    cams: list[tuple[int, list[CenterObservation], list[float]]] = []
-    for seq in sequences:
-        seq = list(seq)
-        if not seq:
-            continue
-        tcs = [o.t_c for o in seq]
-        if any(b < a for a, b in zip(tcs, tcs[1:])):
-            raise ValueError("observation sequences must be sorted by t_c")
-        cams.append((seq[0].camera_id, seq, tcs))
-    cams.sort(key=lambda c: c[0])
-
-    used = [np.zeros(len(seq), dtype=bool) for _, seq, _ in cams]
-    order = sorted(
-        (obs.t_c, cam_pos, idx)
-        for cam_pos, (_, seq, _) in enumerate(cams)
-        for idx, obs in enumerate(seq)
-    )
-
-    groups: list[CorrespondingPoint] = []
-    for t_anchor, cam_pos, idx in order:
-        if used[cam_pos][idx]:
-            continue
-        members = [(cam_pos, idx)]
-        for other_pos, (_, seq, tcs) in enumerate(cams):
-            if other_pos == cam_pos:
-                continue
-            j = _closest_unused(tcs, used[other_pos], t_anchor, t_th)
-            if j is not None:
-                members.append((other_pos, j))
-        # enforce the pairwise spread, never dropping the anchor
-        while len(members) > 1:
-            times = [cams[cp][2][i] for cp, i in members]
-            spread = max(times) - min(times)
-            if spread <= t_th:
-                break
-            worst = max(
-                (m for m in members if m != (cam_pos, idx)),
-                key=lambda m: abs(cams[m[0]][2][m[1]] - t_anchor),
-            )
-            members.remove(worst)
-        for cp, i in members:
-            used[cp][i] = True
-        if len(members) >= 2:
-            obs = tuple(
-                sorted((cams[cp][1][i] for cp, i in members), key=lambda o: o.camera_id)
-            )
-            times = [o.t_c for o in obs]
-            groups.append(CorrespondingPoint(obs, max(times) - min(times)))
-    groups.sort(key=lambda g: g.mean_t)
-    return groups
-
-
-def correspondence_arrays(
-    points: Sequence[CorrespondingPoint], camera_ids: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pixels (m, n, 2) and visibility (m, n) of n groups over m cameras.
-
-    Row i holds camera camera_ids[i]; pixels a camera does not see are zero,
-    and observations from cameras outside camera_ids are ignored.
-    """
-    row = {cid: i for i, cid in enumerate(camera_ids)}
-    pixels = np.zeros((len(camera_ids), len(points), 2))
-    visibility = np.zeros((len(camera_ids), len(points)), dtype=bool)
-    for j, cp in enumerate(points):
-        for obs in cp.observations:
-            i = row.get(obs.camera_id)
-            if i is not None:
-                pixels[i, j] = obs.pixel
-                visibility[i, j] = True
-    return pixels, visibility
-
-
-def _closest_unused(tcs: list[float], used: np.ndarray, t: float, t_th: float) -> int | None:
-    lo = bisect_left(tcs, t - t_th)
-    best = None
-    best_d = None
-    j = lo
-    while j < len(tcs) and tcs[j] <= t + t_th:
-        if not used[j]:
-            d = abs(tcs[j] - t)
-            if best_d is None or d < best_d:
-                best, best_d = j, d
-        j += 1
-    return best
+    tables = sorted((s for s in sequences if len(s)), key=lambda s: s.camera_id)
+    ids = [s.camera_id for s in tables]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"more than one center table per camera among {ids}")
+    if any(np.any(np.diff(s.t_c) < 0) for s in tables):
+        raise ValueError("observation sequences must be sorted by t_c")
+    times = [s.t_c.tolist() + [np.inf] for s in tables]  # past the last center: inf
+    cameras = range(len(tables))
+    head = [0] * len(tables)  # each camera's first unused center
+    cam, col, row = [], [], []  # one entry per group member
+    groups = 0
+    while tables:
+        anchor = min(cameras, key=lambda c: times[c][head[c]])
+        t = times[anchor][head[anchor]]
+        if t == np.inf:
+            break
+        near = [c for c in cameras if c != anchor and times[c][head[c]] <= t + t_th]
+        gaps = [times[c][head[c]] - t for c in near]
+        while gaps and max(gaps) > t_th:
+            worst = gaps.index(max(gaps))
+            del near[worst], gaps[worst]
+        members = [anchor, *near]
+        if near:
+            cam += members
+            col += [groups] * len(members)
+            row += [head[c] for c in members]
+            groups += 1
+        for c in members:
+            head[c] += 1
+    index = np.full((len(tables), groups), -1, dtype=np.int64)
+    index[cam, col] = row
+    pixels = np.zeros((len(tables), groups, 2))
+    t_c = np.zeros((len(tables), groups))
+    for c, table in enumerate(tables):
+        seen = index[c] >= 0
+        pixels[c, seen] = table.pixel[index[c, seen]]
+        t_c[c, seen] = table.t_c[index[c, seen]]
+    found = Correspondences.from_members(ids, index, pixels, t_c)
+    return found.take(np.argsort(found.mean_t, kind="stable"))
 
 
 # ---------------------------------------------------------------------------
@@ -619,38 +581,85 @@ def _closest_unused(tcs: list[float], used: np.ndarray, t: float, t_th: float) -
 # ---------------------------------------------------------------------------
 
 OBSERVATION_HEADER = "camera_id,t_us,x,y,n,sxx,syy,sxy"
+_INTEGER_FIELDS = ("camera_id", "t_us", "n")
 
 
-def write_observations(path, observations: Sequence[CenterObservation]) -> None:
-    lines = [OBSERVATION_HEADER]
-    for o in observations:
-        c = o.cluster
-        lines.append(
-            f"{o.camera_id},{int(round(o.t_c))},{float(o.pixel[0])!r},{float(o.pixel[1])!r},"
-            f"{c.count},{float(c.covariance[0, 0])!r},{float(c.covariance[1, 1])!r},"
-            f"{float(c.covariance[0, 1])!r}"
-        )
+def write_observations(path, centers: Centers) -> None:
+    rows = zip(
+        np.rint(centers.t_c).astype(np.int64).tolist(),
+        centers.pixel.tolist(),
+        centers.count.tolist(),
+        centers.covariance.tolist(),
+    )
+    lines = [OBSERVATION_HEADER] + [
+        f"{centers.camera_id},{t},{x!r},{y!r},{n},{cov[0][0]!r},{cov[1][1]!r},{cov[0][1]!r}"
+        for t, (x, y), n, cov in rows
+    ]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_observations(path) -> list[CenterObservation]:
-    out: list[CenterObservation] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or row[0] == "camera_id":
-                continue
-            cid, t_us, x, y, n, sxx, syy, sxy = row
-            cov = np.array([[float(sxx), float(sxy)], [float(sxy), float(syy)]])
-            cluster = EventCluster(
-                centroid=np.array([float(x), float(y)]),
-                covariance=cov,
-                count=int(n),
-                t_c=float(t_us),
-                t_min=int(t_us),
-                t_max=int(t_us),
-            )
-            out.append(
-                CenterObservation(int(cid), cluster.centroid, float(t_us), cluster)
-            )
-    return out
+def read_observations(path) -> Centers:
+    """One camera's centers from an observation CSV.
+
+    Line 1 may be a header whose first field is camera_id, and blank lines
+    are skipped. Every other line holds the eight fields of the header:
+    integers camera_id, t_us and n, and finite numbers x, y, sxx, syy and
+    sxy. Each row must name the first row's camera, t_us must not decrease,
+    n must be at least 1 and the covariance positive semidefinite. Anything
+    else raises ParseError naming path:line.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    numbers, rows = [], []
+    for number, line in enumerate(lines, start=1):
+        fields = line.split(",")
+        if line.strip() and not (number == 1 and fields[0] == "camera_id"):
+            numbers.append(number)
+            rows.append(fields)
+    if not rows:
+        raise ParseError(f"{path}: no observations")
+
+    def reject(bad, reason):
+        if len(bad):
+            raise ParseError(f"{path}:{numbers[bad[0]]}: {reason(bad[0])}")
+
+    names = OBSERVATION_HEADER.split(",")
+    widths = np.array([len(r) for r in rows])
+    reject(np.flatnonzero(widths != len(names)),
+           lambda i: f"expected {len(names)} fields, got {widths[i]}")
+    text = np.array(rows, dtype=str)
+    columns = {}
+    for k, name in enumerate(names):
+        dtype = np.int64 if name in _INTEGER_FIELDS else np.float64
+        try:
+            columns[name] = text[:, k].astype(dtype)
+        except (ValueError, OverflowError):
+            kind = "an integer" if dtype is np.int64 else "a number"
+            reject([next(i for i, v in enumerate(text[:, k]) if not _parses(v, dtype))],
+                   lambda i: f"{name} {rows[i][k]!r} is not {kind}")
+        reject(np.flatnonzero(~np.isfinite(columns[name])),
+               lambda i: f"{name} {rows[i][k]!r} is not finite")
+    camera, t_us, n = columns["camera_id"], columns["t_us"], columns["n"]
+    reject(np.flatnonzero(camera != camera[0]),
+           lambda i: f"camera_id {camera[i]} differs from the first row's {camera[0]}")
+    reject(np.flatnonzero(np.diff(t_us) < 0) + 1,
+           lambda i: f"t_us {t_us[i]} is earlier than the previous row's {t_us[i - 1]}")
+    reject(np.flatnonzero(n < 1), lambda i: f"n {n[i]} is below 1")
+    cov = np.stack(
+        [columns["sxx"], columns["sxy"], columns["sxy"], columns["syy"]], axis=1
+    ).reshape(-1, 2, 2)
+    reject(_non_psd(cov), lambda i: "covariance (sxx, syy, sxy) is not positive semidefinite")
+    return Centers(
+        int(camera[0]), t_us.astype(np.float64), np.stack([columns["x"], columns["y"]], axis=1),
+        cov, n, t_us, t_us,
+    )
+
+
+def _parses(text: str, dtype) -> bool:
+    try:
+        np.array([text]).astype(dtype)
+    except (ValueError, OverflowError):
+        return False
+    return True

@@ -145,9 +145,6 @@ class GroundTruth:
     in_view: Array  # (m, T) bool
     labels: list[Array]  # per camera, aligned with the stream events
 
-    def marker_counts(self) -> list[int]:
-        return [int(np.sum(lbl == MARKER_LABEL)) for lbl in self.labels]
-
 
 @dataclass
 class SimulationResult:

@@ -23,9 +23,8 @@ from .deformation import (
     triangulate,
 )
 from .extraction import (
-    CenterObservation,
-    CorrespondingPoint,
-    EventCluster,
+    Centers,
+    Correspondences,
     ExtractionConfig,
     estimate_burst_size,
     extract_center_sequence,
@@ -76,25 +75,25 @@ def _fig(x) -> float:
 
 def truth_correspondences(
     config: ScenarioConfig, n_points: int, noise_px: float, seed: int
-) -> list[CorrespondingPoint]:
-    """Corresponding points built from exact projections of the scenario's
-    trajectory at blink transitions, with optional Gaussian pixel noise."""
+) -> Correspondences:
+    """Groups built from exact projections of the scenario's trajectory at
+    blink transitions, with optional Gaussian pixel noise drawn point by
+    point, camera by camera."""
     t_us, _ = blink_schedule(config)
     step = max(1, len(t_us) // n_points)
     t_sel = t_us[::step][:n_points]
     rng = np.random.default_rng(seed)
-    groups = []
-    for t in t_sel:
+    pixels = np.zeros((len(config.cameras), len(t_sel), 2))
+    for j, t in enumerate(t_sel):
         p = config.trajectory.position(t * 1e-6)
-        obs = []
         for ci, (intr, pose) in enumerate(config.cameras):
-            px = project_pinhole(intr, pose, p.reshape(1, 3))[0]
+            pixels[ci, j] = project_pinhole(intr, pose, p.reshape(1, 3))[0]
             if noise_px > 0:
-                px = px + rng.normal(0.0, noise_px, 2)
-            cluster = EventCluster(px, np.zeros((2, 2)), 1, float(t))
-            obs.append(CenterObservation(ci, px, float(t), cluster))
-        groups.append(CorrespondingPoint(tuple(obs), 0.0))
-    return groups
+                pixels[ci, j] += rng.normal(0.0, noise_px, 2)
+    index = np.broadcast_to(np.arange(len(t_sel)), pixels.shape[:2])
+    return Correspondences.from_members(
+        range(len(config.cameras)), index, pixels, np.broadcast_to(t_sel, index.shape)
+    )
 
 
 def _marker_extraction_config(stream) -> ExtractionConfig:
@@ -473,23 +472,19 @@ def _prop_matching(seed: int) -> int:
     blink_times = np.sort(rng.uniform(0, 2e6, 200))
     keep = np.concatenate([[True], np.diff(blink_times) > 4000])
     blink_times = blink_times[keep]
+    k = len(blink_times)
     sequences = []
     for cam in range(3):
-        obs = []
-        for t in blink_times:
-            tc = float(t + rng.normal(0, 3.0))
-            cluster = EventCluster(np.array([100.0 + cam, 50.0]), np.zeros((2, 2)), 5, tc)
-            obs.append(CenterObservation(cam, cluster.centroid, tc, cluster))
-        obs.sort(key=lambda o: o.t_c)
-        sequences.append(obs)
+        t_c = np.sort(blink_times + rng.normal(0, 3.0, k))
+        pixel = np.tile([100.0 + cam, 50.0], (k, 1))
+        sequences.append(
+            Centers(cam, t_c, pixel, np.zeros((k, 2, 2)), np.full(k, 5), t_c, t_c)
+        )
     groups = match_corresponding(sequences, t_th=1000.0)
     mismatches = abs(len(groups) - len(blink_times))
-    for g in groups:
-        if len(g.observations) != 3:
-            mismatches += 1
-        k = np.argmin(np.abs(blink_times - g.mean_t))
-        if abs(blink_times[k] - g.mean_t) > 500:
-            mismatches += 1
+    mismatches += int(np.sum(groups.visibility.sum(axis=0) != 3))
+    nearest = np.abs(blink_times[:, None] - groups.mean_t).min(axis=0)
+    mismatches += int(np.sum(nearest > 500))
     return mismatches
 
 

@@ -16,7 +16,7 @@ from evdeform.geometry import (
     project_pinhole,
     relative_pose,
 )
-from conftest import correspondences_from_points
+from conftest import correspondences, correspondences_from_points
 
 TABLE_CAM1 = (-0.05359, 0.33899, -0.00157, -0.00479)
 
@@ -107,20 +107,15 @@ class TestCalibrate:
             if all(cams_see):
                 pts.append(p)
         pts = np.array(pts)
-        groups = []
-        from conftest import synthetic_observation
-        from evdeform.extraction import CorrespondingPoint
-
+        pixels = np.zeros((len(poses), len(pts), 2))
         for j, p in enumerate(pts):
-            obs = []
             for ci, (intr_t, pose) in enumerate(zip(intr_true, poses)):
                 cam = pose.transform(p.reshape(1, 3))[0]
                 xy = cam[:2] / cam[2]
-                px = intr_t.pixel_from_normalized(
+                pixels[ci, j] = intr_t.pixel_from_normalized(
                     distort_normalized(intr_t, xy)
                 )
-                obs.append(synthetic_observation(ci, px, 1000.0 * j))
-            groups.append(CorrespondingPoint(tuple(obs), 0.0))
+        groups = correspondences(pixels, 1000.0 * np.arange(len(pts)))
         result = calibrate(groups, CalibrationConfig(seed=3))
         assert result.converged
         assert max(result.mean_reprojection.values()) < 1e-6
@@ -135,13 +130,10 @@ class TestCalibrate:
     def test_rejected_column_is_solved_without(self, rig_cameras):
         """An outlier RANSAC lets through is rejected after the bundle
         adjustment, which then runs once more on the kept columns."""
-        from conftest import synthetic_observation
-        from evdeform.extraction import CorrespondingPoint
-
         groups = correspondences_from_points(rig_cameras, sample_points(100))
-        obs = list(groups[17].observations)
-        obs[1] = synthetic_observation(1, obs[1].pixel + 6.0, obs[1].t_c)
-        groups[17] = CorrespondingPoint(tuple(obs), 0.0)
+        pixels = groups.pixels.copy()
+        pixels[1, 17] += 6.0
+        groups = correspondences(pixels, groups.mean_t)
         # a wide RANSAC threshold keeps the outlier in the first solve
         result = calibrate(groups, CalibrationConfig(seed=2, ransac_threshold=50.0))
         actions = result.iterations[0].actions
@@ -166,8 +158,7 @@ class TestCalibrate:
             result.intrinsics[j],
             relative_pose(result.poses[i], result.poses[j]),
         )
-        x1 = np.array([g.pixel(0) for g in result.inliers])
-        x2 = np.array([g.pixel(1) for g in result.inliers])
+        x1, x2 = result.inliers.pixels[:2]
         h1 = np.hstack([x1, np.ones((len(x1), 1))])
         h2 = np.hstack([x2, np.ones((len(x2), 1))])
         lines = h1 @ pair.fundamental.T
@@ -213,15 +204,10 @@ class TestPartialVisibility:
         rng = np.random.default_rng(15)
         pts = sample_points(90, seed=15)
         groups = correspondences_from_points(rig_cameras, pts, noise_px=0.1, rng=rng)
-        from evdeform.extraction import CorrespondingPoint
-
         # strip one camera from every third correspondence
-        mixed = []
-        for j, g in enumerate(groups):
-            if j % 3 == 0:
-                mixed.append(CorrespondingPoint(g.observations[:2], g.match_time_spread))
-            else:
-                mixed.append(g)
+        visibility = groups.visibility.copy()
+        visibility[2, ::3] = False
+        mixed = correspondences(groups.pixels, groups.mean_t, visibility)
         result = calibrate(mixed, CalibrationConfig(seed=4))
         assert result.converged
         assert len(result.inliers) > 80  # partial-visibility points retained

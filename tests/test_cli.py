@@ -183,6 +183,25 @@ class TestExtract:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "does not fit int32" in err[0]
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[1]", "expected a JSON object, got list"),
+            ('{"format": "csv"}', "missing field 'cameras'"),
+            ('{"cameras": [1]}', "malformed field"),
+            ('{"format": "xml", "cameras": []}', "malformed field: format 'xml'"),
+        ],
+        ids=["list", "no-cameras", "camera-not-object", "unknown-format"],
+    )
+    def test_malformed_streams_json_exits_2(self, tmp_path, capsys, text, named):
+        streams = tmp_path / "streams"
+        streams.mkdir()
+        (streams / "streams.json").write_text(text)
+        code = main(["extract", "--streams", str(streams), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {streams / 'streams.json'}: {named}")
+
     def test_extraction_json_records_sensor_and_diagnostics(self, observations):
         info = json.loads((observations / "extraction.json").read_text())
         for cam in info["cameras"].values():
@@ -286,6 +305,65 @@ class TestCalibrate:
         code = main(["calibrate", "--observations", str(obs), "--out", str(tmp_path / "o")])
         assert code == 2
         assert_invalid_json_line(capsys, obs / "extraction.json")
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[1]", "expected a JSON object, got list"),
+            ('{"cameras": [1]}', "malformed field"),
+            ('{"cameras": {"0": {"width": "wide", "height": 720}}}', "malformed field"),
+        ],
+        ids=["list", "camera-list", "width-not-integer"],
+    )
+    def test_malformed_extraction_json_exits_2(self, observations, tmp_path, capsys, text, named):
+        obs = tmp_path / "obs"
+        obs.mkdir()
+        for path in observations.glob("observations_cam*.csv"):
+            (obs / path.name).write_text(path.read_text())
+        (obs / "extraction.json").write_text(text)
+        code = main(["calibrate", "--observations", str(obs), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {obs / 'extraction.json'}: {named}")
+
+    @pytest.mark.parametrize(
+        "row, named",
+        [
+            ("0,99999999,1.0,2.0,5,1.0,1.0", "expected 8 fields, got 7"),
+            ("0,99999999,abc,2.0,5,1.0,1.0,0.0", "x 'abc' is not a number"),
+            ("0,1.5,1.0,2.0,5,1.0,1.0,0.0", "t_us '1.5' is not an integer"),
+            ("0,99999999,1.0,nan,5,1.0,1.0,0.0", "y 'nan' is not finite"),
+            ("0,99999999,1.0,2.0,0,1.0,1.0,0.0", "n 0 is below 1"),
+            ("0,99999999,1.0,2.0,5,1.0,1.0,2.0", "covariance (sxx, syy, sxy) is not positive"),
+            ("0,1,1.0,2.0,5,1.0,1.0,0.0", "t_us 1 is earlier than the previous row's"),
+            ("2,99999999,1.0,2.0,5,1.0,1.0,0.0", "camera_id 2 differs from the first row's 0"),
+        ],
+        ids=["7-fields", "x-abc", "t-fraction", "y-nan", "n-zero", "not-psd", "t-decreasing",
+             "other-camera"],
+    )
+    def test_malformed_observations_exit_2(self, observations, tmp_path, capsys, row, named):
+        obs = tmp_path / "obs"
+        obs.mkdir()
+        for path in observations.glob("observations_cam*.csv"):
+            (obs / path.name).write_text(path.read_text())
+        bad = obs / "observations_cam0.csv"
+        lines = bad.read_text().splitlines() + [row]
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["calibrate", "--observations", str(obs), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}:{len(lines)}: {named}")
+
+    def test_camera_in_two_files_exits_2(self, observations, tmp_path, capsys):
+        obs = tmp_path / "obs"
+        obs.mkdir()
+        for path in observations.glob("observations_cam*.csv"):
+            (obs / path.name).write_text(path.read_text())
+        (obs / "observations_cam9.csv").write_text((obs / "observations_cam0.csv").read_text())
+        code = main(["calibrate", "--observations", str(obs), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {obs}: a camera id repeats")
 
     def test_principal_point_follows_the_extracted_sensor(self, tmp_path):
         config = preset_paper_rig()

@@ -20,7 +20,6 @@ from evdeform.errors import (
     UnknownCamera,
     ZeroObservedDistance,
 )
-from evdeform.extraction import CorrespondingPoint, correspondence_arrays
 from evdeform.geometry import (
     CameraPose,
     project_pinhole,
@@ -28,7 +27,7 @@ from evdeform.geometry import (
 )
 from evdeform.simulator import look_at_pose, paper_rig_cameras
 
-from conftest import correspondences_from_points, synthetic_observation
+from conftest import correspondences, correspondences_from_points
 
 
 def make_rig(cameras=None, scale=None):
@@ -87,7 +86,7 @@ class TestRebaseExtrinsics:
 
 
 def _triangulate_groups(rig, groups):
-    return triangulate(rig, *correspondence_arrays(groups, rig.camera_ids))
+    return triangulate(rig, groups.pixels, groups.visibility)
 
 
 class TestTriangulate:
@@ -96,11 +95,8 @@ class TestTriangulate:
         p2 = look_at_pose(np.array([800.0, 0.0, 0.0]), np.array([0.0, 0.0, 1000.0]))
         rig = rebase_extrinsics([p1, p2], 0, [intrinsics_1800] * 2)
         point = np.array([0.0, 0.0, 1000.0])
-        obs = []
-        for ci, pose in enumerate([p1, p2]):
-            px = project_pinhole(intrinsics_1800, pose, point.reshape(1, 3))[0]
-            obs.append(synthetic_observation(ci, px, 0.0))
-        pos, res, counts, ok = _triangulate_groups(rig, [CorrespondingPoint(tuple(obs), 0.0)])
+        pixels = [project_pinhole(intrinsics_1800, pose, point.reshape(1, 3)) for pose in (p1, p2)]
+        pos, res, counts, ok = _triangulate_groups(rig, correspondences(pixels, [0.0]))
         np.testing.assert_allclose(pos[0], point, atol=1e-9)
         assert res[0] < 1e-9
         assert counts[0] == 2
@@ -124,8 +120,9 @@ class TestTriangulate:
 
     def test_single_camera_rank_deficient(self, intrinsics_1800):
         rig = make_rig()
-        obs = (synthetic_observation(0, [640.0, 360.0], 0.0),)
-        pos, res, counts, ok = _triangulate_groups(rig, [CorrespondingPoint(obs, 0.0)])
+        seen = [[True], [False], [False]]
+        group = correspondences(np.full((3, 1, 2), [640.0, 360.0]), [0.0], seen)
+        pos, res, counts, ok = _triangulate_groups(rig, group)
         assert not ok[0]
         assert counts[0] == 1
         assert np.isnan(pos[0]).all() and res[0] == np.inf
@@ -136,11 +133,8 @@ class TestTriangulate:
         p2 = CameraPose(np.eye(3), np.array([1e-7, 0.0, 0.0]))
         rig = rebase_extrinsics([p1, p2], 0, [intrinsics_1800] * 2)
         point = np.array([100.0, 50.0, 5000.0])
-        obs = []
-        for ci, pose in enumerate([p1, p2]):
-            px = project_pinhole(intrinsics_1800, pose, point.reshape(1, 3))[0]
-            obs.append(synthetic_observation(ci, px, 0.0))
-        _, _, counts, ok = _triangulate_groups(rig, [CorrespondingPoint(tuple(obs), 0.0)])
+        pixels = [project_pinhole(intrinsics_1800, pose, point.reshape(1, 3)) for pose in (p1, p2)]
+        _, _, counts, ok = _triangulate_groups(rig, correspondences(pixels, [0.0]))
         assert counts[0] == 2
         assert not ok[0]
 
@@ -149,8 +143,6 @@ class TestTriangulate:
         rng = np.random.default_rng(5)
         pts = np.array([0, 0, 5200.0]) + rng.uniform(-1, 1, (30, 3)) * 400.0
         groups = correspondences_from_points(rig_cameras, pts, noise_px=0.15, rng=rng)
-        for j, g in enumerate(groups):
-            g.observations[0].cluster  # observations exist
         series = measure_deformation(
             rig, _timestamped(groups), MeasureConfig(residual_threshold_px=1.0)
         )
@@ -158,14 +150,15 @@ class TestTriangulate:
 
 
 def _group(cameras, ids, point):
-    """Noiseless group of one point seen by the given cameras; the pixel is
-    the pinhole image even for a camera the point lies behind."""
-    obs = []
+    """Pixels (m, 2) and visibility (m,) of one point seen noiselessly by the
+    given cameras; the pixel is the pinhole image even for a camera the point
+    lies behind."""
+    pixels = np.zeros((len(cameras), 2))
     for ci in ids:
         intr, pose = cameras[ci]
         cam = pose.transform(point)
-        obs.append(synthetic_observation(ci, intr.pixel_from_normalized(cam[:2] / cam[2]), 0.0))
-    return CorrespondingPoint(tuple(obs), 0.0)
+        pixels[ci] = intr.pixel_from_normalized(cam[:2] / cam[2])
+    return pixels, np.isin(np.arange(len(cameras)), ids)
 
 
 def _mixed_batch(rig_cameras):
@@ -184,16 +177,18 @@ def _mixed_batch(rig_cameras):
     ids = [(0, 1, 2)] * 3 + list(itertools.combinations(range(3), 2))
     behind = pose0.center - 1000.0 * pose0.rotation[2]
     bad = [((1,), points[0]), ((0, 3), points[1]), ((0, 1, 2), behind)]
-    groups = [_group(cameras, c, p) for c, p in zip(ids, points)]
-    groups += [_group(cameras, c, p) for c, p in bad]
-    return cameras, _timestamped(groups), pose0.transform(points)
+    columns = [_group(cameras, c, p) for c, p in zip(ids, points)]
+    columns += [_group(cameras, c, p) for c, p in bad]
+    pixels, visibility = (np.stack(a, axis=1) for a in zip(*columns))
+    groups = correspondences(pixels, 4000.0 * np.arange(len(columns)), visibility)
+    return cameras, groups, pose0.transform(points)
 
 
 class TestMixedVisibilityBatch:
     def test_columns_match_alone_truth_and_masks(self, rig_cameras):
         cameras, groups, truth = _mixed_batch(rig_cameras)
         rig = make_rig(cameras)
-        pixels, vis = correspondence_arrays(groups, rig.camera_ids)
+        pixels, vis = groups.pixels, groups.visibility
         batch = triangulate(rig, pixels, vis)
         for j in range(len(groups)):
             alone = triangulate(rig, pixels[:, j : j + 1], vis[:, j : j + 1])
@@ -211,21 +206,14 @@ class TestMixedVisibilityBatch:
         rig = make_rig(cameras)
         series = measure_deformation(rig, groups, MeasureConfig(baseline_window=1))
         assert series.dropped == 3
-        np.testing.assert_array_equal(series.t_us, [g.mean_t for g in groups[:6]])
+        np.testing.assert_array_equal(series.t_us, groups.mean_t[:6])
         np.testing.assert_allclose(series.positions, truth, rtol=0, atol=1e-9)
         np.testing.assert_array_equal(series.camera_counts, [3, 3, 3, 2, 2, 2])
 
 
 def _timestamped(groups):
-    """Give each group strictly increasing observation times."""
-    out = []
-    for j, g in enumerate(groups):
-        obs = tuple(
-            synthetic_observation(o.camera_id, o.pixel, 4000.0 * j)
-            for o in g.observations
-        )
-        out.append(CorrespondingPoint(obs, 0.0))
-    return out
+    """The groups at strictly increasing times 4 ms apart."""
+    return correspondences(groups.pixels, 4000.0 * np.arange(len(groups)), groups.visibility)
 
 
 class TestMeasureDeformation:
@@ -242,10 +230,9 @@ class TestMeasureDeformation:
         pts = np.array([[0.0, 0.0, 5200.0]] * 20)
         groups = _timestamped(correspondences_from_points(rig_cameras, pts))
         # corrupt one observation far beyond the threshold
-        bad = groups[7]
-        obs = list(bad.observations)
-        obs[1] = synthetic_observation(1, obs[1].pixel + 40.0, obs[1].t_c)
-        groups[7] = CorrespondingPoint(tuple(obs), 0.0)
+        pixels = groups.pixels.copy()
+        pixels[1, 7] += 40.0
+        groups = correspondences(pixels, groups.mean_t)
         series = measure_deformation(rig, groups, MeasureConfig(residual_threshold_px=1.0))
         assert len(series) == 19
         assert series.dropped == 1

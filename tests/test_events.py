@@ -9,10 +9,8 @@ from evdeform import events
 from evdeform.errors import BoundsError, ParseError
 from evdeform.events import (
     EventStream,
-    concat_streams,
     make_stream,
     read_stream,
-    slice_by_time,
     write_stream,
 )
 
@@ -227,46 +225,6 @@ class TestCsvGrammar:
         with pytest.raises(ValueError, match="18 digits"):
             write_stream(stream, tmp_path / "s.csv")
         assert not (tmp_path / "s.csv").exists()
-
-
-class TestSlice:
-    def test_whole_range_is_identity(self):
-        s = random_stream(500, seed=2)
-        out = slice_by_time(s, int(s.t[0]), int(s.t[-1]) + 1)
-        np.testing.assert_array_equal(out.t, s.t)
-        np.testing.assert_array_equal(out.x, s.x)
-
-    def test_empty_half_open_interval(self):
-        s = random_stream(500, seed=2)
-        assert len(slice_by_time(s, 100, 100)) == 0
-
-    def test_matches_linear_filter_oracle(self):
-        s = random_stream(2000, seed=5)
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            t0, t1 = sorted(rng.integers(0, 10_000_000, 2))
-            out = slice_by_time(s, int(t0), int(t1))
-            mask = (s.t >= t0) & (s.t < t1)
-            np.testing.assert_array_equal(out.t, s.t[mask])
-            np.testing.assert_array_equal(out.x, s.x[mask])
-            np.testing.assert_array_equal(out.y, s.y[mask])
-            np.testing.assert_array_equal(out.polarity, s.polarity[mask])
-
-    def test_inverted_interval_rejected(self):
-        s = random_stream(10, seed=2)
-        with pytest.raises(ValueError):
-            slice_by_time(s, 10, 5)
-
-    def test_partition_concat_reconstructs(self):
-        s = random_stream(3000, seed=8)
-        lo, hi = int(s.t[0]), int(s.t[-1]) + 1
-        cuts = [lo, lo + (hi - lo) // 4, lo + (hi - lo) // 2, hi]
-        parts = [slice_by_time(s, a, b) for a, b in zip(cuts, cuts[1:])]
-        merged = concat_streams(parts)
-        np.testing.assert_array_equal(merged.t, s.t)
-        np.testing.assert_array_equal(merged.x, s.x)
-        np.testing.assert_array_equal(merged.y, s.y)
-        np.testing.assert_array_equal(merged.polarity, s.polarity)
 
 
 class TestStreamModel:

@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 
 from evdeform import extraction
-from evdeform.errors import EmptyCluster, StreamTooShort
+from evdeform.errors import StreamTooShort
 from evdeform.events import EventStream
 from evdeform.extraction import (
-    CenterObservation,
-    EventCluster,
+    Centers,
     ExtractionConfig,
     ExtractionResult,
     _resolve_n,
-    accumulate_cluster,
     calibration_profile,
     choose_accumulation_count,
     extract_center_sequence,
@@ -32,7 +30,7 @@ from evdeform.simulator import (
     simulate,
 )
 
-from conftest import synthetic_observation
+from conftest import centers_table
 
 
 def reference_extract_center_sequence(stream, config):
@@ -49,7 +47,7 @@ def reference_extract_center_sequence(stream, config):
     ref_y = float(np.median(ys[:n]))
     gate2 = config.gate_radius * config.gate_radius
     reset_gap = config.reset_gap_us
-    observations = []
+    windows = []
     noise = partial = count = 0
     sx = sy = st = sxx = syy = sxy = 0.0
     t_first = t_last = 0.0
@@ -89,34 +87,93 @@ def reference_extract_center_sequence(stream, config):
             )
             if last_emit_t is not None and mt <= last_emit_t:
                 mt = last_emit_t + 1e-3
-            cluster = EventCluster(np.array([mx, my]), cov, n, mt, int(t_first), int(t_last))
-            observations.append(CenterObservation(stream.camera_id, cluster.centroid, mt, cluster))
+            windows.append((mt, (mx, my), cov, n, int(t_first), int(t_last)))
             last_emit_t = mt
             ref_x, ref_y = mx, my
             sx = sy = st = sxx = syy = sxy = 0.0
             count = 0
-    if not observations:
+    if not windows:
         raise StreamTooShort(
             f"only {total - noise} events passed the spatial gate, window needs {n}"
         )
-    return ExtractionResult(tuple(observations), noise, partial, n)
+    t_c, pixel, cov, count, t_min, t_max = (np.array(v) for v in zip(*windows))
+    centers = Centers(stream.camera_id, t_c, pixel, cov, count, t_min, t_max)
+    return ExtractionResult(centers, noise, partial, n)
 
 
 def assert_same_extraction(got, want):
-    """Bitwise equality of two extraction results, field by field."""
+    """Bitwise equality of two extraction results, column by column."""
     assert (got.noise_count, got.partial_discards, got.n) == (
         want.noise_count, want.partial_discards, want.n
     )
-    assert len(got.observations) == len(want.observations)
-    for a, b in zip(got.observations, want.observations):
-        ca, cb = a.cluster, b.cluster
-        assert a.camera_id == b.camera_id
-        assert type(a.t_c) is type(b.t_c) is float and a.t_c.hex() == b.t_c.hex()
-        assert ca.t_c.hex() == cb.t_c.hex()
-        assert (ca.count, ca.t_min, ca.t_max) == (cb.count, cb.t_min, cb.t_max)
-        assert type(ca.t_min) is type(ca.t_max) is int
-        for u, v in ((a.pixel, b.pixel), (ca.centroid, cb.centroid), (ca.covariance, cb.covariance)):
-            assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+    a, b = got.observations, want.observations
+    assert a.camera_id == b.camera_id
+    for name in ("t_c", "pixel", "covariance", "count", "t_min", "t_max"):
+        u, v = getattr(a, name), getattr(b, name)
+        assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes(), name
+
+
+def reference_match_corresponding(tables, t_th):
+    """The greedy matcher over center objects: the reference for
+    match_corresponding. Returns one ({camera_id: row}, mean_t, spread) per
+    group, sorted by mean_t."""
+    cams = sorted(((t.camera_id, list(t)) for t in tables if len(t)), key=lambda c: c[0])
+    tcs = [[o.t_c for o in seq] for _, seq in cams]
+    used = [np.zeros(len(seq), dtype=bool) for _, seq in cams]
+    order = sorted(
+        (o.t_c, cam_pos, idx) for cam_pos, (_, seq) in enumerate(cams) for idx, o in enumerate(seq)
+    )
+    groups = []
+    for t_anchor, cam_pos, idx in order:
+        if used[cam_pos][idx]:
+            continue
+        members = [(cam_pos, idx)]
+        for other_pos in range(len(cams)):
+            if other_pos == cam_pos:
+                continue
+            near = [
+                (abs(t - t_anchor), j) for j, t in enumerate(tcs[other_pos])
+                if not used[other_pos][j] and t_anchor - t_th <= t <= t_anchor + t_th
+            ]
+            if near:
+                members.append((other_pos, min(near)[1]))
+        while len(members) > 1:
+            times = [tcs[cp][i] for cp, i in members]
+            if max(times) - min(times) <= t_th:
+                break
+            worst = max(
+                (m for m in members if m != (cam_pos, idx)),
+                key=lambda m: abs(tcs[m[0]][m[1]] - t_anchor),
+            )
+            members.remove(worst)
+        for cp, i in members:
+            used[cp][i] = True
+        if len(members) >= 2:
+            obs = [(cams[cp][1][i], i) for cp, i in sorted(members)]  # in camera id order
+            times = [o.t_c for o, _ in obs]
+            groups.append((
+                {o.camera_id: i for o, i in obs},
+                float(np.mean(times)),
+                max(times) - min(times),
+            ))
+    groups.sort(key=lambda g: g[1])
+    return groups
+
+
+def assert_same_groups(got, want, tables):
+    """The matched table has the reference groups: the same members per
+    camera with their pixels, bitwise the same mean_t and spread."""
+    by_id = {t.camera_id: t for t in tables}
+    assert len(got) == len(want)
+    for j, (members, mean_t, spread) in enumerate(want):
+        rows = np.flatnonzero(got.index[:, j] >= 0)
+        assert {got.camera_ids[i]: int(got.index[i, j]) for i in rows} == members
+        for i in rows:
+            row = by_id[got.camera_ids[i]][int(got.index[i, j])]
+            assert got.pixels[i, j].tobytes() == row.pixel.tobytes()
+            assert got.t_c[i, j].hex() == row.t_c.hex()
+        assert float(got.mean_t[j]).hex() == mean_t.hex()
+        assert float(got.spread[j]).hex() == spread.hex()
 
 
 class TestChooseAccumulationCount:
@@ -161,19 +218,26 @@ def _stream(t, x, y):
     return EventStream(0, 1280, 720, t, x, y, np.ones(len(t), dtype=bool))
 
 
+def _one_window(stream):
+    """The centers table of stream accumulated as a single window."""
+    config = ExtractionConfig(n=len(stream), gate_radius=1e9)
+    return extract_center_sequence(stream, config).observations
+
+
 class TestAccumulateCluster:
     def test_single_event(self):
-        c = accumulate_cluster(_stream([5], [100], [200]))
-        np.testing.assert_array_equal(c.centroid, [100.0, 200.0])
-        np.testing.assert_array_equal(c.covariance, np.zeros((2, 2)))
-        assert c.t_c == 5.0
-        assert c.count == 1
+        c = _one_window(_stream([5], [100], [200]))
+        np.testing.assert_array_equal(c.pixel, [[100.0, 200.0]])
+        np.testing.assert_array_equal(c.covariance, np.zeros((1, 2, 2)))
+        assert c.t_c.tolist() == [5.0]
+        assert c.count.tolist() == [1]
 
     def test_symmetric_square(self):
-        c = accumulate_cluster(_stream([10, 20, 30, 40], [0, 0, 2, 2], [0, 2, 0, 2]))
-        np.testing.assert_allclose(c.centroid, [1.0, 1.0])
-        assert c.t_c == 25.0
-        np.testing.assert_allclose(c.covariance, [[1.0, 0.0], [0.0, 1.0]])
+        c = _one_window(_stream([10, 20, 30, 40], [0, 0, 2, 2], [0, 2, 0, 2]))
+        np.testing.assert_allclose(c.pixel, [[1.0, 1.0]])
+        assert c.t_c.tolist() == [25.0]
+        assert (c.t_min.tolist(), c.t_max.tolist()) == ([10], [40])
+        np.testing.assert_allclose(c.covariance, [[[1.0, 0.0], [0.0, 1.0]]])
 
     def test_gaussian_sample_matches_direct_mean(self):
         rng = np.random.default_rng(12)
@@ -181,30 +245,31 @@ class TestAccumulateCluster:
         ys = np.clip(np.round(rng.normal(360, 2.0, 500)), 0, 719).astype(int)
         ts = np.sort(rng.integers(0, 1000, 500))
         stream = EventStream(0, 1280, 720, ts, xs, ys, np.ones(500, dtype=bool))
-        c = accumulate_cluster(stream)
-        # oracle: direct mean of the drawn sample
-        np.testing.assert_allclose(c.centroid, [xs.mean(), ys.mean()], atol=1e-12)
+        (centroid,) = _one_window(stream).pixel
+        # oracle: direct mean and covariance of the drawn sample
+        np.testing.assert_allclose(centroid, [xs.mean(), ys.mean()], atol=1e-12)
+        np.testing.assert_allclose(
+            _one_window(stream).covariance[0], np.cov(xs, ys, bias=True), atol=1e-9
+        )
         bound = 3.0 * 2.0 / np.sqrt(500)
-        assert abs(c.centroid[0] - 640) < bound + 0.5
-        assert abs(c.centroid[1] - 360) < bound + 0.5
+        assert abs(centroid[0] - 640) < bound + 0.5
+        assert abs(centroid[1] - 360) < bound + 0.5
 
     def test_empty_cluster(self):
-        with pytest.raises(EmptyCluster):
-            accumulate_cluster(_stream([], [], []))
+        with pytest.raises(StreamTooShort):
+            extract_center_sequence(_stream([], [], []), ExtractionConfig(n=1))
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(4)
         xs = rng.integers(10, 50, 60)
         ys = rng.integers(10, 50, 60)
         ts = np.sort(rng.integers(0, 100, 60))
-        base = accumulate_cluster(
-            EventStream(0, 200, 200, ts, xs, ys, np.ones(60, dtype=bool))
-        )
-        moved = accumulate_cluster(
+        base = _one_window(EventStream(0, 200, 200, ts, xs, ys, np.ones(60, dtype=bool)))
+        moved = _one_window(
             EventStream(0, 200, 200, ts, xs + 7, ys + 13, np.ones(60, dtype=bool))
         )
-        np.testing.assert_allclose(moved.centroid, base.centroid + [7, 13], atol=1e-12)
-        np.testing.assert_allclose(moved.covariance, base.covariance, atol=1e-12)
+        np.testing.assert_allclose(moved.pixel, base.pixel + [7, 13], atol=1e-12)
+        np.testing.assert_allclose(moved.covariance, base.covariance, atol=1e-9)
 
 
 def static_scenario(**overrides):
@@ -240,8 +305,7 @@ class TestExtractCenterSequence:
         center, _, _ = projected_marker(
             intr, pose, np.array([0.0, 0.0, 4500.0]), 25.0
         )
-        for obs in out.observations:
-            assert np.linalg.norm(obs.pixel - center) < 0.1
+        assert np.linalg.norm(out.observations.pixel - center, axis=1).max() < 0.1
 
     def test_background_noise_rejected(self):
         clean = simulate(static_scenario())
@@ -255,8 +319,7 @@ class TestExtractCenterSequence:
         )
         intr, pose = paper_rig_cameras()[0]
         center, _, _ = projected_marker(intr, pose, np.array([0.0, 0.0, 4500.0]), 25.0)
-        errs = [np.linalg.norm(o.pixel - center) for o in out.observations]
-        assert max(errs) < 0.3
+        assert np.linalg.norm(out.observations.pixel - center, axis=1).max() < 0.3
         assert abs(out.noise_count - planted) <= 0.2 * planted
 
     def test_stream_too_short(self):
@@ -281,22 +344,20 @@ class TestExtractCenterSequence:
         out = extract_center_sequence(
             res.streams[0], ExtractionConfig(n=n, reset_gap_us=200.0)
         )
-        for obs in out.observations:
-            assert obs.cluster.t_min <= obs.t_c <= obs.cluster.t_max
+        c = out.observations
+        assert np.all((c.t_min <= c.t_c) & (c.t_c <= c.t_max))
 
     def test_output_times_strictly_increasing(self):
         res = simulate(static_scenario())
         n = max(burst_size(res) // 3, 10)
         out = extract_center_sequence(res.streams[0], ExtractionConfig(n=n))
-        ts = [o.t_c for o in out.observations]
-        assert all(b > a for a, b in zip(ts, ts[1:]))
+        assert np.all(np.diff(out.observations.t_c) > 0)
 
     def test_disk_covariance_nearly_isotropic(self):
         res = simulate(static_scenario())
         n = burst_size(res)
         out = extract_center_sequence(res.streams[0], ExtractionConfig(n=n))
-        for obs in out.observations[:20]:
-            cov = obs.cluster.covariance
+        for cov in out.observations.covariance[:20]:
             assert abs(cov[0, 1]) <= 0.1 * max(cov[0, 0], cov[1, 1])
 
 
@@ -367,7 +428,7 @@ class TestMatchesReference:
 
     def test_cases_reach_their_paths(self):
         tied = extract_center_sequence(_tied_times(), EQUALITY_CASES["tied-times"][1])
-        assert [o.t_c for o in tied.observations[:4]] == [0.0, 0.001, 0.002, 0.003]
+        assert tied.observations.t_c[:4].tolist() == [0.0, 0.001, 0.002, 0.003]
         stream, config = _moving_marker(1.0), measurement_profile(250.0)
         assert len(stream) > 10 * extraction._CHUNK_EVENTS
         out = extract_center_sequence(stream, config)
@@ -389,20 +450,18 @@ class TestMatchesReference:
             extract_center_sequence(stream, ExtractionConfig(n=2**23))
 
     def test_non_psd_covariance_raises_like_the_cluster(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            EventCluster(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 3, 0.0)
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            extraction._require_psd(np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]]))
+        stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]], np.zeros((2, 2))])
+        assert extraction._non_psd(stack).tolist() == [1]
 
 
 class TestExtractionDiagnostics:
     def test_spread_and_coverage(self):
-        obs = []
-        for k, (px, lo, hi) in enumerate([((10, 20), 0, 40), ((110, 70), 100, 110), ((60, 20), 200, 290)]):
-            cluster = EventCluster(np.array(px, float), np.eye(2), 10, float(lo), lo, hi)
-            obs.append(CenterObservation(0, cluster.centroid, float(lo), cluster))
-        result = ExtractionResult(tuple(obs), 0, 0, 10)
-        diag = extraction_diagnostics(result, (200, 100))
+        centers = Centers(
+            0, np.array([0.0, 100.0, 200.0]), np.array([[10.0, 20.0], [110.0, 70.0], [60.0, 20.0]]),
+            np.tile(np.eye(2), (3, 1, 1)), np.full(3, 10), np.array([0, 100, 200]),
+            np.array([40, 110, 290]),
+        )
+        diag = extraction_diagnostics(ExtractionResult(centers, 0, 0, 10), (200, 100))
         assert diag == {
             "window_spread_us_median": 40.0,
             "window_spread_us_max": 90,
@@ -412,88 +471,110 @@ class TestExtractionDiagnostics:
 
 class TestMatchCorresponding:
     def test_exact_coincidence(self):
-        a = [synthetic_observation(0, [10, 10], 1000.0)]
-        b = [synthetic_observation(1, [20, 20], 1000.0)]
+        a = centers_table(0, [1000.0], [[10, 10]])
+        b = centers_table(1, [1000.0], [[20, 20]])
         groups = match_corresponding([a, b], t_th=100.0)
         assert len(groups) == 1
         assert groups[0].match_time_spread == 0.0
-        assert groups[0].camera_ids == (0, 1)
+        assert [o.camera_id for o in groups[0].observations] == [0, 1]
+        np.testing.assert_array_equal(groups.pixels[:, 0], [[10, 10], [20, 20]])
 
     def test_beyond_threshold_not_matched(self):
-        a = [synthetic_observation(0, [10, 10], 1000.0)]
-        b = [synthetic_observation(1, [20, 20], 1500.0)]
-        assert match_corresponding([a, b], t_th=100.0) == []
+        a = centers_table(0, [1000.0])
+        b = centers_table(1, [1500.0])
+        assert len(match_corresponding([a, b], t_th=100.0)) == 0
 
     def test_simulated_blink_schedule_triples(self):
         rng = np.random.default_rng(21)
         times = np.arange(200) * 4000.0
-        seqs = []
-        for cam in range(3):
-            obs = [
-                synthetic_observation(cam, [100 + cam, 50], t + rng.normal(0, 5.0))
-                for t in times
-            ]
-            obs.sort(key=lambda o: o.t_c)
-            seqs.append(obs)
+        seqs = [centers_table(cam, np.sort(times + rng.normal(0, 5.0, 200))) for cam in range(3)]
         groups = match_corresponding(seqs, t_th=1000.0)
         assert len(groups) == 200
-        assert all(len(g.observations) == 3 for g in groups)
-        for g, t in zip(groups, times):
-            assert abs(g.mean_t - t) < 100
+        assert groups.visibility.all()
+        assert np.abs(groups.mean_t - times).max() < 100
 
     def test_each_observation_used_once(self):
-        a = [synthetic_observation(0, [1, 1], 0.0), synthetic_observation(0, [2, 2], 50.0)]
-        b = [synthetic_observation(1, [3, 3], 10.0)]
+        a = centers_table(0, [0.0, 50.0])
+        b = centers_table(1, [10.0])
         groups = match_corresponding([a, b], t_th=100.0)
         assert len(groups) == 1
-        assert groups[0].observations[0].t_c == 0.0  # earliest anchor wins
+        assert groups.index[:, 0].tolist() == [0, 0]  # earliest anchor wins
 
     def test_permuting_camera_order_gives_same_groups(self):
         rng = np.random.default_rng(5)
-        seqs = []
-        for cam in range(3):
-            obs = [
-                synthetic_observation(cam, [cam, cam], 4000.0 * k + rng.normal(0, 10))
-                for k in range(40)
-            ]
-            obs.sort(key=lambda o: o.t_c)
-            seqs.append(obs)
+        seqs = [
+            centers_table(cam, np.sort(4000.0 * np.arange(40) + rng.normal(0, 10, 40)))
+            for cam in range(3)
+        ]
         g1 = match_corresponding(seqs, t_th=800.0)
         g2 = match_corresponding([seqs[2], seqs[0], seqs[1]], t_th=800.0)
-        assert len(g1) == len(g2)
-        for a, b in zip(g1, g2):
-            assert a.camera_ids == b.camera_ids
-            assert a.mean_t == b.mean_t
+        assert g1.camera_ids == g2.camera_ids
+        np.testing.assert_array_equal(g1.index, g2.index)
+        np.testing.assert_array_equal(g1.mean_t, g2.mean_t)
 
     def test_groups_of_one_camera_discarded(self):
-        a = [synthetic_observation(0, [1, 1], 0.0)]
-        b = [synthetic_observation(1, [2, 2], 5000.0)]
-        assert match_corresponding([a, b], t_th=100.0) == []
+        a = centers_table(0, [0.0])
+        b = centers_table(1, [5000.0])
+        assert len(match_corresponding([a, b], t_th=100.0)) == 0
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             match_corresponding([], t_th=0.0)
 
+    def test_spread_rechecked_after_rounding(self):
+        """0.1 + 0.2 rounds up to 0.30000000000000004, so camera 2's center
+        passes the window check but its spread from the anchor exceeds 0.2."""
+        tables = [centers_table(0, [0.1]), centers_table(1, [0.2]),
+                  centers_table(2, [0.1 + 0.2])]
+        groups = match_corresponding(tables, t_th=0.2)
+        assert groups.index.tolist() == [[0], [0], [-1]]
+        assert_same_groups(groups, reference_match_corresponding(tables, 0.2), tables)
+
+    def test_extracted_centers_match_like_the_reference(self):
+        config = replace(preset_paper_rig(), duration_s=0.5)
+        tables = [
+            extract_center_sequence(s, calibration_profile(250.0)).observations
+            for s in simulate(config).streams
+        ]
+        groups = match_corresponding(tables, t_th=1000.0)
+        assert len(groups) > 200
+        assert_same_groups(groups, reference_match_corresponding(tables, 1000.0), tables)
+
 
 class TestObservationCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
-        obs = []
-        for k in range(25):
-            px = rng.uniform(0, 1000, 2)
-            cov = np.diag(rng.uniform(0.5, 3.0, 2))
-            cluster = EventCluster(px, cov, 120, 4000.0 * k)
-            obs.append(CenterObservation(3, px, 4000.0 * k, cluster))
+        k = 25
+        centers = Centers(
+            3, 4000.0 * np.arange(k), rng.uniform(0, 1000, (k, 2)),
+            np.eye(2) * rng.uniform(0.5, 3.0, (k, 2))[:, None, :], np.full(k, 120),
+            4000 * np.arange(k), 4000 * np.arange(k),
+        )
         path = tmp_path / "observations_cam3.csv"
-        write_observations(path, obs)
+        write_observations(path, centers)
         assert path.read_text().splitlines()[0] == "camera_id,t_us,x,y,n,sxx,syy,sxy"
         loaded = read_observations(path)
-        assert len(loaded) == 25
-        for a, b in zip(obs, loaded):
-            assert b.camera_id == 3
-            np.testing.assert_array_equal(a.pixel, b.pixel)
-            assert b.cluster.count == 120
-            np.testing.assert_array_equal(a.cluster.covariance, b.cluster.covariance)
+        assert loaded.camera_id == 3
+        for name in ("t_c", "pixel", "covariance", "count", "t_min", "t_max"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(centers, name))
+
+    def test_files_match_like_memory_for_integer_times(self, tmp_path):
+        """extract, write, read, match: the groups matching in memory gives."""
+        config = replace(preset_paper_rig(), duration_s=0.5)
+        tables = []
+        for stream in simulate(config).streams:
+            c = extract_center_sequence(stream, calibration_profile(250.0)).observations
+            tables.append(replace(c, t_c=np.rint(c.t_c)))
+        loaded = []
+        for c in tables:
+            write_observations(tmp_path / f"observations_cam{c.camera_id}.csv", c)
+            loaded.append(read_observations(tmp_path / f"observations_cam{c.camera_id}.csv"))
+        want = match_corresponding(tables, t_th=1000.0)
+        got = match_corresponding(loaded, t_th=1000.0)
+        assert len(want) > 200
+        for name in ("camera_ids", "index", "pixels", "t_c", "mean_t", "spread"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
 
 
 class TestAccumulationCountSimulatorOracle:

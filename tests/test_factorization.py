@@ -4,16 +4,15 @@ import pytest
 
 from evdeform.calibration.factorization import (
     MeasurementMatrix,
-    build_measurement_matrix,
     choose_center_camera,
     projective_factorize,
 )
+from evdeform.calibration.pipeline import CalibrationConfig, calibrate
 from evdeform.errors import InsufficientCorrespondences
 from evdeform.geometry import project_pinhole
 from evdeform.simulator import paper_rig_cameras
 
-from conftest import correspondences_from_points, synthetic_observation
-from evdeform.extraction import CorrespondingPoint
+from conftest import correspondences, correspondences_from_points
 
 
 @pytest.fixture
@@ -30,7 +29,7 @@ class TestBuildMeasurementMatrix:
     def test_construction_shape_and_unit_scales(self, three_camera_points):
         cams, pts = three_camera_points
         groups = correspondences_from_points(cams, pts[:10])
-        W = build_measurement_matrix(groups, [0, 1, 2])
+        W = MeasurementMatrix(groups.pixels, np.ones((3, 10)), groups.visibility)
         assert W.pixels.shape == (3, 10, 2)
         assert W.stacked().shape == (9, 10)
         np.testing.assert_array_equal(W.scales, np.ones((3, 10)))
@@ -46,23 +45,22 @@ class TestBuildMeasurementMatrix:
 
     def test_partial_visibility_kept_out_of_factor_subset(self, three_camera_points):
         cams, pts = three_camera_points
-        groups = correspondences_from_points(cams, pts[:12])
-        lone = CorrespondingPoint(
-            (
-                synthetic_observation(0, [100.0, 100.0], 0.0),
-                synthetic_observation(1, [110.0, 105.0], 0.0),
-            ),
-            0.0,
-        )
-        W = build_measurement_matrix(groups + [lone], [0, 1, 2])
+        pixels = correspondences_from_points(cams, pts[:12]).pixels
+        lone = np.array([[100.0, 100.0], [110.0, 105.0], [0.0, 0.0]])
+        visibility = np.ones((3, 13), dtype=bool)
+        visibility[2, 12] = False
+        groups = correspondences(np.concatenate([pixels, lone[:, None]], axis=1),
+                                 np.zeros(13), visibility)
+        W = MeasurementMatrix(groups.pixels, np.ones((3, 13)), groups.visibility)
         assert len(W.full_visibility_columns) == 12
         assert W.visibility[:, 12].sum() == 2
 
     def test_too_few_points(self, three_camera_points):
+        """The factored subset needs eight points every camera sees."""
         cams, pts = three_camera_points
         groups = correspondences_from_points(cams, pts[:5])
-        with pytest.raises(InsufficientCorrespondences):
-            build_measurement_matrix(groups, [0, 1, 2])
+        with pytest.raises(InsufficientCorrespondences, match="only 5 fully visible"):
+            calibrate(groups, CalibrationConfig(min_full_visibility=0))
 
 
 class TestProjectiveFactorize:
