@@ -34,7 +34,6 @@ from .geometry import (
 from .calibration import (
     CalibrationConfig,
     CalibrationResult,
-    MeasurementMatrix,
     ProjectiveReconstruction,
     bundle_adjust,
     calibrate,
@@ -73,7 +72,6 @@ __all__ = [
     "ExtractionConfig",
     "FundamentalPair",
     "GroundTruth",
-    "MeasurementMatrix",
     "ProjectiveReconstruction",
     "RigCalibration",
     "ScenarioConfig",

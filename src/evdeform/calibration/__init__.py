@@ -2,11 +2,7 @@
 
 from .bundle import BundleOptions, BundleResult, bundle_adjust
 from .cleanup import RejectionReport, distortion_gate, reject_outliers
-from .factorization import (
-    MeasurementMatrix,
-    ProjectiveReconstruction,
-    projective_factorize,
-)
+from .factorization import ProjectiveReconstruction, projective_factorize
 from .kruppa import solve_kruppa_focal
 from .pipeline import (
     CalibrationConfig,
@@ -15,16 +11,14 @@ from .pipeline import (
     calibrate,
     write_iteration_log,
 )
-from .upgrade import EuclideanUpgrade, UpgradeResult, euclidean_upgrade
+from .upgrade import UpgradeResult, euclidean_upgrade
 
 __all__ = [
     "BundleOptions",
     "BundleResult",
     "CalibrationConfig",
     "CalibrationResult",
-    "EuclideanUpgrade",
     "IterationRecord",
-    "MeasurementMatrix",
     "ProjectiveReconstruction",
     "RejectionReport",
     "UpgradeResult",

@@ -1,8 +1,13 @@
-"""Scaled measurement matrix and iterative rank-4 projective factorization."""
+"""Iterative rank-4 projective factorization of fully visible points.
+
+Sturm & Triggs (ECCV 1996): the (3m, k) matrix of depth-scaled homogeneous
+pixels has rank 4. Projective depths start from the fundamental matrix of
+each (0, i) camera pair and are refined by alternating scale balancing,
+rank-4 SVD truncation and depth propagation from camera 0.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -15,49 +20,11 @@ from ..geometry import (
 
 Array = np.ndarray
 
-PairKey = tuple[int, int]
-
-
-@dataclass
-class MeasurementMatrix:
-    """Per-camera homogeneous pixels with projective scales and visibility.
-
-    pixels: (m, n, 2), scales: (m, n), visibility: (m, n). The stacked
-    (3m, n) matrix of scale * [u, v, 1] columns has rank 4 for consistent
-    data with correct scales.
-    """
-
-    pixels: Array
-    scales: Array
-    visibility: Array
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=float)
-        self.scales = np.asarray(self.scales, dtype=float)
-        self.visibility = np.asarray(self.visibility, dtype=bool)
-        m, n, two = self.pixels.shape
-        if two != 2 or self.scales.shape != (m, n) or self.visibility.shape != (m, n):
-            raise ValueError("inconsistent measurement-matrix shapes")
-        if np.any(~np.isfinite(self.pixels[self.visibility])):
-            raise ValueError("visible entries must be finite")
-        if np.any(self.scales[self.visibility] == 0):
-            raise ValueError("visible entries must have nonzero scale")
-
-    @property
-    def num_cameras(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def full_visibility_columns(self) -> Array:
-        return np.flatnonzero(self.visibility.all(axis=0))
-
-    def stacked(self, columns: Array | None = None) -> Array:
-        """(3m, k) matrix of scale * [u, v, 1] for the selected columns."""
-        cols = self.full_visibility_columns if columns is None else np.asarray(columns)
-        hom = homogeneous(self.pixels[:, cols])  # (m, k, 3)
-        scaled = hom * self.scales[:, cols, None]
-        m, k, _ = scaled.shape
-        return scaled.transpose(0, 2, 1).reshape(3 * m, k)
+# stop when the rank-4 relative residual is below ABS_TOL, or changes by
+# less than TOL (relative) between iterations
+TOL = 1e-10
+ABS_TOL = 1e-12
+MAX_ITERS = 200
 
 
 @dataclass
@@ -65,12 +32,11 @@ class ProjectiveReconstruction:
     """Cameras and points recovered up to a 4x4 homography."""
 
     cameras: Array  # (m, 3, 4)
-    points: Array  # (4, n)
+    points: Array  # (4, k)
     converged: bool
     iterations: int
     residual: float
-    column_indices: Array  # columns of the source matrix that were factored
-    singular_values: Array = None  # leading spectrum of the balanced matrix
+    singular_values: Array  # leading spectrum of the balanced matrix
 
     def __post_init__(self):
         for j, M in enumerate(self.cameras):
@@ -78,115 +44,39 @@ class ProjectiveReconstruction:
                 raise ValueError(f"camera {j} of the reconstruction is rank deficient")
 
 
-def estimate_pair_fundamentals(
-    pixels: Array, visibility: Array, min_shared: int = 8
-) -> dict[PairKey, FundamentalPair]:
-    """Least-squares fundamental matrix for every camera pair with enough
-    shared points. Keys are ordered pairs (a, b) with x_b' F x_a = 0."""
-    m = pixels.shape[0]
-    out: dict[PairKey, FundamentalPair] = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            shared = np.flatnonzero(visibility[a] & visibility[b])
-            if len(shared) < min_shared:
-                continue
-            try:
-                out[(a, b)] = estimate_fundamental_weighted(
-                    pixels[a, shared], pixels[b, shared]
-                )
-            except (ValueError, np.linalg.LinAlgError):
-                continue
-    return out
-
-
-def _pair_fundamental(
-    fundamentals: Mapping[PairKey, FundamentalPair], src: int, dst: int
-) -> tuple[Array, Array] | None:
-    """F and destination-image epipole for the src -> dst direction."""
-    if (src, dst) in fundamentals:
-        pair = fundamentals[(src, dst)]
-        return pair.fundamental, pair.epipole_right
-    if (dst, src) in fundamentals:
-        pair = fundamentals[(dst, src)]
-        return pair.fundamental.T, pair.epipole_left
-    return None
-
-
-def choose_center_camera(visibility: Array) -> int:
-    """Camera sharing the most points with all others (ties: lowest index)."""
-    m = visibility.shape[0]
-    shared = np.zeros(m, dtype=np.int64)
-    for a in range(m):
-        for b in range(m):
-            if a != b:
-                shared[a] += int(np.sum(visibility[a] & visibility[b]))
-    return int(np.argmax(shared))
+def _star_fundamentals(pixels: Array) -> list[FundamentalPair]:
+    """Sampson-weighted F of each (0, i) pair, i = 1 .. m-1."""
+    pairs = []
+    for i in range(1, len(pixels)):
+        try:
+            pairs.append(estimate_fundamental_weighted(pixels[0], pixels[i]))
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            raise SingularConfiguration(
+                f"no fundamental matrix for camera pair (0, {i}): {exc}"
+            ) from exc
+    return pairs
 
 
 def propagate_depths(
-    pixels: Array,
-    visibility: Array,
-    fundamentals: Mapping[PairKey, FundamentalPair],
-    center: int,
-    base_scales: Array | None = None,
+    pixels: Array, fundamentals: list[FundamentalPair], scales: Array
 ) -> Array:
-    """Projective depths chained from the center camera over a spanning tree.
+    """Projective depths of cameras 1 .. m-1 chained from camera 0.
 
-    For an edge c -> i the depth of point p in camera i is
-    dot(e x u_i, F u_c) / ||e x u_i||^2 times its depth in camera c, with F
-    the pair's fundamental matrix and e the epipole in image i.
+    The depth of point p in camera i is dot(e x u_i, F u_0) / ||e x u_i||^2
+    times its depth in camera 0, with F the (0, i) fundamental matrix and e
+    the epipole in image i.
     """
-    m, n = visibility.shape
-    scales = np.ones((m, n)) if base_scales is None else base_scales.copy()
-
-    # spanning tree over cameras connected by an available fundamental matrix
-    parent = {center: None}
-    frontier = [center]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for i in range(m):
-                if i in parent:
-                    continue
-                if _pair_fundamental(fundamentals, c, i) is not None:
-                    parent[i] = c
-                    nxt.append(i)
-        frontier = nxt
-    if len(parent) < m:
-        missing = sorted(set(range(m)) - set(parent))
-        raise SingularConfiguration(
-            f"no fundamental-matrix path from camera {center} to cameras {missing}"
-        )
-
-    # breadth-first application so parents are resolved before children
-    resolved = {center}
-    pending = [i for i in parent if i != center]
-    while pending:
-        progressed = False
-        for i in list(pending):
-            c = parent[i]
-            if c not in resolved:
-                continue
-            fe = _pair_fundamental(fundamentals, c, i)
-            F, e = fe
-            cols = np.flatnonzero(visibility[i] & visibility[c])
-            if len(cols):
-                u_i = homogeneous(pixels[i, cols])
-                u_c = homogeneous(pixels[c, cols])
-                cross = np.cross(np.broadcast_to(e, u_i.shape), u_i)
-                num = np.sum(cross * (u_c @ F.T), axis=1)
-                den = np.sum(cross * cross, axis=1)
-                if np.any(den < 1e-30):
-                    raise SingularConfiguration(
-                        f"point on the epipole of pair ({c}, {i})"
-                    )
-                scales[i, cols] = num / den * scales[c, cols]
-            resolved.add(i)
-            pending.remove(i)
-            progressed = True
-        if not progressed:
-            raise SingularConfiguration("depth propagation stalled")
-    return scales
+    out = scales.copy()
+    u_0 = homogeneous(pixels[0])
+    for i, pair in enumerate(fundamentals, start=1):
+        u_i = homogeneous(pixels[i])
+        cross = np.cross(np.broadcast_to(pair.epipole_right, u_i.shape), u_i)
+        num = np.sum(cross * (u_0 @ pair.fundamental.T), axis=1)
+        den = np.sum(cross * cross, axis=1)
+        if np.any(den < 1e-30):
+            raise SingularConfiguration(f"point on the epipole of pair (0, {i})")
+        out[i] = num / den * scales[0]
+    return out
 
 
 def balance_scales(pixels: Array, scales: Array, passes: int = 2) -> Array:
@@ -203,39 +93,26 @@ def balance_scales(pixels: Array, scales: Array, passes: int = 2) -> Array:
     return s
 
 
-def projective_factorize(
-    W: MeasurementMatrix,
-    tol: float = 1e-10,
-    max_iters: int = 200,
-    fundamentals: Mapping[PairKey, FundamentalPair] | None = None,
-    center: int | None = None,
-    abs_tol: float = 1e-12,
-) -> ProjectiveReconstruction:
-    """Alternate scale balancing, rank-4 SVD truncation and depth updates.
+def projective_factorize(pixels: Array) -> ProjectiveReconstruction:
+    """Factor the (m, k, 2) pixels of k points every camera sees.
 
-    Stops when the rank-4 relative residual falls below abs_tol or its
-    change between iterations falls below tol.
+    Raises InsufficientCorrespondences below 8 points and
+    SingularConfiguration when a (0, i) pair has no fundamental matrix or
+    the SVD fails.
     """
-    cols = W.full_visibility_columns
-    if len(cols) < 8:
+    pixels = np.asarray(pixels, dtype=float)
+    m, k, _ = pixels.shape
+    if k < 8:
         raise InsufficientCorrespondences(
-            f"factorization needs >= 8 fully visible points, got {len(cols)}"
+            f"factorization needs >= 8 fully visible points, got {k}"
         )
-    pixels = W.pixels[:, cols]
-    vis = np.ones((W.num_cameras, len(cols)), dtype=bool)
-    scales = W.scales[:, cols].copy()
-    if fundamentals is None:
-        fundamentals = estimate_pair_fundamentals(pixels, vis)
-    if center is None:
-        center = choose_center_camera(vis)
+    fundamentals = _star_fundamentals(pixels)
+    scales = np.ones((m, k))
 
     hom = homogeneous(pixels)
-    m = W.num_cameras
     prev_res = None
-    M = X = None
     converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         scales = balance_scales(pixels, scales)
         Ws = (hom * scales[:, :, None]).transpose(0, 2, 1).reshape(3 * m, -1)
         try:
@@ -246,19 +123,18 @@ def projective_factorize(
         res = float(np.sqrt(np.sum(D[4:] ** 2))) / max(total, 1e-300)
         M = U[:, :4] * D[:4]
         X = Vt[:4]
-        if res < abs_tol or (
-            prev_res is not None and abs(res - prev_res) < tol * max(prev_res, 1e-300)
+        if res < ABS_TOL or (
+            prev_res is not None and abs(res - prev_res) < TOL * max(prev_res, 1e-300)
         ):
             converged = True
             break
         prev_res = res
-        scales = propagate_depths(pixels, vis, fundamentals, center, scales)
+        scales = propagate_depths(pixels, fundamentals, scales)
     return ProjectiveReconstruction(
         cameras=M.reshape(m, 3, 4),
         points=X,
         converged=converged,
         iterations=iterations,
         residual=res,
-        column_indices=cols,
         singular_values=D[:8].copy(),
     )

@@ -38,7 +38,7 @@ from ..geometry import (
 )
 from .bundle import BundleOptions, bundle_adjust
 from .cleanup import distortion_gate, project_unguarded, reject_outliers
-from .factorization import MeasurementMatrix, projective_factorize
+from .factorization import projective_factorize
 from .kruppa import solve_kruppa_focal
 from .upgrade import euclidean_upgrade
 
@@ -54,12 +54,9 @@ class CalibrationConfig:
     reproj_threshold: float = 1.0  # xi_th, px
     ransac_threshold: float = 1.0
     ransac_iters: int = 2000
-    factorization_tol: float = 1e-10
-    factorization_max_iters: int = 200
     min_full_visibility: int = 20
     reference_camera: int | None = None  # default: lowest camera id
     refine_focal: bool = True
-    origin_point: int = 0
     seed: int = 0
     ba_max_iters: int = 60
 
@@ -224,23 +221,14 @@ def calibrate(
         raise InsufficientCorrespondences(
             f"only {len(sub_active)} fully visible inliers remain"
         )
-    W = MeasurementMatrix(
-        raw[:, sub_active], np.ones((m, len(sub_active))),
-        np.ones((m, len(sub_active)), dtype=bool),
-    )
-    rec = projective_factorize(
-        W, tol=config.factorization_tol, max_iters=config.factorization_max_iters
-    )
+    rec = projective_factorize(raw[:, sub_active])
     actions.append(f"factorize_iters={rec.iterations}_res={rec.residual:.3e}")
     # a planar sweep collapses the factored matrix to rank 3, or else the
     # upgraded points to a plane
     sv = rec.singular_values
-    if sv is not None and len(sv) > 3 and sv[3] < 1e-6 * sv[0]:
+    if sv[3] < 1e-6 * sv[0]:
         _warn_planar()
-    upgrade = euclidean_upgrade(
-        rec, intrinsics, origin_index=min(config.origin_point, len(sub_active) - 1),
-        reference=ref_row,
-    )
+    upgrade = euclidean_upgrade(rec, intrinsics, ref_row)
     s = np.linalg.svd(upgrade.points.T - upgrade.points.T.mean(axis=0), compute_uv=False)
     if s[2] < 1e-3 * s[0]:
         _warn_planar()

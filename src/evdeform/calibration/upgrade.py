@@ -2,8 +2,9 @@
 
 Solves the symmetric 4x4 quadric G = H11 H11' from the per-camera constraints
 M_j G M_j' = lambda_j K_j K_j' by alternating linear solves, projects G to
-PSD rank 3, assembles the homography H = [H11 | h12] with h12 the designated
-origin point, and decomposes the upgraded cameras by RQ factorization.
+PSD rank 3, assembles the homography H = [H11 | h12] with h12 the first
+point that keeps H nonsingular, and decomposes the upgraded cameras by RQ
+factorization.
 """
 from __future__ import annotations
 
@@ -22,31 +23,10 @@ Array = np.ndarray
 _SYM_INDEX = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
-@dataclass(frozen=True)
-class EuclideanUpgrade:
-    """Upgrading homography H and its quadric factorization."""
-
-    H: Array
-    G: Array
-    H11: Array
-    h12: Array
-
-    def __post_init__(self):
-        if abs(np.linalg.det(self.H)) < 1e-15:
-            raise ValueError("upgrade homography is singular")
-        if np.abs(self.G - self.H11 @ self.H11.T).max() > 1e-9 * max(
-            np.abs(self.G).max(), 1.0
-        ):
-            raise ValueError("G does not factor as H11 H11'")
-
-
 @dataclass
 class UpgradeResult:
     poses: list[CameraPose]
     points: Array  # (3, n) metric points
-    upgrade: EuclideanUpgrade
-    intrinsics: list[CameraIntrinsics]  # from the RQ decomposition
-    depth_sign_flipped: bool
 
 
 def _sym_from_params(g: Array) -> Array:
@@ -109,8 +89,7 @@ def _solve_quadric(normalized_cameras: list[Array], max_iters: int = 100) -> Arr
 def euclidean_upgrade(
     proj: ProjectiveReconstruction,
     intrinsics_guess: list[CameraIntrinsics],
-    origin_index: int = 0,
-    reference: int = 0,
+    reference: int,
 ) -> UpgradeResult:
     """Upgrade projective cameras/points to a metric frame.
 
@@ -145,13 +124,9 @@ def euclidean_upgrade(
         raise IndefiniteG("quadric has rank below 3")
     H11 = A[:, :3] @ np.diag(np.sqrt(w_fixed[:3]))
 
-    # origin column: the designated point, falling back to the next one
-    # whenever it would make H singular
-    n = X.shape[1]
-    candidates = [origin_index] + [i for i in range(n) if i != origin_index]
+    # origin column: the first point that keeps H nonsingular
     H = None
-    h12 = None
-    for idx in candidates:
+    for idx in range(X.shape[1]):
         h = X[:, idx]
         norm = np.linalg.norm(h)
         if norm < 1e-12:
@@ -161,7 +136,7 @@ def euclidean_upgrade(
             h = -h
         trial = np.hstack([H11, h.reshape(4, 1)])
         if abs(np.linalg.det(trial)) > 1e-12:
-            H, h12 = trial, h
+            H = trial
             break
     if H is None:
         raise IndefiniteG("no origin point yields a nonsingular homography")
@@ -173,17 +148,9 @@ def euclidean_upgrade(
         raise CheiralityFailure("upgraded points at infinity")
     points = points_h[:3] / points_h[3]
 
-    poses: list[CameraPose] = []
-    intrinsics: list[CameraIntrinsics] = []
-    for j in range(m):
-        K, R, t = _decompose_camera(upgraded[j], intrinsics_guess[j])
-        poses.append(CameraPose(R, t))
-        intrinsics.append(K)
-
-    flipped = False
+    poses = [CameraPose(*_decompose_camera(P)) for P in upgraded]
     depths = poses[reference].transform(points.T)[:, 2]
     if np.sum(depths > 0) < len(depths) / 2.0:
-        flipped = True
         points = -points
         poses = [CameraPose(p.rotation, -p.translation) for p in poses]
         depths = poses[reference].transform(points.T)[:, 2]
@@ -192,13 +159,11 @@ def euclidean_upgrade(
                 "no global sign puts a majority of points in front of the "
                 f"reference camera {reference}"
             )
-    return UpgradeResult(poses, points, EuclideanUpgrade(H, G_fixed, H11, h12), intrinsics, flipped)
+    return UpgradeResult(poses, points)
 
 
-def _decompose_camera(
-    P: Array, guess: CameraIntrinsics
-) -> tuple[CameraIntrinsics, Array, Array]:
-    """RQ split of a 3x4 camera into K (positive diagonal, K22 = 1), R, t."""
+def _decompose_camera(P: Array) -> tuple[Array, Array]:
+    """R, t of a 3x4 camera K [R | t] by RQ split, K with positive diagonal."""
     K, R = scipy.linalg.rq(P[:, :3])
     signs = np.sign(np.diag(K))
     signs[signs == 0] = 1.0
@@ -209,12 +174,4 @@ def _decompose_camera(
     if np.linalg.det(R) < 0:
         R = -R
         t = -t
-    K = K / K[2, 2]
-    fx = abs(float(K[0, 0]))
-    fy = abs(float(K[1, 1]))
-    cx = float(np.clip(K[0, 2], 0.0, guess.width - 1e-9))
-    cy = float(np.clip(K[1, 2], 0.0, guess.height - 1e-9))
-    intr = CameraIntrinsics(
-        fx=fx, fy=fy, cx=cx, cy=cy, width=guess.width, height=guess.height
-    )
-    return intr, orthonormalize(R), t
+    return orthonormalize(R), t

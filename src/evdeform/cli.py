@@ -123,31 +123,26 @@ def cmd_simulate(args) -> int:
 
 
 def _load_streams(streams_dir: Path, fmt: str | None):
+    """The streams streams.json names, each with its camera id and sensor size."""
     meta_path = streams_dir / "streams.json"
-    if meta_path.exists():
-        meta = read_object(meta_path, ParseError)
-        with document_fields(meta_path, ParseError):
-            fmt = fmt or meta.get("format", "csv")
-            if fmt not in ("csv", "binary"):
-                raise ValueError(f"format {fmt!r} is neither 'csv' nor 'binary'")
-            cameras = [
-                (streams_dir / cam["file"],
-                 (operator.index(cam["width"]), operator.index(cam["height"])),
-                 operator.index(cam["camera_id"]))
-                for cam in meta["cameras"]
-            ]
-        return [
-            read_stream(path, fmt, sensor=sensor, camera_id=cid)[0]
-            for path, sensor, cid in cameras
+    if not meta_path.exists():
+        raise ConfigError(f"{meta_path}: not found; it names the stream files and "
+                          "their sensor sizes")
+    meta = read_object(meta_path, ParseError)
+    with document_fields(meta_path, ParseError):
+        fmt = fmt or meta.get("format", "csv")
+        if fmt not in ("csv", "binary"):
+            raise ValueError(f"format {fmt!r} is neither 'csv' nor 'binary'")
+        cameras = [
+            (streams_dir / cam["file"],
+             (operator.index(cam["width"]), operator.index(cam["height"])),
+             operator.index(cam["camera_id"]))
+            for cam in meta["cameras"]
         ]
-    fmt = fmt or "binary"
-    suffix = ".csv" if fmt == "csv" else ".bin"
-    streams = []
-    for path in sorted(streams_dir.glob(f"events_cam*{suffix}")):
-        cam_id = int(path.stem.replace("events_cam", ""))
-        stream, _ = read_stream(path, fmt, sensor=(1280, 720), camera_id=cam_id)
-        streams.append(stream)
-    return streams
+    return [
+        read_stream(path, fmt, sensor=sensor, camera_id=cid)[0]
+        for path, sensor, cid in cameras
+    ]
 
 
 def cmd_extract(args) -> int:

@@ -581,18 +581,18 @@ def match_corresponding(sequences: Sequence[Centers], t_th: float) -> Correspond
 # ---------------------------------------------------------------------------
 
 OBSERVATION_HEADER = "camera_id,t_us,x,y,n,sxx,syy,sxy"
-_INTEGER_FIELDS = ("camera_id", "t_us", "n")
+_INTEGER_FIELDS = ("camera_id", "n")
 
 
 def write_observations(path, centers: Centers) -> None:
     rows = zip(
-        np.rint(centers.t_c).astype(np.int64).tolist(),
+        centers.t_c.tolist(),
         centers.pixel.tolist(),
         centers.count.tolist(),
         centers.covariance.tolist(),
     )
     lines = [OBSERVATION_HEADER] + [
-        f"{centers.camera_id},{t},{x!r},{y!r},{n},{cov[0][0]!r},{cov[1][1]!r},{cov[0][1]!r}"
+        f"{centers.camera_id},{t!r},{x!r},{y!r},{n},{cov[0][0]!r},{cov[1][1]!r},{cov[0][1]!r}"
         for t, (x, y), n, cov in rows
     ]
     Path(path).write_text("\n".join(lines) + "\n")
@@ -603,10 +603,11 @@ def read_observations(path) -> Centers:
 
     Line 1 may be a header whose first field is camera_id, and blank lines
     are skipped. Every other line holds the eight fields of the header:
-    integers camera_id, t_us and n, and finite numbers x, y, sxx, syy and
+    integers camera_id and n, and finite numbers t_us, x, y, sxx, syy and
     sxy. Each row must name the first row's camera, t_us must not decrease,
     n must be at least 1 and the covariance positive semidefinite. Anything
-    else raises ParseError naming path:line.
+    else raises ParseError naming path:line. A file holds no event bounds:
+    t_min and t_max are t_us rounded to a whole microsecond.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -645,15 +646,16 @@ def read_observations(path) -> Centers:
     reject(np.flatnonzero(camera != camera[0]),
            lambda i: f"camera_id {camera[i]} differs from the first row's {camera[0]}")
     reject(np.flatnonzero(np.diff(t_us) < 0) + 1,
-           lambda i: f"t_us {t_us[i]} is earlier than the previous row's {t_us[i - 1]}")
+           lambda i: f"t_us {rows[i][1]} is earlier than the previous row's {rows[i - 1][1]}")
     reject(np.flatnonzero(n < 1), lambda i: f"n {n[i]} is below 1")
     cov = np.stack(
         [columns["sxx"], columns["sxy"], columns["sxy"], columns["syy"]], axis=1
     ).reshape(-1, 2, 2)
     reject(_non_psd(cov), lambda i: "covariance (sxx, syy, sxy) is not positive semidefinite")
+    bounds = np.rint(t_us).astype(np.int64)
     return Centers(
-        int(camera[0]), t_us.astype(np.float64), np.stack([columns["x"], columns["y"]], axis=1),
-        cov, n, t_us, t_us,
+        int(camera[0]), t_us, np.stack([columns["x"], columns["y"]], axis=1),
+        cov, n, bounds, bounds,
     )
 
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from .calibration.bundle import BundleOptions, bundle_adjust, residuals_and_blocks
 from .calibration.cleanup import reject_outliers
-from .calibration.factorization import MeasurementMatrix
 from .calibration.pipeline import CalibrationConfig, CalibrationResult, calibrate
 from .deformation import (
     MeasureConfig,
@@ -34,6 +33,7 @@ from .geometry import (
     CameraIntrinsics,
     CameraPose,
     distort_normalized,
+    homogeneous,
     project_pinhole,
     relative_pose,
     rotation_angle,
@@ -375,8 +375,8 @@ def _prop_rank4(seed: int) -> float:
     intr, poses, points = _random_rig(rng, 3, 60)
     pix = np.stack([project_pinhole(intr, p, points) for p in poses])
     depths = np.stack([p.transform(points)[:, 2] for p in poses])
-    W = MeasurementMatrix(pix, depths, np.ones((3, 60), dtype=bool))
-    s = np.linalg.svd(W.stacked(), compute_uv=False)
+    stacked = (homogeneous(pix) * depths[:, :, None]).transpose(0, 2, 1).reshape(9, 60)
+    s = np.linalg.svd(stacked, compute_uv=False)
     return float(s[4] / s[0])
 
 

@@ -15,7 +15,9 @@ from evdeform.geometry import (
     fundamental_from_calibrated,
     project_pinhole,
     relative_pose,
+    rotation_angle,
 )
+from evdeform.simulator import look_at_pose
 from conftest import correspondences, correspondences_from_points
 
 TABLE_CAM1 = (-0.05359, 0.33899, -0.00157, -0.00479)
@@ -42,6 +44,21 @@ class TestCalibrate:
         for intr in result.intrinsics:
             assert abs(intr.fx - 1800.0) / 1800.0 < 0.005
             assert abs(intr.fy - 1800.0) / 1800.0 < 0.005
+
+    def test_noiseless_four_cameras(self, rig_cameras):
+        """The factorization reaches cameras 1, 2 and 3 over three (0, i) pairs."""
+        fourth = look_at_pose([1500.0, -1800.0, 200.0], [0.0, 50.0, 5200.0])
+        cams = [*rig_cameras, (rig_cameras[0][0], fourth)]
+        groups = correspondences_from_points(cams, sample_points(60))
+        result = calibrate(groups, CalibrationConfig(seed=2))
+        assert result.converged
+        assert max(result.mean_reprojection.values()) < 1e-4
+        for intr in result.intrinsics:
+            assert abs(intr.fx - 1800.0) / 1800.0 < 0.005
+            assert abs(intr.fy - 1800.0) / 1800.0 < 0.005
+        for (_, pose), found in zip(cams[1:], result.poses[1:]):
+            truth = relative_pose(cams[0][1], pose)
+            assert rotation_angle(truth.rotation @ found.rotation.T) < 1e-6
 
     def test_noisy_run_converges_under_target(self, rig_cameras):
         rng = np.random.default_rng(1)

@@ -122,6 +122,20 @@ class TestExtract:
         assert code == 2
         assert "burst sizes" in capsys.readouterr().err  # read as the CSV streams.json names
 
+    def test_missing_streams_json_exits_2(self, tmp_path, capsys):
+        """Only streams.json gives the sensor size; no size is assumed."""
+        streams = tmp_path / "streams"
+        streams.mkdir()
+        stream = EventStream(0, 640, 480, [1, 2], [3, 4], [5, 6], [True, False])
+        write_stream(stream, streams / "events_cam0.csv", "csv")
+        out = tmp_path / "o"
+        code = main(["extract", "--streams", str(streams), "--format", "csv",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {streams / 'streams.json'}: not found")
+        assert not (out / "extraction.json").exists()
+
     def test_invalid_streams_json_exits_2(self, tmp_path, capsys):
         streams = tmp_path / "streams"
         streams.mkdir()
@@ -163,6 +177,12 @@ class TestExtract:
         raw = bytearray((streams / "events_cam0.bin").read_bytes())
         raw[16:24] = (2**64 - 5).to_bytes(8, "little")
         (streams / "events_cam0.bin").write_bytes(bytes(raw))
+        (streams / "streams.json").write_text(json.dumps({
+            "format": "binary",
+            "cameras": [
+                {"camera_id": 0, "file": "events_cam0.bin", "width": 64, "height": 64}
+            ],
+        }))
         code = main(["extract", "--streams", str(streams), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
@@ -269,9 +289,11 @@ class TestCalibrate:
         assert (out / "calibration.json").exists()  # best-so-far still written
 
     def test_unknown_config_key_exits_2(self, observations, tmp_path, capsys):
-        # a misspelt key, and keys of the removed outer calibration loop
+        # a misspelt key, and keys of the removed outer calibration loop and
+        # factorization options
         for key, value in [("reproj_targte", 0.2), ("max_iterations", 2),
-                           ("principal_mode", "free")]:
+                           ("principal_mode", "free"), ("factorization_tol", 1e-8),
+                           ("factorization_max_iters", 50), ("origin_point", 3)]:
             overrides = tmp_path / "config.json"
             overrides.write_text(json.dumps({"reproj_target": 0.3, key: value}))
             out = tmp_path / key
@@ -331,14 +353,14 @@ class TestCalibrate:
         [
             ("0,99999999,1.0,2.0,5,1.0,1.0", "expected 8 fields, got 7"),
             ("0,99999999,abc,2.0,5,1.0,1.0,0.0", "x 'abc' is not a number"),
-            ("0,1.5,1.0,2.0,5,1.0,1.0,0.0", "t_us '1.5' is not an integer"),
+            ("0,12:00,1.0,2.0,5,1.0,1.0,0.0", "t_us '12:00' is not a number"),
             ("0,99999999,1.0,nan,5,1.0,1.0,0.0", "y 'nan' is not finite"),
             ("0,99999999,1.0,2.0,0,1.0,1.0,0.0", "n 0 is below 1"),
             ("0,99999999,1.0,2.0,5,1.0,1.0,2.0", "covariance (sxx, syy, sxy) is not positive"),
             ("0,1,1.0,2.0,5,1.0,1.0,0.0", "t_us 1 is earlier than the previous row's"),
             ("2,99999999,1.0,2.0,5,1.0,1.0,0.0", "camera_id 2 differs from the first row's 0"),
         ],
-        ids=["7-fields", "x-abc", "t-fraction", "y-nan", "n-zero", "not-psd", "t-decreasing",
+        ids=["7-fields", "x-abc", "t-not-number", "y-nan", "n-zero", "not-psd", "t-decreasing",
              "other-camera"],
     )
     def test_malformed_observations_exit_2(self, observations, tmp_path, capsys, row, named):

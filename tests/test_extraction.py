@@ -558,23 +558,39 @@ class TestObservationCsv:
         for name in ("t_c", "pixel", "covariance", "count", "t_min", "t_max"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(centers, name))
 
+    def test_integer_times_still_read(self, tmp_path):
+        """Files written with t_us rounded to whole microseconds."""
+        path = tmp_path / "observations_cam1.csv"
+        path.write_text("camera_id,t_us,x,y,n,sxx,syy,sxy\n"
+                        "1,4000,10.5,20.25,120,1.0,2.0,0.5\n1,8001,11.0,21.0,118,1.0,2.0,0.5\n")
+        loaded = read_observations(path)
+        assert loaded.t_c.dtype == np.float64 and loaded.t_c.tolist() == [4000.0, 8001.0]
+        assert loaded.t_min.dtype == np.int64 and loaded.t_min.tolist() == [4000, 8001]
+        np.testing.assert_array_equal(loaded.t_max, loaded.t_min)
+        np.testing.assert_array_equal(loaded.pixel, [[10.5, 20.25], [11.0, 21.0]])
+
     def test_files_match_like_memory_for_integer_times(self, tmp_path):
-        """extract, write, read, match: the groups matching in memory gives."""
+        """extract, write, read, match: the groups matching in memory gives,
+        for whole-microsecond times and for the extracted times as they are."""
         config = replace(preset_paper_rig(), duration_s=0.5)
-        tables = []
-        for stream in simulate(config).streams:
-            c = extract_center_sequence(stream, calibration_profile(250.0)).observations
-            tables.append(replace(c, t_c=np.rint(c.t_c)))
-        loaded = []
-        for c in tables:
-            write_observations(tmp_path / f"observations_cam{c.camera_id}.csv", c)
-            loaded.append(read_observations(tmp_path / f"observations_cam{c.camera_id}.csv"))
-        want = match_corresponding(tables, t_th=1000.0)
-        got = match_corresponding(loaded, t_th=1000.0)
-        assert len(want) > 200
-        for name in ("camera_ids", "index", "pixels", "t_c", "mean_t", "spread"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+        extracted = [
+            extract_center_sequence(stream, calibration_profile(250.0)).observations
+            for stream in simulate(config).streams
+        ]
+        assert any(np.any(c.t_c != np.rint(c.t_c)) for c in extracted)
+        for tables in ([replace(c, t_c=np.rint(c.t_c)) for c in extracted], extracted):
+            loaded = []
+            for c in tables:
+                write_observations(tmp_path / f"observations_cam{c.camera_id}.csv", c)
+                loaded.append(read_observations(tmp_path / f"observations_cam{c.camera_id}.csv"))
+                assert loaded[-1].t_c.tobytes() == c.t_c.tobytes()
+                np.testing.assert_array_equal(loaded[-1].t_min, np.rint(c.t_c))
+            want = match_corresponding(tables, t_th=1000.0)
+            got = match_corresponding(loaded, t_th=1000.0)
+            assert len(want) > 200
+            for name in ("camera_ids", "index", "pixels", "t_c", "mean_t", "spread"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
 
 
 class TestAccumulationCountSimulatorOracle:
