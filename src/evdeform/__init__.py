@@ -17,7 +17,6 @@ from .extraction import (
     CorrespondingPoint,
     ExtractionConfig,
     calibration_profile,
-    choose_accumulation_count,
     extract_center_sequence,
     match_corresponding,
     measurement_profile,
@@ -79,7 +78,6 @@ __all__ = [
     "bundle_adjust",
     "calibrate",
     "calibration_profile",
-    "choose_accumulation_count",
     "estimate_fundamental_ransac",
     "euclidean_upgrade",
     "extract_center_sequence",

@@ -5,8 +5,8 @@ Residuals project through the full camera model, distortion included. The
 rotation update (left-multiplied exponential), camera translation, focal
 lengths and the radial-tangential coefficients. The principal point stays
 fixed. Point blocks are eliminated with a Schur complement. The gauge is
-fixed by freezing the reference camera's pose and pinning one translation
-component of another camera.
+fixed by freezing the reference camera's pose and pinning the largest
+translation component of another camera.
 """
 from __future__ import annotations
 
@@ -30,22 +30,24 @@ Array = np.ndarray
 CAM_PARAMS = 12  # [w0 w1 w2 | t0 t1 t2 | fx fy | k1 k2 p1 p2]
 
 
+# Levenberg-Marquardt: converged when an accepted step lowers the cost by
+# less than _COST_TOL relative or the gradient falls below _GRADIENT_TOL;
+# the damping starts at _LAMBDA_INIT, grows by _LAMBDA_UP per rejected step
+# up to _LAMBDA_MAX and shrinks by _LAMBDA_DOWN per accepted one.
+_COST_TOL = 1e-14
+_GRADIENT_TOL = 1e-12
+_LAMBDA_INIT = 1e-4
+_LAMBDA_MAX = 1e12
+_LAMBDA_UP = 10.0
+_LAMBDA_DOWN = 1.0 / 3.0
+
+
 @dataclass(frozen=True)
 class BundleOptions:
-    refine_points: bool = True
     refine_focal: bool = True
     refine_distortion: tuple[int, ...] = ()  # cameras with free k1 k2 p1 p2
-    frozen_cameras: tuple[int, ...] = (0,)
-    # (camera, axis) translation component pinned for the scale gauge;
-    # "auto" picks the largest component of the first free camera
-    scale_pin: tuple[int, int] | str | None = "auto"
+    frozen_cameras: tuple[int, ...] = (0,)  # cameras with a fixed pose
     max_iters: int = 50
-    cost_tol: float = 1e-14
-    gradient_tol: float = 1e-12
-    lambda_init: float = 1e-4
-    lambda_max: float = 1e12
-    lambda_up: float = 10.0
-    lambda_down: float = 1.0 / 3.0
 
 
 @dataclass
@@ -62,36 +64,21 @@ class BundleResult:
         return self.cost_trace[-1]
 
 
-def _camera_free_mask(m: int, options: BundleOptions) -> Array:
-    mask = np.ones((m, CAM_PARAMS), dtype=bool)
+def _free_parameters(poses: list[CameraPose], options: BundleOptions) -> Array:
+    """(m, CAM_PARAMS) mask of the free camera parameters.
+
+    The frozen cameras' poses fix the gauge up to scale; the largest
+    translation component of the first other camera fixes the scale.
+    """
+    mask = np.ones((len(poses), CAM_PARAMS), dtype=bool)
     mask[:, 6:8] = options.refine_focal
     mask[:, 8:12] = False
     mask[list(options.refine_distortion), 8:12] = True
-    for c in options.frozen_cameras:
-        mask[c, :6] = False
-    pin = options.scale_pin
-    if pin == "auto":
-        pin = None
-        for c in range(m):
-            if c not in options.frozen_cameras:
-                pin = (c, 0)
-                break
-    if pin is not None:
-        cam, axis = pin
-        mask[cam, 3 + axis] = False
-    return mask
-
-
-def _pin_auto_axis(poses: list[CameraPose], mask: Array, options: BundleOptions) -> Array:
-    """Resolve the "auto" pin to the largest translation component."""
-    if options.scale_pin != "auto":
-        return mask
-    for c in range(len(poses)):
-        if c not in options.frozen_cameras:
-            mask[c, 3:6] = True
-            axis = int(np.argmax(np.abs(poses[c].translation)))
-            mask[c, 3 + axis] = False
-            break
+    mask[list(options.frozen_cameras), :6] = False
+    free = [c for c in range(len(poses)) if c not in options.frozen_cameras]
+    if free:
+        axis = int(np.argmax(np.abs(poses[free[0]].translation)))
+        mask[free[0], 3 + axis] = False
     return mask
 
 
@@ -206,7 +193,6 @@ def apply_perturbation(
     poses: list[CameraPose],
     points: Array,
     delta: Array,
-    refine_points: bool,
 ) -> tuple[list[CameraIntrinsics], list[CameraPose], Array]:
     """Apply a packed parameter update (used by both LM and the FD oracle)."""
     m = len(poses)
@@ -227,10 +213,7 @@ def apply_perturbation(
             ))
         else:
             new_intr.append(intr)
-    new_points = points
-    if refine_points:
-        new_points = points + delta[CAM_PARAMS * m :].reshape(-1, 3)
-    return new_intr, new_poses, new_points
+    return new_intr, new_poses, points + delta[CAM_PARAMS * m :].reshape(-1, 3)
 
 
 def scatter_blocks(index: Array, blocks: Array, count: int) -> Array:
@@ -286,7 +269,7 @@ def normal_equations(
 
 
 def schur_step(
-    ne: NormalEquations, lam: float, frozen: Array, refine_points: bool
+    ne: NormalEquations, lam: float, frozen: Array
 ) -> tuple[Array, Array, Array, Array]:
     """One damped Levenberg-Marquardt step with the point blocks eliminated.
 
@@ -302,11 +285,6 @@ def schur_step(
     Hcc_aug[:, frozen] = 0.0
     Hcc_aug[frozen, frozen] = 1.0
     n = len(ne.V)
-    if not refine_points:
-        rhs = np.where(frozen, 0.0, -ne.g_c.ravel())
-        dc = np.where(frozen, 0.0, np.linalg.solve(Hcc_aug, rhs))
-        return Hcc_aug, rhs, dc, np.zeros((n, 3))
-
     dV = np.einsum("nii->ni", ne.V)
     idx = np.arange(3)
     Vaug = ne.V.copy()
@@ -352,47 +330,40 @@ def bundle_adjust(
     m = len(poses)
     n = len(points)
 
-    free_cam = _pin_auto_axis(poses, _camera_free_mask(m, options), options)
+    free_cam = _free_parameters(poses, options)
     frozen = ~free_cam.ravel()
-    refine_points = options.refine_points
 
     cost = _cost(intrinsics, poses, points, cam_idx, pt_idx, pixels)
     trace = [cost]
-    lam = options.lambda_init
+    lam = _LAMBDA_INIT
     accepted = 0
     converged = False
 
     for _ in range(options.max_iters):
         r, Jc, Jp = residuals_and_blocks(intrinsics, poses, points, cam_idx, pt_idx, pixels)
         Jc = Jc * free_cam[cam_idx][:, None, :]
-        if not refine_points:
-            Jp = np.zeros_like(Jp)
-
         ne = normal_equations(r, Jc, Jp, cam_idx, pt_idx, m, n)
 
-        grad_inf = max(
-            np.abs(ne.g_c).max(initial=0.0),
-            np.abs(ne.g_p).max(initial=0.0) if refine_points else 0.0,
-        )
-        if grad_inf < options.gradient_tol:
+        grad_inf = max(np.abs(ne.g_c).max(initial=0.0), np.abs(ne.g_p).max(initial=0.0))
+        if grad_inf < _GRADIENT_TOL:
             converged = True
             break
 
         stepped = False
         best_rejected = np.inf
-        while lam <= options.lambda_max:
+        while lam <= _LAMBDA_MAX:
             try:
-                _, _, dc, dp = schur_step(ne, lam, frozen, refine_points)
+                _, _, dc, dp = schur_step(ne, lam, frozen)
             except np.linalg.LinAlgError:
-                lam *= options.lambda_up
+                lam *= _LAMBDA_UP
                 continue
             delta = np.concatenate([dc, dp.ravel()])
 
             try:
-                cand = apply_perturbation(intrinsics, poses, points, delta, refine_points)
+                cand = apply_perturbation(intrinsics, poses, points, delta)
                 new_cost = _cost(*cand, cam_idx, pt_idx, pixels)
             except ValueError:  # step left the valid parameter domain
-                lam *= options.lambda_up
+                lam *= _LAMBDA_UP
                 continue
             if np.isfinite(new_cost) and new_cost < cost:
                 intrinsics, poses, points = cand
@@ -400,23 +371,23 @@ def bundle_adjust(
                 cost = new_cost
                 trace.append(cost)
                 accepted += 1
-                lam = max(lam * options.lambda_down, 1e-12)
+                lam = max(lam * _LAMBDA_DOWN, 1e-12)
                 stepped = True
-                if decrease < options.cost_tol * max(cost, 1.0):
+                if decrease < _COST_TOL * max(cost, 1.0):
                     converged = True
                 break
             if np.isfinite(new_cost):
                 best_rejected = min(best_rejected, new_cost)
-            lam *= options.lambda_up
+            lam *= _LAMBDA_UP
         if not stepped:
             # a rejected step matching the current cost to float resolution is
             # a plateau (converged), not divergence
             if best_rejected <= cost * (1.0 + 1e-9):
                 converged = True
                 break
-            if lam > options.lambda_max:
+            if lam > _LAMBDA_MAX:
                 raise DivergedBA(
-                    f"damping exceeded {options.lambda_max:g} without an accepted step"
+                    f"damping exceeded {_LAMBDA_MAX:g} without an accepted step"
                 )
             break
         if converged:

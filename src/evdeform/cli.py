@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import sys
 import time
@@ -186,11 +187,11 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _extracted_sensor(obs_dir: Path) -> tuple[int, int] | None:
-    """The sensor size extraction.json records for the cameras, if it exists."""
+def _extracted_sensor(obs_dir: Path) -> tuple[int, int]:
+    """The sensor size extraction.json records for the cameras."""
     path = obs_dir / "extraction.json"
     if not path.exists():
-        return None
+        raise ConfigError(f"{path}: not found; it records the sensor size of the cameras")
     doc = read_object(path, ParseError)
     with document_fields(path, ParseError):
         sizes = {
@@ -198,9 +199,10 @@ def _extracted_sensor(obs_dir: Path) -> tuple[int, int] | None:
             for c in doc["cameras"].values()
             if "width" in c and "height" in c
         }
-    if len(sizes) > 1:
-        raise ConfigError(f"{path}: cameras differ in sensor size {sorted(sizes)}")
-    return sizes.pop() if sizes else None
+    if len(sizes) != 1:
+        raise ConfigError(f"{path}: expected one sensor size for the cameras, "
+                          f"found {sorted(sizes)}")
+    return sizes.pop()
 
 
 def _match_files(files: list[Path], t_th: float):
@@ -220,11 +222,9 @@ def cmd_calibrate(args) -> int:
     if len(files) < 2:
         print(f"need observations from >= 2 cameras in {obs_dir}", file=sys.stderr)
         return EXIT_USAGE
+    config = CalibrationConfig(seed=args.seed if args.seed is not None else 0,
+                               sensor=_extracted_sensor(obs_dir))
     groups = _match_files(files, args.t_th_us)
-    config = CalibrationConfig(seed=args.seed if args.seed is not None else 0)
-    sensor = _extracted_sensor(obs_dir)
-    if sensor is not None:
-        config = replace(config, sensor=sensor)
     if args.config:
         overrides = read_json(args.config, ConfigError)
         if not isinstance(overrides, dict):
@@ -258,17 +258,23 @@ def cmd_calibrate(args) -> int:
 
 
 def _parse_anchor(spec: str | None):
-    """Anchor forms: 'baseline:camA,camB:mm' or None."""
+    """Anchor forms: 'baseline:camA,camB:mm' with two different cameras and
+    a finite positive distance, or None."""
     if not spec or spec == "none":
         return None
+    bad = ConfigError(f"bad anchor spec {spec!r}; expected baseline:A,B:mm with A != B "
+                      "and a finite positive distance")
     parts = spec.split(":")
     if len(parts) != 3 or parts[0] != "baseline":
-        raise ConfigError(f"bad anchor spec {spec!r}; expected baseline:A,B:mm")
+        raise bad
     try:
         a, b = (int(v) for v in parts[1].split(","))
-        return a, b, float(parts[2])
+        dist_mm = float(parts[2])
     except ValueError:
-        raise ConfigError(f"bad anchor spec {spec!r}; expected baseline:A,B:mm") from None
+        raise bad from None
+    if a == b or not (math.isfinite(dist_mm) and dist_mm > 0):
+        raise bad
+    return a, b, dist_mm
 
 
 def cmd_measure(args) -> int:

@@ -302,8 +302,8 @@ def anchor_scale(
 ) -> RigCalibration:
     """Fix the metric scale so the observed pair's separation becomes
     known_distance. Positions must come from this rig's triangulation."""
-    if known_distance <= 0:
-        raise ValueError("known_distance must be positive")
+    if not (np.isfinite(known_distance) and known_distance > 0):
+        raise ValueError("known_distance must be finite and positive")
     a, b = (np.asarray(p, dtype=float) for p in observed_pair)
     dist = float(np.linalg.norm(a - b))
     if dist < 1e-12:

@@ -8,13 +8,14 @@ arrays calibration and triangulation read directly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ParseError, StreamTooShort
+from .errors import ConfigError, ParseError, StreamTooShort
 from .events import EventStream
 
 # A window of at least this many events gates on its own running mean.
@@ -141,89 +142,79 @@ class Correspondences:
         return map(self.__getitem__, range(len(self)))
 
 
+# An n=None window holds n_burst_fraction of the measured burst size,
+# clipped to these bounds.
+N_MIN = 10
+N_MAX = 2000
+# Bursts are segmented at pauses longer than this when no reset gap is set.
+_BURST_GAP_US = 200.0
+# Marker territory: spatial bins of this size holding more than this many
+# times the median occupied bin's events.
+_BIN_PX = 40
+_HOT_FACTOR = 5.0
+
+
+def _finite_positive(value) -> bool:
+    return math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class ExtractionConfig:
-    """Parameters driving window accumulation and spatial gating.
+    """Window size and spatial gating of extract_center_sequence.
 
-    n, when None, comes from the measured burst sizes (n_burst_fraction set)
-    or from choose_accumulation_count over (blink_freq, marker_speed,
-    event_rate); a missing event_rate falls back to the stream's estimated
-    marker rate with uniform background noise excluded.
+    n, when None, is n_burst_fraction of estimate_burst_size, clipped to
+    [N_MIN, N_MAX]. reset_gap_us, when set, discards a partial window at a
+    pause longer than it and segments the bursts that size the window.
+    Invalid values raise ConfigError.
     """
 
     n: int | None = None
-    blink_freq: float | None = None
-    marker_speed: float = 0.0
-    event_rate: float | None = None
-    duty_window: float = 0.5
-    blur_budget: float = 0.5
-    n_min: int = 10
-    n_max: int = 2000
-    polarity: str = "both"  # "both" | "on" | "off"
     gate_radius: float = 30.0
     reset_gap_us: float | None = None
-    # when set, n = fraction of the measured 5th-percentile burst size,
-    # still capped by the motion-blur budget
     n_burst_fraction: float | None = None
+
+    def __post_init__(self):
+        if self.n is not None and self.n < 1:
+            raise ConfigError(f"window size n must be at least 1, got {self.n}")
+        if not _finite_positive(self.gate_radius):
+            raise ConfigError(f"gate_radius must be finite and positive, got {self.gate_radius}")
+        if self.reset_gap_us is not None and not _finite_positive(self.reset_gap_us):
+            raise ConfigError(f"reset_gap_us must be finite and positive, got {self.reset_gap_us}")
+        if self.n_burst_fraction is None:
+            if self.n is None:
+                raise ConfigError("the window size needs n or n_burst_fraction")
+        elif not 0 < self.n_burst_fraction <= 1:
+            raise ConfigError(f"n_burst_fraction must be in (0, 1], got {self.n_burst_fraction}")
+
+
+def _reset_gap_us(blink_freq: float) -> float:
+    """A twentieth of the blink period."""
+    if not _finite_positive(blink_freq):
+        raise ConfigError(f"blink frequency must be finite and positive, got {blink_freq} Hz")
+    return 0.05e6 / blink_freq
 
 
 def calibration_profile(blink_freq: float) -> ExtractionConfig:
     """Preset for calibration sweeps: near-full bursts, wide gate."""
     return ExtractionConfig(
-        blink_freq=blink_freq,
-        duty_window=0.45,
-        gate_radius=30.0,
-        reset_gap_us=0.05e6 / blink_freq,
-        n_burst_fraction=0.9,
+        gate_radius=30.0, reset_gap_us=_reset_gap_us(blink_freq), n_burst_fraction=0.9
     )
 
 
-def measurement_profile(blink_freq: float, marker_speed: float = 0.0) -> ExtractionConfig:
+def measurement_profile(blink_freq: float) -> ExtractionConfig:
     """Preset for deformation tracking: tighter gate, near-full windows.
 
     Measurement runs assume a faster blink, so the per-burst yield (and with
-    it n) comes out smaller than in the calibration profile; a nonzero
-    marker_speed shrinks the window further through the blur budget. The
-    tight gate and high burst fraction favor centroid precision over
-    robustness to marker jumps.
+    it n) comes out smaller than in the calibration profile. The tight gate
+    and high burst fraction favor centroid precision over robustness to
+    marker jumps.
     """
     return ExtractionConfig(
-        blink_freq=blink_freq,
-        marker_speed=marker_speed,
-        duty_window=0.45,
-        gate_radius=15.0,
-        reset_gap_us=0.05e6 / blink_freq,
-        n_burst_fraction=0.95,
+        gate_radius=15.0, reset_gap_us=_reset_gap_us(blink_freq), n_burst_fraction=0.95
     )
 
 
-def estimate_marker_event_rate(
-    stream: EventStream, bin_px: int = 40, factor: float = 5.0
-) -> float:
-    """Marker event rate (events/s) with uniform background noise excluded.
-
-    Marker events pile up in a few spatial bins; bins far above the median
-    occupancy are counted as marker territory.
-    """
-    if len(stream) < 2 or stream.duration_us <= 0:
-        raise StreamTooShort("cannot estimate an event rate from this stream")
-    bx = stream.x // bin_px
-    by = stream.y // bin_px
-    counts = np.bincount(bx.astype(np.int64) * (stream.height // bin_px + 1) + by)
-    counts = counts[counts > 0]
-    level = np.median(counts)
-    marker = counts[counts > factor * level].sum()
-    if marker == 0:
-        marker = len(stream)  # noise-free or non-concentrated stream
-    return float(marker) / (stream.duration_us * 1e-6)
-
-
-def estimate_burst_size(
-    stream: EventStream,
-    gap_us: float = 200.0,
-    bin_px: int = 40,
-    factor: float = 5.0,
-) -> float:
+def estimate_burst_size(stream: EventStream, gap_us: float = _BURST_GAP_US) -> float:
     """5th-percentile event count of the marker's transition bursts.
 
     Events are first restricted to high-occupancy spatial bins (the marker's
@@ -232,14 +223,14 @@ def estimate_burst_size(
     """
     if len(stream) < 2:
         raise StreamTooShort("cannot estimate burst sizes from this stream")
-    bx = stream.x // bin_px
-    by = stream.y // bin_px
-    ny = stream.height // bin_px + 1
+    bx = stream.x // _BIN_PX
+    by = stream.y // _BIN_PX
+    ny = stream.height // _BIN_PX + 1
     flat = bx.astype(np.int64) * ny + by
     counts = np.bincount(flat)
     occupied = counts[counts > 0]
     level = np.median(occupied)
-    hot = np.flatnonzero(counts > factor * level)
+    hot = np.flatnonzero(counts > _HOT_FACTOR * level)
     sel = np.isin(flat, hot) if len(hot) else np.ones(len(stream), dtype=bool)
     t = stream.t[sel]
     if len(t) < 8:
@@ -273,56 +264,12 @@ def extraction_diagnostics(result: ExtractionResult, sensor: tuple[int, int]) ->
     }
 
 
-def choose_accumulation_count(
-    blink_freq: float,
-    marker_speed: float,
-    event_rate: float,
-    duty_window: float = 1.0,
-    blur_budget: float = 0.5,
-    n_min: int = 10,
-    n_max: int = 2000,
-) -> int:
-    """Window size: per-cycle yield capped by a motion-blur pixel budget.
-
-    Non-decreasing in the per-cycle event yield, non-increasing in the
-    marker speed; degenerate inputs clamp to n_min.
-    """
-    if blink_freq <= 0 or event_rate <= 0:
-        raise ValueError("blink_freq and event_rate must be positive")
-    if marker_speed < 0:
-        raise ValueError("marker_speed must be non-negative")
-    per_cycle = event_rate / blink_freq * duty_window
-    n = int(round(per_cycle))
-    blur_cap = event_rate * blur_budget / max(marker_speed, 1e-12)
-    n = min(n, int(blur_cap))
-    return int(np.clip(n, n_min, n_max))
-
-
 def _resolve_n(stream: EventStream, config: ExtractionConfig) -> int:
     if config.n is not None:
         return int(config.n)
-    if config.n_burst_fraction is not None:
-        gap = config.reset_gap_us if config.reset_gap_us is not None else 200.0
-        n = int(round(config.n_burst_fraction * estimate_burst_size(stream, gap)))
-        if config.marker_speed > 0:
-            rate = config.event_rate or estimate_marker_event_rate(stream)
-            n = min(n, int(rate * config.blur_budget / config.marker_speed))
-        return int(np.clip(n, config.n_min, config.n_max))
-    if config.blink_freq is None:
-        raise ValueError("config needs n, n_burst_fraction or blink_freq")
-    rate = config.event_rate
-    if rate is None:
-        # noise-robust: bins of uniform background are excluded from the rate
-        rate = estimate_marker_event_rate(stream)
-    return choose_accumulation_count(
-        config.blink_freq,
-        config.marker_speed,
-        rate,
-        duty_window=config.duty_window,
-        blur_budget=config.blur_budget,
-        n_min=config.n_min,
-        n_max=config.n_max,
-    )
+    gap = config.reset_gap_us if config.reset_gap_us is not None else _BURST_GAP_US
+    n = round(config.n_burst_fraction * estimate_burst_size(stream, gap))
+    return int(np.clip(n, N_MIN, N_MAX))
 
 
 def extract_center_sequence(stream: EventStream, config: ExtractionConfig) -> ExtractionResult:
@@ -340,22 +287,14 @@ def extract_center_sequence(stream: EventStream, config: ExtractionConfig) -> Ex
     """
     n = _resolve_n(stream, config)
     if n * max(stream.width, stream.height) >= 2**53:
-        raise ValueError(f"window n={n} too large for exact sums over a {stream.width}x"
-                         f"{stream.height} sensor")
-    if config.polarity == "on":
-        sel = stream.polarity
-    elif config.polarity == "off":
-        sel = ~stream.polarity
-    elif config.polarity == "both":
-        sel = slice(None)
-    else:
-        raise ValueError(f"unknown polarity selection {config.polarity!r}")
-    ts = stream.t[sel].astype(np.float64)
-    xs = stream.x[sel].astype(np.float64)
-    ys = stream.y[sel].astype(np.float64)
+        raise ConfigError(f"window n={n} too large for exact sums over a {stream.width}x"
+                          f"{stream.height} sensor")
+    ts = stream.t.astype(np.float64)
+    xs = stream.x.astype(np.float64)
+    ys = stream.y.astype(np.float64)
     total = len(ts)
     if total < n:
-        raise StreamTooShort(f"{total} events of requested polarity, window needs {n}")
+        raise StreamTooShort(f"{total} events, window needs {n}")
     start = _Carry(ref_x=float(np.median(xs[:n])), ref_y=float(np.median(ys[:n])))
     gate2 = config.gate_radius * config.gate_radius
     accepted, firsts, partial = _gate(ts, xs, ys, start, n, gate2, config.reset_gap_us)

@@ -97,7 +97,7 @@ def truth_correspondences(
 
 
 def _marker_extraction_config(stream) -> ExtractionConfig:
-    n = int(round(0.97 * estimate_burst_size(stream, gap_us=200.0))) - 2
+    n = int(round(0.97 * estimate_burst_size(stream))) - 2
     return ExtractionConfig(n=max(n, 10), gate_radius=15.0, reset_gap_us=200.0)
 
 
@@ -398,7 +398,7 @@ def _prop_ba_monotonic(seed: int, trials: int = 100) -> int:
         p_points = points + rng.normal(0, 15.0, points.shape)
         res = bundle_adjust(
             [intr] * 3, p_poses, p_points, cam_idx, pt_idx, pix,
-            BundleOptions(refine_focal=False, scale_pin=None, max_iters=20),
+            BundleOptions(refine_focal=False, max_iters=20),
         )
         trace = np.array(res.cost_trace)
         if np.any(np.diff(trace) > 0):
@@ -422,9 +422,9 @@ def _prop_jacobian(seed: int) -> float:
     for q in range(P):
         d = np.zeros(P)
         d[q] = h
-        ip, pp, xp = apply_perturbation([intr] * 2, poses, points, d, True)
+        ip, pp, xp = apply_perturbation([intr] * 2, poses, points, d)
         rp, _, _ = residuals_and_blocks(ip, pp, xp, cam_idx, pt_idx, pix)
-        im, pm, xm = apply_perturbation([intr] * 2, poses, points, -d, True)
+        im, pm, xm = apply_perturbation([intr] * 2, poses, points, -d)
         rm, _, _ = residuals_and_blocks(im, pm, xm, cam_idx, pt_idx, pix)
         Jfd[:, q] = (rp.ravel() - rm.ravel()) / (2 * h)
     denom = np.maximum(np.abs(Jfd), 1e-6 * np.abs(Jfd).max())

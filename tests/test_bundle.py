@@ -5,8 +5,7 @@ import pytest
 from evdeform.calibration.bundle import (
     CAM_PARAMS,
     BundleOptions,
-    _camera_free_mask,
-    _pin_auto_axis,
+    _free_parameters,
     apply_perturbation,
     bundle_adjust,
     dense_jacobian,
@@ -52,7 +51,7 @@ def reference_dense_jacobian(intr, poses, pts, cam_idx, pt_idx, pix):
     return r.ravel(), J
 
 
-def reference_reduced_system(r, Jc, Jp, cam_idx, pt_idx, m, n, lam, free_cam, refine_points):
+def reference_reduced_system(r, Jc, Jp, cam_idx, pt_idx, m, n, lam, free_cam):
     """The np.add.at / three-operand einsum formulas the Schur step replaced.
 
     Returns S, rhs and the point step as a function of the camera step.
@@ -80,9 +79,6 @@ def reference_reduced_system(r, Jc, Jp, cam_idx, pt_idx, m, n, lam, free_cam, re
     Hcc_aug[frozen, :] = 0.0
     Hcc_aug[:, frozen] = 0.0
     Hcc_aug[frozen, frozen] = 1.0
-    if not refine_points:
-        return Hcc_aug, np.where(frozen, 0.0, -g_c.ravel()), lambda dc: np.zeros((n, 3))
-
     dV = np.einsum("nii->ni", V).copy()
     idx = np.arange(3)
     Vaug = V.copy()
@@ -103,11 +99,9 @@ def masked_blocks(scene, options):
     rng = np.random.default_rng(4)
     pts = pts + rng.normal(0, 3.0, pts.shape)
     pix = pix + rng.normal(0, 0.5, pix.shape)
-    free_cam = _pin_auto_axis(poses, _camera_free_mask(len(poses), options), options)
+    free_cam = _free_parameters(poses, options)
     r, Jc, Jp = residuals_and_blocks(intr, poses, pts, cam_idx, pt_idx, pix)
     Jc = Jc * free_cam[cam_idx][:, None, :]
-    if not options.refine_points:
-        Jp = np.zeros_like(Jp)
     return r, Jc, Jp, free_cam, (intr, poses, pts, cam_idx, pt_idx, pix)
 
 
@@ -133,9 +127,7 @@ class TestRecovery:
             R = orthonormalize(rotation_from_axis_angle(rng.normal(0, 0.01, 3)) @ p.rotation)
             p_poses.append(CameraPose(R, p.translation * (1 + rng.normal(0, 0.01))))
         p_pts = pts + rng.normal(0, 2.0 * 5200 / 1800, pts.shape)
-        res = bundle_adjust(
-            intr, p_poses, p_pts, cam_idx, pt_idx, pix, BundleOptions(scale_pin=None)
-        )
+        res = bundle_adjust(intr, p_poses, p_pts, cam_idx, pt_idx, pix)
         r, _, _ = residuals_and_blocks(
             res.intrinsics, res.poses, res.points, cam_idx, pt_idx, pix
         )
@@ -166,9 +158,9 @@ class TestJacobian:
             for q in range(P):
                 d = np.zeros(P)
                 d[q] = h
-                ip, pp, xp = apply_perturbation(cams, poses, pts, d, True)
+                ip, pp, xp = apply_perturbation(cams, poses, pts, d)
                 rp, _, _ = residuals_and_blocks(ip, pp, xp, ci, pi, px)
-                im, pm, xm = apply_perturbation(cams, poses, pts, -d, True)
+                im, pm, xm = apply_perturbation(cams, poses, pts, -d)
                 rm, _, _ = residuals_and_blocks(im, pm, xm, ci, pi, px)
                 Jfd[:, q] = (rp.ravel() - rm.ravel()) / (2 * h)
             denom = np.maximum(np.abs(Jfd), 1e-6 * np.abs(Jfd).max())
@@ -208,8 +200,7 @@ class TestScatterBlocks:
 SCHUR_OPTIONS = {
     "default": BundleOptions(),
     "frozen-focal": BundleOptions(refine_focal=False),
-    "fixed-points": BundleOptions(refine_points=False),
-    "two-frozen-pinned": BundleOptions(frozen_cameras=(0, 2), scale_pin=(1, 2)),
+    "two-frozen-pinned": BundleOptions(frozen_cameras=(0, 2)),
 }
 
 
@@ -222,20 +213,16 @@ class TestSchurStep:
         m, n = len(poses), len(pts)
         S, rhs, dc, dp = schur_step(
             normal_equations(r, Jc, Jp, cam_idx, pt_idx, m, n),
-            lam, ~free_cam.ravel(), options.refine_points,
+            lam, ~free_cam.ravel(),
         )
         S_ref, rhs_ref, point_step = reference_reduced_system(
-            r, Jc, Jp, cam_idx, pt_idx, m, n, lam, free_cam, options.refine_points
+            r, Jc, Jp, cam_idx, pt_idx, m, n, lam, free_cam
         )
         assert rel_err(S, S_ref) < 1e-12
         assert rel_err(rhs, rhs_ref) < 1e-12
         frozen = ~free_cam.ravel()
         assert frozen.sum() >= 6 and not dc[frozen].any()
-        if options.refine_points:
-            assert rel_err(dp, point_step(dc)) < 1e-12
-        else:
-            assert not dp.any()
-            np.testing.assert_array_equal(S, S_ref)
+        assert rel_err(dp, point_step(dc)) < 1e-12
 
     def test_normal_blocks_equal_add_at_bitwise(self, scene):
         r, Jc, Jp, _, (_, poses, pts, cam_idx, pt_idx, _) = masked_blocks(scene, BundleOptions())
@@ -267,7 +254,7 @@ class TestSchurStep:
         P = CAM_PARAMS * m
         S, rhs, _, _ = schur_step(
             normal_equations(r, Jc, Jp, cam_idx, pt_idx, m, n),
-            lam, ~free_cam.ravel(), True,
+            lam, ~free_cam.ravel(),
         )
 
         r_dense, J = dense_jacobian(*data)
@@ -293,10 +280,7 @@ class TestGauge:
         intr, poses, pts, cam_idx, pt_idx, pix = scene
         rng = np.random.default_rng(9)
         p_pts = pts + rng.normal(0, 3.0, pts.shape)
-        res = bundle_adjust(
-            intr, poses, p_pts, cam_idx, pt_idx, pix,
-            BundleOptions(frozen_cameras=(0,), scale_pin="auto"),
-        )
+        res = bundle_adjust(intr, poses, p_pts, cam_idx, pt_idx, pix)
         np.testing.assert_array_equal(res.poses[0].rotation, poses[0].rotation)
         np.testing.assert_array_equal(res.poses[0].translation, poses[0].translation)
 
@@ -304,12 +288,13 @@ class TestGauge:
         intr, poses, pts, cam_idx, pt_idx, pix = scene
         rng = np.random.default_rng(10)
         p_pts = pts + rng.normal(0, 3.0, pts.shape)
+        res = bundle_adjust(intr, poses, p_pts, cam_idx, pt_idx, pix)
+        assert res.accepted_steps > 0
+        # the largest translation component of the first free camera is pinned
         axis = int(np.argmax(np.abs(poses[1].translation)))
-        res = bundle_adjust(
-            intr, poses, p_pts, cam_idx, pt_idx, pix,
-            BundleOptions(frozen_cameras=(0,), scale_pin=(1, axis)),
-        )
-        assert res.poses[1].translation[axis] == poses[1].translation[axis]
+        moved = res.poses[1].translation != poses[1].translation
+        assert moved.tolist() == [i != axis for i in range(3)]
+        assert res.poses[1].translation[axis].hex() == poses[1].translation[axis].hex()
 
     def test_focal_frozen_when_disabled(self, scene):
         intr, poses, pts, cam_idx, pt_idx, pix = scene
@@ -317,24 +302,7 @@ class TestGauge:
         p_pts = pts + rng.normal(0, 3.0, pts.shape)
         res = bundle_adjust(
             intr, poses, p_pts, cam_idx, pt_idx, pix,
-            BundleOptions(refine_focal=False, scale_pin=None),
+            BundleOptions(refine_focal=False),
         )
         for a, b in zip(res.intrinsics, intr):
             assert a.fx == b.fx and a.fy == b.fy
-
-    def test_points_frozen_when_disabled(self, scene):
-        intr, poses, pts, cam_idx, pt_idx, pix = scene
-        rng = np.random.default_rng(13)
-        p_poses = [poses[0]]
-        for p in poses[1:]:
-            R = orthonormalize(rotation_from_axis_angle(rng.normal(0, 0.005, 3)) @ p.rotation)
-            p_poses.append(CameraPose(R, p.translation))
-        res = bundle_adjust(
-            intr, p_poses, pts, cam_idx, pt_idx, pix,
-            BundleOptions(refine_points=False, scale_pin=None),
-        )
-        np.testing.assert_array_equal(res.points, pts)
-        r, _, _ = residuals_and_blocks(
-            res.intrinsics, res.poses, res.points, cam_idx, pt_idx, pix
-        )
-        assert np.linalg.norm(r, axis=1).mean() < 1e-6

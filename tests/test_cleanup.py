@@ -90,7 +90,9 @@ class TestRejectOutliers:
 
 
 class TestEstimateDistortion:
-    """The coverage gate, and bundle adjustment with only k1 k2 p1 p2 free."""
+    """The coverage gate, and bundle adjustment of the three-camera rig with
+    free points and poses, where camera 1 sees through distortion and its
+    k1 k2 p1 p2 are the only free intrinsics."""
 
     def _scene(self, coeffs, n=200, seed=1):
         intr_ideal = CameraIntrinsics(1800.0, 1800.0, 639.5, 359.5)
@@ -114,13 +116,16 @@ class TestEstimateDistortion:
 
     def _fit(self, pts, observed, intr, pose):
         assert distortion_gate(observed, intr) is None
-        res = bundle_adjust(
-            [intr], [pose], pts, np.zeros(len(pts), dtype=np.int64), np.arange(len(pts)),
-            observed,
-            BundleOptions(refine_points=False, refine_focal=False,
-                          refine_distortion=(0,), scale_pin=None),
+        (intr0, pose0), _, (intr2, pose2) = paper_rig_cameras()
+        pixels = np.concatenate(
+            [project_pinhole(intr0, pose0, pts), observed, project_pinhole(intr2, pose2, pts)]
         )
-        fit = res.intrinsics[0]
+        res = bundle_adjust(
+            [intr0, intr, intr2], [pose0, pose, pose2], pts,
+            np.repeat(np.arange(3), len(pts)), np.tile(np.arange(len(pts)), 3), pixels,
+            BundleOptions(refine_focal=False, refine_distortion=(1,)),
+        )
+        fit = res.intrinsics[1]
         assert (fit.fx, fit.fy, fit.cx, fit.cy) == (intr.fx, intr.fy, intr.cx, intr.cy)
         return fit.distortion
 

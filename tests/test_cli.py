@@ -30,6 +30,13 @@ def malformed_documents(fmt):
     ]
 
 
+def copy_observations(src, dst, cameras="*"):
+    """Copy the observation CSVs of the given cameras and extraction.json."""
+    dst.mkdir()
+    for path in [*src.glob(f"observations_cam{cameras}.csv"), src / "extraction.json"]:
+        (dst / path.name).write_text(path.read_text())
+
+
 @pytest.fixture(scope="module")
 def preset_run(tmp_path_factory):
     """One preset simulation shared by the downstream command tests."""
@@ -222,6 +229,28 @@ class TestExtract:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {streams / 'streams.json'}: {named}")
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--blink-freq", "0"], "blink frequency"),
+            (["--blink-freq", "-250"], "blink frequency"),
+            (["--blink-freq", "nan"], "blink frequency"),
+            (["--blink-freq", "inf"], "blink frequency"),
+            (["--n", "0"], "window size n must be at least 1, got 0"),
+            (["--n", "-3"], "window size n must be at least 1, got -3"),
+            (["--n", str(10**13)], "too large for exact sums"),
+        ],
+        ids=["blink-zero", "blink-negative", "blink-nan", "blink-inf", "n-zero", "n-negative",
+             "n-huge"],
+    )
+    def test_bad_settings_exit_2(self, preset_run, tmp_path, capsys, flags, named):
+        out = tmp_path / "o"
+        code = main(["extract", "--streams", str(preset_run), "--out", str(out), *flags])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert not (out / "extraction.json").exists()
+
     def test_extraction_json_records_sensor_and_diagnostics(self, observations):
         info = json.loads((observations / "extraction.json").read_text())
         for cam in info["cameras"].values():
@@ -269,13 +298,24 @@ class TestCalibrate:
         assert (out / "calibration.json").exists()
         assert (out / "manifest.json").exists()
 
-    def test_single_camera_exits_2(self, observations, tmp_path):
+    def test_single_camera_exits_2(self, observations, tmp_path, capsys):
         single = tmp_path / "single"
-        single.mkdir()
-        src = observations / "observations_cam0.csv"
-        (single / "observations_cam0.csv").write_text(src.read_text())
+        copy_observations(observations, single, cameras="0")
         code = main(["calibrate", "--observations", str(single), "--out", str(tmp_path / "o")])
         assert code == 2
+        assert "need observations from >= 2 cameras" in capsys.readouterr().err
+
+    def test_missing_extraction_json_exits_2(self, observations, tmp_path, capsys):
+        """Only extraction.json gives the sensor size; no size is assumed."""
+        obs = tmp_path / "obs"
+        copy_observations(observations, obs)
+        (obs / "extraction.json").unlink()
+        out = tmp_path / "o"
+        code = main(["calibrate", "--observations", str(obs), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {obs / 'extraction.json'}: not found")
+        assert not (out / "calibration.json").exists()
 
     def test_unreachable_target_exits_1_with_best_effort(self, observations, tmp_path):
         overrides = tmp_path / "config.json"
@@ -365,9 +405,7 @@ class TestCalibrate:
     )
     def test_malformed_observations_exit_2(self, observations, tmp_path, capsys, row, named):
         obs = tmp_path / "obs"
-        obs.mkdir()
-        for path in observations.glob("observations_cam*.csv"):
-            (obs / path.name).write_text(path.read_text())
+        copy_observations(observations, obs)
         bad = obs / "observations_cam0.csv"
         lines = bad.read_text().splitlines() + [row]
         bad.write_text("\n".join(lines) + "\n")
@@ -378,9 +416,7 @@ class TestCalibrate:
 
     def test_camera_in_two_files_exits_2(self, observations, tmp_path, capsys):
         obs = tmp_path / "obs"
-        obs.mkdir()
-        for path in observations.glob("observations_cam*.csv"):
-            (obs / path.name).write_text(path.read_text())
+        copy_observations(observations, obs)
         (obs / "observations_cam9.csv").write_text((obs / "observations_cam0.csv").read_text())
         code = main(["calibrate", "--observations", str(obs), "--out", str(tmp_path / "o")])
         assert code == 2
@@ -528,6 +564,24 @@ class TestMeasure:
         )
         assert code == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "anchor",
+        ["baseline:0,1:-5", "baseline:0,1:0", "baseline:0,1:nan", "baseline:0,1:inf",
+         "baseline:0,0:4640"],
+        ids=["negative", "zero", "nan", "inf", "same-camera"],
+    )
+    def test_bad_anchor_values_exit_2(self, sway_setup, tmp_path, capsys, anchor):
+        root, cal, sway_obs = sway_setup
+        out = tmp_path / "o"
+        code = main(
+            ["measure", "--calibration", str(cal / "calibration.json"),
+             "--observations", str(sway_obs), "--anchor", anchor, "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: bad anchor spec {anchor!r}")
+        assert not (out / "series.csv").exists()
 
     def test_observations_from_camera_outside_rig_exit_2(self, sway_setup, tmp_path, capsys):
         root, cal, sway_obs = sway_setup

@@ -272,6 +272,11 @@ class TestAnchorScale:
         scaled_b = b / rig.scale * out.scale
         assert np.linalg.norm(scaled_a - scaled_b) == pytest.approx(250.0)
 
+    @pytest.mark.parametrize("distance", [0.0, -5.0, float("nan"), float("inf")])
+    def test_known_distance_must_be_finite_positive(self, distance):
+        with pytest.raises(ValueError, match="finite and positive"):
+            anchor_scale(make_rig(), distance, (np.zeros(3), np.ones(3)))
+
     def test_zero_distance(self):
         rig = make_rig()
         with pytest.raises(ZeroObservedDistance):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from evdeform import extraction
-from evdeform.errors import StreamTooShort
+from evdeform.errors import ConfigError, StreamTooShort
 from evdeform.events import EventStream
 from evdeform.extraction import (
     Centers,
@@ -13,7 +13,7 @@ from evdeform.extraction import (
     ExtractionResult,
     _resolve_n,
     calibration_profile,
-    choose_accumulation_count,
+    estimate_burst_size,
     extract_center_sequence,
     extraction_diagnostics,
     measurement_profile,
@@ -36,13 +36,12 @@ from conftest import centers_table
 def reference_extract_center_sequence(stream, config):
     """Per-event loop over the stream: the reference for extract_center_sequence."""
     n = _resolve_n(stream, config)
-    sel = {"on": stream.polarity, "off": ~stream.polarity, "both": slice(None)}[config.polarity]
-    ts = stream.t[sel].astype(np.float64)
-    xs = stream.x[sel].astype(np.float64)
-    ys = stream.y[sel].astype(np.float64)
+    ts = stream.t.astype(np.float64)
+    xs = stream.x.astype(np.float64)
+    ys = stream.y.astype(np.float64)
     total = len(ts)
     if total < n:
-        raise StreamTooShort(f"{total} events of requested polarity, window needs {n}")
+        raise StreamTooShort(f"{total} events, window needs {n}")
     ref_x = float(np.median(xs[:n]))
     ref_y = float(np.median(ys[:n]))
     gate2 = config.gate_radius * config.gate_radius
@@ -176,43 +175,6 @@ def assert_same_groups(got, want, tables):
         assert float(got.spread[j]).hex() == spread.hex()
 
 
-class TestChooseAccumulationCount:
-    def test_static_marker_caps_at_per_cycle_yield(self):
-        n = choose_accumulation_count(250.0, 0.0, 125_000.0, duty_window=1.0, n_max=1000)
-        assert n == 500
-
-    def test_per_cycle_yield_from_rates(self):
-        # half-cycle window of a 100 kHz event stream at 500 Hz blink
-        n = choose_accumulation_count(500.0, 0.0, 100_000.0, duty_window=0.5)
-        assert n == 100
-
-    def test_blur_budget_caps_fast_markers(self):
-        slow = choose_accumulation_count(250.0, 10.0, 125_000.0, duty_window=1.0)
-        fast = choose_accumulation_count(250.0, 5000.0, 125_000.0, duty_window=1.0)
-        assert fast < slow
-        assert fast == int(125_000.0 * 0.5 / 5000.0)
-
-    def test_doubling_speed_never_increases_n(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            blink = rng.uniform(10, 2000)
-            rate = rng.uniform(1e3, 1e6)
-            speed = rng.uniform(0, 5000)
-            duty = rng.uniform(0.1, 1.0)
-            n1 = choose_accumulation_count(blink, speed, rate, duty_window=duty)
-            n2 = choose_accumulation_count(blink, 2 * speed, rate, duty_window=duty)
-            assert n2 <= n1
-
-    def test_degenerate_inputs_clamp_to_minimum(self):
-        assert choose_accumulation_count(250.0, 0.0, 10.0, n_min=10) == 10
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            choose_accumulation_count(0.0, 0.0, 1000.0)
-        with pytest.raises(ValueError):
-            choose_accumulation_count(250.0, -1.0, 1000.0)
-
-
 def _stream(t, x, y):
     """ON events of camera 0 on a 1280x720 sensor from column lists."""
     return EventStream(0, 1280, 720, t, x, y, np.ones(len(t), dtype=bool))
@@ -328,16 +290,6 @@ class TestExtractCenterSequence:
         with pytest.raises(StreamTooShort):
             extract_center_sequence(res.streams[0], ExtractionConfig(n=n))
 
-    def test_polarity_selection(self):
-        res = simulate(static_scenario())
-        n = burst_size(res)
-        both = extract_center_sequence(res.streams[0], ExtractionConfig(n=n))
-        on_only = extract_center_sequence(
-            res.streams[0], ExtractionConfig(n=n, polarity="on")
-        )
-        # ON bursts are half of all transitions
-        assert abs(len(on_only.observations) - len(both.observations) / 2) <= 1
-
     def test_time_of_cluster_inside_window(self):
         res = simulate(static_scenario(latency_jitter_std_us=20.0))
         n = burst_size(res) - 2
@@ -400,8 +352,6 @@ def _tied_times():
 
 EQUALITY_CASES = {
     "polarity-both": (lambda: _moving_marker(), calibration_profile(250.0)),
-    "polarity-on": (lambda: _moving_marker(), replace(calibration_profile(250.0), polarity="on")),
-    "polarity-off": (lambda: _moving_marker(), replace(measurement_profile(250.0), polarity="off")),
     "n-below-8": (lambda: _moving_marker(), ExtractionConfig(n=5, gate_radius=15.0, reset_gap_us=200.0)),
     "n-below-8-no-gap": (lambda: _moving_marker(), ExtractionConfig(n=5, gate_radius=15.0)),
     "no-reset-gap": (lambda: _moving_marker(), replace(calibration_profile(250.0), reset_gap_us=None)),
@@ -446,7 +396,7 @@ class TestMatchesReference:
 
     def test_window_too_large_for_exact_sums(self):
         stream = EventStream(0, 2**31 - 1, 8, [0], [0], [0], [True])
-        with pytest.raises(ValueError, match="exact sums"):
+        with pytest.raises(ConfigError, match="exact sums"):
             extract_center_sequence(stream, ExtractionConfig(n=2**23))
 
     def test_non_psd_covariance_raises_like_the_cluster(self):
@@ -595,11 +545,47 @@ class TestObservationCsv:
 
 class TestAccumulationCountSimulatorOracle:
     def test_count_matches_simulated_per_cycle_yield(self):
-        """The formula's per-cycle yield equals the counted events per cycle."""
+        """The measured burst size equals the simulated events per transition,
+        and each profile's window is its fraction of it."""
         res = simulate(static_scenario(duration_s=1.0))
         stream = res.streams[0]
-        cycles = 250.0 * 1.0
-        events_per_cycle = len(stream) / cycles
-        rate = len(stream) / 1.0
-        n = choose_accumulation_count(250.0, 0.0, rate, duty_window=1.0, n_max=5000)
-        assert n == round(events_per_cycle)
+        per_burst = len(stream) / len(res.truth.transition_t_us)
+        assert estimate_burst_size(stream) == per_burst
+        for profile, fraction in ((calibration_profile, 0.9), (measurement_profile, 0.95)):
+            assert extract_center_sequence(stream, profile(250.0)).n == round(fraction * per_burst)
+
+    def test_window_clipped_to_bounds(self):
+        stream = simulate(static_scenario(duration_s=0.2)).streams[0]
+        tiny = ExtractionConfig(n_burst_fraction=1e-6)
+        assert extract_center_sequence(stream, tiny).n == extraction.N_MIN
+        t = np.repeat(np.arange(10) * 10_000, 3000)  # bursts of 3000 events
+        bursts = _blob_stream(t, np.full((len(t), 2), 500.0), np.random.default_rng(3))
+        full = ExtractionConfig(n_burst_fraction=1.0)
+        assert extract_center_sequence(bursts, full).n == extraction.N_MAX
+
+
+class TestExtractionConfigValidation:
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"n": 0}, "n must be at least 1, got 0"),
+            ({"n": -3}, "n must be at least 1, got -3"),
+            ({"n": 10, "gate_radius": 0.0}, "gate_radius"),
+            ({"n": 10, "gate_radius": float("nan")}, "gate_radius"),
+            ({"n": 10, "reset_gap_us": float("inf")}, "reset_gap_us"),
+            ({"n": 10, "reset_gap_us": -1.0}, "reset_gap_us"),
+            ({"n_burst_fraction": 0.0}, "n_burst_fraction"),
+            ({"n_burst_fraction": 1.5}, "n_burst_fraction"),
+            ({"n_burst_fraction": float("nan")}, "n_burst_fraction"),
+            ({}, "needs n or n_burst_fraction"),
+        ],
+    )
+    def test_invalid_fields_raise(self, fields, named):
+        with pytest.raises(ConfigError, match=named):
+            ExtractionConfig(**fields)
+
+    @pytest.mark.parametrize("blink_freq", [0.0, -250.0, float("nan"), float("inf")])
+    def test_profiles_refuse_bad_blink_frequency(self, blink_freq):
+        for profile in (calibration_profile, measurement_profile):
+            with pytest.raises(ConfigError, match="blink frequency"):
+                profile(blink_freq)

@@ -13,7 +13,6 @@ from evdeform import extraction
 from evdeform.errors import StreamTooShort
 from evdeform.extraction import (
     ExtractionConfig,
-    choose_accumulation_count,
     extract_center_sequence,
     match_corresponding,
 )
@@ -95,12 +94,11 @@ def test_csv_write_read_round_trip(rows):
     n=st.integers(1, 30),
     gate=st.sampled_from([0.5, 2.0, 5.0, 30.0]),
     gap=st.sampled_from([None, 0.5, 3.0, 50.0]),
-    polarity=st.sampled_from(["on", "off", "both"]),
     chunk=st.sampled_from([1, 3, 16, 4096]),
     rounds=st.integers(1, 4),
 )
 def test_extraction_equals_reference_loop(
-    seed, events, width, noise, n, gate, gap, polarity, chunk, rounds
+    seed, events, width, noise, n, gate, gap, chunk, rounds
 ):
     """Marker bursts that jump every 30 events, with noise and tied timestamps.
 
@@ -115,7 +113,7 @@ def test_extraction_equals_reference_loop(
     lost = rng.random(events) < noise
     x[lost] = rng.integers(0, width, lost.sum())
     stream = EventStream(0, width, 8, t, x, y, rng.random(events) < 0.5)
-    config = ExtractionConfig(n=n, gate_radius=gate, reset_gap_us=gap, polarity=polarity)
+    config = ExtractionConfig(n=n, gate_radius=gate, reset_gap_us=gap)
     with mock.patch.multiple(extraction, _CHUNK_EVENTS=chunk, _CHUNK_ROUNDS=rounds):
         try:
             want = reference_extract_center_sequence(stream, config)
@@ -147,20 +145,6 @@ def test_centroid_translation_equivariance(seed, dx, dy):
     np.testing.assert_allclose(moved.pixel, base.pixel + [dx, dy], atol=1e-9)
     np.testing.assert_allclose(moved.covariance, base.covariance, atol=1e-9)
     assert moved.t_c.tobytes() == base.t_c.tobytes()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    blink=st.floats(1.0, 5000.0, **finite),
-    rate=st.floats(100.0, 1e6, **finite),
-    speed=st.floats(0.0, 1e4, **finite),
-    duty=st.floats(0.05, 1.0, **finite),
-)
-def test_accumulation_count_monotone_in_speed(blink, rate, speed, duty):
-    n1 = choose_accumulation_count(blink, speed, rate, duty_window=duty)
-    n2 = choose_accumulation_count(blink, 2.0 * speed + 1.0, rate, duty_window=duty)
-    assert n2 <= n1
-    assert n1 >= 1
 
 
 @settings(max_examples=60, deadline=None)
