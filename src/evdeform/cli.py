@@ -207,6 +207,8 @@ def _extracted_sensor(obs_dir: Path) -> tuple[int, int]:
 
 def _match_files(files: list[Path], t_th: float):
     """Groups matched over observation files that each hold one camera."""
+    if not (math.isfinite(t_th) and t_th > 0):
+        raise ConfigError(f"--t-th-us must be finite and positive, got {t_th}")
     tables = [read_observations(f) for f in files]
     ids = [t.camera_id for t in tables]
     if len(set(ids)) < len(ids):

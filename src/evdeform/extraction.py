@@ -472,8 +472,8 @@ def match_corresponding(sequences: Sequence[Centers], t_th: float) -> Correspond
     closest to the anchor is the first unused one: one read position per
     camera stands in for a search.
     """
-    if t_th <= 0:
-        raise ValueError("t_th must be positive")
+    if not t_th > 0:
+        raise ValueError(f"t_th must be positive, got {t_th}")
     tables = sorted((s for s in sequences if len(s)), key=lambda s: s.camera_id)
     ids = [s.camera_id for s in tables]
     if len(set(ids)) < len(ids):

@@ -220,17 +220,31 @@ def projected_marker(
 
 
 def _refractory_filter(t: Array, x: Array, y: Array, keep_window_us: float) -> Array:
-    """Keep mask dropping events within the window after a kept same-pixel event."""
-    keep = np.ones(len(t), dtype=bool)
-    order = np.lexsort((t, y, x))
-    last_t: dict[tuple[int, int], float] = {}
-    for i in order:
-        key = (int(x[i]), int(y[i]))
-        prev = last_t.get(key)
-        if prev is not None and t[i] - prev < keep_window_us:
-            keep[i] = False
+    """Keep mask dropping events within the window after a kept same-pixel event.
+
+    In (x, y, t) order, with ties kept in input order, a pixel's first event
+    and every event at least the window after its same-pixel predecessor are
+    kept outright. Only the runs of shorter gaps are walked in sequence,
+    each starting from the kept event before it. Pixel coordinates must lie
+    in the int32 range, as an EventStream's do.
+    """
+    pixel = (np.asarray(x, dtype=np.int64) << 32) + (np.asarray(y, dtype=np.int64) + 2**31)
+    order = np.lexsort((t, pixel))
+    ts, pixel = t[order], pixel[order]
+    close = (pixel[1:] == pixel[:-1]) & (np.diff(ts) < keep_window_us)
+    idx = np.flatnonzero(close) + 1
+    dropped = []
+    prev, last = -1, None
+    for i, ti, before in zip(idx.tolist(), ts[idx].tolist(), ts[idx - 1].tolist()):
+        if i != prev + 1:  # a run starts: the event before it was kept
+            last = before
+        if ti - last < keep_window_us:
+            dropped.append(i)
         else:
-            last_t[key] = t[i]
+            last = ti
+        prev = i
+    keep = np.ones(len(t), dtype=bool)
+    keep[order[np.array(dropped, dtype=np.intp)]] = False
     return keep
 
 

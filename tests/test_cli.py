@@ -423,6 +423,16 @@ class TestCalibrate:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {obs}: a camera id repeats")
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_matching_threshold_exits_2(self, observations, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        code = main(["calibrate", "--observations", str(observations), "--out", str(out),
+                     "--t-th-us", value])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --t-th-us must be finite and positive")
+        assert not (out / "calibration.json").exists()
+
     def test_principal_point_follows_the_extracted_sensor(self, tmp_path):
         config = preset_paper_rig()
         small = CameraIntrinsics(900.0, 900.0, 319.5, 239.5, width=640, height=480)
@@ -581,6 +591,18 @@ class TestMeasure:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: bad anchor spec {anchor!r}")
+        assert not (out / "series.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_matching_threshold_exits_2(self, sway_setup, tmp_path, capsys, value):
+        root, cal, sway_obs = sway_setup
+        out = tmp_path / "o"
+        code = main(["measure", "--calibration", str(cal / "calibration.json"),
+                     "--observations", str(sway_obs), "--anchor", "baseline:0,1:4640",
+                     "--out", str(out), "--t-th-us", value])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --t-th-us must be finite and positive")
         assert not (out / "series.csv").exists()
 
     def test_observations_from_camera_outside_rig_exit_2(self, sway_setup, tmp_path, capsys):

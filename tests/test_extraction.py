@@ -468,8 +468,9 @@ class TestMatchCorresponding:
         assert len(match_corresponding([a, b], t_th=100.0)) == 0
 
     def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            match_corresponding([], t_th=0.0)
+        for t_th in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="t_th must be positive"):
+                match_corresponding([], t_th=t_th)
 
     def test_spread_rechecked_after_rounding(self):
         """0.1 + 0.2 rounds up to 0.30000000000000004, so camera 2's center

@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from evdeform import simulator
 from evdeform.errors import ConfigError, FieldOfViewWarning
 from evdeform.simulator import (
+    REFRACTORY_US,
     LinearTrajectory,
     ScenarioConfig,
     Sinusoid3DTrajectory,
@@ -19,6 +22,36 @@ from evdeform.simulator import (
     save_scenario,
     simulate,
 )
+
+
+def reference_refractory_filter(t, x, y, keep_window_us):
+    """Per-event loop in (x, y, t) order: the reference for _refractory_filter."""
+    keep = np.ones(len(t), dtype=bool)
+    order = np.lexsort((t, y, x))
+    last_t: dict[tuple[int, int], float] = {}
+    for i in order:
+        key = (int(x[i]), int(y[i]))
+        prev = last_t.get(key)
+        if prev is not None and t[i] - prev < keep_window_us:
+            keep[i] = False
+        else:
+            last_t[key] = t[i]
+    return keep
+
+
+@st.composite
+def refractory_inputs(draw):
+    """Events on 1-4 pixels with int64 times spread over 0-3 windows, so
+    times and pixels tie often; empty and single-event streams included."""
+    pixels = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                           min_size=1, max_size=4, unique=True))
+    spread = draw(st.integers(0, 3)) * int(REFRACTORY_US)
+    events = draw(st.lists(st.tuples(st.integers(0, spread), st.sampled_from(pixels)),
+                           max_size=40))
+    t = np.array([e[0] for e in events], dtype=np.int64)
+    x = np.array([e[1][0] for e in events], dtype=np.int64)
+    y = np.array([e[1][1] for e in events], dtype=np.int64)
+    return t, x, y
 
 
 def static_scenario(**overrides):
@@ -117,6 +150,48 @@ class TestEventModel:
         same_pixel = (np.diff(x) == 0) & (np.diff(y) == 0)
         dt = np.diff(t)
         assert not np.any(same_pixel & (dt < 50))
+
+    def test_refractory_chain_keeps_events_a_window_after_the_last_kept(self):
+        """30 us steps: 30 falls in the window of 0, 60 does not; 90 falls in
+        the window of 60 and 140 does not. Dropping every event within the
+        window of its predecessor would keep only 0."""
+        t = np.array([0, 30, 60, 90, 140], dtype=np.int64)
+        x = y = np.zeros(5, dtype=np.int64)
+        for flt in (simulator._refractory_filter, reference_refractory_filter):
+            np.testing.assert_array_equal(flt(t, x, y, 50.0), [1, 0, 1, 0, 1])
+            # the mask follows the input order
+            np.testing.assert_array_equal(flt(t[[2, 0, 4, 1, 3]], x, y, 50.0), [1, 1, 1, 0, 0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(refractory_inputs())
+    def test_refractory_filter_equals_reference_loop(self, events):
+        t, x, y = events
+        np.testing.assert_array_equal(
+            simulator._refractory_filter(t, x, y, REFRACTORY_US),
+            reference_refractory_filter(t, x, y, REFRACTORY_US),
+        )
+
+    def test_simulation_equals_reference_loop_where_events_are_dropped(self, monkeypatch):
+        """Jitter and noise put same-pixel events inside the refractory
+        window; the streams and labels are bitwise the reference loop's."""
+        cfg = replace(preset_paper_rig(), duration_s=0.2, latency_jitter_std_us=600.0,
+                      noise_rate=2.0)
+        fast = simulate(cfg)
+        dropped = []
+
+        def reference(t, x, y, keep_window_us):
+            keep = reference_refractory_filter(t, x, y, keep_window_us)
+            dropped.append(int(np.sum(~keep)))
+            return keep
+
+        monkeypatch.setattr(simulator, "_refractory_filter", reference)
+        slow = simulate(cfg)
+        assert len(dropped) == len(cfg.cameras) and min(dropped) > 0
+        for a, b in zip(fast.streams, slow.streams):
+            for name in ("t", "x", "y", "polarity"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        for a, b in zip(fast.truth.labels, slow.truth.labels):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestDeterminismAndProvenance:
