@@ -151,10 +151,28 @@ def write_stream(stream: EventStream, path, format: str = "csv") -> None:
         raise ValueError(f"unknown format {format!r}")
 
 
+def digit_counts(values: np.ndarray) -> np.ndarray:
+    """Decimal digits of each non-negative integer."""
+    return np.searchsorted(_POWERS_OF_TEN, values, side="right") + 1
+
+
+def scatter_digits(out: np.ndarray, last: np.ndarray, values: np.ndarray) -> None:
+    """Write each non-negative integer's decimal digits into the byte buffer
+    out, its last digit at the matching index of last."""
+    at, rest = last, values
+    while len(rest):  # one decimal place per turn, least significant first
+        rest, digit = np.divmod(rest, 10)
+        out[at] = _ZERO + digit
+        more = rest > 0
+        if not more.all():
+            rest, at = rest[more], at[more]
+        at = at - 1
+
+
 def _format_csv(stream: EventStream) -> np.ndarray:
     """The rows ``t,x,y,polarity`` and newline as one buffer, digits scattered in."""
     columns = (stream.t, stream.x, stream.y)
-    widths = [np.searchsorted(_POWERS_OF_TEN, v, side="right") + 1 for v in columns]
+    widths = [digit_counts(v) for v in columns]
     if any(w.max(initial=0) > _CSV_MAX_DIGITS for w in widths):
         raise ValueError(f"a value has more than the {_CSV_MAX_DIGITS} digits a CSV allows")
     row_end = np.cumsum(widths[0] + widths[1] + widths[2] + 5)  # 3 commas, polarity, LF
@@ -164,14 +182,7 @@ def _format_csv(stream: EventStream) -> np.ndarray:
     field_end = row_end - 3  # the comma after y
     for value, width in zip(columns[::-1], widths[::-1]):
         out[field_end] = _COMMA
-        at, rest = field_end - 1, value
-        while len(rest):  # one decimal place per turn, least significant first
-            rest, digit = np.divmod(rest, 10)
-            out[at] = _ZERO + digit
-            more = rest > 0
-            if not more.all():
-                rest, at = rest[more], at[more]
-            at = at - 1
+        scatter_digits(out, field_end - 1, value)
         field_end = field_end - width - 1
     return out
 

@@ -6,6 +6,12 @@ event (ON polarity at turn-on, OFF at turn-off), with optional per-pixel
 latency jitter. Background noise is Poisson-uniform over the sensor and the
 recording. Identical configs (including the seed) produce byte-identical
 streams; every event carries a marker/noise provenance label.
+
+Each camera is simulated in batches, not transition by transition: the
+whole track is projected in one call, every burst is read from one stencil
+of pixel offsets, and the latency jitter of all marker events is one normal
+draw. The streams are bitwise those of a per-transition loop drawing the
+jitter burst by burst.
 """
 from __future__ import annotations
 
@@ -21,16 +27,18 @@ from scipy.interpolate import CubicSpline
 from .errors import (
     ConfigError,
     FieldOfViewWarning,
-    PointBehindCamera,
     document_fields,
     read_document,
 )
-from .events import EventStream
+from .events import EventStream, digit_counts, scatter_digits
 from .geometry import CameraIntrinsics, CameraPose, project_points
 
 Array = np.ndarray
 
 REFRACTORY_US = 50.0
+# Stencil cells evaluated per chunk of bursts: each float temporary of a
+# chunk stays at 512 KB.
+_STENCIL_CELLS = 1 << 16
 
 MARKER_LABEL = 0
 NOISE_LABEL = 1
@@ -115,7 +123,6 @@ class ScenarioConfig:
     latency_jitter_std_us: float = 0.0
     duration_s: float = 1.0
     seed: int = 0
-    edge_band: float = 0.0  # optional Bernoulli band above the threshold
 
     def validate(self) -> None:
         if not self.cameras:
@@ -170,55 +177,6 @@ def blink_schedule(config: ScenarioConfig) -> tuple[Array, Array]:
     return np.array(times), np.array(pols, dtype=bool)
 
 
-def _disk_pixels(
-    center: Array,
-    radius_px: float,
-    width: int,
-    height: int,
-    amplitude: float,
-    threshold: float,
-    edge_band: float,
-    rng: np.random.Generator,
-) -> tuple[Array, Array]:
-    """Pixel coordinates firing for one transition burst."""
-    if radius_px <= 0 or amplitude <= 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    x0 = max(int(np.floor(center[0] - radius_px)) - 1, 0)
-    x1 = min(int(np.ceil(center[0] + radius_px)) + 1, width - 1)
-    y0 = max(int(np.floor(center[1] - radius_px)) - 1, 0)
-    y1 = min(int(np.ceil(center[1] + radius_px)) + 1, height - 1)
-    if x1 < x0 or y1 < y0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    xs = np.arange(x0, x1 + 1)
-    ys = np.arange(y0, y1 + 1)
-    gx, gy = np.meshgrid(xs, ys)
-    rho = np.hypot(gx - center[0], gy - center[1]) / radius_px
-    step = np.where(rho < 1.0, amplitude * np.cos(0.5 * np.pi * rho), 0.0)
-    if edge_band > 0:
-        prob = np.clip((step - threshold) / (edge_band * amplitude), 0.0, 1.0)
-        fire = rng.random(prob.shape) < prob
-    else:
-        fire = step > threshold
-    return gx[fire].ravel(), gy[fire].ravel()
-
-
-def projected_marker(
-    intr: CameraIntrinsics, pose: CameraPose, point_mm: Array, radius_mm: float
-) -> tuple[Array, float, bool]:
-    """Exact projected center, disk radius in pixels, and in-view flag."""
-    try:
-        center = project_points(intr, pose, point_mm.reshape(1, 3))[0]
-    except PointBehindCamera:
-        return np.array([np.nan, np.nan]), 0.0, False
-    depth = float(pose.transform(point_mm.reshape(1, 3))[0, 2])
-    radius_px = 0.5 * (intr.fx + intr.fy) * radius_mm / depth
-    in_view = bool(
-        radius_px <= center[0] <= intr.width - 1 - radius_px
-        and radius_px <= center[1] <= intr.height - 1 - radius_px
-    )
-    return center, radius_px, in_view
-
-
 def _refractory_filter(t: Array, x: Array, y: Array, keep_window_us: float) -> Array:
     """Keep mask dropping events within the window after a kept same-pixel event.
 
@@ -248,6 +206,70 @@ def _refractory_filter(t: Array, x: Array, y: Array, keep_window_us: float) -> A
     return keep
 
 
+def marker_tracks(
+    intr: CameraIntrinsics, pose: CameraPose, positions: Array, radius_mm: float
+) -> tuple[Array, Array, Array]:
+    """Exact projected centers (T, 2), disk radii in pixels (T,) and in-view
+    flags (T,) of the marker at positions (T, 3); a position behind the
+    camera gets a NaN center, radius 0 and in-view False.
+
+    The points go through the stacked (T, 1, 3) transform, which gives each
+    point bitwise the value a (1, 3) call gives it alone.
+    """
+    T = len(positions)
+    center = np.full((T, 2), np.nan)
+    radius = np.zeros(T)
+    depth = pose.transform(positions[:, None, :])[:, 0, 2]
+    ahead = depth > 0
+    center[ahead] = project_points(intr, pose, positions[ahead][:, None, :])[:, 0]
+    radius[ahead] = 0.5 * (intr.fx + intr.fy) * radius_mm / depth[ahead]
+    u, v = center[:, 0], center[:, 1]
+    in_view = (
+        (radius <= u) & (u <= intr.width - 1 - radius)
+        & (radius <= v) & (v <= intr.height - 1 - radius)
+    )
+    return center, radius, in_view
+
+
+def _bursts(
+    center: Array, radius: Array, width: int, height: int, amplitude: float, threshold: float
+) -> tuple[Array, Array, Array]:
+    """Transition index, x and y of every firing pixel, transition by
+    transition and in row-major (y, x) order within each burst.
+
+    A burst covers the disk's bounding box, widened by a pixel and clipped to
+    the sensor. Every box is read from one stencil of the largest box's size,
+    offset to the box's corner and masked to its extent, a bounded chunk of
+    transitions at a time.
+    """
+    none = np.empty(0, dtype=np.int64)
+    k = np.flatnonzero(np.isfinite(center).all(axis=1) & (radius > 0))
+    if amplitude <= 0 or not len(k):
+        return none, none, none
+    cx, cy, r = center[k, 0], center[k, 1], radius[k]
+    # clipped before the cast, which would wrap a bound far off the sensor
+    x0 = np.clip(np.floor(cx - r) - 1, 0, width).astype(np.int64)
+    x1 = np.clip(np.ceil(cx + r) + 1, -1, width - 1).astype(np.int64)
+    y0 = np.clip(np.floor(cy - r) - 1, 0, height).astype(np.int64)
+    y1 = np.clip(np.ceil(cy + r) + 1, -1, height - 1).astype(np.int64)
+    nx, ny = x1 - x0 + 1, y1 - y0 + 1
+    W, H = max(int(nx.max()), 1), max(int(ny.max()), 1)  # boxes may all be empty
+    dx, dy = np.arange(W), np.arange(H)[:, None]
+    per = max(1, _STENCIL_CELLS // (W * H))
+    hits = []
+    for lo in range(0, len(k), per):
+        s = slice(lo, lo + per)
+        gx = x0[s, None, None] + dx  # (chunk, 1, W)
+        gy = y0[s, None, None] + dy  # (chunk, H, 1)
+        rho = np.hypot(gx - cx[s, None, None], gy - cy[s, None, None]) / r[s, None, None]
+        step = np.where(rho < 1.0, amplitude * np.cos(0.5 * np.pi * rho), 0.0)
+        fire = (step > threshold) & (dx < nx[s, None, None]) & (dy < ny[s, None, None])
+        i, iy, ix = np.nonzero(fire)
+        hits.append((i + lo, ix, iy))
+    i, ix, iy = (np.concatenate(c) for c in zip(*hits))
+    return k[i], x0[i] + ix, y0[i] + iy
+
+
 def simulate(config: ScenarioConfig) -> SimulationResult:
     """Generate per-camera streams plus ground truth for the scenario."""
     config.validate()
@@ -264,58 +286,31 @@ def simulate(config: ScenarioConfig) -> SimulationResult:
 
     for ci, (intr, pose) in enumerate(config.cameras):
         rng = np.random.default_rng(config.seed ^ ci)
-        ev_t, ev_x, ev_y, ev_p, ev_lbl = [], [], [], [], []
-        for k in range(T):
-            center, radius_px, ok = projected_marker(
-                intr, pose, positions[k], config.marker_radius_mm
-            )
-            tracks[ci, k] = center
-            radii[ci, k] = radius_px
-            in_view[ci, k] = ok
-            if not np.isfinite(center).all():
-                continue
-            px, py = _disk_pixels(
-                center,
-                radius_px,
-                intr.width,
-                intr.height,
-                config.led_log_amplitude,
-                config.contrast_threshold,
-                config.edge_band,
-                rng,
-            )
-            if not len(px):
-                continue
-            if config.latency_jitter_std_us > 0:
-                ts = t_us[k] + rng.normal(0.0, config.latency_jitter_std_us, len(px))
-            else:
-                ts = np.full(len(px), t_us[k])
-            ev_t.append(np.maximum(ts, 0.0))
-            ev_x.append(px)
-            ev_y.append(py)
-            ev_p.append(np.full(len(px), pols[k], dtype=bool))
-            ev_lbl.append(np.full(len(px), MARKER_LABEL, dtype=np.uint8))
+        tracks[ci], radii[ci], in_view[ci] = marker_tracks(
+            intr, pose, positions, config.marker_radius_mm
+        )
+        k, mx, my = _bursts(
+            tracks[ci], radii[ci], intr.width, intr.height,
+            config.led_log_amplitude, config.contrast_threshold,
+        )
+        mt = t_us[k]
+        if config.latency_jitter_std_us > 0 and len(k):
+            # one draw in burst order is the sequence of per-burst draws
+            mt = mt + rng.normal(0.0, config.latency_jitter_std_us, len(k))
 
         n_noise = rng.poisson(config.noise_rate * intr.width * intr.height * config.duration_s)
-        if n_noise:
-            ev_t.append(rng.uniform(0.0, config.duration_s * 1e6, n_noise))
-            ev_x.append(rng.integers(0, intr.width, n_noise))
-            ev_y.append(rng.integers(0, intr.height, n_noise))
-            ev_p.append(rng.random(n_noise) < 0.5)
-            ev_lbl.append(np.full(n_noise, NOISE_LABEL, dtype=np.uint8))
+        nt = rng.uniform(0.0, config.duration_s * 1e6, n_noise)
+        nx = rng.integers(0, intr.width, n_noise)
+        ny = rng.integers(0, intr.height, n_noise)
+        npol = rng.random(n_noise) < 0.5
 
-        if ev_t:
-            t = np.rint(np.concatenate(ev_t)).astype(np.int64)
-            x = np.concatenate(ev_x).astype(np.int64)
-            y = np.concatenate(ev_y).astype(np.int64)
-            p = np.concatenate(ev_p)
-            lbl = np.concatenate(ev_lbl)
-        else:
-            t = np.zeros(0, dtype=np.int64)
-            x = np.zeros(0, dtype=np.int64)
-            y = np.zeros(0, dtype=np.int64)
-            p = np.zeros(0, dtype=bool)
-            lbl = np.zeros(0, dtype=np.uint8)
+        t = np.rint(np.concatenate([np.maximum(mt, 0.0), nt])).astype(np.int64)
+        x, y = np.concatenate([mx, nx]), np.concatenate([my, ny])
+        p = np.concatenate([pols[k], npol])
+        lbl = np.concatenate([
+            np.full(len(k), MARKER_LABEL, dtype=np.uint8),
+            np.full(n_noise, NOISE_LABEL, dtype=np.uint8),
+        ])
 
         keep = _refractory_filter(t, x, y, REFRACTORY_US)
         t, x, y, p, lbl = t[keep], x[keep], y[keep], p[keep], lbl[keep]
@@ -487,15 +482,20 @@ def save_scenario(path, config: ScenarioConfig) -> None:
         "latency_jitter_std_us": config.latency_jitter_std_us,
         "duration_s": config.duration_s,
         "seed": config.seed,
-        "edge_band": config.edge_band,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def load_scenario(path) -> ScenarioConfig:
     """Read a scenario written by save_scenario; a file of another format or
-    with a missing or malformed field raises ConfigError."""
+    with a missing or malformed field raises ConfigError. An old file's
+    edge_band is accepted only when it is 0, the deterministic threshold."""
     doc = read_document(path, ConfigError, SCENARIO_FORMAT)
+    if doc.get("edge_band", 0) != 0:
+        raise ConfigError(
+            f"{path}: field 'edge_band' is {doc['edge_band']!r}, expected 0: "
+            "a pixel fires when its step clears the contrast threshold"
+        )
     with document_fields(path, ConfigError):
         cameras = []
         for cam in doc["cameras"]:
@@ -519,8 +519,26 @@ def load_scenario(path) -> ScenarioConfig:
             latency_jitter_std_us=doc.get("latency_jitter_std_us", 0.0),
             duration_s=doc["duration_s"],
             seed=doc.get("seed", 0),
-            edge_band=doc.get("edge_band", 0.0),
         )
+
+
+def _format_labels(labels: Array) -> Array:
+    """The rows ``index,noise`` or ``index,marker`` and newline as one
+    buffer, digits scattered in as the event CSV writer does."""
+    index = np.arange(len(labels))
+    noise = labels == NOISE_LABEL
+    word = np.where(noise, len(b"noise"), len(b"marker"))
+    row_end = np.cumsum(digit_counts(index) + word + 2)  # comma, LF
+    out = np.empty(int(row_end[-1]) if len(labels) else 0, dtype=np.uint8)
+    out[row_end - 1] = ord("\n")
+    for name, rows in ((b"noise", noise), (b"marker", ~noise)):
+        start = row_end[rows] - 1 - len(name)
+        for j, char in enumerate(name):
+            out[start + j] = char
+    comma = row_end - 2 - word
+    out[comma] = ord(",")
+    scatter_digits(out, comma - 1, index)
+    return out
 
 
 def export_ground_truth(out_dir, truth: GroundTruth) -> list[Path]:
@@ -552,9 +570,8 @@ def export_ground_truth(out_dir, truth: GroundTruth) -> list[Path]:
         written.append(p)
 
         p = out_dir / f"labels_cam{ci}.csv"
-        lines = ["event_index,label"]
-        for i, lbl in enumerate(truth.labels[ci]):
-            lines.append(f"{i},{'noise' if lbl == NOISE_LABEL else 'marker'}")
-        p.write_text("\n".join(lines) + "\n")
+        with open(p, "wb") as fh:
+            fh.write(b"event_index,label\n")
+            fh.write(_format_labels(truth.labels[ci]))
         written.append(p)
     return written

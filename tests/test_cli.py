@@ -82,6 +82,17 @@ class TestSimulate:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {scenario}: {named}")
 
+    def test_nonzero_edge_band_exits_2(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        save_scenario(scenario, replace(preset_paper_rig(), duration_s=0.2))
+        doc = json.loads(scenario.read_text())
+        doc["edge_band"] = 0.2
+        scenario.write_text(json.dumps(doc))
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {scenario}: field 'edge_band' is 0.2")
+
     def test_same_seed_identical_files(self, tmp_path):
         scenario = tmp_path / "scenario.json"
         save_scenario(scenario, replace(preset_paper_rig(), duration_s=0.2))

@@ -25,8 +25,8 @@ from evdeform.simulator import (
     ScenarioConfig,
     StaticTrajectory,
     paper_rig_cameras,
+    marker_tracks,
     preset_paper_rig,
-    projected_marker,
     simulate,
 )
 
@@ -264,9 +264,7 @@ class TestExtractCenterSequence:
         transitions = len(res.truth.transition_t_us)
         assert len(out.observations) == transitions
         intr, pose = paper_rig_cameras()[0]
-        center, _, _ = projected_marker(
-            intr, pose, np.array([0.0, 0.0, 4500.0]), 25.0
-        )
+        center = marker_tracks(intr, pose, np.array([[0.0, 0.0, 4500.0]]), 25.0)[0][0]
         assert np.linalg.norm(out.observations.pixel - center, axis=1).max() < 0.1
 
     def test_background_noise_rejected(self):
@@ -280,7 +278,7 @@ class TestExtractCenterSequence:
             noisy.streams[0], ExtractionConfig(n=n, gate_radius=30.0, reset_gap_us=200.0)
         )
         intr, pose = paper_rig_cameras()[0]
-        center, _, _ = projected_marker(intr, pose, np.array([0.0, 0.0, 4500.0]), 25.0)
+        center = marker_tracks(intr, pose, np.array([[0.0, 0.0, 4500.0]]), 25.0)[0][0]
         assert np.linalg.norm(out.observations.pixel - center, axis=1).max() < 0.3
         assert abs(out.noise_count - planted) <= 0.2 * planted
 

@@ -1,4 +1,5 @@
 """Synthetic event generation: counting oracles, determinism, provenance."""
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -6,19 +7,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evdeform import simulator
-from evdeform.errors import ConfigError, FieldOfViewWarning
+from evdeform.errors import ConfigError, FieldOfViewWarning, PointBehindCamera
+from evdeform.events import EventStream
+from evdeform.geometry import CameraIntrinsics, CameraPose, project_points
 from evdeform.simulator import (
+    MARKER_LABEL,
+    NOISE_LABEL,
     REFRACTORY_US,
+    GroundTruth,
     LinearTrajectory,
     ScenarioConfig,
+    SimulationResult,
     Sinusoid3DTrajectory,
     StaticTrajectory,
     WaypointSplineTrajectory,
     blink_schedule,
+    export_ground_truth,
     load_scenario,
+    marker_tracks,
     paper_rig_cameras,
     preset_paper_rig,
-    projected_marker,
     save_scenario,
     simulate,
 )
@@ -37,6 +45,120 @@ def reference_refractory_filter(t, x, y, keep_window_us):
         else:
             last_t[key] = t[i]
     return keep
+
+
+def reference_projected_marker(intr, pose, point_mm, radius_mm):
+    """One point at a time: the reference for marker_tracks."""
+    try:
+        center = project_points(intr, pose, point_mm.reshape(1, 3))[0]
+    except PointBehindCamera:
+        return np.array([np.nan, np.nan]), 0.0, False
+    depth = float(pose.transform(point_mm.reshape(1, 3))[0, 2])
+    radius_px = 0.5 * (intr.fx + intr.fy) * radius_mm / depth
+    in_view = bool(
+        radius_px <= center[0] <= intr.width - 1 - radius_px
+        and radius_px <= center[1] <= intr.height - 1 - radius_px
+    )
+    return center, radius_px, in_view
+
+
+def reference_disk_pixels(center, radius_px, width, height, amplitude, threshold):
+    """One meshgrid per burst: the reference for the simulator's stencil."""
+    empty = np.empty(0, dtype=np.int64)
+    if radius_px <= 0 or amplitude <= 0:
+        return empty, empty
+    x0 = max(int(np.floor(center[0] - radius_px)) - 1, 0)
+    x1 = min(int(np.ceil(center[0] + radius_px)) + 1, width - 1)
+    y0 = max(int(np.floor(center[1] - radius_px)) - 1, 0)
+    y1 = min(int(np.ceil(center[1] + radius_px)) + 1, height - 1)
+    if x1 < x0 or y1 < y0:
+        return empty, empty
+    gx, gy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
+    rho = np.hypot(gx - center[0], gy - center[1]) / radius_px
+    step = np.where(rho < 1.0, amplitude * np.cos(0.5 * np.pi * rho), 0.0)
+    fire = step > threshold
+    return gx[fire].ravel(), gy[fire].ravel()
+
+
+def reference_simulate(config):
+    """Per-transition loop with a jitter draw per burst: the reference for
+    simulate's batched projection, stencil and single jitter draw."""
+    t_us, pols = blink_schedule(config)
+    positions = np.stack([config.trajectory.position(t * 1e-6) for t in t_us])
+    m, T = len(config.cameras), len(t_us)
+    tracks = np.full((m, T, 2), np.nan)
+    radii = np.zeros((m, T))
+    in_view = np.zeros((m, T), dtype=bool)
+    streams, labels = [], []
+    for ci, (intr, pose) in enumerate(config.cameras):
+        rng = np.random.default_rng(config.seed ^ ci)
+        ev_t, ev_x, ev_y = [np.zeros(0)], [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        ev_p, ev_lbl = [np.zeros(0, bool)], [np.zeros(0, np.uint8)]
+        for k in range(T):
+            center, radius_px, ok = reference_projected_marker(
+                intr, pose, positions[k], config.marker_radius_mm
+            )
+            tracks[ci, k], radii[ci, k], in_view[ci, k] = center, radius_px, ok
+            if not np.isfinite(center).all():
+                continue
+            px, py = reference_disk_pixels(
+                center, radius_px, intr.width, intr.height,
+                config.led_log_amplitude, config.contrast_threshold,
+            )
+            if not len(px):
+                continue
+            if config.latency_jitter_std_us > 0:
+                ts = t_us[k] + rng.normal(0.0, config.latency_jitter_std_us, len(px))
+            else:
+                ts = np.full(len(px), t_us[k])
+            ev_t.append(np.maximum(ts, 0.0))
+            ev_x.append(px)
+            ev_y.append(py)
+            ev_p.append(np.full(len(px), pols[k], dtype=bool))
+            ev_lbl.append(np.full(len(px), MARKER_LABEL, dtype=np.uint8))
+        n_noise = rng.poisson(config.noise_rate * intr.width * intr.height * config.duration_s)
+        if n_noise:
+            ev_t.append(rng.uniform(0.0, config.duration_s * 1e6, n_noise))
+            ev_x.append(rng.integers(0, intr.width, n_noise))
+            ev_y.append(rng.integers(0, intr.height, n_noise))
+            ev_p.append(rng.random(n_noise) < 0.5)
+            ev_lbl.append(np.full(n_noise, NOISE_LABEL, dtype=np.uint8))
+        t = np.rint(np.concatenate(ev_t)).astype(np.int64)
+        x, y = np.concatenate(ev_x), np.concatenate(ev_y)
+        p, lbl = np.concatenate(ev_p), np.concatenate(ev_lbl)
+        keep = simulator._refractory_filter(t, x, y, REFRACTORY_US)
+        t, x, y, p, lbl = t[keep], x[keep], y[keep], p[keep], lbl[keep]
+        order = np.lexsort((p, y, x, t))
+        streams.append(
+            EventStream(ci, intr.width, intr.height, t[order], x[order], y[order], p[order])
+        )
+        labels.append(lbl[order])
+    truth = GroundTruth(t_us, pols, positions, tracks, radii, in_view, labels)
+    return SimulationResult(streams, truth)
+
+
+def assert_bitwise_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_simulation(a, b):
+    for sa, sb in zip(a.streams, b.streams, strict=True):
+        for name in ("t", "x", "y", "polarity"):
+            assert_bitwise_equal(getattr(sa, name), getattr(sb, name))
+    for la, lb in zip(a.truth.labels, b.truth.labels, strict=True):
+        assert_bitwise_equal(la, lb)
+    for name in ("transition_t_us", "transition_polarity", "trajectory_mm",
+                 "tracks_px", "radius_px", "in_view"):
+        assert_bitwise_equal(getattr(a.truth, name), getattr(b.truth, name))
+
+
+def reference_labels_csv(labels):
+    """Row by row: the reference for export_ground_truth's labels writer."""
+    lines = ["event_index,label"]
+    for i, lbl in enumerate(labels):
+        lines.append(f"{i},{'noise' if lbl == NOISE_LABEL else 'marker'}")
+    return ("\n".join(lines) + "\n").encode()
 
 
 @st.composite
@@ -71,6 +193,107 @@ def static_scenario(**overrides):
     return ScenarioConfig(**defaults)
 
 
+def small_camera_scenario(trajectory, **overrides):
+    """One 64x48 camera at the origin looking down +z, f = 60 px: the 25 mm
+    marker spans about 4 px at 400 mm and fills the sensor near the camera."""
+    intr = CameraIntrinsics(60.0, 60.0, 31.5, 23.5, width=64, height=48)
+    defaults = dict(
+        cameras=((intr, CameraPose(np.eye(3), np.zeros(3))),),
+        trajectory=trajectory,
+        contrast_threshold=0.25,
+        latency_jitter_std_us=20.0,
+        noise_rate=5.0,
+        duration_s=0.2,
+    )
+    defaults.update(overrides)
+    return static_scenario(**defaults)
+
+
+def _passes_behind(res):
+    behind = np.isnan(res.truth.tracks_px[0, :, 0])
+    assert behind.any() and not behind.all()
+    np.testing.assert_array_equal(res.truth.radius_px[0, behind], 0.0)
+    # just in front of the camera the disk covers the whole sensor
+    assert res.truth.radius_px.max() > 64
+
+
+def _clipped_at_edges(res):
+    stream, marker = res.streams[0], res.truth.labels[0] == MARKER_LABEL
+    assert not res.truth.in_view.any()
+    # the disk runs along the top row, entering on the left and leaving on the right
+    for edge in (stream.x == 0, stream.x == 63, stream.y == 0):
+        assert np.any(edge & marker)
+
+
+def _fires_nothing(res):
+    assert np.isfinite(res.truth.tracks_px).all() and len(res.streams[0]) == 0
+
+
+def _fills_sensor_from_far_off(res):
+    # the disk's bounds lie beyond the int64 range, its center too
+    assert np.abs(res.truth.tracks_px).min() > 2.0**63
+    transitions = len(res.truth.transition_t_us)
+    assert np.sum(res.truth.labels[0] == MARKER_LABEL) == 64 * 48 * transitions
+
+
+def _without_jitter(res):
+    marker_t = res.streams[0].t[res.truth.labels[0] == MARKER_LABEL]
+    assert set(np.unique(marker_t)) <= set(np.rint(res.truth.transition_t_us))
+
+
+def _noise_only(res):
+    for stream, labels in zip(res.streams, res.truth.labels):
+        assert len(stream) and np.all(labels == NOISE_LABEL)
+
+
+def _spans_several_chunks(res):
+    # an unclipped box holds at least (2 r)^2 cells, so a chunk holds at most
+    # _STENCIL_CELLS / (2 r)^2 transitions
+    cells = len(res.truth.transition_t_us) * (2.0 * res.truth.radius_px.max()) ** 2
+    assert res.truth.in_view.all() and cells > 2 * simulator._STENCIL_CELLS
+
+
+def _preset(res):
+    assert res.truth.in_view.all() and sum(len(s) for s in res.streams) > 400_000
+
+
+REFERENCE_SCENES = {
+    "preset_sweep": (preset_paper_rig, _preset),
+    "passes_behind_camera": (
+        lambda: small_camera_scenario(LinearTrajectory((5.0, 3.0, 300.0), (0.0, 0.0, -3000.0))),
+        _passes_behind,
+    ),
+    "clipped_at_sensor_edge": (
+        lambda: small_camera_scenario(
+            LinearTrajectory((-250.0, -155.0, 400.0), (2500.0, 0.0, 0.0))
+        ),
+        _clipped_at_edges,
+    ),
+    "beside_the_sensor": (
+        lambda: small_camera_scenario(StaticTrajectory((400.0, 0.0, 400.0)), noise_rate=0.0),
+        _fires_nothing,
+    ),
+    "grazing_the_camera": (
+        lambda: small_camera_scenario(StaticTrajectory((5.0, 3.0, 1e-17)), duration_s=0.02,
+                                      noise_rate=0.0),
+        _fills_sensor_from_far_off,
+    ),
+    "zero_jitter": (
+        lambda: replace(preset_paper_rig(), duration_s=0.2, latency_jitter_std_us=0.0),
+        _without_jitter,
+    ),
+    "noise_only": (
+        lambda: replace(preset_paper_rig(), duration_s=0.2, led_log_amplitude=0.0,
+                        noise_rate=0.05),
+        _noise_only,
+    ),
+    "several_stencil_chunks": (
+        lambda: replace(preset_paper_rig(), blink_freq_hz=1000.0, duration_s=0.5),
+        _spans_several_chunks,
+    ),
+}
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "field,value",
@@ -102,8 +325,8 @@ class TestEventModel:
         res = simulate(cfg)
         # counting oracle: transitions x disk pixel count, recomputed directly
         intr, pose = cfg.cameras[0]
-        center, radius, _ = projected_marker(
-            intr, pose, np.array(cfg.trajectory.point), cfg.marker_radius_mm
+        (center,), (radius,), _ = marker_tracks(
+            intr, pose, np.array([cfg.trajectory.point]), cfg.marker_radius_mm
         )
         x0, x1 = int(np.floor(center[0] - radius)) - 1, int(np.ceil(center[0] + radius)) + 1
         y0, y1 = int(np.floor(center[1] - radius)) - 1, int(np.ceil(center[1] + radius)) + 1
@@ -194,6 +417,19 @@ class TestEventModel:
             np.testing.assert_array_equal(a, b)
 
 
+class TestBatchedSimulation:
+    @pytest.mark.filterwarnings("ignore::evdeform.errors.FieldOfViewWarning")
+    @pytest.mark.parametrize("scene", sorted(REFERENCE_SCENES))
+    def test_equals_per_transition_loop(self, scene):
+        """Streams, labels, tracks, radii and in-view flags are bitwise the
+        per-transition loop's, one jitter draw per burst included."""
+        make, reaches_its_case = REFERENCE_SCENES[scene]
+        cfg = make()
+        res = simulate(cfg)
+        reaches_its_case(res)
+        assert_same_simulation(res, reference_simulate(cfg))
+
+
 class TestDeterminismAndProvenance:
     def test_identical_seed_identical_streams(self):
         cfg = replace(preset_paper_rig(), duration_s=0.2)
@@ -255,6 +491,34 @@ class TestDeterminismAndProvenance:
             simulate(cfg)
 
 
+class TestGroundTruthExport:
+    @pytest.mark.parametrize("n", [0, 1, 10, 1001])
+    def test_labels_equal_row_loop(self, tmp_path, n):
+        """Empty labels write the header alone; 1001 rows cross the 9/10,
+        99/100 and 999/1000 index digit boundaries."""
+        rng = np.random.default_rng(n)
+        labels = [
+            rng.integers(0, 2, n).astype(np.uint8),
+            np.full(n, MARKER_LABEL, dtype=np.uint8),
+            np.full(n, NOISE_LABEL, dtype=np.uint8),
+        ]
+        m = len(labels)
+        truth = GroundTruth(np.zeros(0), np.zeros(0, dtype=bool), np.zeros((0, 3)),
+                            np.zeros((m, 0, 2)), np.zeros((m, 0)),
+                            np.zeros((m, 0), dtype=bool), labels)
+        export_ground_truth(tmp_path, truth)
+        for ci, lbl in enumerate(labels):
+            assert (tmp_path / f"labels_cam{ci}.csv").read_bytes() == reference_labels_csv(lbl)
+
+    def test_simulated_labels_equal_row_loop(self, tmp_path):
+        res = simulate(replace(preset_paper_rig(), duration_s=0.1))
+        written = export_ground_truth(tmp_path, res.truth)
+        assert len(written) == 2 + 2 * len(res.streams)
+        for ci, lbl in enumerate(res.truth.labels):
+            assert set(np.unique(lbl)) == {MARKER_LABEL, NOISE_LABEL}
+            assert (tmp_path / f"labels_cam{ci}.csv").read_bytes() == reference_labels_csv(lbl)
+
+
 class TestBlinkSchedule:
     def test_transition_spacing(self):
         cfg = static_scenario(duration_s=0.02)
@@ -301,6 +565,26 @@ class TestScenarioFiles:
         for (ia, pa), (ib, pb) in zip(cfg.cameras, loaded.cameras):
             assert ia.fx == ib.fx
             np.testing.assert_array_equal(pa.rotation, pb.rotation)
+
+    def test_edge_band_absent_or_zero_loads(self, tmp_path):
+        cfg = replace(preset_paper_rig(), duration_s=0.5)
+        path = tmp_path / "scenario.json"
+        save_scenario(path, cfg)
+        doc = json.loads(path.read_text())
+        assert "edge_band" not in doc
+        assert load_scenario(path) == replace(cfg, cameras=load_scenario(path).cameras)
+        doc["edge_band"] = 0.0
+        path.write_text(json.dumps(doc))
+        assert load_scenario(path).duration_s == 0.5
+
+    def test_nonzero_edge_band_raises(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        save_scenario(path, preset_paper_rig())
+        doc = json.loads(path.read_text())
+        doc["edge_band"] = 0.1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="field 'edge_band' is 0.1"):
+            load_scenario(path)
 
     def test_preset_is_valid_and_stable(self):
         a = preset_paper_rig()
