@@ -157,8 +157,6 @@ def cmd_extract(args) -> int:
         config = calibration_profile(args.blink_freq)
     else:
         config = measurement_profile(args.blink_freq)
-    if args.n is not None:
-        config = replace(config, n=args.n)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -172,7 +170,6 @@ def cmd_extract(args) -> int:
             "observations": len(result.observations),
             "noise_rejected": result.noise_count,
             "partial_discards": result.partial_discards,
-            "n": result.n,
             "width": stream.width,
             "height": stream.height,
             **extraction_diagnostics(result, stream.sensor),
@@ -183,7 +180,7 @@ def cmd_extract(args) -> int:
     outputs.append("extraction.json")
     _write_manifest(out, "extract", vars(args), outputs, args.seed, started)
     for cid, c in counts.items():
-        print(f"cam{cid}: {c['observations']} observations (window n={c['n']})")
+        print(f"cam{cid}: {c['observations']} observations")
     return EXIT_OK
 
 
@@ -360,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--streams", required=True, help="directory with event streams")
     p.add_argument("--profile", choices=["calibration", "measurement"], default="calibration")
     p.add_argument("--blink-freq", type=float, default=250.0)
-    p.add_argument("--n", type=int, default=None, help="override the window size")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract)
 

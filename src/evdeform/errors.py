@@ -45,7 +45,7 @@ class BoundsError(EvdeformError):
 # marker extraction
 
 class StreamTooShort(EvdeformError):
-    """Fewer accepted events than one accumulation window."""
+    """No run of accepted events long enough to be a blink burst."""
 
 
 # self-calibration

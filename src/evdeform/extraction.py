@@ -1,7 +1,7 @@
 """Marker-center extraction from event streams and multi-camera matching.
 
-Events are accumulated in fixed-count windows; each window's centroid,
-covariance and mean timestamp form one row of the camera's Centers table.
+Each blink burst of a camera's events gives one centroid, covariance and
+mean timestamp: one row of the camera's Centers table.
 match_corresponding groups rows of different cameras by timestamp
 proximity into one Correspondences table, whose pixel and visibility
 arrays calibration and triangulation read directly.
@@ -17,18 +17,6 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, StreamTooShort
 from .events import EventStream
-
-# A window of at least this many events gates on its own running mean.
-_MEAN_GATE_COUNT = 8
-# A window time that does not exceed the last emitted one moves this far
-# past it, far below any matching threshold.
-_TIE_NUDGE_US = 1e-3
-# each window time, given the (already moved) one emitted before it
-_NUDGE_TIES = np.frompyfunc(lambda last, t: t if t > last else last + _TIE_NUDGE_US, 2, 1)
-# Gating solves chunks of at most this many events at a time; a chunk whose
-# decisions still change after this many rounds keeps only its settled part.
-_CHUNK_EVENTS = 4096
-_CHUNK_ROUNDS = 4
 
 
 def _non_psd(covariances: np.ndarray) -> np.ndarray:
@@ -48,11 +36,11 @@ class CenterObservation:
 
 @dataclass(frozen=True)
 class Centers:
-    """The marker centers of one camera, one row per window, in time order.
+    """The marker centers of one camera, one row per burst, in time order.
 
-    t_c (k,) holds the window mean times, pixel (k, 2) the centroids,
+    t_c (k,) holds the burst mean times, pixel (k, 2) the centroids,
     covariance (k, 2, 2) the population covariances of the event
-    coordinates, count (k,) the events per window and t_min, t_max (k,) the
+    coordinates, count (k,) the events per burst and t_min, t_max (k,) the
     first and last event times.
     """
 
@@ -142,16 +130,8 @@ class Correspondences:
         return map(self.__getitem__, range(len(self)))
 
 
-# An n=None window holds n_burst_fraction of the measured burst size,
-# clipped to these bounds.
-N_MIN = 10
-N_MAX = 2000
-# Bursts are segmented at pauses longer than this when no reset gap is set.
-_BURST_GAP_US = 200.0
-# Marker territory: spatial bins of this size holding more than this many
-# times the median occupied bin's events.
-_BIN_PX = 40
-_HOT_FACTOR = 5.0
+# A run of accepted events shorter than this is not a burst.
+_MIN_BURST = 20
 
 
 def _finite_positive(value) -> bool:
@@ -160,31 +140,19 @@ def _finite_positive(value) -> bool:
 
 @dataclass(frozen=True)
 class ExtractionConfig:
-    """Window size and spatial gating of extract_center_sequence.
+    """Spatial gate and burst-ending pause of extract_center_sequence.
 
-    n, when None, is n_burst_fraction of estimate_burst_size, clipped to
-    [N_MIN, N_MAX]. reset_gap_us, when set, discards a partial window at a
-    pause longer than it and segments the bursts that size the window.
     Invalid values raise ConfigError.
     """
 
-    n: int | None = None
-    gate_radius: float = 30.0
-    reset_gap_us: float | None = None
-    n_burst_fraction: float | None = None
+    gate_radius: float
+    reset_gap_us: float
 
     def __post_init__(self):
-        if self.n is not None and self.n < 1:
-            raise ConfigError(f"window size n must be at least 1, got {self.n}")
         if not _finite_positive(self.gate_radius):
             raise ConfigError(f"gate_radius must be finite and positive, got {self.gate_radius}")
-        if self.reset_gap_us is not None and not _finite_positive(self.reset_gap_us):
+        if not _finite_positive(self.reset_gap_us):
             raise ConfigError(f"reset_gap_us must be finite and positive, got {self.reset_gap_us}")
-        if self.n_burst_fraction is None:
-            if self.n is None:
-                raise ConfigError("the window size needs n or n_burst_fraction")
-        elif not 0 < self.n_burst_fraction <= 1:
-            raise ConfigError(f"n_burst_fraction must be in (0, 1], got {self.n_burst_fraction}")
 
 
 def _reset_gap_us(blink_freq: float) -> float:
@@ -195,52 +163,14 @@ def _reset_gap_us(blink_freq: float) -> float:
 
 
 def calibration_profile(blink_freq: float) -> ExtractionConfig:
-    """Preset for calibration sweeps: near-full bursts, wide gate."""
-    return ExtractionConfig(
-        gate_radius=30.0, reset_gap_us=_reset_gap_us(blink_freq), n_burst_fraction=0.9
-    )
+    """Preset for calibration sweeps: wide gate."""
+    return ExtractionConfig(gate_radius=30.0, reset_gap_us=_reset_gap_us(blink_freq))
 
 
 def measurement_profile(blink_freq: float) -> ExtractionConfig:
-    """Preset for deformation tracking: tighter gate, near-full windows.
-
-    Measurement runs assume a faster blink, so the per-burst yield (and with
-    it n) comes out smaller than in the calibration profile. The tight gate
-    and high burst fraction favor centroid precision over robustness to
-    marker jumps.
-    """
-    return ExtractionConfig(
-        gate_radius=15.0, reset_gap_us=_reset_gap_us(blink_freq), n_burst_fraction=0.95
-    )
-
-
-def estimate_burst_size(stream: EventStream, gap_us: float = _BURST_GAP_US) -> float:
-    """5th-percentile event count of the marker's transition bursts.
-
-    Events are first restricted to high-occupancy spatial bins (the marker's
-    territory), then segmented wherever the time sequence pauses by more
-    than gap_us.
-    """
-    if len(stream) < 2:
-        raise StreamTooShort("cannot estimate burst sizes from this stream")
-    bx = stream.x // _BIN_PX
-    by = stream.y // _BIN_PX
-    ny = stream.height // _BIN_PX + 1
-    flat = bx.astype(np.int64) * ny + by
-    counts = np.bincount(flat)
-    occupied = counts[counts > 0]
-    level = np.median(occupied)
-    hot = np.flatnonzero(counts > _HOT_FACTOR * level)
-    sel = np.isin(flat, hot) if len(hot) else np.ones(len(stream), dtype=bool)
-    t = stream.t[sel]
-    if len(t) < 8:
-        raise StreamTooShort("no marker bursts found")
-    cuts = np.flatnonzero(np.diff(t) > gap_us)
-    sizes = np.diff(np.concatenate([[0], cuts + 1, [len(t)]]))
-    sizes = sizes[sizes >= 8]
-    if not len(sizes):
-        raise StreamTooShort("no marker bursts found")
-    return float(np.percentile(sizes, 5))
+    """Preset for deformation tracking: a tight gate, which favors centroid
+    precision over robustness to marker jumps."""
+    return ExtractionConfig(gate_radius=15.0, reset_gap_us=_reset_gap_us(blink_freq))
 
 
 @dataclass(frozen=True)
@@ -248,11 +178,10 @@ class ExtractionResult:
     observations: Centers
     noise_count: int
     partial_discards: int
-    n: int
 
 
 def extraction_diagnostics(result: ExtractionResult, sensor: tuple[int, int]) -> dict:
-    """Window time spread (t_max - t_min) and the share of the sensor area
+    """Burst time spread (t_max - t_min) and the share of the sensor area
     the bounding box of the centers covers."""
     centers = result.observations
     spread = centers.t_max - centers.t_min
@@ -264,182 +193,84 @@ def extraction_diagnostics(result: ExtractionResult, sensor: tuple[int, int]) ->
     }
 
 
-def _resolve_n(stream: EventStream, config: ExtractionConfig) -> int:
-    if config.n is not None:
-        return int(config.n)
-    gap = config.reset_gap_us if config.reset_gap_us is not None else _BURST_GAP_US
-    n = round(config.n_burst_fraction * estimate_burst_size(stream, gap))
-    return int(np.clip(n, N_MIN, N_MAX))
-
-
 def extract_center_sequence(stream: EventStream, config: ExtractionConfig) -> ExtractionResult:
-    """Slide non-overlapping windows of n gated events over the stream.
+    """One center per blink burst.
 
-    Events join the current window only within gate_radius of its gate
-    center; gated-out events count as noise. The gate center is the window's
-    running mean once it holds _MEAN_GATE_COUNT events, and otherwise a
-    reference: the median of the first n events at the start, then the mean
-    of the last emitted window. An optional reset gap discards a partial
-    window as soon as any event comes more than reset_gap_us after its last
-    accepted event, which keeps windows aligned to blink bursts; a discarded
-    window of at least _MEAN_GATE_COUNT events moves the reference to its
-    mean.
+    A burst is the run of events within gate_radius of the previous burst's
+    centroid; the first gate is centered on the median of the stream's
+    first _MIN_BURST events. The run ends at the first event, accepted or
+    not, that comes more than reset_gap_us after its last accepted event.
+    A run of fewer than _MIN_BURST events counts as a partial discard and
+    leaves the gate where it was. Gated-out events count as noise.
+
+    Each center is an exact integer sum over the burst's events divided by
+    its count, so it does not depend on the order of addition. The stream is
+    read in slices of about twice the events the last burst took, doubled
+    while the open run has not yet ended.
     """
-    n = _resolve_n(stream, config)
-    if n * max(stream.width, stream.height) >= 2**53:
-        raise ConfigError(f"window n={n} too large for exact sums over a {stream.width}x"
-                          f"{stream.height} sensor")
-    ts = stream.t.astype(np.float64)
-    xs = stream.x.astype(np.float64)
-    ys = stream.y.astype(np.float64)
-    total = len(ts)
-    if total < n:
-        raise StreamTooShort(f"{total} events, window needs {n}")
-    start = _Carry(ref_x=float(np.median(xs[:n])), ref_y=float(np.median(ys[:n])))
+    total = len(stream)
+    if total < _MIN_BURST:
+        raise StreamTooShort(f"{total} events, a burst needs {_MIN_BURST}")
+    t, x, y = stream.t, stream.x, stream.y
+    if total * max(max(stream.width, stream.height) ** 2, int(t[-1] - t[0])) >= 2**63:
+        raise ConfigError(f"{total} events on a {stream.width}x{stream.height} sensor over "
+                          f"{t[-1] - t[0]} us are too many for exact sums")
+    cx, cy = float(np.median(x[:_MIN_BURST])), float(np.median(y[:_MIN_BURST]))
     gate2 = config.gate_radius * config.gate_radius
-    accepted, firsts, partial = _gate(ts, xs, ys, start, n, gate2, config.reset_gap_us)
-    if not len(firsts):
-        raise StreamTooShort(
-            f"only {len(accepted)} events passed the spatial gate, window needs {n}"
-        )
-    members = accepted[firsts[:, None] + np.arange(n)]  # each window's event indices
-    centers = _centers(stream.camera_id, ts, xs, ys, members)
-    return ExtractionResult(centers, total - len(accepted), partial, n)
-
-
-@dataclass(frozen=True)
-class _Carry:
-    """Gating state between two events: the open window and the reference.
-
-    sx and sy sum the open window's coordinates. Coordinates are integers
-    and n * sensor size stays below 2**53, so every such sum is exact and the
-    same in any order of addition.
-    """
-
-    count: int = 0
-    sx: float = 0.0
-    sy: float = 0.0
-    t_last: float = 0.0
-    ref_x: float = 0.0
-    ref_y: float = 0.0
-
-    def center(self) -> tuple[float, float]:
-        if self.count >= _MEAN_GATE_COUNT:
-            return self.sx / self.count, self.sy / self.count
-        return self.ref_x, self.ref_y
-
-
-def _gate(ts, xs, ys, start: _Carry, n: int, gate2: float, gap: float | None):
-    """Gating decisions of the whole stream, solved chunk by chunk.
-
-    Returns the indices of the accepted events, the position among them of
-    each emitted window's first event, and the number of accepted events
-    that pauses discarded. A chunk's decisions start as a guess (every event
-    gated on the center the chunk starts with) and are re-derived from
-    themselves until they repeat. Each round is right at least up to its
-    first change, so a chunk still changing after _CHUNK_ROUNDS rounds keeps
-    only that prefix and the next chunk is sized to it.
-    """
-    carry, size, lo = start, _CHUNK_EVENTS, 0
-    accepted, firsts, partial, n_accepted = [], [], 0, 0
-    while lo < len(ts):
-        t, x, y = ts[lo:lo + size], xs[lo:lo + size], ys[lo:lo + size]
-        cx, cy = carry.center()
-        guess = (x - cx) ** 2 + (y - cy) ** 2 <= gate2
-        for _ in range(_CHUNK_ROUNDS):
-            decided, *state = _gate_chunk(t, x, y, guess, carry, n, gate2, gap)
-            change = np.flatnonzero(decided != guess)
-            if not len(change):
-                size = min(2 * size, _CHUNK_EVENTS)
-                break
-            guess = decided
+    gap = config.reset_gap_us
+    bursts, noise, partial = [], 0, 0
+    lo, size = 0, 4 * _MIN_BURST
+    while lo < total:
+        hi = min(lo + size, total)
+        ts = t[lo:hi]
+        dx, dy = x[lo:hi] - cx, y[lo:hi] - cy
+        accepted = (dx * dx + dy * dy <= gate2).nonzero()[0]
+        if not len(accepted):
+            noise += hi - lo
+            lo, size = hi, 2 * size
+            continue
+        ta = ts[accepted]
+        pauses = (ta[1:] - ta[:-1] > gap).nonzero()[0]
+        if len(pauses):
+            accepted = accepted[:pauses[0] + 1]
+        last = accepted[-1]
+        after = (ts[last:] - ts[last] > gap).nonzero()[0]
+        if not len(after) and hi < total:
+            size *= 2  # the run may go on past the slice
+            continue
+        span = last + after[0] if len(after) else hi - lo
+        noise += span - len(accepted)
+        if len(accepted) >= _MIN_BURST:
+            run = lo + accepted
+            bursts.append(run)
+            cx = np.add.reduce(x[run], dtype=np.int64) / len(run)
+            cy = np.add.reduce(y[run], dtype=np.int64) / len(run)
         else:
-            size = int(change[0]) + 1
-            t, x, y, guess = t[:size], x[:size], y[:size], decided[:size]
-            decided, *state = _gate_chunk(t, x, y, guess, carry, n, gate2, gap)
-        carry, closes, discarded = state
-        accepted.append(lo + np.flatnonzero(decided))
-        firsts.append(n_accepted + closes - (n - 1))
-        n_accepted += len(accepted[-1])
-        partial += discarded
-        lo += len(t)
-    if gap is not None and carry.count and ts[-1] - carry.t_last > gap:
-        partial += carry.count
-    return np.concatenate(accepted), np.concatenate(firsts), partial
+            partial += len(accepted)
+        lo, size = lo + span, 2 * span
+    if not bursts:
+        raise StreamTooShort(f"no run of {_MIN_BURST} events passed the spatial gate "
+                             f"({total - noise} of {total} events did)")
+    return ExtractionResult(_centers(stream, bursts), int(noise), int(partial))
 
 
-def _gate_chunk(ts, xs, ys, guess, carry: _Carry, n: int, gate2: float, gap: float | None):
-    """Decide a chunk's events from a guess of which ones it accepts.
+def _centers(stream: EventStream, bursts: list[np.ndarray]) -> Centers:
+    """One row per burst; bursts[i] holds burst i's event indices.
 
-    The guess fixes the windows (their counts, running sums and pauses) and
-    with them each event's gate center. Returns the decisions those centers
-    give, the state after the chunk, the positions among the accepted
-    events where windows are emitted and the number of accepted events
-    pauses discard. A decision depends only on the decisions before it, so
-    where they agree with the guess up to some event they are the
-    sequential ones, and so is the first that does not.
+    Every sum is over int64 values that the caller bounded below 2**63, so
+    it is exact, and each mean is that sum divided by the count. Times are
+    summed from the stream's first event.
     """
-    acc = np.flatnonzero(guess)
-    k = len(acc)
-    ta = ts[acc]
-    if gap is None:
-        pause = np.zeros(k, dtype=bool)
-    else:
-        pause = np.diff(ta, prepend=carry.t_last) > gap
-    # window count after each accepted event: a pause starts over from 0,
-    # and the chunk's first run goes on from the carried count
-    index = np.arange(k)
-    run_first = np.maximum.accumulate(np.where(pause, index, 0))
-    carried = np.where(np.logical_or.accumulate(pause), 0, carry.count)
-    count = (carried + index - run_first) % n + 1
-    # running sums: totals since the chunk began (entry 1 holds the carried
-    # window's) less those before each window's first event
-    base = np.maximum.accumulate(np.where(count == 1, index + 1, 0))
-    totals = [
-        np.cumsum(np.concatenate(([0.0, s0], v[acc])))
-        for v, s0 in ((xs, carry.sx), (ys, carry.sy))
-    ]
-    means = [(total[2:] - total[base]) / count for total in totals]
-    # the reference moves to every emitted window's mean, and to the mean of
-    # every window of _MEAN_GATE_COUNT or more events a pause discards
-    moves = count == n
-    moves[:-1] |= pause[1:] & (count[:-1] >= _MEAN_GATE_COUNT)
-    ref = carry.center() if k and pause[0] else (carry.ref_x, carry.ref_y)
-    # slot j: after the chunk's first j accepted events
-    latest = np.maximum.accumulate(np.where(np.concatenate(([True], moves)), np.arange(k + 1), 0))
-    refs = [np.concatenate(([r], m))[latest] for r, m in zip(ref, means)]
-    # gate center of each slot: the window's own mean or the reference
-    own = (count >= _MEAN_GATE_COUNT) | (count == n)
-    slot = np.cumsum(guess) - guess  # of each event
-    dx, dy = (
-        v - np.concatenate(([c], np.where(own, m, r[1:])))[slot]
-        for v, c, m, r in zip((xs, ys), carry.center(), means, refs)
-    )
-    decided = dx * dx + dy * dy <= gate2
-    end = carry
-    if k:
-        left = int(count[-1]) % n
-        sx, sy = (float(t[-1] - t[base[-1]]) if left else 0.0 for t in totals)
-        end = _Carry(left, sx, sy, float(ta[-1]), float(refs[0][-1]), float(refs[1][-1]))
-    at = np.flatnonzero(pause)
-    discarded = np.where(at > 0, count[at - 1] % n, carry.count)  # open window before each pause
-    return decided, end, np.flatnonzero(count == n), int(discarded.sum())
-
-
-def _centers(camera_id: int, ts, xs, ys, members) -> Centers:
-    """One row per window; row i of members holds window i's event indices.
-
-    Sums run along each row in event order, as the windows were filled, so
-    they round as sequential sums do.
-    """
-    n = members.shape[1]
+    members = np.concatenate(bursts)
+    count = np.array([len(b) for b in bursts])
+    starts = np.concatenate(([0], np.cumsum(count[:-1])))
 
     def mean(values):
-        return np.cumsum(values, axis=1)[:, -1] / n
+        return np.add.reduceat(values, starts) / count
 
-    wx, wy = xs[members], ys[members]
+    wx, wy = stream.x[members].astype(np.int64), stream.y[members].astype(np.int64)
     mx, my = mean(wx), mean(wy)
-    cov = np.empty((len(members), 2, 2))
+    cov = np.empty((len(bursts), 2, 2))
     cov[:, 0, 0] = mean(wx * wx) - mx * mx
     cov[:, 1, 1] = mean(wy * wy) - my * my
     cov[:, 0, 1] = cov[:, 1, 0] = mean(wx * wy) - mx * my
@@ -448,10 +279,11 @@ def _centers(camera_id: int, ts, xs, ys, members) -> Centers:
         cov[:, i, i] = np.where(cov[:, i, i] < 0.0, 0.0, cov[:, i, i])
     if len(_non_psd(cov)):
         raise ValueError("covariance is not positive semidefinite")
-    t_c = _NUDGE_TIES.accumulate(mean(ts[members]), dtype=object).astype(np.float64)
+    t0 = stream.t[0]
+    t_c = t0 + mean(stream.t[members] - t0)
     return Centers(
-        camera_id, t_c, np.stack([mx, my], axis=1), cov, np.full(len(members), n),
-        ts[members[:, 0]].astype(np.int64), ts[members[:, -1]].astype(np.int64),
+        stream.camera_id, t_c, np.stack([mx, my], axis=1), cov, count,
+        stream.t[members[starts]], stream.t[members[starts + count - 1]],
     )
 
 

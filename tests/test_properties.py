@@ -2,14 +2,12 @@
 import re
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evdeform.events import CSV_HEADER, EventStream, read_stream, write_stream
-from evdeform import extraction
 from evdeform.errors import StreamTooShort
 from evdeform.extraction import (
     ExtractionConfig,
@@ -88,40 +86,39 @@ def test_csv_write_read_round_trip(rows):
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
-    events=st.integers(1, 400),
+    events=st.integers(1, 600),
+    burst=st.integers(10, 50),
     width=st.sampled_from([8, 40, 1280]),
     noise=st.sampled_from([0.0, 0.1, 0.5]),
-    n=st.integers(1, 30),
-    gate=st.sampled_from([0.5, 2.0, 5.0, 30.0]),
-    gap=st.sampled_from([None, 0.5, 3.0, 50.0]),
-    chunk=st.sampled_from([1, 3, 16, 4096]),
-    rounds=st.integers(1, 4),
+    gate=st.sampled_from([2.0, 5.0, 30.0, 1e9]),
+    gap=st.sampled_from([3.0, 50.0, 150.0, 1e9]),
 )
-def test_extraction_equals_reference_loop(
-    seed, events, width, noise, n, gate, gap, chunk, rounds
-):
-    """Marker bursts that jump every 30 events, with noise and tied timestamps.
+def test_extraction_equals_reference_loop(seed, events, burst, width, noise, gate, gap):
+    """Marker bursts of about `burst` events that jump from burst to burst,
+    with noise, tied timestamps and pauses inside bursts.
 
-    Small chunks and few rounds drive the solver through chunk boundaries
-    and settled-prefix commits, which full-size chunks rarely reach.
+    Bursts shorter and longer than 20 events, jumps within and beyond the
+    gate and pauses around the reset gap drive the loop through short runs,
+    runs that outgrow their slice and lost markers.
     """
     rng = np.random.default_rng(seed)
-    t = np.cumsum(rng.choice([0, 1, 5, 100, 1000], events, p=[0.3, 0.3, 0.2, 0.15, 0.05]))
-    spots = rng.integers(0, width, (events // 30 + 1, 2))[np.arange(events) // 30]
-    x = np.clip(spots[:, 0] + rng.integers(-3, 4, events), 0, width - 1)
-    y = np.clip(spots[:, 1] % 8 + rng.integers(-3, 4, events), 0, 7)
+    step = rng.choice([0, 1, 5, 100], events, p=[0.4, 0.35, 0.2, 0.05])
+    step[::burst] += rng.choice([0, 300, 2000], len(step[::burst]))
+    t = np.cumsum(step)
+    spots = rng.integers(0, width, (events // burst + 1, 2))[np.arange(events) // burst]
+    x = np.clip(spots[:, 0] + rng.integers(-2, 3, events), 0, width - 1)
+    y = np.clip(spots[:, 1] % 8 + rng.integers(-2, 3, events), 0, 7)
     lost = rng.random(events) < noise
     x[lost] = rng.integers(0, width, lost.sum())
     stream = EventStream(0, width, 8, t, x, y, rng.random(events) < 0.5)
-    config = ExtractionConfig(n=n, gate_radius=gate, reset_gap_us=gap)
-    with mock.patch.multiple(extraction, _CHUNK_EVENTS=chunk, _CHUNK_ROUNDS=rounds):
-        try:
-            want = reference_extract_center_sequence(stream, config)
-        except StreamTooShort as exc:
-            with pytest.raises(StreamTooShort, match=re.escape(str(exc))):
-                extract_center_sequence(stream, config)
-            return
-        assert_same_extraction(extract_center_sequence(stream, config), want)
+    config = ExtractionConfig(gate_radius=gate, reset_gap_us=gap)
+    try:
+        want = reference_extract_center_sequence(stream, config)
+    except StreamTooShort as exc:
+        with pytest.raises(StreamTooShort, match=re.escape(str(exc))):
+            extract_center_sequence(stream, config)
+        return
+    assert_same_extraction(extract_center_sequence(stream, config), want)
 
 
 @settings(max_examples=50, deadline=None)
@@ -132,12 +129,12 @@ def test_extraction_equals_reference_loop(
 )
 def test_centroid_translation_equivariance(seed, dx, dy):
     rng = np.random.default_rng(seed)
-    n = rng.integers(2, 50)
+    n = rng.integers(20, 70)
     x = rng.integers(30, 70, n)
     y = rng.integers(30, 70, n)
     t = np.sort(rng.integers(0, 1000, n))
     pol = np.ones(n, dtype=bool)
-    config = ExtractionConfig(n=int(n), gate_radius=1e9)  # one window of every event
+    config = ExtractionConfig(gate_radius=1e9, reset_gap_us=1e9)  # one burst of every event
     base = extract_center_sequence(EventStream(0, 128, 128, t, x, y, pol), config).observations
     moved = extract_center_sequence(
         EventStream(0, 128, 128, t, x + dx, y + dy, pol), config
