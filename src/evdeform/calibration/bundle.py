@@ -5,8 +5,8 @@ Residuals project through the full camera model, distortion included. The
 rotation update (left-multiplied exponential), camera translation, focal
 lengths and the radial-tangential coefficients. The principal point stays
 fixed. Point blocks are eliminated with a Schur complement. The gauge is
-fixed by freezing the reference camera's pose and pinning the largest
-translation component of another camera.
+fixed by freezing the pose of camera 0, the reference, and pinning the
+largest translation component of camera 1.
 """
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ _LAMBDA_DOWN = 1.0 / 3.0
 class BundleOptions:
     refine_focal: bool = True
     refine_distortion: tuple[int, ...] = ()  # cameras with free k1 k2 p1 p2
-    frozen_cameras: tuple[int, ...] = (0,)  # cameras with a fixed pose
     max_iters: int = 50
 
 
@@ -67,18 +66,16 @@ class BundleResult:
 def _free_parameters(poses: list[CameraPose], options: BundleOptions) -> Array:
     """(m, CAM_PARAMS) mask of the free camera parameters.
 
-    The frozen cameras' poses fix the gauge up to scale; the largest
-    translation component of the first other camera fixes the scale.
+    Camera 0's pose fixes the gauge up to scale; the largest translation
+    component of camera 1 fixes the scale.
     """
     mask = np.ones((len(poses), CAM_PARAMS), dtype=bool)
     mask[:, 6:8] = options.refine_focal
     mask[:, 8:12] = False
     mask[list(options.refine_distortion), 8:12] = True
-    mask[list(options.frozen_cameras), :6] = False
-    free = [c for c in range(len(poses)) if c not in options.frozen_cameras]
-    if free:
-        axis = int(np.argmax(np.abs(poses[free[0]].translation)))
-        mask[free[0], 3 + axis] = False
+    mask[0, :6] = False
+    if len(poses) > 1:
+        mask[1, 3 + int(np.argmax(np.abs(poses[1].translation)))] = False
     return mask
 
 

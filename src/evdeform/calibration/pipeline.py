@@ -45,20 +45,21 @@ from .upgrade import euclidean_upgrade
 Array = np.ndarray
 
 
+# The recipe's fixed settings, in px unless noted
+FALLBACK_FOCAL = 1600.0  # focal seed when no Kruppa estimate succeeds
+REPROJ_TARGET = 0.3  # worst camera's mean reprojection error to converge
+EPIPOLAR_THRESHOLD = 2.0  # d_h of reject_outliers
+REPROJ_THRESHOLD = 1.0  # xi_th of reject_outliers
+RANSAC_THRESHOLD = 1.0
+RANSAC_ITERS = 2000
+MIN_FULL_VISIBILITY = 20  # groups every camera sees
+BA_MAX_ITERS = 60
+
+
 @dataclass(frozen=True)
 class CalibrationConfig:
     sensor: tuple[int, int] = (1280, 720)
-    initial_focal: float = 1600.0
-    reproj_target: float = 0.3
-    epipolar_threshold: float = 2.0  # d_h, px
-    reproj_threshold: float = 1.0  # xi_th, px
-    ransac_threshold: float = 1.0
-    ransac_iters: int = 2000
-    min_full_visibility: int = 20
-    reference_camera: int | None = None  # default: lowest camera id
-    refine_focal: bool = True
     seed: int = 0
-    ba_max_iters: int = 60
 
 
 @dataclass
@@ -143,28 +144,25 @@ def calibrate(
 ) -> CalibrationResult:
     """Recover intrinsics, distortion and relative poses from matched centers.
 
-    The cameras are those that see at least one group, in camera id order.
-    Raises InsufficientCorrespondences up front and CalibrationFailed (with
-    the result attached) when the worst camera's mean reprojection error
-    stays above the target.
+    The cameras are those that see at least one group, in camera id order;
+    the lowest id is the reference, posed at the identity (rebase_extrinsics
+    re-expresses the rig on another camera). Raises
+    InsufficientCorrespondences up front and CalibrationFailed (with the
+    result attached) when the worst camera's mean reprojection error stays
+    above the target.
     """
     rows = sorted(np.flatnonzero(points.visibility.any(axis=1)), key=lambda i: points.camera_ids[i])
     camera_ids = [points.camera_ids[i] for i in rows]
     m = len(camera_ids)
     if m < 2:
         raise InsufficientCorrespondences(f"need at least 2 cameras, got {m}")
-    reference = config.reference_camera if config.reference_camera is not None else camera_ids[0]
-    if reference not in camera_ids:
-        raise InsufficientCorrespondences(f"reference camera {reference} unseen in the data")
-    ref_row = camera_ids.index(reference)
 
     raw, vis = points.pixels[rows], points.visibility[rows]
     n = len(points)
     full_vis = int(vis.all(axis=0).sum())
-    if full_vis < config.min_full_visibility:
+    if full_vis < MIN_FULL_VISIBILITY:
         raise InsufficientCorrespondences(
-            f"{full_vis} fully visible correspondences, need "
-            f">= {config.min_full_visibility}"
+            f"{full_vis} fully visible correspondences, need >= {MIN_FULL_VISIBILITY}"
         )
 
     width, height = config.sensor
@@ -185,8 +183,8 @@ def calibrate(
                 pair, mask = estimate_fundamental_ransac(
                     raw[a, shared],
                     raw[b, shared],
-                    threshold=config.ransac_threshold,
-                    max_iters=config.ransac_iters,
+                    threshold=RANSAC_THRESHOLD,
+                    max_iters=RANSAC_ITERS,
                     seed=config.seed + 1000 * a + b,
                 )
             except NoModel:
@@ -209,7 +207,7 @@ def calibrate(
         f0 = float(np.median(estimates))
         actions.append(f"kruppa_f={f0:.4f}")
     else:
-        f0 = config.initial_focal
+        f0 = FALLBACK_FOCAL
         actions.append(f"kruppa_failed_fallback_f={f0:.1f}")
     intrinsics = [
         CameraIntrinsics(f0, f0, cx, cy, width=width, height=height) for _ in range(m)
@@ -228,24 +226,18 @@ def calibrate(
     sv = rec.singular_values
     if sv[3] < 1e-6 * sv[0]:
         _warn_planar()
-    upgrade = euclidean_upgrade(rec, intrinsics, ref_row)
+    upgrade = euclidean_upgrade(rec, intrinsics)
     s = np.linalg.svd(upgrade.points.T - upgrade.points.T.mean(axis=0), compute_uv=False)
     if s[2] < 1e-3 * s[0]:
         _warn_planar()
 
-    # rebase on the reference camera and normalize the gauge scale
-    ref_pose = upgrade.poses[ref_row]
-    poses = [
-        CameraPose.identity() if j == ref_row else relative_pose(ref_pose, upgrade.poses[j])
-        for j in range(m)
-    ]
-    others = [j for j in range(m) if j != ref_row]
-    scale = np.linalg.norm(poses[others[0]].translation)
+    # rebase on the reference camera (row 0), scaled so camera 1 sits at unit distance
+    others = [relative_pose(upgrade.poses[0], p) for p in upgrade.poses[1:]]
+    scale = np.linalg.norm(others[0].translation)
     if scale < 1e-12:
         raise CalibrationFailed("degenerate baseline after upgrade")
-    poses = [
-        CameraPose(p.rotation, p.translation / scale) if j != ref_row else p
-        for j, p in enumerate(poses)
+    poses = [CameraPose.identity()] + [
+        CameraPose(p.rotation, p.translation / scale) for p in others
     ]
     points3d = _triangulate_columns(raw, vis, intrinsics, poses, active)
 
@@ -257,12 +249,7 @@ def calibrate(
             free_distortion.append(i)
         else:
             actions.append(f"distortion_skipped_cam{camera_ids[i]}={reason}")
-    options = BundleOptions(
-        refine_focal=config.refine_focal,
-        refine_distortion=tuple(free_distortion),
-        frozen_cameras=(ref_row,),
-        max_iters=config.ba_max_iters,
-    )
+    options = BundleOptions(refine_distortion=tuple(free_distortion), max_iters=BA_MAX_ITERS)
 
     def adjust(cols: Array, intrinsics, poses, points3d: Array):
         # one observation per visible (point, camera), ordered by point
@@ -282,7 +269,7 @@ def calibrate(
     all_points[:, active] = points3d
     report = reject_outliers(
         raw, vis & in_active, intrinsics, poses, all_points,
-        d_h=config.epipolar_threshold, xi_th=config.reproj_threshold,
+        d_h=EPIPOLAR_THRESHOLD, xi_th=REPROJ_THRESHOLD,
     )
     if len(report.removed):
         actions.append(f"rejected={len(report.removed)}")
@@ -293,14 +280,14 @@ def calibrate(
     # --- stats + convergence -----------------------------------------------
     means, stds = _reprojection_stats(raw, vis, intrinsics, poses, points3d, active)
     score = max(means.values())
-    converged = score < config.reproj_target
+    converged = score < REPROJ_TARGET
     if converged:
         actions.append("converged")
     result = CalibrationResult(
         camera_ids=tuple(camera_ids),
         intrinsics=tuple(intrinsics),
         poses=tuple(poses),
-        reference_camera=reference,
+        reference_camera=camera_ids[0],
         inlier_indices=active.copy(),
         inliers=points.take(active),
         points3d=points3d,
@@ -311,7 +298,7 @@ def calibrate(
     )
     if not converged:
         raise CalibrationFailed(
-            f"reprojection target {config.reproj_target} px not reached "
+            f"reprojection target {REPROJ_TARGET} px not reached "
             f"(worst camera {score:.4f} px)",
             result,
         )

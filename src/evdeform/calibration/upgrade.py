@@ -89,12 +89,11 @@ def _solve_quadric(normalized_cameras: list[Array], max_iters: int = 100) -> Arr
 def euclidean_upgrade(
     proj: ProjectiveReconstruction,
     intrinsics_guess: list[CameraIntrinsics],
-    reference: int,
 ) -> UpgradeResult:
     """Upgrade projective cameras/points to a metric frame.
 
     The global sign is fixed so that the majority of points have positive
-    depth in the reference camera; raises CheiralityFailure when neither
+    depth in camera 0, the reference; raises CheiralityFailure when neither
     sign works and IndefiniteG when the PSD projection of G discards more
     than 10% of its energy.
     """
@@ -149,15 +148,15 @@ def euclidean_upgrade(
     points = points_h[:3] / points_h[3]
 
     poses = [CameraPose(*_decompose_camera(P)) for P in upgraded]
-    depths = poses[reference].transform(points.T)[:, 2]
+    depths = poses[0].transform(points.T)[:, 2]
     if np.sum(depths > 0) < len(depths) / 2.0:
         points = -points
         poses = [CameraPose(p.rotation, -p.translation) for p in poses]
-        depths = poses[reference].transform(points.T)[:, 2]
+        depths = poses[0].transform(points.T)[:, 2]
         if np.sum(depths > 0) < len(depths) / 2.0:
             raise CheiralityFailure(
-                "no global sign puts a majority of points in front of the "
-                f"reference camera {reference}"
+                "no global sign puts a majority of points in front of "
+                "reference camera 0"
             )
     return UpgradeResult(poses, points)
 

@@ -13,7 +13,7 @@ import math
 import operator
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -39,7 +39,6 @@ from .errors import (
     StreamTooShort,
     UnknownCamera,
     document_fields,
-    read_json,
     read_object,
 )
 from .extraction import (
@@ -224,14 +223,6 @@ def cmd_calibrate(args) -> int:
     config = CalibrationConfig(seed=args.seed if args.seed is not None else 0,
                                sensor=_extracted_sensor(obs_dir))
     groups = _match_files(files, args.t_th_us)
-    if args.config:
-        overrides = read_json(args.config, ConfigError)
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"{args.config}: expected a JSON object of config fields")
-        unknown = sorted(set(overrides) - {f.name for f in fields(CalibrationConfig)})
-        if unknown:
-            raise ConfigError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
-        config = replace(config, **overrides)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     code = EXIT_OK
@@ -278,6 +269,9 @@ def _parse_anchor(spec: str | None):
 
 def cmd_measure(args) -> int:
     started = time.time()
+    threshold = args.residual_threshold
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ConfigError(f"--residual-threshold must be finite and positive, got {threshold}")
     rig = load_rig(args.calibration)
     obs_dir = Path(args.observations)
     files = sorted(obs_dir.glob("observations_cam*.csv"))
@@ -297,7 +291,7 @@ def cmd_measure(args) -> int:
         print("warning: no metric anchor given; series is in internal units",
               file=sys.stderr)
     series = measure_deformation(
-        rig, groups, MeasureConfig(residual_threshold_px=args.residual_threshold)
+        rig, groups, MeasureConfig(residual_threshold_px=threshold)
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -363,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", parents=[common], help="self-calibrate from observations")
     p.add_argument("--observations", required=True)
     p.add_argument("--t-th-us", type=float, default=1000.0, help="matching time threshold")
-    p.add_argument("--config", help="JSON file with CalibrationConfig overrides")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
@@ -390,6 +383,8 @@ def main(argv=None) -> int:
     if getattr(args, "format", None) is None:
         args.format = getattr(args, "format_default", None)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (ConfigError, ParseError, BoundsError, StreamTooShort,
             InsufficientCorrespondences, EmptySeries, UnknownCamera,

@@ -16,6 +16,7 @@ jitter burst by burst.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -137,6 +138,8 @@ class ScenarioConfig:
             raise ConfigError("marker radius must be positive")
         if self.noise_rate < 0 or self.latency_jitter_std_us < 0:
             raise ConfigError("noise rate and jitter must be non-negative")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass

@@ -569,7 +569,6 @@ def report_lines(results: list[CheckResult]) -> list[str]:
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        keys = sorted(r.figures)
-        shown = ", ".join(f"{k}={r.figures[k]:.6g}" for k in keys[:4])
+        shown = ", ".join(f"{k}={r.figures[k]:.6g}" for k in sorted(r.figures))
         lines.append(f"[{status}] {r.name.ljust(width)}  {shown}")
     return lines

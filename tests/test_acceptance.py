@@ -6,7 +6,7 @@ acceptance report. The same checks back the ``evdeform verify`` command.
 """
 import pytest
 
-from evdeform.verify import CheckResult, _run_once, run_all
+from evdeform.verify import CheckResult, _run_once, report_lines, run_all
 
 SEED = 0
 
@@ -120,3 +120,26 @@ def test_verify_driver_matches(report):
         "property_suite",
     ]
     assert all(r.passed for r in results)
+
+
+def test_report_lines_show_every_figure():
+    """Each check's line carries all of its figures, in key order."""
+    results = [
+        CheckResult("pole_distance", True, {
+            "rel_err": 4e-4, "rel_err_median": 9e-5, "rel_err_p95": 2.5e-4,
+            "max_distance_mm": 1000.4, "paired_samples": 600.0, "runtime_s": 0.5,
+        }),
+        CheckResult("deformation_sway", False, {
+            "amplitude_mm": 18.2, "amplitude_rel_err": 0.002, "rmse_x_mm": 0.14,
+            "rmse_y_mm": 0.14, "rmse_z_mm": 0.13, "triangulated_fraction": 1.0,
+            "truth_amplitude_mm": 18.2,
+        }),
+    ]
+    lines = report_lines(results)
+    assert lines == [
+        "[PASS] pole_distance     max_distance_mm=1000.4, paired_samples=600, "
+        "rel_err=0.0004, rel_err_median=9e-05, rel_err_p95=0.00025, runtime_s=0.5",
+        "[FAIL] deformation_sway  amplitude_mm=18.2, amplitude_rel_err=0.002, "
+        "rmse_x_mm=0.14, rmse_y_mm=0.14, rmse_z_mm=0.13, triangulated_fraction=1, "
+        "truth_amplitude_mm=18.2",
+    ]

@@ -4,11 +4,13 @@ import json
 import numpy as np
 import pytest
 
+from evdeform.calibration import pipeline
 from evdeform.calibration.pipeline import (
     CalibrationConfig,
     calibrate,
     write_iteration_log,
 )
+from evdeform.deformation import rebase_extrinsics
 from evdeform.errors import InsufficientCorrespondences
 from evdeform.geometry import (
     distort_normalized,
@@ -81,11 +83,26 @@ class TestCalibrate:
             assert 1750.0 <= intr.fy <= 1850.0
 
     def test_reference_camera_is_identity(self, rig_cameras):
+        """The lowest camera id is the reference; rebase_extrinsics moves the
+        rig onto another camera, which then sits at the identity."""
         groups = correspondences_from_points(rig_cameras, sample_points(40))
-        result = calibrate(groups, CalibrationConfig(seed=2, reference_camera=1))
-        idx = result.camera_ids.index(1)
-        np.testing.assert_array_equal(result.poses[idx].rotation, np.eye(3))
-        np.testing.assert_array_equal(result.poses[idx].translation, np.zeros(3))
+        result = calibrate(groups, CalibrationConfig(seed=2))
+        assert result.reference_camera == 0
+        np.testing.assert_array_equal(result.poses[0].rotation, np.eye(3))
+        np.testing.assert_array_equal(result.poses[0].translation, np.zeros(3))
+        rig = rebase_extrinsics(result.poses, 1, result.intrinsics, result.camera_ids)
+        assert rig.reference_camera == 1
+        pose1, pose0 = rig.poses[rig.index(1)], rig.poses[rig.index(0)]
+        np.testing.assert_array_equal(pose1.rotation, np.eye(3))
+        np.testing.assert_array_equal(pose1.translation, np.zeros(3))
+        # camera 0 sits where camera 1 sees it
+        np.testing.assert_allclose(
+            pose0.rotation, result.poses[1].rotation.T, rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            pose0.translation, -result.poses[1].rotation.T @ result.poses[1].translation,
+            rtol=0, atol=1e-9,
+        )
 
     def test_deterministic_reruns(self, rig_cameras):
         rng = np.random.default_rng(6)
@@ -144,7 +161,7 @@ class TestCalibrate:
             assert abs(intr.fy - 1800.0) / 1800.0 < 1e-6
             np.testing.assert_allclose(intr.distortion, TABLE_CAM1, rtol=0, atol=1e-6)
 
-    def test_rejected_column_is_solved_without(self, rig_cameras):
+    def test_rejected_column_is_solved_without(self, rig_cameras, monkeypatch):
         """An outlier RANSAC lets through is rejected after the bundle
         adjustment, which then runs once more on the kept columns."""
         groups = correspondences_from_points(rig_cameras, sample_points(100))
@@ -152,7 +169,8 @@ class TestCalibrate:
         pixels[1, 17] += 6.0
         groups = correspondences(pixels, groups.mean_t)
         # a wide RANSAC threshold keeps the outlier in the first solve
-        result = calibrate(groups, CalibrationConfig(seed=2, ransac_threshold=50.0))
+        monkeypatch.setattr(pipeline, "RANSAC_THRESHOLD", 50.0)
+        result = calibrate(groups, CalibrationConfig(seed=2))
         actions = result.iterations[0].actions
         assert "rejected=1" in actions
         assert sum(a.startswith("ba_steps=") for a in actions) == 2
@@ -230,8 +248,3 @@ class TestPartialVisibility:
         assert len(result.inliers) > 80  # partial-visibility points retained
         assert any(len(g.observations) == 2 for g in result.inliers)
         assert max(result.mean_reprojection.values()) < 0.3
-
-    def test_unknown_reference_camera(self, rig_cameras):
-        groups = correspondences_from_points(rig_cameras, sample_points(40))
-        with pytest.raises(InsufficientCorrespondences):
-            calibrate(groups, CalibrationConfig(reference_camera=9))

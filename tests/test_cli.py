@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from evdeform.calibration import pipeline
 from evdeform.cli import main
 from evdeform.events import EventStream, write_stream
 from evdeform.geometry import CameraIntrinsics
@@ -92,6 +93,27 @@ class TestSimulate:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {scenario}: field 'edge_band' is 0.2")
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["simulate", "--preset", "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: --seed must be non-negative, got -1"]
+        assert not out.exists()
+
+    def test_negative_scenario_seed_exits_2(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        save_scenario(scenario, replace(preset_paper_rig(), duration_s=0.2))
+        doc = json.loads(scenario.read_text())
+        doc["seed"] = -3
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: seed must be a non-negative integer, got -3"]
+        assert not (out / "streams.json").exists()
 
     def test_same_seed_identical_files(self, tmp_path):
         scenario = tmp_path / "scenario.json"
@@ -312,46 +334,37 @@ class TestCalibrate:
         assert len(err) == 1 and err[0].startswith(f"error: {obs / 'extraction.json'}: not found")
         assert not (out / "calibration.json").exists()
 
-    def test_unreachable_target_exits_1_with_best_effort(self, observations, tmp_path):
-        overrides = tmp_path / "config.json"
-        overrides.write_text(json.dumps({"reproj_target": 1e-12}))
+    def test_unreachable_target_exits_1_with_best_effort(self, observations, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(pipeline, "REPROJ_TARGET", 1e-12)
         out = tmp_path / "cal"
         code = main(
             ["calibrate", "--observations", str(observations), "--out", str(out),
-             "--seed", "3", "--config", str(overrides)]
+             "--seed", "3"]
         )
         assert code == 1
         assert (out / "calibration.json").exists()  # best-so-far still written
 
-    def test_unknown_config_key_exits_2(self, observations, tmp_path, capsys):
-        # a misspelt key, and keys of the removed outer calibration loop and
-        # factorization options
-        for key, value in [("reproj_targte", 0.2), ("max_iterations", 2),
-                           ("principal_mode", "free"), ("factorization_tol", 1e-8),
-                           ("factorization_max_iters", 50), ("origin_point", 3)]:
-            overrides = tmp_path / "config.json"
-            overrides.write_text(json.dumps({"reproj_target": 0.3, key: value}))
-            out = tmp_path / key
-            code = main(
-                ["calibrate", "--observations", str(observations), "--out", str(out),
-                 "--config", str(overrides)]
-            )
-            assert code == 2
-            err = capsys.readouterr().err.strip().splitlines()
-            assert len(err) == 1 and key in err[0]
-            assert not (out / "calibration.json").exists()
-
-    def test_invalid_config_json_exits_2(self, observations, tmp_path, capsys):
+    def test_config_flag_exits_2(self, observations, tmp_path, capsys):
+        """The calibration recipe has no overrides; --config is not a flag."""
         overrides = tmp_path / "config.json"
-        overrides.write_text("{bad")
+        overrides.write_text(json.dumps({"reproj_target": 0.3}))
         out = tmp_path / "cal"
-        code = main(
-            ["calibrate", "--observations", str(observations), "--out", str(out),
-             "--config", str(overrides)]
-        )
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--observations", str(observations), "--out", str(out),
+                  "--config", str(overrides)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_2(self, observations, tmp_path, capsys):
+        out = tmp_path / "cal"
+        code = main(["calibrate", "--observations", str(observations), "--out", str(out),
+                     "--seed", "-5"])
         assert code == 2
-        assert_invalid_json_line(capsys, overrides)
-        assert not (out / "calibration.json").exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: --seed must be non-negative, got -5"]
+        assert not out.exists()
 
     def test_invalid_extraction_json_exits_2(self, observations, tmp_path, capsys):
         obs = tmp_path / "obs"
@@ -600,6 +613,19 @@ class TestMeasure:
         assert len(err) == 1 and err[0].startswith("error: --t-th-us must be finite and positive")
         assert not (out / "series.csv").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_residual_threshold_exits_2(self, sway_setup, tmp_path, capsys, value):
+        root, cal, sway_obs = sway_setup
+        out = tmp_path / "o"
+        code = main(["measure", "--calibration", str(cal / "calibration.json"),
+                     "--observations", str(sway_obs), "--anchor", "baseline:0,1:4640",
+                     "--out", str(out), "--residual-threshold", value])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: --residual-threshold must be finite and positive")
+        assert not (out / "series.csv").exists()
+
     def test_observations_from_camera_outside_rig_exit_2(self, sway_setup, tmp_path, capsys):
         root, cal, sway_obs = sway_setup
         obs = tmp_path / "obs"
@@ -630,6 +656,14 @@ class TestVerify:
         assert "calibration_reprojection" in names
         assert "pole_distance" in names
         assert all(entry["passed"] for entry in report)
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "verify"
+        code = main(["verify", "--out", str(out), "--seed", "-1", "--skip-determinism"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: --seed must be non-negative, got -1"]
+        assert not out.exists()
 
 
 class TestPoleThroughCli:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from evdeform.calibration.factorization import projective_factorize
+from evdeform.calibration import pipeline
 from evdeform.calibration.pipeline import CalibrationConfig, calibrate
 from evdeform.errors import InsufficientCorrespondences, SingularConfiguration
 from evdeform.geometry import homogeneous, project_pinhole
@@ -34,12 +35,13 @@ class TestBuildMeasurementMatrix:
         s = np.linalg.svd(stacked, compute_uv=False)
         assert s[4] / s[0] < 1e-10
 
-    def test_too_few_points(self, three_camera_points):
+    def test_too_few_points(self, three_camera_points, monkeypatch):
         """The factored subset needs eight points every camera sees."""
         cams, pts = three_camera_points
         groups = correspondences_from_points(cams, pts[:5])
+        monkeypatch.setattr(pipeline, "MIN_FULL_VISIBILITY", 0)
         with pytest.raises(InsufficientCorrespondences, match="only 5 fully visible"):
-            calibrate(groups, CalibrationConfig(min_full_visibility=0))
+            calibrate(groups, CalibrationConfig())
 
 
 class TestProjectiveFactorize:

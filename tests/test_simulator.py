@@ -304,6 +304,8 @@ class TestConfigValidation:
             ("duration_s", 0.0),
             ("marker_radius_mm", -1.0),
             ("noise_rate", -0.1),
+            ("seed", -1),
+            ("seed", 1.5),
         ],
     )
     def test_invariants(self, field, value):

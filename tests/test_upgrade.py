@@ -23,7 +23,7 @@ def factored_scene():
 class TestEuclideanUpgrade:
     def test_recovers_poses_up_to_similarity(self, factored_scene):
         cams, pts, rec = factored_scene
-        result = euclidean_upgrade(rec, [intr for intr, _ in cams], 0)
+        result = euclidean_upgrade(rec, [intr for intr, _ in cams])
         true_poses = [pose for _, pose in cams]
         for i in range(3):
             for j in range(i + 1, 3):
@@ -36,7 +36,7 @@ class TestEuclideanUpgrade:
 
     def test_rotations_orthonormal(self, factored_scene):
         cams, _, rec = factored_scene
-        result = euclidean_upgrade(rec, [intr for intr, _ in cams], 0)
+        result = euclidean_upgrade(rec, [intr for intr, _ in cams])
         for pose in result.poses:
             assert np.abs(pose.rotation.T @ pose.rotation - np.eye(3)).max() < 1e-9
             assert abs(np.linalg.det(pose.rotation) - 1.0) < 1e-9
@@ -44,7 +44,7 @@ class TestEuclideanUpgrade:
     def test_origin_point_maps_to_origin(self, factored_scene):
         """Point 0 is the origin column of the upgrading homography."""
         cams, _, rec = factored_scene
-        result = euclidean_upgrade(rec, [intr for intr, _ in cams], 0)
+        result = euclidean_upgrade(rec, [intr for intr, _ in cams])
         extent = np.abs(result.points).max()
         assert np.abs(result.points[:, 0]).max() < 1e-9 * extent
 
@@ -59,7 +59,7 @@ class TestEuclideanUpgrade:
 
     def test_majority_positive_depths(self, factored_scene):
         cams, _, rec = factored_scene
-        result = euclidean_upgrade(rec, [intr for intr, _ in cams], 0)
+        result = euclidean_upgrade(rec, [intr for intr, _ in cams])
         depths = result.poses[0].transform(result.points.T)[:, 2]
         assert np.sum(depths > 0) > len(depths) / 2
 
@@ -68,7 +68,7 @@ class TestEuclideanUpgrade:
         intrinsics, the guesses the upgrade was given."""
         cams, _, rec = factored_scene
         intrinsics = [intr for intr, _ in cams]
-        result = euclidean_upgrade(rec, intrinsics, 0)
+        result = euclidean_upgrade(rec, intrinsics)
         proj = np.einsum("mij,jn->min", rec.cameras, rec.points)
         pix = (proj[:, :2] / proj[:, 2:3]).transpose(0, 2, 1)
         # a focal length 1e-7 off would move these pixels by up to 6e-5 px
@@ -79,7 +79,7 @@ class TestEuclideanUpgrade:
 
     def test_structure_matches_up_to_similarity(self, factored_scene):
         cams, pts, rec = factored_scene
-        result = euclidean_upgrade(rec, [intr for intr, _ in cams], 0)
+        result = euclidean_upgrade(rec, [intr for intr, _ in cams])
         # distances between reconstructed points are proportional to truth
         recon = result.points.T
         d_true = np.linalg.norm(pts[1:] - pts[0], axis=1)
