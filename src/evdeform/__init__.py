@@ -27,8 +27,8 @@ from .geometry import (
     FundamentalPair,
     estimate_fundamental_ransac,
     fundamental_from_calibrated,
-    project,
-    undistort,
+    project_points,
+    undistort_pixels,
 )
 from .calibration import (
     CalibrationConfig,
@@ -86,12 +86,12 @@ __all__ = [
     "measure_deformation",
     "measurement_profile",
     "preset_paper_rig",
-    "project",
+    "project_points",
     "projective_factorize",
     "rebase_extrinsics",
     "reject_outliers",
     "simulate",
     "solve_kruppa_focal",
     "triangulate",
-    "undistort",
+    "undistort_pixels",
 ]

@@ -315,8 +315,10 @@ def bundle_adjust(
 ) -> BundleResult:
     """Levenberg-Marquardt on the reprojection cost with Schur elimination.
 
-    The accepted-cost sequence is non-increasing; raises DivergedBA when the
-    damping parameter exceeds its ceiling without an acceptable step.
+    The accepted-cost sequence is non-increasing. A trial step that leaves
+    the cost unchanged to float resolution ends the solve as converged;
+    raises DivergedBA when the damping parameter exceeds its ceiling
+    without an acceptable step.
     """
     cam_idx = np.asarray(cam_idx, dtype=np.int64)
     pt_idx = np.asarray(pt_idx, dtype=np.int64)
@@ -347,7 +349,6 @@ def bundle_adjust(
             break
 
         stepped = False
-        best_rejected = np.inf
         while lam <= _LAMBDA_MAX:
             try:
                 _, _, dc, dp = schur_step(ne, lam, frozen)
@@ -373,21 +374,16 @@ def bundle_adjust(
                 if decrease < _COST_TOL * max(cost, 1.0):
                     converged = True
                 break
-            if np.isfinite(new_cost):
-                best_rejected = min(best_rejected, new_cost)
-            lam *= _LAMBDA_UP
-        if not stepped:
             # a rejected step matching the current cost to float resolution is
-            # a plateau (converged), not divergence
-            if best_rejected <= cost * (1.0 + 1e-9):
+            # a plateau (converged), not divergence: more damping only shortens
+            # the step, so scanning it up to the ceiling finds nothing
+            if new_cost <= cost * (1.0 + 1e-9):
                 converged = True
                 break
-            if lam > _LAMBDA_MAX:
-                raise DivergedBA(
-                    f"damping exceeded {_LAMBDA_MAX:g} without an accepted step"
-                )
-            break
+            lam *= _LAMBDA_UP
         if converged:
             break
+        if not stepped:
+            raise DivergedBA(f"damping exceeded {_LAMBDA_MAX:g} without an accepted step")
 
     return BundleResult(intrinsics, poses, points, trace, accepted, converged)

@@ -10,8 +10,8 @@ from ..errors import AllRejected
 from ..geometry import (
     CameraIntrinsics,
     CameraPose,
-    distort_normalized,
     fundamental_from_calibrated,
+    project_points,
     relative_pose,
     symmetric_epipolar_distance,
     undistort_pixels,
@@ -35,14 +35,6 @@ class RejectionReport:
 
     def __len__(self):
         return len(self.removed)
-
-
-def project_unguarded(intr: CameraIntrinsics, pose: CameraPose, pts: Array) -> Array:
-    """Full-model projection of world points (k, 3) without the
-    positive-depth guard of geometry.project_points."""
-    cam = pose.transform(pts)
-    z = np.where(np.abs(cam[:, 2]) < 1e-12, 1e-12, cam[:, 2])
-    return intr.pixel_from_normalized(distort_normalized(intr, cam[:, :2] / z[:, None]))
 
 
 def reject_outliers(
@@ -89,11 +81,10 @@ def reject_outliers(
         cols = np.flatnonzero(visibility[j])
         if not len(cols):
             continue
-        pts = points3d[:, cols].T
-        proj = project_unguarded(intrinsics[j], poses[j], pts)
+        proj, depth = project_points(intrinsics[j], poses[j], points3d[:, cols].T)
         err = np.linalg.norm(proj - pixels[j, cols], axis=1)
         # behind the camera is never an inlier
-        err = np.where(poses[j].transform(pts)[:, 2] <= 0, np.inf, err)
+        err = np.where(depth <= 0, np.inf, err)
         for col, e in zip(cols[err > xi_th], err[err > xi_th]):
             col = int(col)
             if col not in removed or removed[col].value < e:

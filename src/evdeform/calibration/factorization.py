@@ -12,11 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InsufficientCorrespondences, SingularConfiguration
-from ..geometry import (
-    FundamentalPair,
-    estimate_fundamental_weighted,
-    homogeneous,
-)
+from ..geometry import FundamentalPair, homogeneous
 
 Array = np.ndarray
 
@@ -42,19 +38,6 @@ class ProjectiveReconstruction:
         for j, M in enumerate(self.cameras):
             if np.linalg.matrix_rank(M) < 3:
                 raise ValueError(f"camera {j} of the reconstruction is rank deficient")
-
-
-def _star_fundamentals(pixels: Array) -> list[FundamentalPair]:
-    """Sampson-weighted F of each (0, i) pair, i = 1 .. m-1."""
-    pairs = []
-    for i in range(1, len(pixels)):
-        try:
-            pairs.append(estimate_fundamental_weighted(pixels[0], pixels[i]))
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise SingularConfiguration(
-                f"no fundamental matrix for camera pair (0, {i}): {exc}"
-            ) from exc
-    return pairs
 
 
 def propagate_depths(
@@ -93,12 +76,14 @@ def balance_scales(pixels: Array, scales: Array, passes: int = 2) -> Array:
     return s
 
 
-def projective_factorize(pixels: Array) -> ProjectiveReconstruction:
+def projective_factorize(
+    pixels: Array, fundamentals: list[FundamentalPair]
+) -> ProjectiveReconstruction:
     """Factor the (m, k, 2) pixels of k points every camera sees.
 
-    Raises InsufficientCorrespondences below 8 points and
-    SingularConfiguration when a (0, i) pair has no fundamental matrix or
-    the SVD fails.
+    fundamentals holds the (0, i) pairs, i = 1 .. m-1, that carry the
+    depths from camera 0 to camera i. Raises InsufficientCorrespondences
+    below 8 points and SingularConfiguration when the SVD fails.
     """
     pixels = np.asarray(pixels, dtype=float)
     m, k, _ = pixels.shape
@@ -106,7 +91,6 @@ def projective_factorize(pixels: Array) -> ProjectiveReconstruction:
         raise InsufficientCorrespondences(
             f"factorization needs >= 8 fully visible points, got {k}"
         )
-    fundamentals = _star_fundamentals(pixels)
     scales = np.ones((m, k))
 
     hom = homogeneous(pixels)

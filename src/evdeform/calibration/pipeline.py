@@ -1,13 +1,14 @@
 """Self-calibration over corresponding points, in one pass.
 
 RANSAC epipolar geometry drops inconsistent correspondences and gives the
-Kruppa seed of the shared focal length. The rank-4 factorization with depth
-updates and the metric upgrade initialise cameras and points, and one bundle
-adjustment refines the full camera model: pose, focal lengths and, for each
-camera whose observations cover enough of the sensor, the distortion
-coefficients. Outliers are then rejected against that model; if any are,
-the bundle adjustment runs once more without them. The result converges
-when every camera's mean reprojection error is under the target.
+Kruppa seed of the shared focal length. The rank-4 factorization, whose
+depth updates reuse RANSAC's (0, i) fundamental matrices, and the metric
+upgrade initialise cameras and points, and one bundle adjustment refines
+the full camera model: pose, focal lengths and, for each camera whose
+observations cover enough of the sensor, the distortion coefficients.
+Outliers are then rejected against that model; if any are, the bundle
+adjustment runs once more without them. The result converges when every
+camera's mean reprojection error is under the target.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from ..errors import (
     InsufficientCorrespondences,
     NegativeFocalSquared,
     NoModel,
+    SingularConfiguration,
 )
 from ..extraction import Correspondences
 from ..geometry import (
@@ -33,11 +35,12 @@ from ..geometry import (
     CameraPose,
     FundamentalPair,
     estimate_fundamental_ransac,
+    project_points,
     relative_pose,
     triangulate_linear,
 )
 from .bundle import BundleOptions, bundle_adjust
-from .cleanup import distortion_gate, project_unguarded, reject_outliers
+from .cleanup import distortion_gate, reject_outliers
 from .factorization import projective_factorize
 from .kruppa import solve_kruppa_focal
 from .upgrade import euclidean_upgrade
@@ -117,15 +120,17 @@ def _triangulate_columns(
 def _reprojection_stats(
     pixels_raw: Array, vis: Array, intrinsics, poses, points3d: Array, cols: Array,
 ) -> tuple[dict[int, float], dict[int, float]]:
-    """Per-camera mean/std of the raw-frame reprojection error over cols."""
+    """Per-camera mean/std of the raw-frame reprojection error over cols; a
+    point behind a camera that sees it counts as an infinite error."""
     means, stds = {}, {}
     for i in range(len(intrinsics)):
         seen = vis[i, cols]
         if not seen.any():
             means[i], stds[i] = float("nan"), float("nan")
             continue
-        proj = project_unguarded(intrinsics[i], poses[i], points3d[:, seen].T)
+        proj, depth = project_points(intrinsics[i], poses[i], points3d[:, seen].T)
         err = np.linalg.norm(proj - pixels_raw[i, cols[seen]], axis=1)
+        err = np.where(depth <= 0, np.inf, err)
         means[i] = float(err.mean())
         stds[i] = float(err.std())
     return means, stds
@@ -219,7 +224,14 @@ def calibrate(
         raise InsufficientCorrespondences(
             f"only {len(sub_active)} fully visible inliers remain"
         )
-    rec = projective_factorize(raw[:, sub_active])
+    # depths reach camera i from camera 0 through RANSAC's (0, i) pair
+    star = [fundamentals.get((0, i)) for i in range(1, m)]
+    for i, pair in enumerate(star, start=1):
+        if pair is None:
+            raise SingularConfiguration(
+                f"no fundamental matrix for camera pair (0, {i}): RANSAC found no model"
+            )
+    rec = projective_factorize(raw[:, sub_active], star)
     actions.append(f"factorize_iters={rec.iterations}_res={rec.residual:.3e}")
     # a planar sweep collapses the factored matrix to rank 3, or else the
     # upgraded points to a plane

@@ -177,7 +177,7 @@ def cmd_extract(args) -> int:
         json.dumps({"profile": args.profile, "cameras": counts}, indent=2) + "\n"
     )
     outputs.append("extraction.json")
-    _write_manifest(out, "extract", vars(args), outputs, args.seed, started)
+    _write_manifest(out, "extract", vars(args), outputs, None, started)
     for cid, c in counts.items():
         print(f"cam{cid}: {c['observations']} observations")
     return EXIT_OK
@@ -220,8 +220,7 @@ def cmd_calibrate(args) -> int:
     if len(files) < 2:
         print(f"need observations from >= 2 cameras in {obs_dir}", file=sys.stderr)
         return EXIT_USAGE
-    config = CalibrationConfig(seed=args.seed if args.seed is not None else 0,
-                               sensor=_extracted_sensor(obs_dir))
+    config = CalibrationConfig(seed=args.seed, sensor=_extracted_sensor(obs_dir))
     groups = _match_files(files, args.t_th_us)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -298,7 +297,7 @@ def cmd_measure(args) -> int:
     write_series(out / "series.csv", series)
     write_summary(out / "summary.json", series)
     outputs = ["series.csv", "summary.json"]
-    _write_manifest(out, "measure", vars(args), outputs, args.seed, started)
+    _write_manifest(out, "measure", vars(args), outputs, None, started)
     s = series.summary()
     print(
         f"{s['samples']} samples ({s['dropped']} dropped), max amplitude "
@@ -309,8 +308,7 @@ def cmd_measure(args) -> int:
 
 def cmd_verify(args) -> int:
     started = time.time()
-    seed = args.seed if args.seed is not None else 0
-    results = run_all(seed=seed, check_determinism=not args.skip_determinism)
+    results = run_all(seed=args.seed, check_determinism=not args.skip_determinism)
     for line in report_lines(results):
         print(line)
     if args.out:
@@ -326,41 +324,50 @@ def cmd_verify(args) -> int:
             for r in results
         ]
         (out / "verify_report.json").write_text(json.dumps(report, indent=2) + "\n")
-        _write_manifest(out, "verify", vars(args), ["verify_report.json"], seed, started)
+        _write_manifest(out, "verify", vars(args), ["verify_report.json"], args.seed, started)
     return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line and exits 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="evdeform",
         description="Blinking-LED photogrammetry for multi event-camera arrays",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-    common.add_argument("--format", choices=["csv", "binary"], default=None,
-                        help="event stream file format")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="generate synthetic event streams")
+    p = sub.add_parser("simulate", help="generate synthetic event streams")
+    p.add_argument("--seed", type=int, default=None, help="override the scenario's RNG seed")
+    p.add_argument("--format", choices=["csv", "binary"], default="binary",
+                   help="event file format")
     p.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--preset", action="store_true", help="use the canonical desk-scale rig")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate, format_default="binary")
+    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("extract", parents=[common], help="extract marker centers from streams")
+    p = sub.add_parser("extract", help="extract marker centers from streams")
+    p.add_argument("--format", choices=["csv", "binary"], default=None,
+                   help="event file format (default: the one streams.json records)")
     p.add_argument("--streams", required=True, help="directory with event streams")
     p.add_argument("--profile", choices=["calibration", "measurement"], default="calibration")
     p.add_argument("--blink-freq", type=float, default=250.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("calibrate", parents=[common], help="self-calibrate from observations")
+    p = sub.add_parser("calibrate", help="self-calibrate from observations")
+    p.add_argument("--seed", type=int, default=0, help="seed of the RANSAC draws")
     p.add_argument("--observations", required=True)
     p.add_argument("--t-th-us", type=float, default=1000.0, help="matching time threshold")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("measure", parents=[common], help="triangulate a deformation series")
+    p = sub.add_parser("measure", help="triangulate a deformation series")
     p.add_argument("--calibration", required=True)
     p.add_argument("--observations", required=True)
     p.add_argument("--anchor", default=None, help="baseline:camA,camB:mm or none")
@@ -369,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("verify", parents=[common], help="run the acceptance checks")
+    p = sub.add_parser("verify", help="run the acceptance checks")
+    p.add_argument("--seed", type=int, default=0, help="seed of the acceptance scenarios")
     p.add_argument("--out", default=None)
     p.add_argument("--skip-determinism", action="store_true",
                    help="skip the second pass that checks report determinism")
@@ -380,11 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "format", None) is None:
-        args.format = getattr(args, "format_default", None)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {seed}")
         return args.func(args)
     except (ConfigError, ParseError, BoundsError, StreamTooShort,
             InsufficientCorrespondences, EmptySeries, UnknownCamera,

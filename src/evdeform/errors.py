@@ -12,10 +12,6 @@ class EvdeformError(Exception):
 
 # geometry
 
-class PointBehindCamera(EvdeformError):
-    """Projection requested for a point with non-positive depth."""
-
-
 class NoConvergence(EvdeformError):
     """Iterative undistortion failed to reach its residual target."""
 

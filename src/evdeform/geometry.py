@@ -18,7 +18,6 @@ from .errors import (
     NoConvergence,
     NoModel,
     ParseError,
-    PointBehindCamera,
     document_fields,
     read_document,
 )
@@ -201,34 +200,21 @@ def distort_normalized(intrinsics: CameraIntrinsics, xy: Array) -> Array:
 
 
 def project_points(
-    intrinsics: CameraIntrinsics,
-    pose: CameraPose,
-    points: Array,
-    *,
-    apply_distortion: bool = True,
-) -> Array:
-    """Project world points (..., 3) to pixels (..., 2).
+    intrinsics: CameraIntrinsics, pose: CameraPose, points: Array
+) -> tuple[Array, Array]:
+    """Pixels (..., 2) and depths (...,) of world points (..., 3) through the
+    full camera model.
 
-    Raises PointBehindCamera if any point has non-positive depth.
+    A pixel is meaningful only where its depth is positive; callers mask by
+    depth. Points stacked as (k, 1, 3) each get bitwise the result they get
+    alone; the rows of a flat (k, 3) batch come from one matrix product and
+    can differ from those in the last bit.
     """
     cam = pose.transform(points)
     z = cam[..., 2]
-    if np.any(z <= 0):
-        raise PointBehindCamera(f"minimum depth {z.min():.6g} <= 0")
-    xy = cam[..., :2] / z[..., None]
-    if apply_distortion:
-        xy = distort_normalized(intrinsics, xy)
-    return intrinsics.pixel_from_normalized(xy)
-
-
-def project(intrinsics: CameraIntrinsics, pose: CameraPose, point: Array) -> Array:
-    """Project a single world point to a pixel."""
-    return project_points(intrinsics, pose, np.asarray(point, dtype=float).reshape(3))
-
-
-def project_pinhole(intrinsics: CameraIntrinsics, pose: CameraPose, points: Array) -> Array:
-    """Projection without the distortion step (ideal pixel coordinates)."""
-    return project_points(intrinsics, pose, points, apply_distortion=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xy = distort_normalized(intrinsics, cam[..., :2] / z[..., None])
+    return intrinsics.pixel_from_normalized(xy), z
 
 
 def _distortion_jacobian(intrinsics: CameraIntrinsics, xy: Array) -> Array:
@@ -291,11 +277,6 @@ def undistort_pixels(intrinsics: CameraIntrinsics, pixels: Array) -> Array:
             f"undistortion residual {final:.3g} px after {_UNDISTORT_MAX_ITERS} iterations"
         )
     return intrinsics.pixel_from_normalized(x.reshape(pixels.shape))
-
-
-def undistort(intrinsics: CameraIntrinsics, pixel: Array) -> Array:
-    """Ideal pixel for one distorted pixel."""
-    return undistort_pixels(intrinsics, np.asarray(pixel, dtype=float).reshape(1, 2))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -431,23 +412,6 @@ def sampson_weights(F: Array, points1: Array, points2: Array) -> Array:
     l1 = h2 @ F  # and in image 1
     g = l2[:, 0] ** 2 + l2[:, 1] ** 2 + l1[:, 0] ** 2 + l1[:, 1] ** 2
     return 1.0 / np.sqrt(np.maximum(g, 1e-300))
-
-
-def estimate_fundamental_weighted(
-    points1: Array, points2: Array, iterations: int = 3
-) -> FundamentalPair:
-    """Least-squares F with Sampson reweighting (no outlier handling)."""
-    p1 = np.asarray(points1, dtype=float).reshape(-1, 2)
-    p2 = np.asarray(points2, dtype=float).reshape(-1, 2)
-    if len(p1) < 8:
-        raise InsufficientPoints(f"need at least 8 correspondences, got {len(p1)}")
-    T1, h1 = hartley_normalization(p1)
-    T2, h2 = hartley_normalization(p2)
-    F = T2.T @ eight_point(h1, h2) @ T1
-    for _ in range(iterations):
-        w = sampson_weights(F, p1, p2)
-        F = T2.T @ eight_point(h1, h2, weights=w) @ T1
-    return fundamental_pair_from_matrix(F)
 
 
 def seven_point_candidates(h1: Array, h2: Array) -> list[Array]:

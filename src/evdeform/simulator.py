@@ -219,12 +219,10 @@ def marker_tracks(
     The points go through the stacked (T, 1, 3) transform, which gives each
     point bitwise the value a (1, 3) call gives it alone.
     """
-    T = len(positions)
-    center = np.full((T, 2), np.nan)
-    radius = np.zeros(T)
-    depth = pose.transform(positions[:, None, :])[:, 0, 2]
+    center, depth = (a[:, 0] for a in project_points(intr, pose, positions[:, None, :]))
     ahead = depth > 0
-    center[ahead] = project_points(intr, pose, positions[ahead][:, None, :])[:, 0]
+    center[~ahead] = np.nan
+    radius = np.zeros(len(positions))
     radius[ahead] = 0.5 * (intr.fx + intr.fy) * radius_mm / depth[ahead]
     u, v = center[:, 0], center[:, 1]
     in_view = (

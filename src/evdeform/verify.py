@@ -33,7 +33,7 @@ from .geometry import (
     CameraPose,
     distort_normalized,
     homogeneous,
-    project_pinhole,
+    project_points,
     relative_pose,
     rotation_angle,
     rotation_from_axis_angle,
@@ -75,20 +75,18 @@ def _fig(x) -> float:
 def truth_correspondences(
     config: ScenarioConfig, n_points: int, noise_px: float, seed: int
 ) -> Correspondences:
-    """Groups built from exact projections of the scenario's trajectory at
-    blink transitions, with optional Gaussian pixel noise drawn point by
-    point, camera by camera."""
+    """Groups built from exact full-model projections of the scenario's
+    trajectory at blink transitions, with optional Gaussian pixel noise
+    drawn point by point, camera by camera."""
     t_us, _ = blink_schedule(config)
     step = max(1, len(t_us) // n_points)
     t_sel = t_us[::step][:n_points]
-    rng = np.random.default_rng(seed)
-    pixels = np.zeros((len(config.cameras), len(t_sel), 2))
-    for j, t in enumerate(t_sel):
-        p = config.trajectory.position(t * 1e-6)
-        for ci, (intr, pose) in enumerate(config.cameras):
-            pixels[ci, j] = project_pinhole(intr, pose, p.reshape(1, 3))[0]
-            if noise_px > 0:
-                pixels[ci, j] += rng.normal(0.0, noise_px, 2)
+    # stacked (k, 1, 3): each point projects bitwise as it would alone
+    positions = np.array([config.trajectory.position(t * 1e-6) for t in t_sel]).reshape(-1, 1, 3)
+    pixels = np.stack([project_points(i, p, positions)[0][:, 0] for i, p in config.cameras])
+    if noise_px > 0:
+        rng = np.random.default_rng(seed)
+        pixels += rng.normal(0.0, noise_px, (len(t_sel), len(pixels), 2)).transpose(1, 0, 2)
     index = np.broadcast_to(np.arange(len(t_sel)), pixels.shape[:2])
     return Correspondences.from_members(
         range(len(config.cameras)), index, pixels, np.broadcast_to(t_sel, index.shape)
@@ -266,7 +264,7 @@ def check_span_grid(seed: int, calibration: CalibrationResult) -> CheckResult:
     draws = 40
     # column p * draws + d holds draw d of point p; noise is drawn point by
     # point, draw by draw, camera by camera
-    exact = np.stack([project_pinhole(intr, pose, points) for intr, pose in cams])
+    exact = np.stack([project_points(intr, pose, points)[0] for intr, pose in cams])
     noise = rng.normal(0.0, 0.3, (len(points) * draws, len(cams), 2))
     pixels = np.repeat(exact, draws, axis=1) + noise.transpose(1, 0, 2)
     positions, _, _, _ = triangulate(rig, pixels, np.ones(pixels.shape[:2], dtype=bool))
@@ -368,8 +366,9 @@ def _random_rig(rng, n_cams=3, n_points=24):
 def _prop_rank4(seed: int) -> float:
     rng = np.random.default_rng(seed)
     intr, poses, points = _random_rig(rng, 3, 60)
-    pix = np.stack([project_pinhole(intr, p, points) for p in poses])
-    depths = np.stack([p.transform(points)[:, 2] for p in poses])
+    projected = [project_points(intr, p, points) for p in poses]
+    pix = np.stack([px for px, _ in projected])
+    depths = np.stack([z for _, z in projected])
     stacked = (homogeneous(pix) * depths[:, :, None]).transpose(0, 2, 1).reshape(9, 60)
     s = np.linalg.svd(stacked, compute_uv=False)
     return float(s[4] / s[0])
@@ -382,7 +381,7 @@ def _prop_ba_monotonic(seed: int, trials: int = 100) -> int:
         intr, poses, points = _random_rig(rng, 3, 15)
         cam_idx = np.repeat(np.arange(3), len(points))
         pt_idx = np.tile(np.arange(len(points)), 3)
-        pix = np.concatenate([project_pinhole(intr, p, points) for p in poses])
+        pix = np.concatenate([project_points(intr, p, points)[0] for p in poses])
         p_poses = [
             CameraPose(
                 orthonormalize(rotation_from_axis_angle(rng.normal(0, 0.01, 3)) @ p.rotation),
@@ -408,7 +407,7 @@ def _prop_jacobian(seed: int) -> float:
     intr, poses, points = _random_rig(rng, 2, 8)
     cam_idx = np.repeat(np.arange(2), len(points))
     pt_idx = np.tile(np.arange(len(points)), 2)
-    pix = np.concatenate([project_pinhole(intr, p, points) for p in poses])
+    pix = np.concatenate([project_points(intr, p, points)[0] for p in poses])
     pix = pix + rng.normal(0, 1.0, pix.shape)
     _, J = dense_jacobian([intr] * 2, poses, points, cam_idx, pt_idx, pix)
     P = CAM_PARAMS * 2 + 3 * len(points)
@@ -445,7 +444,7 @@ def _prop_outliers(seed: int, trials: int = 50) -> int:
     exact = 0
     for _ in range(trials):
         intr, poses, points = _random_rig(rng, 3, 100)
-        pix = np.stack([project_pinhole(intr, p, points) for p in poses])
+        pix = np.stack([project_points(intr, p, points)[0] for p in poses])
         planted = rng.choice(100, size=10, replace=False)
         cam_pick = rng.integers(0, 3, size=10)
         for idx, cam in zip(planted, cam_pick):
@@ -492,7 +491,7 @@ def _prop_reference_invariance(seed: int) -> float:
     dists = []
     for reference in range(3):
         rig = rebase_extrinsics(poses, reference, [intr] * 3)
-        pixels = np.stack([project_pinhole(intr, pose, markers) for pose in poses])
+        pixels = np.stack([project_points(intr, pose, markers)[0] for pose in poses])
         positions, _, _, _ = triangulate(rig, pixels, np.ones((3, len(markers)), dtype=bool))
         d = [
             np.linalg.norm(positions[i] - positions[j])

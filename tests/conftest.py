@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from evdeform.extraction import Centers, Correspondences
-from evdeform.geometry import CameraIntrinsics, project_pinhole
+from evdeform.geometry import (
+    CameraIntrinsics,
+    fundamental_from_calibrated,
+    project_points,
+    relative_pose,
+)
 from evdeform.simulator import look_at_pose, paper_rig_cameras
 
 
@@ -27,6 +32,16 @@ def small_rig(intrinsics_1800):
     p1 = look_at_pose(np.array([0.0, 0.0, 0.0]), target)
     p2 = look_at_pose(np.array([-1000.0, 120.0, 80.0]), target + np.array([50.0, -40.0, 0.0]))
     return intrinsics_1800, [p1, p2]
+
+
+def star_fundamentals(cameras):
+    """Exact (0, i) fundamental matrices, i = 1 .. m-1, of (intrinsics, pose)
+    pairs: the pairs projective_factorize chains its depths through."""
+    (intr0, pose0), *others = cameras
+    return [
+        fundamental_from_calibrated(intr0, intr, relative_pose(pose0, pose))
+        for intr, pose in others
+    ]
 
 
 def centers_table(camera_id: int, t_c, pixels=None) -> Centers:
@@ -59,7 +74,7 @@ def correspondences_from_points(cameras, points, noise_px=0.0, rng=None) -> Corr
     pixels = np.zeros((len(cameras), len(points), 2))
     for j, p in enumerate(points):
         for ci, (intr, pose) in enumerate(cameras):
-            pixels[ci, j] = project_pinhole(intr, pose, p.reshape(1, 3))[0]
+            pixels[ci, j] = project_points(intr, pose, p)[0]
             if noise_px > 0:
                 pixels[ci, j] += rng.normal(0.0, noise_px, 2)
     return correspondences(pixels, 1000.0 * np.arange(len(points)))

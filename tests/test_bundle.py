@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from evdeform.calibration import bundle
 from evdeform.calibration.bundle import (
     CAM_PARAMS,
     BundleOptions,
@@ -17,7 +18,7 @@ from evdeform.calibration.bundle import (
 from evdeform.geometry import (
     CameraPose,
     orthonormalize,
-    project_pinhole,
+    project_points,
     rotation_from_axis_angle,
 )
 from evdeform.simulator import paper_rig_cameras
@@ -36,7 +37,7 @@ def scene():
     poses = [p for _, p in cams]
     cam_idx = np.repeat(np.arange(3), len(pts))
     pt_idx = np.tile(np.arange(len(pts)), 3)
-    pix = np.concatenate([project_pinhole(i, p, pts) for i, p in cams])
+    pix = np.concatenate([project_points(i, p, pts)[0] for i, p in cams])
     return intr, poses, pts, cam_idx, pt_idx, pix
 
 
@@ -141,6 +142,26 @@ class TestRecovery:
         res = bundle_adjust(intr, poses, p_pts, cam_idx, pt_idx, pix_noisy)
         trace = np.array(res.cost_trace)
         assert np.all(np.diff(trace) <= 0)
+
+    def test_plateau_stops_at_the_first_matching_trial(self, scene, monkeypatch):
+        """Restarted at its own optimum, the solve stops at the first trial
+        step that cannot lower the cost instead of raising the damping to
+        its ceiling."""
+        intr, poses, pts, cam_idx, pt_idx, pix = scene
+        pix_noisy = pix + np.random.default_rng(9).normal(0, 0.5, pix.shape)
+        # frozen focal lengths: this small scene then reaches its optimum in 7 steps
+        options = BundleOptions(refine_focal=False)
+        res = bundle_adjust(intr, poses, pts, cam_idx, pt_idx, pix_noisy, options)
+        assert res.converged
+        calls = []
+        cost = bundle._cost
+        monkeypatch.setattr(bundle, "_cost", lambda *a: calls.append(1) or cost(*a))
+        again = bundle_adjust(
+            res.intrinsics, res.poses, res.points, cam_idx, pt_idx, pix_noisy, options
+        )
+        assert again.converged
+        assert len(calls) <= 3  # the starting cost and at most two trial steps
+        assert again.final_cost <= res.final_cost
 
 
 class TestJacobian:

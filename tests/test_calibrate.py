@@ -11,11 +11,11 @@ from evdeform.calibration.pipeline import (
     write_iteration_log,
 )
 from evdeform.deformation import rebase_extrinsics
-from evdeform.errors import InsufficientCorrespondences
+from evdeform.errors import InsufficientCorrespondences, NoModel, SingularConfiguration
 from evdeform.geometry import (
     distort_normalized,
     fundamental_from_calibrated,
-    project_pinhole,
+    project_points,
     relative_pose,
     rotation_angle,
 )
@@ -36,6 +36,21 @@ class TestCalibrate:
     def test_too_few_correspondences(self, rig_cameras):
         groups = correspondences_from_points(rig_cameras, sample_points(10))
         with pytest.raises(InsufficientCorrespondences):
+            calibrate(groups, CalibrationConfig())
+
+    def test_pair_without_ransac_model_raises(self, rig_cameras, monkeypatch):
+        """Depths reach camera i only through RANSAC's (0, i) fundamental
+        matrix, so a pair without one stops the calibration."""
+        ransac = pipeline.estimate_fundamental_ransac
+
+        def no_model_for_pair_0_2(x1, x2, **kwargs):
+            if kwargs["seed"] == 2:  # config.seed + 1000 * a + b for (a, b) = (0, 2)
+                raise NoModel("no non-degenerate seven-point sample produced a model")
+            return ransac(x1, x2, **kwargs)
+
+        monkeypatch.setattr(pipeline, "estimate_fundamental_ransac", no_model_for_pair_0_2)
+        groups = correspondences_from_points(rig_cameras, sample_points(60))
+        with pytest.raises(SingularConfiguration, match=r"no fundamental .* pair \(0, 2\)"):
             calibrate(groups, CalibrationConfig())
 
     def test_noiseless_recovery(self, rig_cameras):
@@ -132,7 +147,7 @@ class TestCalibrate:
             cams_see = []
             try:
                 for intr, pose in rig_cameras:
-                    px = project_pinhole(intr, pose, p.reshape(1, 3))[0]
+                    px = project_points(intr, pose, p)[0]
                     cams_see.append(
                         0 <= px[0] < intr.width and 0 <= px[1] < intr.height
                     )

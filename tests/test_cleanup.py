@@ -8,7 +8,7 @@ from evdeform.errors import AllRejected
 from evdeform.geometry import (
     CameraIntrinsics,
     distort_normalized,
-    project_pinhole,
+    project_points,
 )
 from evdeform.simulator import paper_rig_cameras
 
@@ -22,7 +22,7 @@ def clean_scene():
     pts = np.array([0, 0, 5200.0]) + rng.uniform(-1, 1, (100, 3)) * np.array(
         [500.0, 700.0, 300.0]
     )
-    pix = np.stack([project_pinhole(intr, pose, pts) for intr, pose in cams])
+    pix = np.stack([project_points(intr, pose, pts)[0] for intr, pose in cams])
     intr = [i for i, _ in cams]
     poses = [p for _, p in cams]
     return intr, poses, pts, pix
@@ -118,7 +118,7 @@ class TestEstimateDistortion:
         assert distortion_gate(observed, intr) is None
         (intr0, pose0), _, (intr2, pose2) = paper_rig_cameras()
         pixels = np.concatenate(
-            [project_pinhole(intr0, pose0, pts), observed, project_pinhole(intr2, pose2, pts)]
+            [project_points(intr0, pose0, pts)[0], observed, project_points(intr2, pose2, pts)[0]]
         )
         res = bundle_adjust(
             [intr0, intr, intr2], [pose0, pose, pose2], pts,

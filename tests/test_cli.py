@@ -666,6 +666,40 @@ class TestVerify:
         assert not out.exists()
 
 
+class TestUsageErrors:
+    """argparse's own errors: one line, exit 2, before any file is read."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["calibrate", "--observations", "obs", "--out", "o", "--seed", "abc"],
+         "argument --seed: invalid int value: 'abc'"),
+        (["calibrate", "--observations", "obs", "--out", "o", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["calibrate", "--observations", "obs"],
+         "the following arguments are required: --out"),
+    ])
+    def test_one_line_exit_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--streams", "s", "--out", "o", "--seed", "1"],
+        ["measure", "--calibration", "c", "--observations", "obs", "--out", "o", "--seed", "1"],
+        ["calibrate", "--observations", "obs", "--out", "o", "--format", "csv"],
+        ["measure", "--calibration", "c", "--observations", "obs", "--out", "o",
+         "--format", "csv"],
+        ["verify", "--format", "csv"],
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: unrecognized arguments: {' '.join(argv[-2:])}"
+        ]
+
+
 class TestPoleThroughCli:
     def test_inter_marker_distance_on_pole(self, tmp_path):
         """Two measure runs on a rigid 1000 mm pole stay within 0.1%."""

@@ -22,7 +22,7 @@ from evdeform.errors import (
 )
 from evdeform.geometry import (
     CameraPose,
-    project_pinhole,
+    project_points,
     rotation_from_axis_angle,
 )
 from evdeform.simulator import look_at_pose, paper_rig_cameras
@@ -95,7 +95,7 @@ class TestTriangulate:
         p2 = look_at_pose(np.array([800.0, 0.0, 0.0]), np.array([0.0, 0.0, 1000.0]))
         rig = rebase_extrinsics([p1, p2], 0, [intrinsics_1800] * 2)
         point = np.array([0.0, 0.0, 1000.0])
-        pixels = [project_pinhole(intrinsics_1800, pose, point.reshape(1, 3)) for pose in (p1, p2)]
+        pixels = [project_points(intrinsics_1800, pose, point[None])[0] for pose in (p1, p2)]
         pos, res, counts, ok = _triangulate_groups(rig, correspondences(pixels, [0.0]))
         np.testing.assert_allclose(pos[0], point, atol=1e-9)
         assert res[0] < 1e-9
@@ -133,7 +133,7 @@ class TestTriangulate:
         p2 = CameraPose(np.eye(3), np.array([1e-7, 0.0, 0.0]))
         rig = rebase_extrinsics([p1, p2], 0, [intrinsics_1800] * 2)
         point = np.array([100.0, 50.0, 5000.0])
-        pixels = [project_pinhole(intrinsics_1800, pose, point.reshape(1, 3)) for pose in (p1, p2)]
+        pixels = [project_points(intrinsics_1800, pose, point[None])[0] for pose in (p1, p2)]
         _, _, counts, ok = _triangulate_groups(rig, correspondences(pixels, [0.0]))
         assert counts[0] == 2
         assert not ok[0]

@@ -5,11 +5,11 @@ import pytest
 from evdeform.calibration.factorization import projective_factorize
 from evdeform.calibration import pipeline
 from evdeform.calibration.pipeline import CalibrationConfig, calibrate
-from evdeform.errors import InsufficientCorrespondences, SingularConfiguration
-from evdeform.geometry import homogeneous, project_pinhole
+from evdeform.errors import InsufficientCorrespondences
+from evdeform.geometry import estimate_fundamental_ransac, homogeneous, project_points
 from evdeform.simulator import paper_rig_cameras
 
-from conftest import correspondences_from_points
+from conftest import correspondences_from_points, star_fundamentals
 
 
 @pytest.fixture
@@ -23,14 +23,15 @@ def three_camera_points():
 
 
 def projections(cams, pts):
-    return np.stack([project_pinhole(intr, pose, pts) for intr, pose in cams])
+    return np.stack([project_points(intr, pose, pts)[0] for intr, pose in cams])
 
 
 class TestBuildMeasurementMatrix:
     def test_true_depth_scales_give_rank_four(self, three_camera_points):
         cams, pts = three_camera_points
-        pix = projections(cams, pts)
-        depths = np.stack([pose.transform(pts)[:, 2] for _, pose in cams])
+        projected = [project_points(intr, pose, pts) for intr, pose in cams]
+        pix = np.stack([px for px, _ in projected])
+        depths = np.stack([z for _, z in projected])
         stacked = (homogeneous(pix) * depths[:, :, None]).transpose(0, 2, 1).reshape(9, 50)
         s = np.linalg.svd(stacked, compute_uv=False)
         assert s[4] / s[0] < 1e-10
@@ -53,7 +54,8 @@ class TestProjectiveFactorize:
         cams = [np.vstack([rng.normal(0, 1, (2, 4)), [0.0, 0.0, 0.0, 1.0]]) for _ in range(3)]
         pts_h = homogeneous(pts)
         pix = np.stack([(pts_h @ P.T)[:, :2] for P in cams])
-        rec = projective_factorize(pix)
+        pairs = [estimate_fundamental_ransac(pix[0], pix[i])[0] for i in (1, 2)]
+        rec = projective_factorize(pix, pairs)
         assert rec.converged
         assert rec.iterations == 1
         assert rec.residual < 1e-10
@@ -61,7 +63,7 @@ class TestProjectiveFactorize:
     def test_unit_scales_recover_consistent_reconstruction(self, three_camera_points):
         cams, pts = three_camera_points
         pix = projections(cams, pts)
-        rec = projective_factorize(pix)
+        rec = projective_factorize(pix, star_fundamentals(cams))
         assert rec.converged
         assert rec.residual < 1e-8
         proj = np.einsum("mij,jn->min", rec.cameras, rec.points)
@@ -73,25 +75,18 @@ class TestProjectiveFactorize:
         cams, pts = three_camera_points
         rng = np.random.default_rng(6)
         pix = projections(cams, pts) + rng.normal(0, 0.2, (3, 50, 2))
-        rec = projective_factorize(pix)
+        pairs = [estimate_fundamental_ransac(pix[0], pix[i])[0] for i in (1, 2)]
+        rec = projective_factorize(pix, pairs)
         assert rec.converged
         assert rec.residual < 1e-3
 
     def test_reconstruction_cameras_full_rank(self, three_camera_points):
         cams, pts = three_camera_points
-        rec = projective_factorize(projections(cams, pts))
+        rec = projective_factorize(projections(cams, pts), star_fundamentals(cams))
         for M in rec.cameras:
             assert np.linalg.matrix_rank(M) == 3
 
     def test_too_few_visible_columns(self, three_camera_points):
         cams, pts = three_camera_points
         with pytest.raises(InsufficientCorrespondences):
-            projective_factorize(projections(cams, pts[:6]))
-
-    def test_unfit_pair_raises(self, three_camera_points):
-        """Depths reach camera i only through the (0, i) fundamental matrix."""
-        cams, pts = three_camera_points
-        pix = projections(cams, pts)
-        pix[2, 3] = np.nan
-        with pytest.raises(SingularConfiguration, match=r"no fundamental .* pair \(0, 2\)"):
-            projective_factorize(pix)
+            projective_factorize(projections(cams, pts[:6]), star_fundamentals(cams))

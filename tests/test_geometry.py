@@ -7,7 +7,6 @@ from evdeform.errors import (
     InsufficientPoints,
     NoModel,
     ParseError,
-    PointBehindCamera,
 )
 from evdeform.geometry import (
     CameraIntrinsics,
@@ -19,15 +18,13 @@ from evdeform.geometry import (
     fundamental_from_calibrated,
     hartley_normalization,
     load_calibration_document,
-    project,
-    project_pinhole,
+    project_points,
     relative_pose,
     rotation_from_axis_angle,
     save_calibration_document,
     skew,
     symmetric_epipolar_distance,
     triangulate_linear,
-    undistort,
     undistort_pixels,
 )
 from evdeform.verify import TABLE_DISTORTION
@@ -37,12 +34,12 @@ TABLE_CAM1 = (-0.05359, 0.33899, -0.00157, -0.00479)
 class TestProject:
     def test_optical_axis_point_hits_principal_point(self):
         intr = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, width=2, height=2)
-        px = project(intr, CameraPose.identity(), np.array([0.0, 0.0, 1.0]))
+        px = project_points(intr, CameraPose.identity(), np.array([0.0, 0.0, 1.0]))[0]
         np.testing.assert_allclose(px, [0.0, 0.0], atol=1e-15)
 
     def test_offset_point(self):
         intr = CameraIntrinsics(1800.0, 1800.0, 639.5, 359.5)
-        px = project(intr, CameraPose.identity(), np.array([0.1, 0.0, 1.0]))
+        px = project_points(intr, CameraPose.identity(), np.array([0.1, 0.0, 1.0]))[0]
         np.testing.assert_allclose(px, [819.5, 359.5], atol=1e-12)
 
     def test_matches_homogeneous_chain_oracle(self):
@@ -68,24 +65,26 @@ class TestProject:
                 ]
             )
             expected = np.array([intr.fx * xd[0] + intr.cx, intr.fy * xd[1] + intr.cy])
-            np.testing.assert_allclose(project(intr, pose, point), expected, atol=1e-12)
+            px, depth = project_points(intr, pose, point)
+            np.testing.assert_allclose(px, expected, atol=1e-12)
+            assert depth == Xc[2]
 
     def test_point_behind_camera(self):
         intr = CameraIntrinsics(1800.0, 1800.0, 639.5, 359.5)
-        with pytest.raises(PointBehindCamera):
-            project(intr, CameraPose.identity(), np.array([0.0, 0.0, -1.0]))
+        _, depth = project_points(intr, CameraPose.identity(), np.array([0.0, 0.0, -1.0]))
+        assert depth == -1.0
 
 
 class TestUndistort:
     def test_identity_without_coefficients(self):
         intr = CameraIntrinsics(1800.0, 1800.0, 639.5, 359.5)
         px = np.array([123.0, 456.0])
-        np.testing.assert_array_equal(undistort(intr, px), px)
+        np.testing.assert_array_equal(undistort_pixels(intr, px), px)
 
     def test_reported_coefficients_round_trip(self):
         intr = CameraIntrinsics(1778.5077, 1772.3397, 639.5, 359.5, *TABLE_CAM1)
         distorted = np.array([100.0, 100.0])
-        ideal = undistort(intr, distorted)
+        ideal = undistort_pixels(intr, distorted)
         xy = intr.normalized_from_pixel(ideal)
         roundtrip = intr.pixel_from_normalized(distort_normalized(intr, xy))
         assert np.abs(roundtrip - distorted).max() < 1e-8
@@ -93,7 +92,7 @@ class TestUndistort:
     def test_distortion_vanishes_at_principal_point(self):
         intr = CameraIntrinsics(1800.0, 1800.0, 639.5, 359.5, k1=0.1)
         np.testing.assert_allclose(
-            undistort(intr, np.array([639.5, 359.5])), [639.5, 359.5], atol=1e-12
+            undistort_pixels(intr, np.array([639.5, 359.5])), [639.5, 359.5], atol=1e-12
         )
 
     def test_grid_round_trip(self):
@@ -129,8 +128,8 @@ class TestFundamentalFromCalibrated:
         intr, (p1, p2) = small_rig
         rng = np.random.default_rng(0)
         pts = np.array([0, 0, 5000.0]) + rng.uniform(-1, 1, (50, 3)) * 700.0
-        x1 = project_pinhole(intr, p1, pts)
-        x2 = project_pinhole(intr, p2, pts)
+        x1 = project_points(intr, p1, pts)[0]
+        x2 = project_points(intr, p2, pts)[0]
         pair = fundamental_from_calibrated(intr, intr, relative_pose(p1, p2))
         h1 = np.hstack([x1, np.ones((50, 1))])
         h2 = np.hstack([x2, np.ones((50, 1))])
@@ -164,8 +163,8 @@ class TestRansac:
         intr, (p1, p2) = small_rig
         rng = np.random.default_rng(seed)
         pts = np.array([0, 0, 5000.0]) + rng.uniform(-1, 1, (n, 3)) * 700.0
-        x1 = project_pinhole(intr, p1, pts)
-        x2 = project_pinhole(intr, p2, pts)
+        x1 = project_points(intr, p1, pts)[0]
+        x2 = project_points(intr, p2, pts)[0]
         if noise:
             x1 = x1 + rng.normal(0, noise, x1.shape)
             x2 = x2 + rng.normal(0, noise, x2.shape)
@@ -233,8 +232,8 @@ class TestEightPoint:
         intr, (p1, p2) = small_rig
         rng = np.random.default_rng(n)
         pts = np.array([0, 0, 5000.0]) + rng.uniform(-800, 800, (n, 3))
-        x1 = project_pinhole(intr, p1, pts) + rng.normal(0, 0.3, (n, 2))
-        x2 = project_pinhole(intr, p2, pts) + rng.normal(0, 0.3, (n, 2))
+        x1 = project_points(intr, p1, pts)[0] + rng.normal(0, 0.3, (n, 2))
+        x2 = project_points(intr, p2, pts)[0] + rng.normal(0, 0.3, (n, 2))
         _, h1 = hartley_normalization(x1)
         _, h2 = hartley_normalization(x2)
         w = rng.uniform(0.5, 2.0, n) if weighted else None
@@ -283,7 +282,7 @@ class TestPoseValidation:
         rng = np.random.default_rng(3)
         pts = np.array([0, 0, 5000.0]) + rng.uniform(-1, 1, (10, 3)) * 500.0
         for p in pts:
-            px = project_pinhole(intr, p1, p.reshape(1, 3))[0]
+            px = project_points(intr, p1, p)[0]
             xn = intr.normalized_from_pixel(px)
             ray = p1.inverse_transform(
                 np.array([xn[0], xn[1], 1.0]) * p1.transform(p.reshape(1, 3))[0, 2]
@@ -317,6 +316,6 @@ class TestTriangulateLinear:
         intr, poses = small_rig
         pts = np.array([[0.0, 0.0, 5000.0], [300.0, -200.0, 4500.0]])
         mats = np.stack([intr.K @ p.matrix for p in poses])
-        pix = np.stack([project_pinhole(intr, p, pts) for p in poses])
+        pix = np.stack([project_points(intr, p, pts)[0] for p in poses])
         X, _ = triangulate_linear(mats, pix, np.ones((2, 2), dtype=bool))
         np.testing.assert_allclose(X[:, :3] / X[:, 3:], pts, atol=1e-6)

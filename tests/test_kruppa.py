@@ -7,9 +7,9 @@ from evdeform.errors import DegenerateMotion
 from evdeform.geometry import (
     CameraIntrinsics,
     CameraPose,
-    estimate_fundamental_weighted,
+    estimate_fundamental_ransac,
     fundamental_from_calibrated,
-    project_pinhole,
+    project_points,
     relative_pose,
 )
 from evdeform.simulator import look_at_pose
@@ -51,9 +51,9 @@ class TestNoisyRecovery:
             pts = np.array([0, 0, 5200.0]) + rng.uniform(-1, 1, (100, 3)) * np.array(
                 [500.0, 700.0, 300.0]
             )
-            x1 = project_pinhole(intr, p1, pts) + rng.normal(0, 0.2, (100, 2))
-            x2 = project_pinhole(intr, p2, pts) + rng.normal(0, 0.2, (100, 2))
-            pair = estimate_fundamental_weighted(x1, x2)
+            x1 = project_points(intr, p1, pts)[0] + rng.normal(0, 0.2, (100, 2))
+            x2 = project_points(intr, p2, pts)[0] + rng.normal(0, 0.2, (100, 2))
+            pair, _ = estimate_fundamental_ransac(x1, x2)
             estimates.append(solve_kruppa_focal(pair, PRINCIPAL))
         median = float(np.median(estimates))
         assert abs(median - 1800.0) / 1800.0 < 0.02

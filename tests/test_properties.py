@@ -16,7 +16,9 @@ from evdeform.extraction import (
 )
 from evdeform.geometry import (
     CameraIntrinsics,
+    CameraPose,
     distort_normalized,
+    project_points,
     rotation_from_axis_angle,
     undistort_pixels,
 )
@@ -50,6 +52,32 @@ def test_undistort_inverts_distort_over_sensor_grid(k1, k2, p1, p2):
         distort_normalized(intr, intr.normalized_from_pixel(recovered))
     )
     assert np.abs(roundtrip - distorted).max() < 1e-8
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 300),
+    k1=st.floats(-1.0, 1.0, **finite),
+    p1=st.floats(-0.01, 0.01, **finite),
+)
+def test_project_points_alone_equals_stacked_batch(seed, n, k1, p1):
+    """A point in a stacked (n, 1, 3) batch gets bitwise the pixel and depth
+    it gets alone, behind the camera too; a flat (n, 3) batch agrees with
+    them to rounding."""
+    rng = np.random.default_rng(seed)
+    intr = CameraIntrinsics(1800.0, 1790.0, 639.5, 359.5, k1, -0.5 * k1, p1, -p1)
+    pose = CameraPose(rotation_from_axis_angle(rng.normal(0, 0.5, 3)), rng.normal(0, 500.0, 3))
+    pts = rng.normal(0, 3000.0, (n, 3))
+    pix, depth = project_points(intr, pose, pts[:, None, :])
+    for i, p in enumerate(pts):
+        alone_pix, alone_depth = project_points(intr, pose, p)
+        np.testing.assert_array_equal(pix[i, 0], alone_pix)
+        assert depth[i, 0] == alone_depth
+    flat_pix, flat_depth = project_points(intr, pose, pts)
+    np.testing.assert_allclose(flat_depth, depth[:, 0], rtol=0, atol=1e-9)
+    ahead = depth[:, 0] > 100.0
+    np.testing.assert_allclose(flat_pix[ahead], pix[ahead, 0], rtol=1e-9)
 
 
 SENSOR = 2**31 - 1  # EventStream holds pixel coordinates as int32
@@ -191,14 +219,13 @@ def test_metric_scale_equivariance(seed, alpha):
     import dataclasses
 
     from evdeform.deformation import measure_deformation, rebase_extrinsics, MeasureConfig
-    from evdeform.geometry import project_pinhole
     from evdeform.simulator import paper_rig_cameras
 
     rng = np.random.default_rng(seed)
     cams = paper_rig_cameras()
     rig = rebase_extrinsics([p for _, p in cams], 0, [i for i, _ in cams])
     pts = np.array([0, 0, 5200.0]) + rng.uniform(-1, 1, (6, 3)) * 300.0
-    pixels = np.stack([project_pinhole(intr, pose, pts) for intr, pose in cams])
+    pixels = np.stack([project_points(intr, pose, pts)[0] for intr, pose in cams])
     groups = correspondences(pixels, 4000.0 * np.arange(len(pts)))
     base = measure_deformation(rig, groups, MeasureConfig(baseline_window=2))
     scaled_rig = dataclasses.replace(rig, metric_scale=alpha)

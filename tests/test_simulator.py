@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evdeform import simulator
-from evdeform.errors import ConfigError, FieldOfViewWarning, PointBehindCamera
+from evdeform.errors import ConfigError, FieldOfViewWarning
 from evdeform.events import EventStream
 from evdeform.geometry import CameraIntrinsics, CameraPose, project_points
 from evdeform.simulator import (
@@ -49,11 +49,9 @@ def reference_refractory_filter(t, x, y, keep_window_us):
 
 def reference_projected_marker(intr, pose, point_mm, radius_mm):
     """One point at a time: the reference for marker_tracks."""
-    try:
-        center = project_points(intr, pose, point_mm.reshape(1, 3))[0]
-    except PointBehindCamera:
+    center, depth = project_points(intr, pose, point_mm)
+    if depth <= 0:
         return np.array([np.nan, np.nan]), 0.0, False
-    depth = float(pose.transform(point_mm.reshape(1, 3))[0, 2])
     radius_px = 0.5 * (intr.fx + intr.fy) * radius_mm / depth
     in_view = bool(
         radius_px <= center[0] <= intr.width - 1 - radius_px
@@ -475,10 +473,8 @@ class TestDeterminismAndProvenance:
     def test_tracks_consistent_with_trajectory(self):
         cfg = replace(preset_paper_rig(), duration_s=0.1)
         res = simulate(cfg)
-        from evdeform.geometry import project_points
-
         for ci, (intr, pose) in enumerate(cfg.cameras):
-            expected = project_points(intr, pose, res.truth.trajectory_mm)
+            expected, _ = project_points(intr, pose, res.truth.trajectory_mm)
             np.testing.assert_allclose(
                 res.truth.tracks_px[ci], expected, atol=1e-9
             )

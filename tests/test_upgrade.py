@@ -4,8 +4,10 @@ import pytest
 
 from evdeform.calibration.factorization import projective_factorize
 from evdeform.calibration.upgrade import _solve_quadric, euclidean_upgrade
-from evdeform.geometry import project_pinhole, relative_pose, rotation_angle
+from evdeform.geometry import project_points, relative_pose, rotation_angle
 from evdeform.simulator import paper_rig_cameras
+
+from conftest import star_fundamentals
 
 
 @pytest.fixture
@@ -15,8 +17,8 @@ def factored_scene():
     pts = np.array([0, 0, 5200.0]) + rng.uniform(-1, 1, (50, 3)) * np.array(
         [500.0, 700.0, 300.0]
     )
-    pix = np.stack([project_pinhole(intr, pose, pts) for intr, pose in cams])
-    rec = projective_factorize(pix)
+    pix = np.stack([project_points(intr, pose, pts)[0] for intr, pose in cams])
+    rec = projective_factorize(pix, star_fundamentals(cams))
     return cams, pts, rec
 
 
@@ -74,7 +76,7 @@ class TestEuclideanUpgrade:
         # a focal length 1e-7 off would move these pixels by up to 6e-5 px
         for intr, pose, seen in zip(intrinsics, result.poses, pix):
             np.testing.assert_allclose(
-                project_pinhole(intr, pose, result.points.T), seen, rtol=0, atol=1e-4
+                project_points(intr, pose, result.points.T)[0], seen, rtol=0, atol=1e-4
             )
 
     def test_structure_matches_up_to_similarity(self, factored_scene):
