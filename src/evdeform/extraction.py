@@ -1,6 +1,6 @@
 """Marker-center extraction from event streams and multi-camera matching.
 
-Each blink burst of a camera's events gives one centroid, covariance and
+Each blink burst of a camera's events gives one centroid, event count and
 mean timestamp: one row of the camera's Centers table.
 match_corresponding groups rows of different cameras by timestamp
 proximity into one Correspondences table, whose pixel and visibility
@@ -19,12 +19,6 @@ from .errors import ConfigError, ParseError, StreamTooShort
 from .events import EventStream
 
 
-def _non_psd(covariances: np.ndarray) -> np.ndarray:
-    """Positions in the stack of the 2x2 covariances that are not PSD."""
-    eigs = np.linalg.eigvalsh(covariances)  # ascending
-    return np.flatnonzero(eigs[:, 0] < -1e-9 * np.maximum(eigs[:, -1], 1.0))
-
-
 @dataclass(frozen=True)
 class CenterObservation:
     """One marker center in one camera: a read-only row of Centers."""
@@ -38,16 +32,14 @@ class CenterObservation:
 class Centers:
     """The marker centers of one camera, one row per burst, in time order.
 
-    t_c (k,) holds the burst mean times, pixel (k, 2) the centroids,
-    covariance (k, 2, 2) the population covariances of the event
-    coordinates, count (k,) the events per burst and t_min, t_max (k,) the
-    first and last event times.
+    t_c (k,) holds the burst mean times, pixel (k, 2) the centroids, count
+    (k,) the events per burst and t_min, t_max (k,) the first and last
+    event times.
     """
 
     camera_id: int
     t_c: np.ndarray
     pixel: np.ndarray
-    covariance: np.ndarray
     count: np.ndarray
     t_min: np.ndarray
     t_max: np.ndarray
@@ -132,6 +124,8 @@ class Correspondences:
 
 # A run of accepted events shorter than this is not a burst.
 _MIN_BURST = 20
+# Most events extract_center_sequence gates at once, unless one run is longer.
+_BLOCK_CAP = 4096
 
 
 def _finite_positive(value) -> bool:
@@ -203,88 +197,106 @@ def extract_center_sequence(stream: EventStream, config: ExtractionConfig) -> Ex
     A run of fewer than _MIN_BURST events counts as a partial discard and
     leaves the gate where it was. Gated-out events count as noise.
 
+    The stream is read a block at a time. The block is gated on the current
+    center and its accepted events split into runs at the pauses. Each run
+    closes at the first event more than reset_gap_us after its last one,
+    and the events from the previous close to its own are gated again on
+    that run's true center, the centroid of the last burst before it. The
+    runs before the first whose decisions change are the rule's runs; the
+    first run always is. The block doubles after a round that kept every
+    closed run and shrinks to twice the kept events after one that did
+    not, up to _BLOCK_CAP events; it doubles without a cap while its first
+    run is still open at its end.
+
     Each center is an exact integer sum over the burst's events divided by
-    its count, so it does not depend on the order of addition. The stream is
-    read in slices of about twice the events the last burst took, doubled
-    while the open run has not yet ended.
+    its count, so it does not depend on the order of addition.
     """
     total = len(stream)
     if total < _MIN_BURST:
         raise StreamTooShort(f"{total} events, a burst needs {_MIN_BURST}")
     t, x, y = stream.t, stream.x, stream.y
-    if total * max(max(stream.width, stream.height) ** 2, int(t[-1] - t[0])) >= 2**63:
+    duration = int(t[-1] - t[0])
+    if total * max(stream.width, stream.height, duration) >= 2**63:
         raise ConfigError(f"{total} events on a {stream.width}x{stream.height} sensor over "
-                          f"{t[-1] - t[0]} us are too many for exact sums")
+                          f"{duration} us are too many for exact sums")
     cx, cy = float(np.median(x[:_MIN_BURST])), float(np.median(y[:_MIN_BURST]))
     gate2 = config.gate_radius * config.gate_radius
-    gap = config.reset_gap_us
-    bursts, noise, partial = [], 0, 0
+    # For integer times d > reset_gap_us exactly when d > gap; an integer
+    # key keeps searchsorted from converting t to float on every call.
+    gap = min(math.floor(config.reset_gap_us), duration)
+    key_max = t[-1] - gap  # a larger search key finds the stream's end too
+    member = np.zeros(total, dtype=bool)
+    counts = np.empty(total // _MIN_BURST, dtype=np.int64)
+    bursts = partial = 0
     lo, size = 0, 4 * _MIN_BURST
     while lo < total:
         hi = min(lo + size, total)
-        ts = t[lo:hi]
         dx, dy = x[lo:hi] - cx, y[lo:hi] - cy
-        accepted = (dx * dx + dy * dy <= gate2).nonzero()[0]
+        inside = dx * dx + dy * dy <= gate2
+        accepted = inside.nonzero()[0] + lo
         if not len(accepted):
-            noise += hi - lo
-            lo, size = hi, 2 * size
+            lo, size = hi, min(2 * size, _BLOCK_CAP)
             continue
-        ta = ts[accepted]
-        pauses = (ta[1:] - ta[:-1] > gap).nonzero()[0]
-        if len(pauses):
-            accepted = accepted[:pauses[0] + 1]
-        last = accepted[-1]
-        after = (ts[last:] - ts[last] > gap).nonzero()[0]
-        if not len(after) and hi < total:
-            size *= 2  # the run may go on past the slice
+        ta = t[accepted]
+        # run r holds accepted[bounds[r]:bounds[r + 1]]; event ends[r] closes it
+        bounds = np.concatenate(([0], (ta[1:] - ta[:-1] > gap).nonzero()[0] + 1, [len(ta)]))
+        ends = t.searchsorted(np.minimum(ta[bounds[1:] - 1], key_max) + gap, "right")
+        runs = int(ends.searchsorted(hi, "right"))
+        if not runs:
+            size *= 2  # the first run may go on past the block
             continue
-        span = last + after[0] if len(after) else hi - lo
-        noise += span - len(accepted)
-        if len(accepted) >= _MIN_BURST:
-            run = lo + accepted
-            bursts.append(run)
-            cx = np.add.reduce(x[run], dtype=np.int64) / len(run)
-            cy = np.add.reduce(y[run], dtype=np.int64) / len(run)
-        else:
-            partial += len(accepted)
-        lo, size = lo + span, 2 * span
+        count = bounds[1:runs + 1] - bounds[:runs]
+        run = accepted[:bounds[runs]]
+        mx = np.add.reduceat(x[run], bounds[:runs], dtype=np.int64) / count
+        my = np.add.reduceat(y[run], bounds[:runs], dtype=np.int64) / count
+        big = count >= _MIN_BURST
+        kept = runs
+        if big[:-1].any():  # the runs after the first burst gate on the last burst before them
+            first = int(big.argmax())
+            prior = np.maximum.accumulate(np.where(big, np.arange(runs), 0))[first:-1]
+            span = ends[first + 1:runs] - ends[first:runs - 1]
+            a, b = ends[first], ends[runs - 1]
+            dx = x[a:b] - np.repeat(mx[prior], span)
+            dy = y[a:b] - np.repeat(my[prior], span)
+            moved = ((dx * dx + dy * dy <= gate2) != inside[a - lo:b - lo]).nonzero()[0]
+            if len(moved):
+                kept = int(ends.searchsorted(a + moved[0], "right"))
+        keep = big[:kept]
+        member[run[:bounds[kept]][np.repeat(keep, count[:kept])]] = True
+        found = count[:kept][keep]
+        counts[bursts:bursts + len(found)] = found
+        bursts += len(found)
+        partial += int(bounds[kept] - found.sum())
+        if len(found):
+            cx, cy = mx[:kept][keep][-1], my[:kept][keep][-1]
+        size = min(2 * (size if kept == runs else int(ends[kept - 1] - lo)), _BLOCK_CAP)
+        lo = int(ends[kept - 1])
+    noise = total - partial - int(counts[:bursts].sum())  # the events in no run
     if not bursts:
         raise StreamTooShort(f"no run of {_MIN_BURST} events passed the spatial gate "
                              f"({total - noise} of {total} events did)")
-    return ExtractionResult(_centers(stream, bursts), int(noise), int(partial))
+    return ExtractionResult(_centers(stream, member.nonzero()[0], counts[:bursts]), noise, partial)
 
 
-def _centers(stream: EventStream, bursts: list[np.ndarray]) -> Centers:
-    """One row per burst; bursts[i] holds burst i's event indices.
+def _centers(stream: EventStream, members: np.ndarray, count: np.ndarray) -> Centers:
+    """One row per burst: members holds the bursts' event indices in
+    order, count[i] of them for burst i.
 
     Every sum is over int64 values that the caller bounded below 2**63, so
     it is exact, and each mean is that sum divided by the count. Times are
     summed from the stream's first event.
     """
-    members = np.concatenate(bursts)
-    count = np.array([len(b) for b in bursts])
     starts = np.concatenate(([0], np.cumsum(count[:-1])))
 
     def mean(values):
-        return np.add.reduceat(values, starts) / count
+        return np.add.reduceat(values, starts, dtype=np.int64) / count
 
-    wx, wy = stream.x[members].astype(np.int64), stream.y[members].astype(np.int64)
-    mx, my = mean(wx), mean(wy)
-    cov = np.empty((len(bursts), 2, 2))
-    cov[:, 0, 0] = mean(wx * wx) - mx * mx
-    cov[:, 1, 1] = mean(wy * wy) - my * my
-    cov[:, 0, 1] = cov[:, 1, 0] = mean(wx * wy) - mx * my
-    del wx, wy
-    for i in (0, 1):
-        cov[:, i, i] = np.where(cov[:, i, i] < 0.0, 0.0, cov[:, i, i])
-    if len(_non_psd(cov)):
-        raise ValueError("covariance is not positive semidefinite")
     t0 = stream.t[0]
-    t_c = t0 + mean(stream.t[members] - t0)
-    return Centers(
-        stream.camera_id, t_c, np.stack([mx, my], axis=1), cov, count,
-        stream.t[members[starts]], stream.t[members[starts + count - 1]],
-    )
+    times = stream.t[members]
+    t_min, t_max = times[starts], times[starts + count - 1]
+    times -= t0
+    pixel = np.stack([mean(stream.x[members]), mean(stream.y[members])], axis=1)
+    return Centers(stream.camera_id, t0 + mean(times), pixel, count, t_min, t_max)
 
 
 def match_corresponding(sequences: Sequence[Centers], t_th: float) -> Correspondences:
@@ -351,20 +363,14 @@ def match_corresponding(sequences: Sequence[Centers], t_th: float) -> Correspond
 # observation CSV
 # ---------------------------------------------------------------------------
 
-OBSERVATION_HEADER = "camera_id,t_us,x,y,n,sxx,syy,sxy"
+OBSERVATION_HEADER = "camera_id,t_us,x,y,n"
 _INTEGER_FIELDS = ("camera_id", "n")
 
 
 def write_observations(path, centers: Centers) -> None:
-    rows = zip(
-        centers.t_c.tolist(),
-        centers.pixel.tolist(),
-        centers.count.tolist(),
-        centers.covariance.tolist(),
-    )
+    rows = zip(centers.t_c.tolist(), centers.pixel.tolist(), centers.count.tolist())
     lines = [OBSERVATION_HEADER] + [
-        f"{centers.camera_id},{t!r},{x!r},{y!r},{n},{cov[0][0]!r},{cov[1][1]!r},{cov[0][1]!r}"
-        for t, (x, y), n, cov in rows
+        f"{centers.camera_id},{t!r},{x!r},{y!r},{n}" for t, (x, y), n in rows
     ]
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -373,12 +379,12 @@ def read_observations(path) -> Centers:
     """One camera's centers from an observation CSV.
 
     Line 1 may be a header whose first field is camera_id, and blank lines
-    are skipped. Every other line holds the eight fields of the header:
-    integers camera_id and n, and finite numbers t_us, x, y, sxx, syy and
-    sxy. Each row must name the first row's camera, t_us must not decrease,
-    n must be at least 1 and the covariance positive semidefinite. Anything
-    else raises ParseError naming path:line. A file holds no event bounds:
-    t_min and t_max are t_us rounded to a whole microsecond.
+    are skipped. Every other line holds the five fields of the header:
+    integers camera_id and n, and finite numbers t_us, x and y. Each row
+    must name the first row's camera, t_us must not decrease and n must be
+    at least 1. Anything else raises ParseError naming path:line. A file
+    holds no event bounds: t_min and t_max are t_us rounded to a whole
+    microsecond.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -419,14 +425,9 @@ def read_observations(path) -> Centers:
     reject(np.flatnonzero(np.diff(t_us) < 0) + 1,
            lambda i: f"t_us {rows[i][1]} is earlier than the previous row's {rows[i - 1][1]}")
     reject(np.flatnonzero(n < 1), lambda i: f"n {n[i]} is below 1")
-    cov = np.stack(
-        [columns["sxx"], columns["sxy"], columns["sxy"], columns["syy"]], axis=1
-    ).reshape(-1, 2, 2)
-    reject(_non_psd(cov), lambda i: "covariance (sxx, syy, sxy) is not positive semidefinite")
     bounds = np.rint(t_us).astype(np.int64)
     return Centers(
-        int(camera[0]), t_us, np.stack([columns["x"], columns["y"]], axis=1),
-        cov, n, bounds, bounds,
+        int(camera[0]), t_us, np.stack([columns["x"], columns["y"]], axis=1), n, bounds, bounds,
     )
 
 

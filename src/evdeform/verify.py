@@ -471,9 +471,7 @@ def _prop_matching(seed: int) -> int:
     for cam in range(3):
         t_c = np.sort(blink_times + rng.normal(0, 3.0, k))
         pixel = np.tile([100.0 + cam, 50.0], (k, 1))
-        sequences.append(
-            Centers(cam, t_c, pixel, np.zeros((k, 2, 2)), np.full(k, 5), t_c, t_c)
-        )
+        sequences.append(Centers(cam, t_c, pixel, np.full(k, 5), t_c, t_c))
     groups = match_corresponding(sequences, t_th=1000.0)
     mismatches = abs(len(groups) - len(blink_times))
     mismatches += int(np.sum(groups.visibility.sum(axis=0) != 3))

@@ -51,7 +51,7 @@ def centers_table(camera_id: int, t_c, pixels=None) -> Centers:
     k = len(t_c)
     pixels = np.tile([float(camera_id), 0.0], (k, 1)) if pixels is None else pixels
     return Centers(camera_id, t_c, np.asarray(pixels, dtype=float).reshape(k, 2),
-                   np.zeros((k, 2, 2)), np.ones(k, dtype=np.int64),
+                   np.ones(k, dtype=np.int64),
                    np.floor(t_c).astype(np.int64), np.floor(t_c).astype(np.int64))
 
 
