@@ -3,7 +3,7 @@
 Streams hold column arrays (timestamp, x, y, polarity). Two on-disk
 formats: a CSV with header ``t_us,x,y,polarity`` and a little-endian binary
 format with a 16-byte header carrying magic, version and the declared
-sensor size.
+sensor size, at most 65535 pixels a side.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ _RECORD_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")]
 _CSV_BLOCK_BYTES = 1 << 20
 _CSV_MAX_DIGITS = 18  # every such integer fits int64
 _INT32_MAX = np.iinfo(np.int32).max
+_UINT16_MAX = np.iinfo(np.uint16).max  # the binary header's sensor size and x, y
 _LF, _CR, _COMMA, _ZERO = (np.uint8(ord(c)) for c in "\n\r,0")
 _POWERS_OF_TEN = 10 ** np.arange(1, _CSV_MAX_DIGITS + 1, dtype=np.int64)
 
@@ -134,6 +135,9 @@ def write_stream(stream: EventStream, path, format: str = "csv") -> None:
             fh.write((CSV_HEADER + "\n").encode())
             fh.write(body)
     elif format == "binary":
+        if max(stream.width, stream.height) > _UINT16_MAX:
+            raise BoundsError(f"sensor {stream.width}x{stream.height} does not fit the binary "
+                              f"format, whose width and height are at most {_UINT16_MAX}")
         header = bytearray(16)
         header[0:8] = BINARY_MAGIC
         header[8:10] = BINARY_VERSION.to_bytes(2, "little")

@@ -11,7 +11,8 @@ Each camera is simulated in batches, not transition by transition: the
 whole track is projected in one call, every burst is read from one stencil
 of pixel offsets, and the latency jitter of all marker events is one normal
 draw. The streams are bitwise those of a per-transition loop drawing the
-jitter burst by burst.
+jitter burst by burst. Both event sorts are stable argsorts of one packed
+int64 key, which needs (last event time + 1) * width * height to fit int64.
 """
 from __future__ import annotations
 
@@ -186,11 +187,13 @@ def _refractory_filter(t: Array, x: Array, y: Array, keep_window_us: float) -> A
     In (x, y, t) order, with ties kept in input order, a pixel's first event
     and every event at least the window after its same-pixel predecessor are
     kept outright. Only the runs of shorter gaps are walked in sequence,
-    each starting from the kept event before it. Pixel coordinates must lie
-    in the int32 range, as an EventStream's do.
+    each starting from the kept event before it. The order is one stable
+    sort of the key (x * (y_max + 1) + y) * (t_max + 1) + t, so coordinates
+    and integer times must be non-negative and the key must fit int64.
     """
-    pixel = (np.asarray(x, dtype=np.int64) << 32) + (np.asarray(y, dtype=np.int64) + 2**31)
-    order = np.lexsort((t, pixel))
+    y = np.asarray(y, dtype=np.int64)
+    pixel = np.asarray(x, dtype=np.int64) * (int(y.max(initial=0)) + 1) + y
+    order = np.argsort(pixel * (int(t.max(initial=0)) + 1) + t, kind="stable")
     ts, pixel = t[order], pixel[order]
     close = (pixel[1:] == pixel[:-1]) & (np.diff(ts) < keep_window_us)
     idx = np.flatnonzero(close) + 1
@@ -313,9 +316,14 @@ def simulate(config: ScenarioConfig) -> SimulationResult:
             np.full(n_noise, NOISE_LABEL, dtype=np.uint8),
         ])
 
+        if len(t) and (int(t.max()) + 1) * intr.width * intr.height > 2**63 - 1:
+            raise ConfigError(f"camera {ci}: a {config.duration_s:g} s recording on a {intr.width}"
+                              f"x{intr.height} sensor overflows the int64 event sort key")
         keep = _refractory_filter(t, x, y, REFRACTORY_US)
         t, x, y, p, lbl = t[keep], x[keep], y[keep], p[keep], lbl[keep]
-        order = np.lexsort((p, y, x, t))
+        # no pixel keeps two events at one time, so (t, x, y) is unique and
+        # this is the permutation of lexsort((p, y, x, t))
+        order = np.argsort((t * intr.width + x) * intr.height + y, kind="stable")
         streams.append(
             EventStream(ci, intr.width, intr.height, t[order], x[order], y[order], p[order])
         )

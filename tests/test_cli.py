@@ -115,6 +115,25 @@ class TestSimulate:
         assert err == ["error: seed must be a non-negative integer, got -3"]
         assert not (out / "streams.json").exists()
 
+    @pytest.mark.parametrize("sensor,fields,named", [
+        # the binary files hold the sensor size in 16 bits
+        ((70000, 720), {"duration_s": 0.2}, "sensor 70000x720 does not fit the binary format"),
+        # (t + 1) * width * height must fit int64 for the event sort
+        ((2**30, 2**30), {"noise_rate": 0.0, "duration_s": 10.0},
+         "camera 0: a 10 s recording on a 1073741824x1073741824 sensor overflows"),
+    ], ids=["binary_header", "sort_key"])
+    def test_oversized_sensor_exits_2(self, tmp_path, capsys, sensor, fields, named):
+        scenario = tmp_path / "scenario.json"
+        save_scenario(scenario, replace(preset_paper_rig(), **fields))
+        doc = json.loads(scenario.read_text())
+        for cam in doc["cameras"]:
+            cam["width"], cam["height"] = sensor
+        scenario.write_text(json.dumps(doc))
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {named}")
+
     def test_same_seed_identical_files(self, tmp_path):
         scenario = tmp_path / "scenario.json"
         save_scenario(scenario, replace(preset_paper_rig(), duration_s=0.2))

@@ -129,6 +129,18 @@ class TestReadWrite:
         loaded, _ = read_stream(path, "binary")
         assert loaded.sensor == (640, 480)
 
+    def test_binary_sensor_beyond_16_bits(self, tmp_path):
+        """The header holds width and height in 16 bits each: 65535 round
+        trips, and a wider sensor is refused before the file is opened."""
+        path = tmp_path / "s.bin"
+        write_stream(random_stream(10, seed=1, width=65535, height=65535), path, "binary")
+        assert read_stream(path, "binary")[0].sensor == (65535, 65535)
+        path.unlink()
+        for width, height in ((70000, 480), (640, 65536)):
+            with pytest.raises(BoundsError, match=f"sensor {width}x{height} .* at most 65535"):
+                write_stream(random_stream(10, seed=1, width=width, height=height), path, "binary")
+            assert not path.exists()
+
     def test_binary_sensor_mismatch(self, tmp_path):
         stream = random_stream(10, seed=1, width=640, height=480)
         path = tmp_path / "s.bin"

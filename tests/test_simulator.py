@@ -1,4 +1,5 @@
 """Synthetic event generation: counting oracles, determinism, provenance."""
+import hashlib
 import json
 from dataclasses import replace
 
@@ -174,6 +175,30 @@ def refractory_inputs(draw):
     return t, x, y
 
 
+@st.composite
+def sensor_refractory_inputs(draw):
+    """Up to 40 events over a 1280x720 sensor with times up to 1e7 us. Each
+    event after the first may take an earlier event's time (an exact tie on
+    another pixel), its pixel and time (a tie within one pixel), or its pixel
+    and a time up to three windows later."""
+    t, x, y = [], [], []
+    for i in range(draw(st.integers(0, 40))):
+        ti = draw(st.integers(0, 10**7))
+        xi, yi = draw(st.integers(0, 1279)), draw(st.integers(0, 719))
+        kind = draw(st.sampled_from(["fresh", "same_time", "same_event", "same_pixel"]))
+        if i and kind != "fresh":
+            j = draw(st.integers(0, i - 1))
+            ti = t[j] + (draw(st.integers(0, 3 * int(REFRACTORY_US)))
+                         if kind == "same_pixel" else 0)
+            if kind != "same_time":
+                xi, yi = x[j], y[j]
+        t.append(ti)
+        x.append(xi)
+        y.append(yi)
+    return (np.array(t, dtype=np.int64), np.array(x, dtype=np.int64),
+            np.array(y, dtype=np.int64))
+
+
 def static_scenario(**overrides):
     defaults = dict(
         cameras=paper_rig_cameras()[:1],
@@ -251,6 +276,19 @@ def _spans_several_chunks(res):
     assert res.truth.in_view.all() and cells > 2 * simulator._STENCIL_CELLS
 
 
+def _records_nothing(res):
+    assert np.isnan(res.truth.tracks_px).all() and len(res.streams[0]) == 0
+
+
+def _noise_on_marker_pixels(res):
+    for stream, labels in zip(res.streams, res.truth.labels):
+        pixel = stream.x.astype(np.int64) * stream.height + stream.y
+        marker = labels == MARKER_LABEL
+        assert len(np.intersect1d(pixel[marker], pixel[~marker])) > 1000
+        # what lets the final sort ignore polarity: (t, x, y) is unique
+        assert len(np.unique(stream.t * (stream.width * stream.height) + pixel)) == len(stream)
+
+
 def _preset(res):
     assert res.truth.in_view.all() and sum(len(s) for s in res.streams) > 400_000
 
@@ -275,6 +313,14 @@ REFERENCE_SCENES = {
         lambda: small_camera_scenario(StaticTrajectory((5.0, 3.0, 1e-17)), duration_s=0.02,
                                       noise_rate=0.0),
         _fills_sensor_from_far_off,
+    ),
+    "behind_the_camera": (
+        lambda: small_camera_scenario(StaticTrajectory((0.0, 0.0, -400.0)), noise_rate=0.0),
+        _records_nothing,
+    ),
+    "preset_in_dense_noise": (
+        lambda: replace(preset_paper_rig(), duration_s=1.0, noise_rate=1.0),
+        _noise_on_marker_pixels,
     ),
     "zero_jitter": (
         lambda: replace(preset_paper_rig(), duration_s=0.2, latency_jitter_std_us=0.0),
@@ -309,6 +355,18 @@ class TestConfigValidation:
     def test_invariants(self, field, value):
         with pytest.raises(ConfigError):
             simulate(replace(static_scenario(), **{field: value}))
+
+    def test_sort_key_must_fit_int64(self):
+        """(t + 1) * width * height bounds both sort keys: a 2^60-pixel
+        sensor fits a burst at t = 0 and raises for events at 7 us or later."""
+        (intr, pose), = paper_rig_cameras()[:1]
+        huge = ((replace(intr, width=2**30, height=2**30), pose),)
+        one_burst = static_scenario(cameras=huge, duration_s=1e-6)
+        res = simulate(one_burst)
+        assert len(res.streams[0]) > 100 and not res.streams[0].t.any()
+        assert_same_simulation(res, reference_simulate(one_burst))
+        with pytest.raises(ConfigError, match="a 10 s recording on a 1073741824x1073741824"):
+            simulate(static_scenario(cameras=huge, duration_s=10.0, blink_freq_hz=1.0))
 
 
 class TestEventModel:
@@ -385,8 +443,8 @@ class TestEventModel:
             # the mask follows the input order
             np.testing.assert_array_equal(flt(t[[2, 0, 4, 1, 3]], x, y, 50.0), [1, 1, 1, 0, 0])
 
-    @settings(max_examples=300, deadline=None)
-    @given(refractory_inputs())
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(refractory_inputs(), sensor_refractory_inputs()))
     def test_refractory_filter_equals_reference_loop(self, events):
         t, x, y = events
         np.testing.assert_array_equal(
@@ -442,6 +500,20 @@ class TestDeterminismAndProvenance:
             np.testing.assert_array_equal(sa.polarity, sb.polarity)
         for la, lb in zip(a.truth.labels, b.truth.labels):
             np.testing.assert_array_equal(la, lb)
+
+    def test_preset_digest_is_pinned(self):
+        """SHA-256 of the 0.5 s preset's streams and labels, recorded before
+        the event sorts became packed-key argsorts. Any change to the
+        simulator's bits fails here; a deliberate one (a new seeding scheme)
+        replaces the value in the same change and says so."""
+        res = simulate(replace(preset_paper_rig(), duration_s=0.5))
+        digest = hashlib.sha256()
+        for stream, labels in zip(res.streams, res.truth.labels):
+            for a in (stream.t, stream.x, stream.y, stream.polarity, labels):
+                digest.update(a.astype(a.dtype.newbyteorder("<")).tobytes())
+        assert digest.hexdigest() == (
+            "1783b1156c2f4006e0a79ea4856e48002f352bfe03c0367019b3f11acf10f4a5"
+        )
 
     def test_different_seed_differs(self):
         cfg = replace(preset_paper_rig(), duration_s=0.2)
