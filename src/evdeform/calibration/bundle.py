@@ -7,10 +7,14 @@ lengths and the radial-tangential coefficients. The principal point stays
 fixed. Point blocks are eliminated with a Schur complement. The gauge is
 fixed by freezing the pose of camera 0, the reference, and pinning the
 largest translation component of camera 1.
+
+``bundle_adjust`` sorts the observations stably by camera once per solve;
+the internals require that camera-major layout and work on each camera's
+slice, with one BLAS product per camera block. A (point, camera) pair is
+observed at most once, so each block of the coupling W is placed, not summed.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,6 +83,14 @@ def _free_parameters(poses: list[CameraPose], options: BundleOptions) -> Array:
     return mask
 
 
+def _camera_slices(cam_idx: Array, m: int) -> list[slice]:
+    """The [lo, hi) slice of each camera's observations in camera-major cam_idx."""
+    bounds = np.searchsorted(cam_idx, np.arange(m + 1)).tolist()
+    if np.any(cam_idx[1:] < cam_idx[:-1]) or bounds[0] != 0 or bounds[-1] != len(cam_idx):
+        raise ValueError(f"observations must be camera-major, with cameras 0..{m - 1}")
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _project(
     intrinsics: list[CameraIntrinsics],
     poses: list[CameraPose],
@@ -87,27 +99,24 @@ def _project(
     pt_idx: Array,
     pixels: Array,
 ) -> tuple[Array, Array, Array, Array]:
-    """Residual (k, 2) of every observation under the full camera model,
-    with the camera-frame points (k, 3), normalized points (k, 2) and
-    distorted normalized points (k, 2) it passed through.
+    """Residual (k, 2) of every camera-major observation under the full
+    camera model, with the camera-frame points (k, 3), normalized points
+    (k, 2) and distorted normalized points (k, 2) it passed through.
 
     Camera by camera through CameraPose and distort_normalized, so the
     residuals are bit-identical with the reprojection statistics (an exact
     fixed point at the optimum). Residual convention: projected - observed.
     """
     k = len(cam_idx)
-    P = points[pt_idx]
     Xc = np.empty((k, 3))
     xy = np.empty((k, 2))
     xyd = np.empty((k, 2))
-    for j, (intr, pose) in enumerate(zip(intrinsics, poses)):
-        sel = cam_idx == j
-        Xc[sel] = pose.transform(P[sel])
-        xy[sel] = Xc[sel, :2] / Xc[sel, 2:3]
-        xyd[sel] = distort_normalized(intr, xy[sel])
-    f = np.array([(i.fx, i.fy) for i in intrinsics])[cam_idx]
-    c = np.array([(i.cx, i.cy) for i in intrinsics])[cam_idx]
-    r = xyd * f + c - pixels
+    r = np.empty((k, 2))
+    for s, intr, pose in zip(_camera_slices(cam_idx, len(poses)), intrinsics, poses):
+        Xc[s] = pose.transform(points[pt_idx[s]])
+        xy[s] = Xc[s, :2] / Xc[s, 2:3]
+        xyd[s] = distort_normalized(intr, xy[s])
+        r[s] = xyd[s] * (intr.fx, intr.fy) + (intr.cx, intr.cy) - pixels[s]
     return r, Xc, xy, xyd
 
 
@@ -122,28 +131,30 @@ def residuals_and_blocks(
     """Per-observation residual (k, 2) and Jacobian blocks (k, 2, 12) and
     (k, 2, 3) of the distorted projection wrt camera and point parameters.
 
-    Residual convention: projected - observed.
+    Observations must be camera-major. Residual convention: projected - observed.
     """
     r, Xc, xy, xyd = _project(intrinsics, poses, points, cam_idx, pt_idx, pixels)
     k = len(cam_idx)
-    R = np.stack([p.rotation for p in poses])[cam_idx]  # (k,3,3)
-    t = np.stack([p.translation for p in poses])[cam_idx]
-    f = np.array([(i.fx, i.fy) for i in intrinsics])[cam_idx]
-    RX = Xc - t
     z = Xc[:, 2]
     x, y = xy[:, 0], xy[:, 1]
 
-    # d(xd, yd)/d(x, y) of the distortion model, camera by camera
-    Jd = np.empty((k, 2, 2))
-    for j, intr in enumerate(intrinsics):
-        Jd[cam_idx == j] = _distortion_jacobian(intr, xy[cam_idx == j])
     # d(x, y)/dXc of the perspective division
     dxy_dXc = np.zeros((k, 2, 3))
     dxy_dXc[:, 0, 0] = 1.0 / z
     dxy_dXc[:, 0, 2] = -x / z
     dxy_dXc[:, 1, 1] = 1.0 / z
     dxy_dXc[:, 1, 2] = -y / z
-    duv_dXc = f[:, :, None] * (Jd @ dxy_dXc)
+    # camera by camera: the focal lengths, the rotated points RX = Xc - t,
+    # the pixel Jacobian through the distortion model and the point block
+    f = np.empty((k, 2))
+    RX = np.empty((k, 3))
+    duv_dXc = np.empty((k, 2, 3))
+    Jp = np.empty((k, 2, 3))
+    for s, intr, pose in zip(_camera_slices(cam_idx, len(poses)), intrinsics, poses):
+        f[s] = (intr.fx, intr.fy)
+        RX[s] = Xc[s] - pose.translation
+        duv_dXc[s] = f[s, :, None] * (_distortion_jacobian(intr, xy[s]) @ dxy_dXc[s])
+        Jp[s] = (duv_dXc[s].reshape(-1, 3) @ pose.rotation).reshape(-1, 2, 3)
 
     # dXc/dw = -[RX]x for a left-multiplied rotation update
     sk = np.zeros((k, 3, 3))
@@ -163,8 +174,6 @@ def residuals_and_blocks(
     # d(xd, yd)/d(k1, k2, p1, p2), scaled to pixels
     Jc[:, 0, 8:12] = f[:, 0:1] * np.stack([x * r2, x * r2 * r2, 2.0 * x * y, r2 + 2.0 * x * x], axis=1)
     Jc[:, 1, 8:12] = f[:, 1:2] * np.stack([y * r2, y * r2 * r2, r2 + 2.0 * y * y, 2.0 * x * y], axis=1)
-
-    Jp = duv_dXc @ R
     return r, Jc, Jp
 
 
@@ -213,18 +222,6 @@ def apply_perturbation(
     return new_intr, new_poses, points + delta[CAM_PARAMS * m :].reshape(-1, 3)
 
 
-def scatter_blocks(index: Array, blocks: Array, count: int) -> Array:
-    """Sum blocks (k, ...) into ``count`` slots by ``index`` (k,).
-
-    Bitwise ``np.add.at(zeros, index, blocks)``: each flat slot
-    ``index * block_size + offset`` accumulates in observation order.
-    """
-    size = math.prod(blocks.shape[1:])
-    flat = (index[:, None] * size + np.arange(size)).ravel()
-    sums = np.bincount(flat, weights=blocks.ravel(), minlength=count * size)
-    return sums.astype(float, copy=False).reshape((count,) + blocks.shape[1:])
-
-
 @dataclass(frozen=True)
 class NormalEquations:
     """Blocks of JᵀJ and Jᵀr for P = CAM_PARAMS * m camera and 3n point
@@ -243,23 +240,30 @@ class NormalEquations:
 def normal_equations(
     r: Array, Jc: Array, Jp: Array, cam_idx: Array, pt_idx: Array, m: int, n: int
 ) -> NormalEquations:
-    # camera by camera: the (k, 12, 12) blocks of all observations and their
-    # flat scatter indices would be the largest buffers of the whole solve.
-    # Row sums accumulate in observation order, as scatter_blocks does.
-    U = np.zeros((m, CAM_PARAMS, CAM_PARAMS))
-    g_c = np.zeros((m, CAM_PARAMS))
-    for j in range(m):
-        sel = cam_idx == j
-        Jj, rj = Jc[sel], r[sel]
-        U[j] = np.einsum("koa,kob->kab", Jj, Jj).sum(axis=0)
-        g_c[j] = np.einsum("koa,ko->ka", Jj, rj).sum(axis=0)
-    V = scatter_blocks(pt_idx, np.einsum("koa,kob->kab", Jp, Jp), n)
-    W = scatter_blocks(pt_idx * m + cam_idx, np.einsum("koa,kob->kab", Jc, Jp), n * m)
-    g_p = scatter_blocks(pt_idx, np.einsum("koa,ko->ka", Jp, r), n)
+    """Blocks of JᵀJ and Jᵀr from camera-major observations, at most one per
+    (point, camera). Each camera's diagonal block JjᵀJj of Hcc and its g_c =
+    Jjᵀrj are one BLAS product over its (2 k_j, 12) slice Jj. Batched matrix
+    products give the V, W and g_p blocks; V and g_p are summed camera by
+    camera, and each W block is placed in its (point, camera) slot."""
+    slices = _camera_slices(cam_idx, m)
     P = CAM_PARAMS * m
     Hcc = np.zeros((P, P))
-    for j in range(m):
-        Hcc[CAM_PARAMS * j : CAM_PARAMS * (j + 1), CAM_PARAMS * j : CAM_PARAMS * (j + 1)] = U[j]
+    g_c = np.zeros((m, CAM_PARAMS))
+    for j, s in enumerate(slices):
+        Jj = Jc[s].reshape(-1, CAM_PARAMS)
+        block = slice(CAM_PARAMS * j, CAM_PARAMS * (j + 1))
+        Hcc[block, block] = Jj.T @ Jj
+        g_c[j] = r[s].ravel() @ Jj
+    JpT = np.ascontiguousarray(Jp.transpose(0, 2, 1))
+    Vk = JpT @ Jp
+    gk = (JpT @ r[:, :, None])[:, :, 0]
+    V = np.zeros((n, 3, 3))
+    g_p = np.zeros((n, 3))
+    for s in slices:  # a point appears at most once per camera
+        V[pt_idx[s]] += Vk[s]
+        g_p[pt_idx[s]] += gk[s]
+    W = np.zeros((n, m, CAM_PARAMS, 3))
+    W[pt_idx, cam_idx] = Jc.transpose(0, 2, 1) @ Jp
     Wflat = W.reshape(n, P, 3)
     Wt = Wflat.transpose(1, 0, 2).reshape(P, 3 * n)
     return NormalEquations(Hcc, V, Wflat, Wt, g_c, g_p)
@@ -315,19 +319,27 @@ def bundle_adjust(
 ) -> BundleResult:
     """Levenberg-Marquardt on the reprojection cost with Schur elimination.
 
-    The accepted-cost sequence is non-increasing. A trial step that leaves
-    the cost unchanged to float resolution ends the solve as converged;
-    raises DivergedBA when the damping parameter exceeds its ceiling
-    without an acceptable step.
+    Observations in any order are solved in stable camera-major order; a
+    (point, camera) pair observed twice raises ValueError. The accepted-cost
+    sequence is non-increasing. A trial step that leaves the cost unchanged
+    to float resolution ends the solve as converged; raises DivergedBA when
+    the damping parameter exceeds its ceiling without an acceptable step.
     """
     cam_idx = np.asarray(cam_idx, dtype=np.int64)
-    pt_idx = np.asarray(pt_idx, dtype=np.int64)
-    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    order = np.argsort(cam_idx, kind="stable")
+    cam_idx = cam_idx[order]
+    pt_idx = np.asarray(pt_idx, dtype=np.int64)[order]
+    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)[order]
     points = np.asarray(points, dtype=float).reshape(-1, 3).copy()
     intrinsics = list(intrinsics)
     poses = list(poses)
     m = len(poses)
     n = len(points)
+    slices = _camera_slices(cam_idx, m)
+    pairs, counts = np.unique(pt_idx * m + cam_idx, return_counts=True)
+    if (counts > 1).any():
+        point, camera = divmod(int(pairs[counts > 1][0]), m)
+        raise ValueError(f"point {point} is observed more than once by camera {camera}")
 
     free_cam = _free_parameters(poses, options)
     frozen = ~free_cam.ravel()
@@ -340,7 +352,8 @@ def bundle_adjust(
 
     for _ in range(options.max_iters):
         r, Jc, Jp = residuals_and_blocks(intrinsics, poses, points, cam_idx, pt_idx, pixels)
-        Jc = Jc * free_cam[cam_idx][:, None, :]
+        for s, free in zip(slices, free_cam):
+            Jc[s] *= free
         ne = normal_equations(r, Jc, Jp, cam_idx, pt_idx, m, n)
 
         grad_inf = max(np.abs(ne.g_c).max(initial=0.0), np.abs(ne.g_p).max(initial=0.0))

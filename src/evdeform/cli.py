@@ -66,13 +66,14 @@ EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
 
 
-def _write_manifest(out_dir: Path, command: str, args: dict, outputs: list[str],
+def _write_manifest(out_dir: Path, args: argparse.Namespace, outputs: list[str],
                     seed, started: float) -> None:
     manifest = {
-        "command": command,
+        "command": args.command,
         "tool_version": __version__,
         "seed": seed,
-        "arguments": {k: str(v) for k, v in args.items()},
+        # the command's own flags, without the subcommand and handler argparse adds
+        "arguments": {k: str(v) for k, v in vars(args).items() if k not in ("command", "func")},
         "outputs": outputs,
         "duration_s": time.time() - started,
     }
@@ -117,7 +118,7 @@ def cmd_simulate(args) -> int:
     outputs += [str(p.relative_to(out)) for p in export_ground_truth(truth_dir, result.truth)]
     save_scenario(out / "scenario.json", config)
     outputs.append("scenario.json")
-    _write_manifest(out, "simulate", vars(args), outputs, config.seed, started)
+    _write_manifest(out, args, outputs, config.seed, started)
     print(f"wrote {len(result.streams)} streams to {out}")
     return EXIT_OK
 
@@ -177,7 +178,7 @@ def cmd_extract(args) -> int:
         json.dumps({"profile": args.profile, "cameras": counts}, indent=2) + "\n"
     )
     outputs.append("extraction.json")
-    _write_manifest(out, "extract", vars(args), outputs, None, started)
+    _write_manifest(out, args, outputs, None, started)
     for cid, c in counts.items():
         print(f"cam{cid}: {c['observations']} observations")
     return EXIT_OK
@@ -237,7 +238,7 @@ def cmd_calibrate(args) -> int:
     save_rig(out / "calibration.json", rig)
     write_iteration_log(out / "iterations.log", result.iterations)
     outputs = ["calibration.json", "iterations.log"]
-    _write_manifest(out, "calibrate", vars(args), outputs, config.seed, started)
+    _write_manifest(out, args, outputs, config.seed, started)
     for cid in result.camera_ids:
         print(
             f"cam{cid}: mean reprojection {result.mean_reprojection[cid]:.4f} px "
@@ -297,7 +298,7 @@ def cmd_measure(args) -> int:
     write_series(out / "series.csv", series)
     write_summary(out / "summary.json", series)
     outputs = ["series.csv", "summary.json"]
-    _write_manifest(out, "measure", vars(args), outputs, None, started)
+    _write_manifest(out, args, outputs, None, started)
     s = series.summary()
     print(
         f"{s['samples']} samples ({s['dropped']} dropped), max amplitude "
@@ -324,7 +325,7 @@ def cmd_verify(args) -> int:
             for r in results
         ]
         (out / "verify_report.json").write_text(json.dumps(report, indent=2) + "\n")
-        _write_manifest(out, "verify", vars(args), ["verify_report.json"], args.seed, started)
+        _write_manifest(out, args, ["verify_report.json"], args.seed, started)
     return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL
 
 

@@ -1,4 +1,6 @@
 """Damped least-squares refinement: fixed point, Jacobians, gauge, descent."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from evdeform.calibration.bundle import (
     dense_jacobian,
     normal_equations,
     residuals_and_blocks,
-    scatter_blocks,
     schur_step,
 )
 from evdeform.geometry import (
@@ -190,32 +191,14 @@ class TestJacobian:
 
     def test_dense_jacobian_equals_the_fill_loop(self, scene):
         intr, poses, pts, cam_idx, pt_idx, pix = scene
+        # camera-major, points shuffled within each camera
         order = np.random.default_rng(6).permutation(len(cam_idx))
+        order = order[np.argsort(cam_idx[order], kind="stable")]
         args = (intr, poses, pts, cam_idx[order], pt_idx[order], pix[order])
         r, J = dense_jacobian(*args)
         r_ref, J_ref = reference_dense_jacobian(*args)
         np.testing.assert_array_equal(r, r_ref)
         np.testing.assert_array_equal(J, J_ref)
-
-
-class TestScatterBlocks:
-    @pytest.mark.parametrize("shape", [(), (3,), (2, 5)])
-    def test_equals_add_at_bitwise(self, shape):
-        rng = np.random.default_rng(3)
-        k, count = 500, 40
-        index = rng.integers(0, count - 5, k)  # slots count-5.. are never hit
-        index[:50] = 7  # and one slot is hit many times
-        blocks = rng.normal(0, 1, (k, *shape)) * 10.0 ** rng.integers(-8, 9, (k, *shape))
-        expected = np.zeros((count, *shape))
-        np.add.at(expected, index, blocks)
-        got = scatter_blocks(index, blocks, count)
-        assert got.dtype == expected.dtype and got.shape == expected.shape
-        np.testing.assert_array_equal(got, expected)
-
-    def test_no_observations_give_zeros(self):
-        got = scatter_blocks(np.zeros(0, dtype=np.int64), np.zeros((0, 2, 3)), 4)
-        np.testing.assert_array_equal(got, np.zeros((4, 2, 3)))
-        assert got.dtype == np.float64
 
 
 SCHUR_OPTIONS = {
@@ -244,7 +227,7 @@ class TestSchurStep:
         assert frozen.sum() >= 6 and not dc[frozen].any()
         assert rel_err(dp, point_step(dc)) < 1e-12
 
-    def test_normal_blocks_equal_add_at_bitwise(self, scene):
+    def test_normal_blocks_match_add_at(self, scene):
         r, Jc, Jp, _, (_, poses, pts, cam_idx, pt_idx, _) = masked_blocks(scene, BundleOptions())
         m, n = len(poses), len(pts)
         ne = normal_equations(r, Jc, Jp, cam_idx, pt_idx, m, n)
@@ -252,17 +235,30 @@ class TestSchurStep:
         np.add.at(U, cam_idx, np.einsum("koa,kob->kab", Jc, Jc))
         g_c = np.zeros((m, CAM_PARAMS))
         np.add.at(g_c, cam_idx, np.einsum("koa,ko->ka", Jc, r))
-        for j in range(m):
-            block = slice(CAM_PARAMS * j, CAM_PARAMS * (j + 1))
-            np.testing.assert_array_equal(ne.Hcc[block, block], U[j])
-        np.testing.assert_array_equal(ne.g_c, g_c)
+        V = np.zeros((n, 3, 3))
+        np.add.at(V, pt_idx, np.einsum("koa,kob->kab", Jp, Jp))
         W = np.zeros((n, m, CAM_PARAMS, 3))
         np.add.at(W, (pt_idx, cam_idx), np.einsum("koa,kob->kab", Jc, Jp))
         g_p = np.zeros((n, 3))
         np.add.at(g_p, pt_idx, np.einsum("koa,ko->ka", Jp, r))
-        np.testing.assert_array_equal(ne.Wflat, W.reshape(n, -1, 3))
+        for j in range(m):
+            block = slice(CAM_PARAMS * j, CAM_PARAMS * (j + 1))
+            assert rel_err(ne.Hcc[block, block], U[j]) < 1e-13
+        assert rel_err(ne.g_c, g_c) < 1e-13
+        assert rel_err(ne.V, V) < 1e-13
+        assert rel_err(ne.Wflat, W.reshape(n, -1, 3)) < 1e-13
+        assert rel_err(ne.g_p, g_p) < 1e-13
         np.testing.assert_array_equal(ne.Wt, ne.Wflat.transpose(1, 0, 2).reshape(-1, 3 * n))
-        np.testing.assert_array_equal(ne.g_p, g_p)
+
+    def test_camera_without_observations_has_zero_blocks(self, scene):
+        r, Jc, Jp, _, (_, poses, pts, cam_idx, pt_idx, _) = masked_blocks(scene, BundleOptions())
+        seen = cam_idx != 1
+        m, n = len(poses), len(pts)
+        ne = normal_equations(r[seen], Jc[seen], Jp[seen], cam_idx[seen], pt_idx[seen], m, n)
+        block = slice(CAM_PARAMS, 2 * CAM_PARAMS)
+        np.testing.assert_array_equal(ne.Hcc[block, block], np.zeros((CAM_PARAMS, CAM_PARAMS)))
+        np.testing.assert_array_equal(ne.g_c[1], np.zeros(CAM_PARAMS))
+        assert ne.Hcc[:CAM_PARAMS, :CAM_PARAMS].any() and ne.g_c[2].any()
 
     @pytest.mark.parametrize("name", ["default", "frozen-focal"])
     def test_equals_schur_complement_of_dense_normal_matrix(self, scene, name):
@@ -281,6 +277,10 @@ class TestSchurStep:
         J[:, :P] *= free_cam.ravel()
         H = J.T @ J
         g = J.T @ r_dense
+        ne = normal_equations(r, Jc, Jp, cam_idx, pt_idx, m, n)
+        blocks = [slice(CAM_PARAMS * j, CAM_PARAMS * (j + 1)) for j in range(m)]
+        assert rel_err(np.stack([ne.Hcc[b, b] for b in blocks]), np.stack([H[b, b] for b in blocks])) < 1e-12
+        assert rel_err(ne.g_c.ravel(), g[:P]) < 1e-12
         d = np.diag(H).copy()
         H[np.diag_indices_from(H)] = d + lam * np.maximum(d, 1e-12)
         frozen = np.flatnonzero(~free_cam.ravel())
@@ -326,3 +326,67 @@ class TestGauge:
         )
         for a, b in zip(res.intrinsics, intr):
             assert a.fx == b.fx and a.fy == b.fy
+
+
+class TestSolveOrder:
+    """bundle_adjust solves in a stable camera-major order, whatever the
+    order of the observations it is given."""
+
+    def test_point_major_input_is_the_same_solve(self, scene):
+        intr, poses, pts, cam_idx, pt_idx, pix = scene
+        rng = np.random.default_rng(13)
+        pts = pts + rng.normal(0, 3.0, pts.shape)
+        pix = pix + rng.normal(0, 0.5, pix.shape)
+        point_major = np.lexsort((cam_idx, pt_idx))
+        assert np.any(np.diff(cam_idx[point_major]) < 0)
+        a = bundle_adjust(intr, poses, pts, cam_idx, pt_idx, pix)
+        b = bundle_adjust(
+            intr, poses, pts, cam_idx[point_major], pt_idx[point_major], pix[point_major]
+        )
+        assert a.accepted_steps > 0
+        assert a.cost_trace == b.cost_trace
+        np.testing.assert_array_equal(a.points, b.points)
+        for pa, pb in zip(a.poses, b.poses):
+            np.testing.assert_array_equal(pa.rotation, pb.rotation)
+            np.testing.assert_array_equal(pa.translation, pb.translation)
+        assert a.intrinsics == b.intrinsics
+
+    def test_shuffled_input_agrees(self, scene):
+        # noiseless pixels: with free focal lengths the noisy scene has no
+        # converged solve within max_iters to compare
+        intr, poses, pts, cam_idx, pt_idx, pix = scene
+        rng = np.random.default_rng(14)
+        pts = pts + rng.normal(0, 3.0, pts.shape)
+        intr = [replace(i, fx=i.fx * (1 + rng.normal(0, 0.005)), fy=i.fy * (1 + rng.normal(0, 0.005)))
+                for i in intr]
+        order = np.random.default_rng(15).permutation(len(cam_idx))
+        a = bundle_adjust(intr, poses, pts, cam_idx, pt_idx, pix)
+        b = bundle_adjust(intr, poses, pts, cam_idx[order], pt_idx[order], pix[order])
+        assert a.converged and b.converged
+        assert rel_err(b.points, a.points) < 1e-8
+        for ia, ib in zip(a.intrinsics, b.intrinsics):
+            assert rel_err(np.array([ib.fx, ib.fy]), np.array([ia.fx, ia.fy])) < 1e-8
+        for field in ("rotation", "translation"):  # relative to the whole rig
+            got, want = (np.stack([getattr(p, field) for p in res.poses]) for res in (b, a))
+            assert rel_err(got, want) < 1e-8
+
+    def test_repeated_observation_is_rejected(self, scene):
+        intr, poses, pts, cam_idx, pt_idx, pix = scene
+        again = np.flatnonzero((cam_idx == 2) & (pt_idx == 7))
+        cam_idx, pt_idx, pix = (np.concatenate([a, a[again]]) for a in (cam_idx, pt_idx, pix))
+        with pytest.raises(ValueError, match="point 7 is observed more than once by camera 2"):
+            bundle_adjust(intr, poses, pts, cam_idx, pt_idx, pix)
+
+    def test_internals_require_camera_major_order(self, scene):
+        intr, poses, pts, cam_idx, pt_idx, pix = scene
+        order = np.lexsort((cam_idx, pt_idx))
+        data = (intr, poses, pts, cam_idx[order], pt_idx[order], pix[order])
+        for internal in (residuals_and_blocks, dense_jacobian, bundle._project):
+            with pytest.raises(ValueError, match="camera-major"):
+                internal(*data)
+        r, Jc, Jp = residuals_and_blocks(*scene)
+        with pytest.raises(ValueError, match="camera-major"):
+            normal_equations(
+                r[order], Jc[order], Jp[order], cam_idx[order], pt_idx[order],
+                len(poses), len(pts),
+            )

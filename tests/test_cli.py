@@ -664,11 +664,54 @@ class TestMeasure:
         assert len(err) == 1 and "7" in err[0]
 
 
+# the flags of each command, as argparse names them
+COMMAND_FLAGS = {
+    "simulate": {"seed", "format", "scenario", "preset", "out"},
+    "extract": {"format", "streams", "profile", "blink_freq", "out"},
+    "calibrate": {"seed", "observations", "t_th_us", "out"},
+    "measure": {"calibration", "observations", "anchor", "t_th_us", "residual_threshold", "out"},
+    "verify": {"seed", "out", "skip_determinism"},
+}
+
+
+def assert_manifest_records_own_flags(out_dir, command):
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert set(manifest["arguments"]) == COMMAND_FLAGS[command]
+    assert not any(" at 0x" in value for value in manifest["arguments"].values())
+
+
+@pytest.fixture(scope="module")
+def calibrated(sway_setup):
+    return sway_setup[1]
+
+
+@pytest.fixture(scope="module")
+def series(sway_setup, tmp_path_factory):
+    _, cal, sway_obs = sway_setup
+    out = tmp_path_factory.mktemp("series")
+    assert main(["measure", "--calibration", str(cal / "calibration.json"),
+                 "--observations", str(sway_obs), "--out", str(out)]) == 0
+    return out
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command, output", [
+        ("simulate", "preset_run"),
+        ("extract", "observations"),
+        ("calibrate", "calibrated"),
+        ("measure", "series"),
+    ], ids=["simulate", "extract", "calibrate", "measure"])
+    def test_arguments_are_the_command_flags(self, request, command, output):
+        assert_manifest_records_own_flags(request.getfixturevalue(output), command)
+
+
 class TestVerify:
     def test_report_and_exit_code(self, tmp_path):
         out = tmp_path / "verify"
         code = main(["verify", "--out", str(out), "--seed", "0", "--skip-determinism"])
         assert code == 0
+        assert_manifest_records_own_flags(out, "verify")
         report = json.loads((out / "verify_report.json").read_text())
         names = {entry["name"] for entry in report}
         assert "calibration_reprojection" in names
