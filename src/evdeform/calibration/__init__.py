@@ -1,6 +1,6 @@
 """Self-calibration of the camera array from corresponding points."""
 
-from .bundle import BundleOptions, BundleResult, bundle_adjust
+from .bundle import BundleResult, bundle_adjust
 from .cleanup import RejectionReport, distortion_gate, reject_outliers
 from .factorization import ProjectiveReconstruction, projective_factorize
 from .kruppa import solve_kruppa_focal
@@ -14,7 +14,6 @@ from .pipeline import (
 from .upgrade import UpgradeResult, euclidean_upgrade
 
 __all__ = [
-    "BundleOptions",
     "BundleResult",
     "CalibrationConfig",
     "CalibrationResult",

@@ -1,12 +1,13 @@
 """Damped least-squares refinement of cameras and points on reprojection error.
 
 Residuals project through the full camera model, distortion included. The
-12 parameters per camera are [w0 w1 w2 | t0 t1 t2 | fx fy | k1 k2 p1 p2]:
-rotation update (left-multiplied exponential), camera translation, focal
-lengths and the radial-tangential coefficients. The principal point stays
-fixed. Point blocks are eliminated with a Schur complement. The gauge is
-fixed by freezing the pose of camera 0, the reference, and pinning the
-largest translation component of camera 1.
+11 parameters per camera are [w0 w1 w2 | t0 t1 t2 | f | k1 k2 p1 p2]:
+rotation update (left-multiplied exponential), camera translation, one focal
+length, which moves fy with fx at the camera's starting fy/fx, and the
+radial-tangential coefficients, free only for the cameras in free_distortion.
+The principal point stays fixed. Point blocks are eliminated with a Schur
+complement. The gauge is fixed by freezing the pose of camera 0, the
+reference, and pinning the largest translation component of camera 1.
 
 ``bundle_adjust`` sorts the observations stably by camera once per solve;
 the internals require that camera-major layout and work on each camera's
@@ -16,6 +17,7 @@ observed at most once, so each block of the coupling W is placed, not summed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +33,8 @@ from ..geometry import (
 
 Array = np.ndarray
 
-CAM_PARAMS = 12  # [w0 w1 w2 | t0 t1 t2 | fx fy | k1 k2 p1 p2]
+CAM_PARAMS = 11  # [w0 w1 w2 | t0 t1 t2 | f | k1 k2 p1 p2]
+BA_MAX_ITERS = 60
 
 
 # Levenberg-Marquardt: converged when an accepted step lowers the cost by
@@ -44,13 +47,6 @@ _LAMBDA_INIT = 1e-4
 _LAMBDA_MAX = 1e12
 _LAMBDA_UP = 10.0
 _LAMBDA_DOWN = 1.0 / 3.0
-
-
-@dataclass(frozen=True)
-class BundleOptions:
-    refine_focal: bool = True
-    refine_distortion: tuple[int, ...] = ()  # cameras with free k1 k2 p1 p2
-    max_iters: int = 50
 
 
 @dataclass
@@ -67,16 +63,15 @@ class BundleResult:
         return self.cost_trace[-1]
 
 
-def _free_parameters(poses: list[CameraPose], options: BundleOptions) -> Array:
+def _free_parameters(poses: list[CameraPose], free_distortion: Sequence[int]) -> Array:
     """(m, CAM_PARAMS) mask of the free camera parameters.
 
     Camera 0's pose fixes the gauge up to scale; the largest translation
     component of camera 1 fixes the scale.
     """
     mask = np.ones((len(poses), CAM_PARAMS), dtype=bool)
-    mask[:, 6:8] = options.refine_focal
-    mask[:, 8:12] = False
-    mask[list(options.refine_distortion), 8:12] = True
+    mask[:, 7:] = False
+    mask[list(free_distortion), 7:] = True
     mask[0, :6] = False
     if len(poses) > 1:
         mask[1, 3 + int(np.argmax(np.abs(poses[1].translation)))] = False
@@ -128,7 +123,7 @@ def residuals_and_blocks(
     pt_idx: Array,
     pixels: Array,
 ) -> tuple[Array, Array, Array]:
-    """Per-observation residual (k, 2) and Jacobian blocks (k, 2, 12) and
+    """Per-observation residual (k, 2) and Jacobian blocks (k, 2, 11) and
     (k, 2, 3) of the distorted projection wrt camera and point parameters.
 
     Observations must be camera-major. Residual convention: projected - observed.
@@ -169,11 +164,12 @@ def residuals_and_blocks(
     Jc = np.zeros((k, 2, CAM_PARAMS))
     Jc[:, :, 0:3] = duv_dXc @ -sk
     Jc[:, :, 3:6] = duv_dXc
+    # fy moves with fx at the camera's own ratio
     Jc[:, 0, 6] = xyd[:, 0]
-    Jc[:, 1, 7] = xyd[:, 1]
+    Jc[:, 1, 6] = xyd[:, 1] * f[:, 1] / f[:, 0]
     # d(xd, yd)/d(k1, k2, p1, p2), scaled to pixels
-    Jc[:, 0, 8:12] = f[:, 0:1] * np.stack([x * r2, x * r2 * r2, 2.0 * x * y, r2 + 2.0 * x * x], axis=1)
-    Jc[:, 1, 8:12] = f[:, 1:2] * np.stack([y * r2, y * r2 * r2, r2 + 2.0 * y * y, 2.0 * x * y], axis=1)
+    Jc[:, 0, 7:] = f[:, 0:1] * np.stack([x * r2, x * r2 * r2, 2.0 * x * y, r2 + 2.0 * x * x], axis=1)
+    Jc[:, 1, 7:] = f[:, 1:2] * np.stack([y * r2, y * r2 * r2, r2 + 2.0 * y * y, 2.0 * x * y], axis=1)
     return r, Jc, Jp
 
 
@@ -212,10 +208,10 @@ def apply_perturbation(
         else:  # frozen poses stay bit-identical
             new_poses.append(poses[j])
         intr = intrinsics[j]
-        if d[6:12].any():
+        if d[6:].any():
             new_intr.append(replace(
-                intr, fx=intr.fx + d[6], fy=intr.fy + d[7], k1=intr.k1 + d[8],
-                k2=intr.k2 + d[9], p1=intr.p1 + d[10], p2=intr.p2 + d[11],
+                intr, fx=intr.fx + d[6], fy=intr.fy + d[6] * intr.fy / intr.fx,
+                k1=intr.k1 + d[7], k2=intr.k2 + d[8], p1=intr.p1 + d[9], p2=intr.p2 + d[10],
             ))
         else:
             new_intr.append(intr)
@@ -242,7 +238,7 @@ def normal_equations(
 ) -> NormalEquations:
     """Blocks of JᵀJ and Jᵀr from camera-major observations, at most one per
     (point, camera). Each camera's diagonal block JjᵀJj of Hcc and its g_c =
-    Jjᵀrj are one BLAS product over its (2 k_j, 12) slice Jj. Batched matrix
+    Jjᵀrj are one BLAS product over its (2 k_j, 11) slice Jj. Batched matrix
     products give the V, W and g_p blocks; V and g_p are summed camera by
     camera, and each W block is placed in its (point, camera) slot."""
     slices = _camera_slices(cam_idx, m)
@@ -315,9 +311,12 @@ def bundle_adjust(
     cam_idx: Array,
     pt_idx: Array,
     pixels: Array,
-    options: BundleOptions = BundleOptions(),
+    *,
+    free_distortion: Sequence[int] = (),
 ) -> BundleResult:
-    """Levenberg-Marquardt on the reprojection cost with Schur elimination.
+    """Levenberg-Marquardt on the reprojection cost with Schur elimination,
+    at most BA_MAX_ITERS iterations; k1 k2 p1 p2 are free for the cameras
+    in free_distortion.
 
     Observations in any order are solved in stable camera-major order; a
     (point, camera) pair observed twice raises ValueError. The accepted-cost
@@ -341,7 +340,7 @@ def bundle_adjust(
         point, camera = divmod(int(pairs[counts > 1][0]), m)
         raise ValueError(f"point {point} is observed more than once by camera {camera}")
 
-    free_cam = _free_parameters(poses, options)
+    free_cam = _free_parameters(poses, free_distortion)
     frozen = ~free_cam.ravel()
 
     cost = _cost(intrinsics, poses, points, cam_idx, pt_idx, pixels)
@@ -350,7 +349,7 @@ def bundle_adjust(
     accepted = 0
     converged = False
 
-    for _ in range(options.max_iters):
+    for _ in range(BA_MAX_ITERS):
         r, Jc, Jp = residuals_and_blocks(intrinsics, poses, points, cam_idx, pt_idx, pixels)
         for s, free in zip(slices, free_cam):
             Jc[s] *= free

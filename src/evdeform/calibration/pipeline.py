@@ -4,8 +4,9 @@ RANSAC epipolar geometry drops inconsistent correspondences and gives the
 Kruppa seed of the shared focal length. The rank-4 factorization, whose
 depth updates reuse RANSAC's (0, i) fundamental matrices, and the metric
 upgrade initialise cameras and points, and one bundle adjustment refines
-the full camera model: pose, focal lengths and, for each camera whose
-observations cover enough of the sensor, the distortion coefficients.
+the full camera model: pose, one focal length per camera (fy/fx held at its
+starting value) and, for each camera whose observations cover enough of the
+sensor, the distortion coefficients.
 Outliers are then rejected against that model; if any are, the bundle
 adjustment runs once more without them. The result converges when every
 camera's mean reprojection error is under the target.
@@ -39,7 +40,7 @@ from ..geometry import (
     relative_pose,
     triangulate_linear,
 )
-from .bundle import BundleOptions, bundle_adjust
+from .bundle import bundle_adjust
 from .cleanup import distortion_gate, reject_outliers
 from .factorization import projective_factorize
 from .kruppa import solve_kruppa_focal
@@ -56,7 +57,6 @@ REPROJ_THRESHOLD = 1.0  # xi_th of reject_outliers
 RANSAC_THRESHOLD = 1.0
 RANSAC_ITERS = 2000
 MIN_FULL_VISIBILITY = 20  # groups every camera sees
-BA_MAX_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -261,14 +261,13 @@ def calibrate(
             free_distortion.append(i)
         else:
             actions.append(f"distortion_skipped_cam{camera_ids[i]}={reason}")
-    options = BundleOptions(refine_distortion=tuple(free_distortion), max_iters=BA_MAX_ITERS)
 
     def adjust(cols: Array, intrinsics, poses, points3d: Array):
         # one observation per visible (point, camera), ordered by point
         pt_idx, cam_idx = np.nonzero(vis[:, cols].T)
         ba = bundle_adjust(
             intrinsics, poses, points3d.T, cam_idx, pt_idx,
-            raw[cam_idx, cols[pt_idx]], options,
+            raw[cam_idx, cols[pt_idx]], free_distortion=free_distortion,
         )
         actions.append(f"ba_steps={ba.accepted_steps}_cost={ba.final_cost:.6e}")
         return ba.intrinsics, ba.poses, ba.points.T

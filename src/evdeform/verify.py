@@ -6,11 +6,11 @@ suite and optionally repeats it to confirm the report is bit-reproducible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration.bundle import BundleOptions, bundle_adjust, residuals_and_blocks
+from .calibration.bundle import bundle_adjust, residuals_and_blocks
 from .calibration.cleanup import reject_outliers
 from .calibration.pipeline import CalibrationConfig, CalibrationResult, calibrate
 from .deformation import (
@@ -24,6 +24,7 @@ from .deformation import (
 from .extraction import (
     Centers,
     Correspondences,
+    calibration_profile,
     extract_center_sequence,
     match_corresponding,
     measurement_profile,
@@ -93,9 +94,26 @@ def truth_correspondences(
     )
 
 
-def _extract_and_match(streams, t_th: float = 1000.0):
-    seqs = [extract_center_sequence(s, measurement_profile(250.0)).observations for s in streams]
-    return match_corresponding(seqs, t_th)
+def _extract_and_match(streams, profile=measurement_profile(250.0)):
+    seqs = [extract_center_sequence(s, profile).observations for s in streams]
+    return match_corresponding(seqs, 1000.0)
+
+
+def _truth_errors(result: CalibrationResult) -> tuple[float, float]:
+    """Worst focal length's relative error and worst pairwise rotation
+    error (deg) of a calibrated rig against the preset rig."""
+    true_poses = [p for _, p in paper_rig_cameras()]
+    focal_err = max(
+        max(abs(i.fx - TRUE_FOCAL), abs(i.fy - TRUE_FOCAL)) / TRUE_FOCAL
+        for i in result.intrinsics
+    )
+    rot_err = 0.0
+    for i in range(3):
+        for j in range(i + 1, 3):
+            Rt = relative_pose(true_poses[i], true_poses[j]).rotation
+            Re = relative_pose(result.poses[i], result.poses[j]).rotation
+            rot_err = max(rot_err, np.degrees(rotation_angle(Rt @ Re.T)))
+    return focal_err, rot_err
 
 
 def _anchored_rig(result: CalibrationResult):
@@ -105,16 +123,18 @@ def _anchored_rig(result: CalibrationResult):
     return anchor_scale(rig, PAPER_RIG_BASELINES_MM[0], (centers[0], centers[1]))
 
 
-def _pole_trajectories(duration_s: float, blink_hz: float, duty: float):
-    """Two waypoint trajectories exactly 1000 mm apart at every transition."""
-    cfg = ScenarioConfig(
-        cameras=paper_rig_cameras(),
-        trajectory=Sinusoid3DTrajectory((0, 0, 0), (0, 0, 0), (1, 1, 1)),
-        blink_freq_hz=blink_hz,
-        duty_cycle=duty,
-        duration_s=duration_s,
+def _desk_scene(trajectory, duration_s: float, seed: int) -> ScenarioConfig:
+    """A measurement scene on the preset rig: 5 cm marker, 250 Hz blink at
+    40% duty, light background noise and 20 us latency jitter."""
+    return ScenarioConfig(
+        cameras=paper_rig_cameras(), trajectory=trajectory, noise_rate=0.005,
+        latency_jitter_std_us=20.0, duration_s=duration_s, seed=seed,
     )
-    t_us, _ = blink_schedule(cfg)
+
+
+def _pole_trajectories(duration_s: float):
+    """Two waypoint trajectories exactly 1000 mm apart at every transition."""
+    t_us, _ = blink_schedule(replace(preset_paper_rig(), duration_s=duration_s))
     tt = t_us * 1e-6
     base = np.stack(
         [
@@ -170,19 +190,8 @@ def check_noiseless_consistency(seed: int) -> tuple[CheckResult, CalibrationResu
     config = preset_paper_rig()
     groups = truth_correspondences(config, 400, 0.0, seed)
     result = calibrate(groups, CalibrationConfig(seed=seed))
-    true_poses = [p for _, p in paper_rig_cameras()]
-
     mean_px = max(result.mean_reprojection.values())
-    focal_err = max(
-        max(abs(i.fx - TRUE_FOCAL), abs(i.fy - TRUE_FOCAL)) / TRUE_FOCAL
-        for i in result.intrinsics
-    )
-    rot_err = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            Rt = relative_pose(true_poses[i], true_poses[j]).rotation
-            Re = relative_pose(result.poses[i], result.poses[j]).rotation
-            rot_err = max(rot_err, np.degrees(rotation_angle(Rt @ Re.T)))
+    focal_err, rot_err = _truth_errors(result)
     C = [p.center for p in result.poses]
     ratio = np.linalg.norm(C[0] - C[1]) / np.linalg.norm(C[1] - C[2])
     ratio_true = PAPER_RIG_BASELINES_MM[0] / PAPER_RIG_BASELINES_MM[1]
@@ -200,28 +209,33 @@ def check_noiseless_consistency(seed: int) -> tuple[CheckResult, CalibrationResu
     return CheckResult("noiseless_consistency", passed, figures), result
 
 
+def check_event_calibration(seed: int) -> tuple[CheckResult, CalibrationResult]:
+    """The paper's path: the preset sweep's events, extracted with the
+    calibration profile, matched and self-calibrated; focal within 0.1% and
+    pairwise rotations within 0.02 deg of the true rig."""
+    sim = simulate(preset_paper_rig())
+    groups = _extract_and_match(sim.streams, calibration_profile(250.0))
+    result = calibrate(groups, CalibrationConfig(seed=seed))
+    focal_err, rot_err = _truth_errors(result)
+    figures = {
+        "correspondences": _fig(len(groups)),
+        "mean_px": _fig(max(result.mean_reprojection.values())),
+        "focal_rel_err": _fig(focal_err),
+        "pairwise_rot_deg": _fig(rot_err),
+    }
+    passed = focal_err < 0.001 and rot_err < 0.02
+    return CheckResult("event_calibration", passed, figures), result
+
+
 def check_pole_distance(seed: int, calibration: CalibrationResult) -> CheckResult:
     """Criterion 3: two markers on a rigid 1000 mm pole, baseline-anchored,
     max inter-marker distance within 0.1%, within 30 s."""
     start = time.time()
     duration = 1.2
-    traj_a, traj_b = _pole_trajectories(duration, 250.0, 0.4)
     rig = _anchored_rig(calibration)
     series = []
-    for k, traj in enumerate((traj_a, traj_b)):
-        scenario = ScenarioConfig(
-            cameras=paper_rig_cameras(),
-            trajectory=traj,
-            marker_radius_mm=25.0,
-            blink_freq_hz=250.0,
-            duty_cycle=0.4,
-            contrast_threshold=0.25,
-            noise_rate=0.005,
-            latency_jitter_std_us=20.0,
-            duration_s=duration,
-            seed=seed + 11 * k,
-        )
-        sim = simulate(scenario)
+    for k, traj in enumerate(_pole_trajectories(duration)):
+        sim = simulate(_desk_scene(traj, duration, seed + 11 * k))
         groups = _extract_and_match(sim.streams)
         series.append(
             measure_deformation(rig, groups, MeasureConfig(residual_threshold_px=0.8))
@@ -299,19 +313,7 @@ def check_deformation_sway(seed: int, calibration: CalibrationResult) -> CheckRe
         start_time=0.4,
         ramp=0.3,
     )
-    scenario = ScenarioConfig(
-        cameras=paper_rig_cameras(),
-        trajectory=trajectory,
-        marker_radius_mm=25.0,
-        blink_freq_hz=250.0,
-        duty_cycle=0.4,
-        contrast_threshold=0.25,
-        noise_rate=0.005,
-        latency_jitter_std_us=20.0,
-        duration_s=1.9,
-        seed=seed + 101,
-    )
-    sim = simulate(scenario)
+    sim = simulate(_desk_scene(trajectory, 1.9, seed + 101))
     groups = _extract_and_match(sim.streams)
     rig = _anchored_rig(calibration)
     series = measure_deformation(rig, groups, MeasureConfig(residual_threshold_px=1.0))
@@ -390,10 +392,7 @@ def _prop_ba_monotonic(seed: int, trials: int = 100) -> int:
             for p in poses
         ]
         p_points = points + rng.normal(0, 15.0, points.shape)
-        res = bundle_adjust(
-            [intr] * 3, p_poses, p_points, cam_idx, pt_idx, pix,
-            BundleOptions(refine_focal=False, max_iters=20),
-        )
+        res = bundle_adjust([intr] * 3, p_poses, p_points, cam_idx, pt_idx, pix)
         trace = np.array(res.cost_trace)
         if np.any(np.diff(trace) > 0):
             violations += 1
@@ -530,12 +529,13 @@ def check_property_suite(seed: int) -> CheckResult:
 
 def _run_once(seed: int) -> list[CheckResult]:
     c1, _ = check_calibration_reprojection(seed)
-    c2, noiseless = check_noiseless_consistency(seed)
-    c3 = check_pole_distance(seed, noiseless)
-    c4 = check_span_grid(seed, noiseless)
-    c5 = check_deformation_sway(seed, noiseless)
+    c2, _ = check_noiseless_consistency(seed)
+    events, rig = check_event_calibration(seed)
+    c3 = check_pole_distance(seed, rig)
+    c4 = check_span_grid(seed, rig)
+    c5 = check_deformation_sway(seed, rig)
     c6 = check_property_suite(seed)
-    return [c1, c2, c3, c4, c5, c6]
+    return [c1, c2, events, c3, c4, c5, c6]
 
 
 _TIMING_FIGURES = ("runtime_s",)

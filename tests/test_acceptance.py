@@ -46,6 +46,18 @@ def test_criterion_2_noiseless_consistency(report):
     assert r.passed
 
 
+def test_event_calibration(report):
+    """The preset sweep's own events, extracted, matched and self-calibrated:
+    focal within 0.1% and pairwise rotations within 0.02 deg of the true rig.
+    Criteria 3 to 5 measure with this rig."""
+    r = report["event_calibration"]
+    _emit(r)
+    assert r.figures["correspondences"] >= 200
+    assert r.figures["focal_rel_err"] < 0.001
+    assert r.figures["pairwise_rot_deg"] < 0.02
+    assert r.passed
+
+
 def test_criterion_3_pole_distance(report):
     """1000 mm pole, baseline-anchored: max distance error < 0.1%, <30 s."""
     r = report["pole_distance"]
@@ -114,6 +126,7 @@ def test_verify_driver_matches(report):
     assert names == [
         "calibration_reprojection",
         "noiseless_consistency",
+        "event_calibration",
         "pole_distance",
         "span_grid",
         "deformation_sway",

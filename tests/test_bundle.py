@@ -7,7 +7,6 @@ import pytest
 from evdeform.calibration import bundle
 from evdeform.calibration.bundle import (
     CAM_PARAMS,
-    BundleOptions,
     _free_parameters,
     apply_perturbation,
     bundle_adjust,
@@ -25,6 +24,7 @@ from evdeform.geometry import (
 from evdeform.simulator import paper_rig_cameras
 
 TABLE_CAM1 = (-0.05359, 0.33899, -0.00157, -0.00479)
+FOCAL_CAM1 = (1778.51, 1772.34)  # fx, fy of a calibrated camera: fy/fx != 1
 
 
 @pytest.fixture
@@ -95,13 +95,13 @@ def reference_reduced_system(r, Jc, Jp, cam_idx, pt_idx, m, n, lam, free_cam):
     return S, np.where(frozen, 0.0, rhs), point_step
 
 
-def masked_blocks(scene, options):
+def masked_blocks(scene, free_distortion=()):
     """Noisy residuals and Jacobian blocks masked as bundle_adjust masks them."""
     intr, poses, pts, cam_idx, pt_idx, pix = scene
     rng = np.random.default_rng(4)
     pts = pts + rng.normal(0, 3.0, pts.shape)
     pix = pix + rng.normal(0, 0.5, pix.shape)
-    free_cam = _free_parameters(poses, options)
+    free_cam = _free_parameters(poses, free_distortion)
     r, Jc, Jp = residuals_and_blocks(intr, poses, pts, cam_idx, pt_idx, pix)
     Jc = Jc * free_cam[cam_idx][:, None, :]
     return r, Jc, Jp, free_cam, (intr, poses, pts, cam_idx, pt_idx, pix)
@@ -150,16 +150,12 @@ class TestRecovery:
         its ceiling."""
         intr, poses, pts, cam_idx, pt_idx, pix = scene
         pix_noisy = pix + np.random.default_rng(9).normal(0, 0.5, pix.shape)
-        # frozen focal lengths: this small scene then reaches its optimum in 7 steps
-        options = BundleOptions(refine_focal=False)
-        res = bundle_adjust(intr, poses, pts, cam_idx, pt_idx, pix_noisy, options)
+        res = bundle_adjust(intr, poses, pts, cam_idx, pt_idx, pix_noisy)
         assert res.converged
         calls = []
         cost = bundle._cost
         monkeypatch.setattr(bundle, "_cost", lambda *a: calls.append(1) or cost(*a))
-        again = bundle_adjust(
-            res.intrinsics, res.poses, res.points, cam_idx, pt_idx, pix_noisy, options
-        )
+        again = bundle_adjust(res.intrinsics, res.poses, res.points, cam_idx, pt_idx, pix_noisy)
         assert again.converged
         assert len(calls) <= 3  # the starting cost and at most two trial steps
         assert again.final_cost <= res.final_cost
@@ -174,7 +170,8 @@ class TestJacobian:
         ci, pi, px = cam_idx[:keep], pt_idx[:keep], pix[:keep]
         P = CAM_PARAMS * 3 + 3 * len(pts)
         h = 1e-6
-        for cams in (intr, [i.with_distortion(*TABLE_CAM1) for i in intr]):
+        distorted = [i.with_distortion(*TABLE_CAM1) for i in intr]
+        for cams in (intr, distorted, [i.with_focal(*FOCAL_CAM1) for i in distorted]):
             _, J = dense_jacobian(cams, poses, pts, ci, pi, px)
             Jfd = np.zeros_like(J)
             for q in range(P):
@@ -201,18 +198,16 @@ class TestJacobian:
         np.testing.assert_array_equal(J, J_ref)
 
 
-SCHUR_OPTIONS = {
-    "default": BundleOptions(),
-    "frozen-focal": BundleOptions(refine_focal=False),
-}
+SCHUR_DISTORTION = {"default": (), "free-distortion": (1,)}  # cameras with free k1 k2 p1 p2
 
 
 class TestSchurStep:
     @pytest.mark.parametrize("lam", [1e-4, 10.0])
-    @pytest.mark.parametrize("name", SCHUR_OPTIONS)
+    @pytest.mark.parametrize("name", SCHUR_DISTORTION)
     def test_matches_the_einsum_reference(self, scene, name, lam):
-        options = SCHUR_OPTIONS[name]
-        r, Jc, Jp, free_cam, (_, poses, pts, cam_idx, pt_idx, _) = masked_blocks(scene, options)
+        r, Jc, Jp, free_cam, (_, poses, pts, cam_idx, pt_idx, _) = masked_blocks(
+            scene, SCHUR_DISTORTION[name]
+        )
         m, n = len(poses), len(pts)
         S, rhs, dc, dp = schur_step(
             normal_equations(r, Jc, Jp, cam_idx, pt_idx, m, n),
@@ -228,7 +223,7 @@ class TestSchurStep:
         assert rel_err(dp, point_step(dc)) < 1e-12
 
     def test_normal_blocks_match_add_at(self, scene):
-        r, Jc, Jp, _, (_, poses, pts, cam_idx, pt_idx, _) = masked_blocks(scene, BundleOptions())
+        r, Jc, Jp, _, (_, poses, pts, cam_idx, pt_idx, _) = masked_blocks(scene)
         m, n = len(poses), len(pts)
         ne = normal_equations(r, Jc, Jp, cam_idx, pt_idx, m, n)
         U = np.zeros((m, CAM_PARAMS, CAM_PARAMS))
@@ -251,7 +246,7 @@ class TestSchurStep:
         np.testing.assert_array_equal(ne.Wt, ne.Wflat.transpose(1, 0, 2).reshape(-1, 3 * n))
 
     def test_camera_without_observations_has_zero_blocks(self, scene):
-        r, Jc, Jp, _, (_, poses, pts, cam_idx, pt_idx, _) = masked_blocks(scene, BundleOptions())
+        r, Jc, Jp, _, (_, poses, pts, cam_idx, pt_idx, _) = masked_blocks(scene)
         seen = cam_idx != 1
         m, n = len(poses), len(pts)
         ne = normal_equations(r[seen], Jc[seen], Jp[seen], cam_idx[seen], pt_idx[seen], m, n)
@@ -260,11 +255,10 @@ class TestSchurStep:
         np.testing.assert_array_equal(ne.g_c[1], np.zeros(CAM_PARAMS))
         assert ne.Hcc[:CAM_PARAMS, :CAM_PARAMS].any() and ne.g_c[2].any()
 
-    @pytest.mark.parametrize("name", ["default", "frozen-focal"])
+    @pytest.mark.parametrize("name", SCHUR_DISTORTION)
     def test_equals_schur_complement_of_dense_normal_matrix(self, scene, name):
-        options = SCHUR_OPTIONS[name]
         lam = 1e-3
-        r, Jc, Jp, free_cam, data = masked_blocks(scene, options)
+        r, Jc, Jp, free_cam, data = masked_blocks(scene, SCHUR_DISTORTION[name])
         intr, poses, pts, cam_idx, pt_idx, pix = data
         m, n = len(poses), len(pts)
         P = CAM_PARAMS * m
@@ -316,16 +310,20 @@ class TestGauge:
         assert moved.tolist() == [i != axis for i in range(3)]
         assert res.poses[1].translation[axis].hex() == poses[1].translation[axis].hex()
 
-    def test_focal_frozen_when_disabled(self, scene):
-        intr, poses, pts, cam_idx, pt_idx, pix = scene
-        rng = np.random.default_rng(12)
-        p_pts = pts + rng.normal(0, 3.0, pts.shape)
-        res = bundle_adjust(
-            intr, poses, p_pts, cam_idx, pt_idx, pix,
-            BundleOptions(refine_focal=False),
-        )
-        for a, b in zip(res.intrinsics, intr):
-            assert a.fx == b.fx and a.fy == b.fy
+    def test_one_focal_length_holds_the_aspect_ratio(self, scene):
+        """A perturbed focal length is recovered with fy moving at the
+        camera's own fy/fx."""
+        _, poses, pts, cam_idx, pt_idx, _ = scene
+        true = [i.with_focal(*FOCAL_CAM1) for i, _ in paper_rig_cameras()]
+        pix = np.concatenate([project_points(i, p, pts)[0] for i, p in zip(true, poses)])
+        start = [i.with_focal(i.fx * s, i.fy * s) for i, s in zip(true, (1.01, 0.99, 1.005))]
+        p_pts = pts + np.random.default_rng(12).normal(0, 3.0, pts.shape)
+        res = bundle_adjust(start, poses, p_pts, cam_idx, pt_idx, pix)
+        assert res.converged
+        for fit, s, t in zip(res.intrinsics, start, true):
+            assert abs(fit.fy / fit.fx - s.fy / s.fx) <= 1e-15 * (s.fy / s.fx)
+            assert abs(fit.fx - t.fx) < 1e-10 * t.fx
+            assert (fit.cx, fit.cy) == (t.cx, t.cy)
 
 
 class TestSolveOrder:
@@ -352,11 +350,10 @@ class TestSolveOrder:
         assert a.intrinsics == b.intrinsics
 
     def test_shuffled_input_agrees(self, scene):
-        # noiseless pixels: with free focal lengths the noisy scene has no
-        # converged solve within max_iters to compare
         intr, poses, pts, cam_idx, pt_idx, pix = scene
         rng = np.random.default_rng(14)
         pts = pts + rng.normal(0, 3.0, pts.shape)
+        pix = pix + rng.normal(0, 0.5, pix.shape)
         intr = [replace(i, fx=i.fx * (1 + rng.normal(0, 0.005)), fy=i.fy * (1 + rng.normal(0, 0.005)))
                 for i in intr]
         order = np.random.default_rng(15).permutation(len(cam_idx))

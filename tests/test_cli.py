@@ -768,8 +768,7 @@ class TestPoleThroughCli:
 
         from evdeform.calibration.pipeline import CalibrationConfig, calibrate
         from evdeform.deformation import rig_from_calibration, save_rig
-        from evdeform.simulator import ScenarioConfig, paper_rig_cameras
-        from evdeform.verify import _pole_trajectories, truth_correspondences
+        from evdeform.verify import _desk_scene, _pole_trajectories, truth_correspondences
 
         # a clean calibration document for the measure command to consume
         groups = truth_correspondences(preset_paper_rig(), 300, 0.0, 0)
@@ -777,20 +776,10 @@ class TestPoleThroughCli:
         cal_path = tmp_path / "calibration.json"
         save_rig(cal_path, rig_from_calibration(calibration))
 
-        traj_a, traj_b = _pole_trajectories(1.0, 250.0, 0.4)
+        traj_a, traj_b = _pole_trajectories(1.0)
         series = {}
         for name, traj in (("a", traj_a), ("b", traj_b)):
-            scenario = ScenarioConfig(
-                cameras=paper_rig_cameras(),
-                trajectory=traj,
-                blink_freq_hz=250.0,
-                duty_cycle=0.4,
-                contrast_threshold=0.25,
-                noise_rate=0.005,
-                latency_jitter_std_us=20.0,
-                duration_s=1.0,
-                seed=5 if name == "a" else 16,
-            )
+            scenario = _desk_scene(traj, 1.0, 5 if name == "a" else 16)
             scen_path = tmp_path / f"pole_{name}.json"
             save_scenario(scen_path, scenario)
             sim_dir = tmp_path / f"sim_{name}"
