@@ -73,10 +73,6 @@ class EventStream:
     def sensor(self) -> tuple[int, int]:
         return (self.width, self.height)
 
-    @property
-    def duration_us(self) -> int:
-        return int(self.t[-1] - self.t[0]) if len(self) else 0
-
 
 def make_stream(camera_id, width, height, t, x, y, polarity) -> tuple[EventStream, int]:
     """Build a stream, repairing out-of-order input.

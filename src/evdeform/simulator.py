@@ -11,8 +11,9 @@ Each camera is simulated in batches, not transition by transition: the
 whole track is projected in one call, every burst is read from one stencil
 of pixel offsets, and the latency jitter of all marker events is one normal
 draw. The streams are bitwise those of a per-transition loop drawing the
-jitter burst by burst. Both event sorts are stable argsorts of one packed
-int64 key, which needs (last event time + 1) * width * height to fit int64.
+jitter burst by burst. Both event sorts give the stable argsort of one
+packed int64 key, which needs (last event time + 1) * width * height to fit
+int64.
 """
 from __future__ import annotations
 
@@ -139,6 +140,9 @@ class ScenarioConfig:
             raise ConfigError("marker radius must be positive")
         if self.noise_rate < 0 or self.latency_jitter_std_us < 0:
             raise ConfigError("noise rate and jitter must be non-negative")
+        if not 0.0 <= self.contrast_threshold < np.inf or not np.isfinite(self.led_log_amplitude):
+            raise ConfigError("contrast threshold must be finite and non-negative, LED amplitude "
+                              f"finite, got {self.contrast_threshold} and {self.led_log_amplitude}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -187,13 +191,18 @@ def _refractory_filter(t: Array, x: Array, y: Array, keep_window_us: float) -> A
     In (x, y, t) order, with ties kept in input order, a pixel's first event
     and every event at least the window after its same-pixel predecessor are
     kept outright. Only the runs of shorter gaps are walked in sequence,
-    each starting from the kept event before it. The order is one stable
-    sort of the key (x * (y_max + 1) + y) * (t_max + 1) + t, so coordinates
-    and integer times must be non-negative and the key must fit int64.
+    each starting from the kept event before it. The order sorts the key
+    (x * (y_max + 1) + y) * (t_max + 1) + t, so coordinates and integer times
+    must be non-negative and the key must fit int64; each run of equal keys
+    is put back in input order, giving the stable sort's permutation.
     """
     y = np.asarray(y, dtype=np.int64)
     pixel = np.asarray(x, dtype=np.int64) * (int(y.max(initial=0)) + 1) + y
-    order = np.argsort(pixel * (int(t.max(initial=0)) + 1) + t, kind="stable")
+    key = pixel * (int(t.max(initial=0)) + 1) + t
+    order = np.argsort(key)
+    tie = np.diff(key[order]) == 0
+    run = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
+    order[run] = order[run][np.lexsort((order[run], key[order[run]]))]
     ts, pixel = t[order], pixel[order]
     close = (pixel[1:] == pixel[:-1]) & (np.diff(ts) < keep_window_us)
     idx = np.flatnonzero(close) + 1
@@ -241,9 +250,12 @@ def _bursts(
     """Transition index, x and y of every firing pixel, transition by
     transition and in row-major (y, x) order within each burst.
 
+    A pixel fires when its step amplitude * cos(pi/2 * rho), rho = distance /
+    radius < 1, clears the threshold >= 0: a disk, tested by squared distance.
     A burst covers the disk's bounding box, widened by a pixel and clipped to
     the sensor. Every box is read from one stencil of the largest box's size,
-    offset to the box's corner and masked to its extent, a bounded chunk of
+    offset to the box's corner and masked to its extent (an infinite offset
+    past it: (chunk, 1, W) in x, (chunk, H, 1) in y), a bounded chunk of
     transitions at a time.
     """
     none = np.empty(0, dtype=np.int64)
@@ -257,17 +269,24 @@ def _bursts(
     y0 = np.clip(np.floor(cy - r) - 1, 0, height).astype(np.int64)
     y1 = np.clip(np.ceil(cy + r) + 1, -1, height - 1).astype(np.int64)
     nx, ny = x1 - x0 + 1, y1 - y0 + 1
+    reach = 2.0 / np.pi * np.arccos(min(threshold / amplitude, 1.0))
+    band = 1e-13 / max(reach * np.sin(0.5 * np.pi * reach), 1e-150)  # the step's rounding
+    lo2, hi2 = (max(1.0 - band, 0.0) * reach * r) ** 2, ((1.0 + band) * reach * r) ** 2
     W, H = max(int(nx.max()), 1), max(int(ny.max()), 1)  # boxes may all be empty
     dx, dy = np.arange(W), np.arange(H)[:, None]
     per = max(1, _STENCIL_CELLS // (W * H))
     hits = []
     for lo in range(0, len(k), per):
         s = slice(lo, lo + per)
-        gx = x0[s, None, None] + dx  # (chunk, 1, W)
-        gy = y0[s, None, None] + dy  # (chunk, H, 1)
-        rho = np.hypot(gx - cx[s, None, None], gy - cy[s, None, None]) / r[s, None, None]
-        step = np.where(rho < 1.0, amplitude * np.cos(0.5 * np.pi * rho), 0.0)
-        fire = (step > threshold) & (dx < nx[s, None, None]) & (dy < ny[s, None, None])
+        ex = np.where(dx < nx[s, None, None], x0[s, None, None] + dx - cx[s, None, None], np.inf)
+        ey = np.where(dy < ny[s, None, None], y0[s, None, None] + dy - cy[s, None, None], np.inf)
+        d2 = ex ** 2 + ey ** 2
+        fire = d2 < lo2[s, None, None]
+        edge = (d2 < hi2[s, None, None]) ^ fire
+        if edge.any():  # the cosine step decides the cells within its rounding of the circle
+            e = np.nonzero(edge)
+            rho = np.hypot(*(np.broadcast_to(v, d2.shape)[e] for v in (ex, ey))) / r[s][e[0]]
+            fire[e] = (rho < 1.0) & (amplitude * np.cos(0.5 * np.pi * rho) > threshold)
         i, iy, ix = np.nonzero(fire)
         hits.append((i + lo, ix, iy))
     i, ix, iy = (np.concatenate(c) for c in zip(*hits))
@@ -322,8 +341,8 @@ def simulate(config: ScenarioConfig) -> SimulationResult:
         keep = _refractory_filter(t, x, y, REFRACTORY_US)
         t, x, y, p, lbl = t[keep], x[keep], y[keep], p[keep], lbl[keep]
         # no pixel keeps two events at one time, so (t, x, y) is unique and
-        # this is the permutation of lexsort((p, y, x, t))
-        order = np.argsort((t * intr.width + x) * intr.height + y, kind="stable")
+        # any sort of this key is the permutation of lexsort((p, y, x, t))
+        order = np.argsort((t * intr.width + x) * intr.height + y)
         streams.append(
             EventStream(ci, intr.width, intr.height, t[order], x[order], y[order], p[order])
         )

@@ -350,6 +350,11 @@ class TestConfigValidation:
             ("noise_rate", -0.1),
             ("seed", -1),
             ("seed", 1.5),
+            ("contrast_threshold", -0.1),
+            ("contrast_threshold", float("nan")),
+            ("contrast_threshold", float("inf")),
+            ("led_log_amplitude", float("nan")),
+            ("led_log_amplitude", float("-inf")),
         ],
     )
     def test_invariants(self, field, value):
@@ -452,6 +457,21 @@ class TestEventModel:
             reference_refractory_filter(t, x, y, REFRACTORY_US),
         )
 
+    def test_refractory_ties_keep_input_order(self):
+        """4,000 events on 9 pixels at 100 times 30 us apart: about four
+        share each (pixel, time), and which of them is kept follows their
+        order. The default argsort puts some tie out of input order, so the
+        filter must put it back."""
+        rng = np.random.default_rng(3)
+        t = 30 * rng.integers(0, 100, 4000)
+        x, y = rng.integers(0, 3, 4000), rng.integers(0, 3, 4000)
+        key = (x * 3 + y) * (int(t.max()) + 1) + t
+        assert not np.array_equal(np.argsort(key), np.argsort(key, kind="stable"))
+        np.testing.assert_array_equal(
+            simulator._refractory_filter(t, x, y, REFRACTORY_US),
+            reference_refractory_filter(t, x, y, REFRACTORY_US),
+        )
+
     def test_simulation_equals_reference_loop_where_events_are_dropped(self, monkeypatch):
         """Jitter and noise put same-pixel events inside the refractory
         window; the streams and labels are bitwise the reference loop's."""
@@ -486,6 +506,56 @@ class TestBatchedSimulation:
         res = simulate(cfg)
         reaches_its_case(res)
         assert_same_simulation(res, reference_simulate(cfg))
+
+
+@st.composite
+def burst_inputs(draw):
+    """One to four bursts on a sensor of 1-80 x 1-60 px: subpixel centers
+    up to a radius and 3 px past every edge, radii of 0.5-40 px, and a
+    threshold in [0, amplitude), 0 included."""
+    width, height = draw(st.integers(1, 80)), draw(st.integers(1, 60))
+    radius = np.array(draw(st.lists(st.floats(0.5, 40.0), min_size=1, max_size=4)))
+    center = np.array([
+        (draw(st.floats(-r - 3.0, width + r + 3.0)), draw(st.floats(-r - 3.0, height + r + 3.0)))
+        for r in radius
+    ])
+    amplitude = draw(st.floats(0.01, 5.0))
+    threshold = draw(st.one_of(st.just(0.0), st.floats(0.0, amplitude, exclude_max=True)))
+    return center, radius, width, height, amplitude, threshold
+
+
+class TestFiringRule:
+    @settings(max_examples=400, deadline=None)
+    @given(burst_inputs())
+    def test_disk_equals_cosine_step(self, burst):
+        """The disk of radius (2/pi) acos(threshold / amplitude) * r fires
+        exactly the pixels whose cosine step clears the threshold."""
+        center, radius = burst[:2]
+        k, x, y = simulator._bursts(*burst)
+        for i in range(len(radius)):
+            px, py = reference_disk_pixels(center[i], radius[i], *burst[2:])
+            np.testing.assert_array_equal(x[k == i], px)
+            np.testing.assert_array_equal(y[k == i], py)
+
+    @pytest.mark.parametrize("threshold,radius,center", [
+        (0.5, 1.5, (20.0, 20.0)),
+        (0.5, 12.0, (20.0, 20.0)),
+        (np.cos(np.pi / 8), 2.0, (20.0, 20.5)),
+        (np.cos(np.pi / 8), 8.0, (20.0, 20.0)),
+        (1.0, 10.0, (20.3, 20.7)),
+        (2.5, 10.0, (20.3, 20.7)),
+    ])
+    def test_pixels_on_the_firing_circle(self, threshold, radius, center):
+        """Pixels exactly on the circle where the step equals the threshold:
+        the squared distance alone puts some of them on the other side of
+        the rounding from the cosine step (at threshold 0.5 and radius 1.5,
+        the four pixels 1 px from the center fire under the cosine step).
+        A threshold at or above the amplitude fires nothing."""
+        k, x, y = simulator._bursts(np.array([center]), np.array([radius]), 64, 48, 1.0,
+                                    threshold)
+        px, py = reference_disk_pixels(center, radius, 64, 48, 1.0, threshold)
+        np.testing.assert_array_equal(x, px)
+        np.testing.assert_array_equal(y, py)
 
 
 class TestDeterminismAndProvenance:
