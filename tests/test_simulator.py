@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from evdeform import simulator
 from evdeform.errors import ConfigError, FieldOfViewWarning
-from evdeform.events import EventStream
+from evdeform.events import EventStream, write_stream
 from evdeform.geometry import CameraIntrinsics, CameraPose, project_points
 from evdeform.simulator import (
     MARKER_LABEL,
@@ -584,6 +584,42 @@ class TestDeterminismAndProvenance:
         assert digest.hexdigest() == (
             "1783b1156c2f4006e0a79ea4856e48002f352bfe03c0367019b3f11acf10f4a5"
         )
+
+    def test_written_files_are_pinned(self, tmp_path):
+        """SHA-256 of every file that the CSV writer and the ground-truth
+        export write for the 0.5 s preset, recorded before the integer
+        formatter was blocked. Each stream is over one block of rows long
+        and its label indices cross 10**4. A change to any written byte
+        fails here."""
+        res = simulate(replace(preset_paper_rig(), duration_s=0.5))
+        for stream in res.streams:
+            write_stream(stream, tmp_path / f"events_cam{stream.camera_id}.csv", "csv")
+        export_ground_truth(tmp_path / "ground_truth", res.truth)
+        digests = {
+            p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.rglob("*") if p.is_file()
+        }
+        assert digests == {
+            "events_cam0.csv": "71f0ddd12384d35d2631bee5f2f6b3551657288fb0e8e6d567674f2eaef2e491",
+            "events_cam1.csv": "44cc6065ad7c4975c1dbdd57e13a7a73b7444c4adebb428f237ba422413fffbf",
+            "events_cam2.csv": "4348c42df7fa2aaa102b94cc3395e0e96d59fbb2ce052ec240cb4f9afd8d1690",
+            "ground_truth/labels_cam0.csv":
+                "aa5d049da9a38ec0ad106edc86f195db8ed0207956cffff2a78e574781977ca2",
+            "ground_truth/labels_cam1.csv":
+                "11d4370f6f9a6a1905a99733e2fb9f68541249f645da0098be5816e001a39dfb",
+            "ground_truth/labels_cam2.csv":
+                "88ad037f8c32a36694d8534d63cbbab66dde9d80c2edac95c54d3e0898cbd416",
+            "ground_truth/track_cam0.csv":
+                "6df687ff29214abb8517f43689670de79e781e63361adff8b5c15c6dafc63263",
+            "ground_truth/track_cam1.csv":
+                "69ae34a8ba05f0a18bb17b967d3ded5d35ef51c7b2322d32cbc93de74031ec00",
+            "ground_truth/track_cam2.csv":
+                "5934b7816968b8004764376f2afa8fd3548a2d36dfc933be53ad508711211f56",
+            "ground_truth/trajectory.csv":
+                "26873bb4c5908ca44e4cc4d8bf1c229f654e2ca1e267b92983bd6a790e2f685f",
+            "ground_truth/transitions.csv":
+                "015518da7b69d1e96f8fd836d3e0c818d36dc102c9f9d607e86bd1fd736aba70",
+        }
 
     def test_different_seed_differs(self):
         cfg = replace(preset_paper_rig(), duration_s=0.2)
