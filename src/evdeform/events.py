@@ -26,10 +26,15 @@ _RECORD_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")]
 # for huge pages.
 _CSV_BLOCK_BYTES = 1 << 20
 _CSV_MAX_DIGITS = 18  # every such integer fits int64
+# The CSV writers format and write this many rows at a time, so their
+# buffers and temporaries stay cache-sized rather than the file's.
+CSV_BLOCK_ROWS = 1 << 15
 _INT32_MAX = np.iinfo(np.int32).max
 _UINT16_MAX = np.iinfo(np.uint16).max  # the binary header's sensor size and x, y
 _LF, _CR, _COMMA, _ZERO = (np.uint8(ord(c)) for c in "\n\r,0")
 _POWERS_OF_TEN = 10 ** np.arange(1, _CSV_MAX_DIGITS + 1, dtype=np.int64)
+# The four ASCII digits of 0000 ... 9999, each as one word in memory order.
+_DIGIT_GROUPS = np.frombuffer(b"".join(b"%04d" % i for i in range(10_000)), "<u4")
 
 
 @dataclass(frozen=True)
@@ -126,10 +131,14 @@ def read_stream(
 def write_stream(stream: EventStream, path, format: str = "csv") -> None:
     path = Path(path)
     if format == "csv":
-        body = _format_csv(stream)
+        columns = (stream.t, stream.x, stream.y)
+        if max(v.max(initial=0) for v in columns) >= 10**_CSV_MAX_DIGITS:
+            raise ValueError(f"a value has more than the {_CSV_MAX_DIGITS} digits a CSV allows")
         with open(path, "wb") as fh:
             fh.write((CSV_HEADER + "\n").encode())
-            fh.write(body)
+            for lo in range(0, len(stream), CSV_BLOCK_ROWS):
+                block = slice(lo, lo + CSV_BLOCK_ROWS)
+                fh.write(_format_csv(*(v[block] for v in columns), stream.polarity[block])[3:])
     elif format == "binary":
         if max(stream.width, stream.height) > _UINT16_MAX:
             raise BoundsError(f"sensor {stream.width}x{stream.height} does not fit the binary "
@@ -158,32 +167,39 @@ def digit_counts(values: np.ndarray) -> np.ndarray:
 
 def scatter_digits(out: np.ndarray, last: np.ndarray, values: np.ndarray) -> None:
     """Write each non-negative integer's decimal digits into the byte buffer
-    out, its last digit at the matching index of last."""
-    at, rest = last, values
-    while len(rest):  # one decimal place per turn, least significant first
-        rest, digit = np.divmod(rest, 10)
-        out[at] = _ZERO + digit
-        more = rest > 0
-        if not more.all():
-            rest, at = rest[more], at[more]
-        at = at - 1
+    out, its last digit at the matching index of last.
+
+    Digits go four at a time, so a value's leading group also writes up to
+    three '0's into the bytes left of its first digit. The caller leaves
+    three spare bytes before the first field of out, formats fields right
+    to left, and writes its separators after all digits.
+    """
+    words = np.ndarray((len(out) - 3,), "<u4", out, strides=(1,))  # unaligned
+    at, rest = last - 3, values
+    while len(rest):  # one group of four places per turn, least significant first
+        high = rest // 10_000
+        words[at] = _DIGIT_GROUPS[rest - high * 10_000]
+        more = high > 0
+        rest, at = (high, at) if more.all() else (high[more], at[more])
+        at = at - 4
 
 
-def _format_csv(stream: EventStream) -> np.ndarray:
-    """The rows ``t,x,y,polarity`` and newline as one buffer, digits scattered in."""
-    columns = (stream.t, stream.x, stream.y)
-    widths = [digit_counts(v) for v in columns]
-    if any(w.max(initial=0) > _CSV_MAX_DIGITS for w in widths):
-        raise ValueError(f"a value has more than the {_CSV_MAX_DIGITS} digits a CSV allows")
-    row_end = np.cumsum(widths[0] + widths[1] + widths[2] + 5)  # 3 commas, polarity, LF
-    out = np.empty(int(row_end[-1]) if len(stream) else 0, dtype=np.uint8)
-    out[row_end - 1] = _LF
-    out[row_end - 2] = _ZERO + stream.polarity
+def _format_csv(t, x, y, polarity) -> np.ndarray:
+    """Three spare bytes, then the rows ``t,x,y,polarity`` and newline of a
+    non-empty block."""
+    widths = [digit_counts(v) for v in (t, x, y)]
+    row_end = 3 + np.cumsum(widths[0] + widths[1] + widths[2] + 5)  # 3 commas, polarity, LF
+    out = np.empty(int(row_end[-1]), dtype=np.uint8)
     field_end = row_end - 3  # the comma after y
-    for value, width in zip(columns[::-1], widths[::-1]):
-        out[field_end] = _COMMA
+    commas = []
+    for value, width in zip((y, x, t), widths[::-1]):
         scatter_digits(out, field_end - 1, value)
+        commas.append(field_end)
         field_end = field_end - width - 1
+    for comma in commas:
+        out[comma] = _COMMA
+    out[row_end - 2] = _ZERO + polarity
+    out[row_end - 1] = _LF
     return out
 
 

@@ -33,7 +33,7 @@ from .errors import (
     document_fields,
     read_document,
 )
-from .events import EventStream, digit_counts, scatter_digits
+from .events import CSV_BLOCK_ROWS, EventStream, digit_counts, scatter_digits
 from .geometry import CameraIntrinsics, CameraPose, project_points
 
 Array = np.ndarray
@@ -550,22 +550,23 @@ def load_scenario(path) -> ScenarioConfig:
         )
 
 
-def _format_labels(labels: Array) -> Array:
-    """The rows ``index,noise`` or ``index,marker`` and newline as one
-    buffer, digits scattered in as the event CSV writer does."""
-    index = np.arange(len(labels))
+def _format_labels(labels: Array, first: int) -> Array:
+    """Three spare bytes, then the rows ``index,noise`` or ``index,marker``
+    and newline of a non-empty block whose first row has index first,
+    digits scattered in as the event CSV writer does."""
+    index = np.arange(first, first + len(labels))
     noise = labels == NOISE_LABEL
     word = np.where(noise, len(b"noise"), len(b"marker"))
-    row_end = np.cumsum(digit_counts(index) + word + 2)  # comma, LF
-    out = np.empty(int(row_end[-1]) if len(labels) else 0, dtype=np.uint8)
-    out[row_end - 1] = ord("\n")
+    row_end = 3 + np.cumsum(digit_counts(index) + word + 2)  # comma, LF
+    out = np.empty(int(row_end[-1]), dtype=np.uint8)
+    comma = row_end - 2 - word
+    scatter_digits(out, comma - 1, index)
+    out[comma] = ord(",")
     for name, rows in ((b"noise", noise), (b"marker", ~noise)):
         start = row_end[rows] - 1 - len(name)
         for j, char in enumerate(name):
             out[start + j] = char
-    comma = row_end - 2 - word
-    out[comma] = ord(",")
-    scatter_digits(out, comma - 1, index)
+    out[row_end - 1] = ord("\n")
     return out
 
 
@@ -600,6 +601,8 @@ def export_ground_truth(out_dir, truth: GroundTruth) -> list[Path]:
         p = out_dir / f"labels_cam{ci}.csv"
         with open(p, "wb") as fh:
             fh.write(b"event_index,label\n")
-            fh.write(_format_labels(truth.labels[ci]))
+            labels = truth.labels[ci]
+            for lo in range(0, len(labels), CSV_BLOCK_ROWS):
+                fh.write(_format_labels(labels[lo:lo + CSV_BLOCK_ROWS], lo)[3:])
         written.append(p)
     return written

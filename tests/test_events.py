@@ -239,6 +239,58 @@ class TestCsvGrammar:
         assert not (tmp_path / "s.csv").exists()
 
 
+B = events.CSV_BLOCK_ROWS
+# every digit count 1-18 at both ends, and the edges of the four-digit groups
+EDGE_VALUES = np.array(sorted(
+    {0, 9999, 10**4, 10**8 - 1, 10**8, 10**17, 10**18 - 1}
+    | {10**k for k in range(18)} | {10**k - 1 for k in range(1, 19)}
+), dtype=np.int64)
+
+
+def reference_csv(stream):
+    """Row by row with f-strings: the reference for the CSV writer."""
+    rows = zip(stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), stream.polarity.tolist())
+    return ("t_us,x,y,polarity\n" + "".join(f"{t},{x},{y},{int(p)}\n" for t, x, y, p in rows)).encode()
+
+
+def edge_column(n, rng, high):
+    """n values below high: the edge values first, then values of 1-18
+    random digits, in random order."""
+    values = rng.integers(0, 10 ** rng.integers(1, 19, n))
+    edges = EDGE_VALUES[EDGE_VALUES < high][:n]
+    values[:len(edges)] = edges
+    return rng.permutation(np.minimum(values, high - 1))
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    def test_equals_reference(self, tmp_path, n):
+        """Every digit count and group edge, in each column, at row counts
+        around the writer's block edges."""
+        rng = np.random.default_rng(n)
+        side = events._INT32_MAX
+        stream = EventStream(
+            0, side, side,
+            np.sort(edge_column(n, rng, 10**18)),
+            edge_column(n, rng, side),
+            edge_column(n, rng, side),
+            rng.random(n) < 0.5,
+        )
+        write_stream(stream, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == reference_csv(stream)
+
+    def test_scatter_digits_spills_at_most_three_zeros(self):
+        """A value's leading group writes '0's into at most the three bytes
+        left of its first digit, and no byte to the right of its last."""
+        values = np.array([0, 7, 12345, 10**8, 10**18 - 1])
+        text = [str(v) for v in values]
+        last = np.cumsum([len(t) + 4 for t in text]) - 1  # 3 spare bytes and a gap before each
+        out = np.full(last[-1] + 2, ord("#"), dtype=np.uint8)
+        events.scatter_digits(out, last, values)
+        expected = "".join("#" * (4 - -len(t) % 4) + "0" * (-len(t) % 4) + t for t in text) + "#"
+        assert out.tobytes().decode() == expected
+
+
 class TestStreamModel:
     def test_non_decreasing_timestamps_enforced(self):
         with pytest.raises(ValueError):

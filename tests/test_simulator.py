@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from evdeform import simulator
 from evdeform.errors import ConfigError, FieldOfViewWarning
-from evdeform.events import EventStream, write_stream
+from evdeform.events import CSV_BLOCK_ROWS as B, EventStream, write_stream
 from evdeform.geometry import CameraIntrinsics, CameraPose, project_points
 from evdeform.simulator import (
     MARKER_LABEL,
@@ -668,10 +668,11 @@ class TestDeterminismAndProvenance:
 
 
 class TestGroundTruthExport:
-    @pytest.mark.parametrize("n", [0, 1, 10, 1001])
+    @pytest.mark.parametrize("n", [0, 1, 10, 1001, B - 1, B, B + 1, 100_001])
     def test_labels_equal_row_loop(self, tmp_path, n):
         """Empty labels write the header alone; 1001 rows cross the 9/10,
-        99/100 and 999/1000 index digit boundaries."""
+        99/100 and 999/1000 index digit boundaries; the longer ones the
+        writer's block edges and 10**4, and 100,001 rows 10**5 too."""
         rng = np.random.default_rng(n)
         labels = [
             rng.integers(0, 2, n).astype(np.uint8),
@@ -685,6 +686,15 @@ class TestGroundTruthExport:
         export_ground_truth(tmp_path, truth)
         for ci, lbl in enumerate(labels):
             assert (tmp_path / f"labels_cam{ci}.csv").read_bytes() == reference_labels_csv(lbl)
+
+    @pytest.mark.parametrize("first", [0, 9_995, 99_995, 10**6 - 1, 10**8 - 3])
+    def test_block_from_first_index(self, first):
+        """A block's rows are numbered from its first index across the digit
+        count and four-digit group edges."""
+        labels = np.array([MARKER_LABEL, NOISE_LABEL, NOISE_LABEL] * 4, dtype=np.uint8)
+        rows = "".join(f"{first + i},{'noise' if lbl == NOISE_LABEL else 'marker'}\n"
+                       for i, lbl in enumerate(labels))
+        assert simulator._format_labels(labels, first)[3:].tobytes() == rows.encode()
 
     def test_simulated_labels_equal_row_loop(self, tmp_path):
         res = simulate(replace(preset_paper_rig(), duration_s=0.1))
