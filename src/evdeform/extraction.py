@@ -225,9 +225,10 @@ def extract_center_sequence(stream: EventStream, config: ExtractionConfig) -> Ex
     # key keeps searchsorted from converting t to float on every call.
     gap = min(math.floor(config.reset_gap_us), duration)
     key_max = t[-1] - gap  # a larger search key finds the stream's end too
-    member = np.zeros(total, dtype=bool)
-    counts = np.empty(total // _MIN_BURST, dtype=np.int64)
-    bursts = partial = 0
+    t0 = t[0]
+    # per round, each kept run's summed t - t0, mean x and y, count, t_min and
+    # t_max; the empty first round lets a stream without runs concatenate too
+    runs_kept = [(np.zeros(0, np.int64),) * 6]
     lo, size = 0, 4 * _MIN_BURST
     while lo < total:
         hi = min(lo + size, total)
@@ -261,42 +262,25 @@ def extract_center_sequence(stream: EventStream, config: ExtractionConfig) -> Ex
             moved = ((dx * dx + dy * dy <= gate2) != inside[a - lo:b - lo]).nonzero()[0]
             if len(moved):
                 kept = int(ends.searchsorted(a + moved[0], "right"))
+        starts = bounds[:kept]
+        runs_kept.append((np.add.reduceat(ta[:bounds[kept]] - t0, starts), mx[:kept], my[:kept],
+                          count[:kept], ta[starts], ta[bounds[1:kept + 1] - 1]))
         keep = big[:kept]
-        member[run[:bounds[kept]][np.repeat(keep, count[:kept])]] = True
-        found = count[:kept][keep]
-        counts[bursts:bursts + len(found)] = found
-        bursts += len(found)
-        partial += int(bounds[kept] - found.sum())
-        if len(found):
+        if keep.any():
             cx, cy = mx[:kept][keep][-1], my[:kept][keep][-1]
         size = min(2 * (size if kept == runs else int(ends[kept - 1] - lo)), _BLOCK_CAP)
         lo = int(ends[kept - 1])
-    noise = total - partial - int(counts[:bursts].sum())  # the events in no run
-    if not bursts:
+    st, mx, my, count, t_min, t_max = (np.concatenate(col) for col in zip(*runs_kept))
+    big = count >= _MIN_BURST
+    noise = total - int(count.sum())  # the events in no run
+    partial = int(count[~big].sum())
+    if not big.any():
         raise StreamTooShort(f"no run of {_MIN_BURST} events passed the spatial gate "
-                             f"({total - noise} of {total} events did)")
-    return ExtractionResult(_centers(stream, member.nonzero()[0], counts[:bursts]), noise, partial)
-
-
-def _centers(stream: EventStream, members: np.ndarray, count: np.ndarray) -> Centers:
-    """One row per burst: members holds the bursts' event indices in
-    order, count[i] of them for burst i.
-
-    Every sum is over int64 values that the caller bounded below 2**63, so
-    it is exact, and each mean is that sum divided by the count. Times are
-    summed from the stream's first event.
-    """
-    starts = np.concatenate(([0], np.cumsum(count[:-1])))
-
-    def mean(values):
-        return np.add.reduceat(values, starts, dtype=np.int64) / count
-
-    t0 = stream.t[0]
-    times = stream.t[members]
-    t_min, t_max = times[starts], times[starts + count - 1]
-    times -= t0
-    pixel = np.stack([mean(stream.x[members]), mean(stream.y[members])], axis=1)
-    return Centers(stream.camera_id, t0 + mean(times), pixel, count, t_min, t_max)
+                             f"({partial} of {total} events did)")
+    count = count[big]
+    centers = Centers(stream.camera_id, t0 + st[big] / count, np.stack([mx[big], my[big]], axis=1),
+                      count, t_min[big], t_max[big])
+    return ExtractionResult(centers, noise, partial)
 
 
 def match_corresponding(sequences: Sequence[Centers], t_th: float) -> Correspondences:

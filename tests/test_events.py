@@ -122,6 +122,49 @@ class TestReadWrite:
         with pytest.raises(ParseError, match=r"s\.bin: record 2: timestamp 9223372036854775808"):
             read_stream(path, "binary")
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 5])
+    def test_binary_timestamp_beyond_int64_in_a_later_block(self, tmp_path, offset):
+        """The record index counts from the file's first record, not the block's."""
+        block = events._BINARY_BLOCK_RECORDS
+        path = tmp_path / "s.bin"
+        write_stream(random_stream(block + 10, seed=1), path, "binary")
+        raw = bytearray(path.read_bytes())
+        at = 16 + (block + offset) * events._RECORD_DTYPE.itemsize
+        raw[at:at + 8] = (2**64 - 1).to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match=rf"record {block + offset}: timestamp {2**64 - 1} "):
+            read_stream(path, "binary")
+
+    @pytest.mark.parametrize("extra", [None, -1, 0, 1])
+    def test_binary_round_trip_at_block_edges(self, tmp_path, extra):
+        """0 and 1 records, and one block, one short of it, one past it and
+        two blocks and one record: every column read back exactly."""
+        block = events._BINARY_BLOCK_RECORDS
+        for n in ([0, 1, 2 * block + 1] if extra is None else [block + extra]):
+            stream = random_stream(n, seed=n, width=65535, height=65535)
+            path = tmp_path / f"s{n}.bin"
+            write_stream(stream, path, "binary")
+            loaded, warnings = read_stream(path, "binary")
+            assert warnings == 0
+            for name in ("t", "x", "y", "polarity"):
+                got, want = getattr(loaded, name), getattr(stream, name)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"EVDSTRM\x00\x01", r"truncated header \(9 bytes\)"),
+            (b"EVDSTRM\x00\x02\x00" + bytes(6), "unsupported version 2"),
+            (b"EVDSTRM\x00\x01\x00" + bytes(6) + bytes(14), "body size 14 not a multiple of record size 13"),
+        ],
+    )
+    def test_binary_malformed(self, tmp_path, raw, message):
+        path = tmp_path / "s.bin"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match=message):
+            read_stream(path, "binary")
+
     def test_binary_header_carries_sensor(self, tmp_path):
         stream = random_stream(100, seed=1, width=640, height=480)
         path = tmp_path / "s.bin"
