@@ -8,6 +8,7 @@ sensor size, at most 65535 pixels a side.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,8 +23,10 @@ CSV_HEADER = "t_us,x,y,polarity"
 _RECORD_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")])
 
 # The CSV reader reads and parses blocks of about this many bytes, cut at
-# newlines, so its buffers and temporaries stay a few times the block in size
-# rather than the file's: each is kept below the 4 MB from which numpy asks
+# newlines. A block's rows are found from the positions of its non-digit
+# bytes, four to a row, so its temporaries are the block's bytes, those
+# positions (8 bytes each) and a few arrays of one entry per row: a few times
+# the block, never the file, and each below the 4 MB from which numpy asks
 # for huge pages.
 _CSV_BLOCK_BYTES = 1 << 20
 _CSV_MAX_DIGITS = 18  # every such integer fits int64
@@ -36,6 +39,9 @@ _BINARY_BLOCK_RECORDS = 1 << 16
 _INT32_MAX = np.iinfo(np.int32).max
 _UINT16_MAX = np.iinfo(np.uint16).max  # the binary header's sensor size and x, y
 _LF, _CR, _COMMA, _ZERO = (np.uint8(ord(c)) for c in "\n\r,0")
+# a row's delimiters, ", , , \n", as one word in memory order
+_ROW_KINDS = np.frombuffer(b",,,\n", "<u4")[0]
+_VALID_ROW = re.compile(rb"(?:[0-9]{1,%d},){3}[01]" % _CSV_MAX_DIGITS)
 _POWERS_OF_TEN = 10 ** np.arange(1, _CSV_MAX_DIGITS + 1, dtype=np.int64)
 # The four ASCII digits of 0000 ... 9999, each as one word in memory order.
 _DIGIT_GROUPS = np.frombuffer(b"".join(b"%04d" % i for i in range(10_000)), "<u4")
@@ -215,6 +221,12 @@ def _read_csv(path: Path):
     its newline. Every other line is exactly four non-negative decimal
     integers of at most 18 digits, the last one 0 or 1. Anything else is a
     ParseError naming ``path:line``.
+
+    A block is parsed as the fixed layout a valid file has: once the header,
+    the CR of each CRLF and the blank lines are set aside, every non-digit
+    byte is a comma or a line end, ``, , , \\n`` row after row. A block that
+    breaks the layout, or a field width or polarity, is then read line by
+    line for the first bad line; valid blocks never are.
     """
     blocks, rest, offset = [], b"", 0
     with open(path, "rb") as fh:
@@ -231,63 +243,104 @@ def _read_csv(path: Path):
             if not chunk:
                 break
     if not blocks:
-        return (np.zeros(0, np.int64),) * 3 + (np.zeros(0, bool),)
+        return _no_rows()
     return tuple(np.concatenate(cols) for cols in zip(*blocks))
+
+
+def _no_rows():
+    return (np.zeros(0, np.int64),) * 3 + (np.zeros(0, bool),)
 
 
 def _parse_csv_block(data: bytes, size: int, offset: int, path: Path):
     """Columns of the lines in data[:size], which starts at file offset
     ``offset`` and ends just past a newline or at the end of the file."""
     buf = np.frombuffer(data, np.uint8, size)
-    is_newline = buf == _LF
-    is_comma = buf == _COMMA
-    delim = np.flatnonzero(is_newline | is_comma)  # where each field ends
-    line_end = np.flatnonzero(is_newline[delim])  # each line's newline, in delim
-    if buf[-1] != _LF:  # the last line of a file without a final newline
-        delim = np.append(delim, size)
-        line_end = np.append(line_end, len(delim) - 1)
-    newline = delim[line_end]
-    first = np.concatenate(([0], newline[:-1] + 1))
-    crlf = (newline > first) & (buf[newline - 1] == _CR) & (newline < size)
-    last = newline - crlf  # one past each line's content
     digits = buf - _ZERO
-    # any byte but a digit, comma or newline is bad unless it is a CRLF's CR
-    bad_byte = np.flatnonzero(~((digits < 10) | is_comma | is_newline))
-    bad_byte = np.setdiff1d(bad_byte, last[crlf], assume_unique=True)
-    bad = np.zeros(len(newline), dtype=bool)
-    bad[np.searchsorted(newline, bad_byte)] = True
-    rows = last > first
-    bad |= rows & (np.diff(line_end, prepend=-1) != 4)  # fields per line
+    delim = np.flatnonzero(digits > 9)  # every byte but a digit
+    start = 0
     if offset == 0 and data.startswith(b"t_us") and data[4:5] in (b"", b",", b"\r", b"\n"):
-        bad[0] = rows[0] = False  # the header
-    rows &= ~bad
-    row_end = line_end[rows]
-    ends = [delim[row_end - 3], delim[row_end - 2], delim[row_end - 1], last[rows]]
-    starts = [first[rows]] + [e + 1 for e in ends[:3]]
-    widths = [e - s for s, e in zip(starts, ends)]
-    polarity = digits[np.minimum(starts[3], size - 1)]  # clipped for a row ending in ","
-    row_bad = (widths[3] != 1) | (polarity > 1)
-    for w in widths[:3]:
-        row_bad |= (w < 1) | (w > _CSV_MAX_DIGITS)
-    bad[rows] = row_bad
-    if bad.any():
-        line = int(np.flatnonzero(bad)[0])
-        lo = int(first[line])
-        reason = _row_error(data[lo:last[line]])
-        raise ParseError(f"{path}:{_line_number(path, offset + lo)}: {reason}")
-    columns = []
-    for end, w in zip(ends[:3], widths[:3]):
-        # right-aligned digit accumulation; only the leading places need a mask
-        span = int(w.max(initial=0))
-        short = span - int(w.min(initial=span))
-        value = np.zeros(len(end), dtype=np.int64)
-        for i in range(span):
-            digit = digits.take(end - span + i, mode="clip")
-            if i < short:
-                digit = np.where(w >= span - i, digit, 0)
-            value = value * 10 + digit
-        columns.append(value)
-    return columns[0], columns[1], columns[2], polarity == 1
+        start = data.find(b"\n", 0, size) + 1 or size  # past the header
+        delim = delim[np.searchsorted(delim, start):]
+    kinds = buf[delim]
+    if size > start and buf[-1] != _LF:  # the last line of a file without a final newline
+        delim, kinds = np.append(delim, size), np.append(kinds, _LF)
+    rows = _row_delimiters(delim, kinds, start, size)
+    if rows is None:
+        _raise_first_bad_line(data, start, size, offset, path)
+    line_start, (t_end, x_end, y_end, newline) = rows
+    if not len(newline):
+        return _no_rows()
+    widths = [t_end - line_start, x_end - t_end - 1, y_end - x_end - 1]
+    spans = [(int(w.min()), int(w.max())) for w in widths]
+    polarity = digits[newline - 1]
+    if (any(lo < 1 or hi > _CSV_MAX_DIGITS for lo, hi in spans)
+            or (newline - y_end != 2).any() or polarity.max() > 1):
+        _raise_first_bad_line(data, start, size, offset, path)
+    columns = [_parse_field(digits, end, w, *span)
+               for end, w, span in zip((t_end, x_end, y_end), widths, spans)]
+    return (*columns, polarity.view(bool))
+
+
+def _row_delimiters(delim, kinds, start: int, size: int):
+    """Where each row's line starts, and its three commas and line end, as
+    columns; None unless the delimiters are ``, , , \\n`` row after row.
+
+    The CR of a CRLF stands for its line's end and the LF after it is
+    dropped, as is the end of every blank line, before the layout is
+    checked; a file with neither keeps every delimiter.
+    """
+    kept = None
+    if len(kinds) % 4 or not (kinds.view("<u4") == _ROW_KINDS).all():
+        crlf = np.flatnonzero((kinds[:-1] == _CR) & (kinds[1:] == _LF)
+                              & (np.diff(delim) == 1) & (delim[1:] < size))
+        kinds[crlf] = _LF
+        line_end = kinds == _LF
+        previous = np.concatenate(([start - 1], delim[:-1]))
+        # a line end right after another, or at the block's start, ends a blank line
+        keep = ~(line_end & np.concatenate(([True], line_end[:-1])) & (delim == previous + 1))
+        keep[crlf + 1] = False
+        kept = np.flatnonzero(keep)
+        delim, kinds = delim[kept], kinds[kept]
+        if len(kinds) % 4 or not (kinds.view("<u4") == _ROW_KINDS).all():
+            return None
+    fields = delim.reshape(-1, 4).T
+    if kept is None:  # each row's line starts just past the previous row's
+        line_start = np.concatenate(([start], fields[3][:-1] + 1))
+    else:  # and here just past the newline before its first field
+        line_start = previous[kept[::4]] + 1
+    return line_start, fields
+
+
+def _parse_field(digits, end, width, least: int, span: int):
+    """The integer of each field of at most span digits, ending just
+    before end: right-aligned Horner steps in place, the leading places
+    masked for fields shorter than span. Up to 9 digits add up in int32."""
+    at = end - span
+    lead = (span - width).astype(np.uint8)
+    digit = np.empty(len(end), dtype=np.uint8)
+    value = np.zeros(len(end), dtype=np.int32 if span <= 9 else np.int64)
+    for i in range(span):
+        digits.take(at, out=digit, mode="clip")
+        if i < span - least:
+            digit *= lead <= i
+        value *= 10
+        value += digit
+        at += 1
+    return value.astype(np.int64, copy=False)
+
+
+def _raise_first_bad_line(data: bytes, start: int, size: int, offset: int, path: Path):
+    """Raise the ParseError of the first line of data[start:size] that is
+    neither blank nor a valid row: only a rejected block is read line by
+    line."""
+    lines = data[start:size].split(b"\n")
+    lo = start
+    for i, line in enumerate(lines):
+        content = line[:-1] if line.endswith(b"\r") and i < len(lines) - 1 else line
+        if content and not _VALID_ROW.fullmatch(content):
+            raise ParseError(f"{path}:{_line_number(path, offset + lo)}: {_row_error(content)}")
+        lo += len(line) + 1
+    raise AssertionError(f"{path}: a block at byte {offset} was rejected, but no line is bad")
 
 
 def _row_error(content: bytes) -> str:

@@ -284,13 +284,21 @@ def _bursts(
         fire = d2 < lo2[s, None, None]
         edge = (d2 < hi2[s, None, None]) ^ fire
         if edge.any():  # the cosine step decides the cells within its rounding of the circle
-            e = np.nonzero(edge)
-            rho = np.hypot(*(np.broadcast_to(v, d2.shape)[e] for v in (ex, ey))) / r[s][e[0]]
-            fire[e] = (rho < 1.0) & (amplitude * np.cos(0.5 * np.pi * rho) > threshold)
-        i, iy, ix = np.nonzero(fire)
+            e = np.flatnonzero(edge)
+            i, iy, ix = _cells(e, H, W)
+            rho = np.hypot(ex[i, 0, ix], ey[i, iy, 0]) / r[s][i]
+            np.put(fire, e, (rho < 1.0) & (amplitude * np.cos(0.5 * np.pi * rho) > threshold))
+        i, iy, ix = _cells(np.flatnonzero(fire), H, W)
         hits.append((i + lo, ix, iy))
     i, ix, iy = (np.concatenate(c) for c in zip(*hits))
     return k[i], x0[i] + ix, y0[i] + iy
+
+
+def _cells(flat: Array, H: int, W: int) -> tuple[Array, Array, Array]:
+    """Transition, row and column of each flat index into a (chunk, H, W)
+    stencil: np.nonzero's order and values, for less than its cost."""
+    i, rest = np.divmod(flat, H * W)
+    return (i, *np.divmod(rest, W))
 
 
 def simulate(config: ScenarioConfig) -> SimulationResult:
@@ -570,32 +578,35 @@ def _format_labels(labels: Array, first: int) -> Array:
     return out
 
 
+def _reprs(values) -> list[str]:
+    """Python's repr of each value as a float."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _write_rows(path: Path, header: str, *columns) -> None:
+    """Write the header, then the columns' strings row by row, comma-separated."""
+    path.write_text("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
+
+
 def export_ground_truth(out_dir, truth: GroundTruth) -> list[Path]:
     """Write transition schedule, 3D trajectory, per-camera tracks and labels."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
+    t = _reprs(truth.transition_t_us)
     p = out_dir / "transitions.csv"
-    lines = ["t_us,polarity"]
-    for t, pol in zip(truth.transition_t_us, truth.transition_polarity):
-        lines.append(f"{float(t)!r},{int(pol)}")
-    p.write_text("\n".join(lines) + "\n")
+    polarity = map(str, np.asarray(truth.transition_polarity, dtype=int).tolist())
+    _write_rows(p, "t_us,polarity", t, polarity)
     written.append(p)
 
     p = out_dir / "trajectory.csv"
-    lines = ["t_us,X,Y,Z"]
-    for t, pos in zip(truth.transition_t_us, truth.trajectory_mm):
-        lines.append(f"{float(t)!r},{float(pos[0])!r},{float(pos[1])!r},{float(pos[2])!r}")
-    p.write_text("\n".join(lines) + "\n")
+    _write_rows(p, "t_us,X,Y,Z", t, *map(_reprs, np.asarray(truth.trajectory_mm).T))
     written.append(p)
 
     for ci in range(truth.tracks_px.shape[0]):
         p = out_dir / f"track_cam{ci}.csv"
-        lines = ["t_us,u,v"]
-        for t, uv in zip(truth.transition_t_us, truth.tracks_px[ci]):
-            lines.append(f"{float(t)!r},{float(uv[0])!r},{float(uv[1])!r}")
-        p.write_text("\n".join(lines) + "\n")
+        _write_rows(p, "t_us,u,v", t, *map(_reprs, truth.tracks_px[ci].T))
         written.append(p)
 
         p = out_dir / f"labels_cam{ci}.csv"

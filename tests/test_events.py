@@ -1,9 +1,13 @@
 """Event stream model and bit-exact file round trips."""
 import csv
 import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evdeform import events
 from evdeform.errors import BoundsError, ParseError
@@ -280,6 +284,103 @@ class TestCsvGrammar:
         with pytest.raises(ValueError, match="18 digits"):
             write_stream(stream, tmp_path / "s.csv")
         assert not (tmp_path / "s.csv").exists()
+
+
+def csv_lines():
+    """(line, ending) pairs of a valid event CSV: an optional header, then
+    rows of 1-18 digit fields with leading zeros and blank lines, each
+    ending LF or CRLF."""
+    field = st.text("0123456789", min_size=1, max_size=18)
+    row = st.tuples(field, field, field, st.sampled_from("01")).map(",".join)
+    ending = st.sampled_from(["\n", "\r\n"])
+    header = st.lists(st.tuples(st.sampled_from(["t_us,x,y,polarity", "t_us"]), ending), max_size=1)
+    body = st.lists(st.tuples(st.one_of(row, row, row, st.just("")), ending), max_size=40)
+    return st.builds(lambda h, b: h + b, header, body)
+
+
+def csv_text(lines, final_newline: bool) -> str:
+    text = "".join(line + end for line, end in lines)
+    if lines and not final_newline:
+        text = text[:-len(lines[-1][1])]
+    return text
+
+
+def grammar_read(text: str):
+    """Line by line, as the grammar reads: the rows' columns, and the number
+    and content of the first rejected line (None when every line is valid)."""
+    rows = []
+    lines = text.split("\n")
+    for number, line in enumerate(lines, start=1):
+        if line.endswith("\r") and number < len(lines):
+            line = line[:-1]
+        if not line or number == 1 and line.startswith("t_us") and line[4:5] in ("", ",", "\r"):
+            continue
+        fields = line.split(",")
+        if not (len(fields) == 4 and all(f.isascii() and f.isdigit() and len(f) <= 18 for f in fields)
+                and fields[3] in ("0", "1")):
+            return None, (number, line)
+        rows.append([int(f) for f in fields])
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return (*columns[:3], columns[3] == 1), None
+
+
+def read_with_blocks(text: str, block: int, reference=reference_read_csv):
+    """_read_csv on text, with blocks of the given size, or the ParseError it
+    raises; and the reference's columns."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(events, "_CSV_BLOCK_BYTES", block):
+        path = Path(tmp) / "s.csv"
+        path.write_bytes(text.encode())
+        try:
+            got = events._read_csv(path)
+        except ParseError as exc:
+            got = exc
+        return got, reference(path)
+
+
+class TestCsvBlockEdges:
+    """The reader with blocks of a few dozen bytes, so that block edges fall
+    on every byte of a row, a CRLF and a blank line. The longest line is 60
+    bytes with its CRLF, so each block still holds a whole line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=csv_lines(), final_newline=st.booleans(), block=st.integers(61, 160))
+    def test_valid_text_matches_reference_reader(self, lines, final_newline, block):
+        got, want = read_with_blocks(csv_text(lines, final_newline), block)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=csv_lines(), final_newline=st.booleans(), block=st.integers(61, 160),
+           at=st.floats(0, 1, exclude_max=True), byte=st.sampled_from("7,\r x-"))
+    def test_one_changed_byte_names_the_first_bad_line(self, lines, final_newline, block, at, byte):
+        """Any byte but a newline replaced: the reader returns the rows the
+        grammar reads, or names the first line it rejects."""
+        text = csv_text(lines, final_newline)
+        places = [i for i, c in enumerate(text) if c != "\n"]
+        if places:
+            i = places[int(at * len(places))]
+            text = text[:i] + byte + text[i + 1:]
+        got, (want, bad) = read_with_blocks(text, block, lambda path: grammar_read(text))
+        if bad is None:
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+        else:
+            line, content = bad
+            assert isinstance(got, ParseError)
+            assert str(got).endswith(f"s.csv:{line}: {events._row_error(content.encode())}")
+
+    @pytest.mark.parametrize("block", range(61, 90))
+    def test_bad_line_after_blank_and_crlf_lines_in_a_later_block(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(events, "_CSV_BLOCK_BYTES", block)
+        text = ("t_us,x,y,polarity\n" + "1000,12,34,1\n" * 20 + "\n" + "1001,5,6,0\r\n"
+                + "\r\n" + "1002,7,8,1\n" + "1003,7,x,1\r\n" + "1004,1,2\n")
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        assert text.index("1003") > 3 * block
+        with pytest.raises(ParseError, match=r"bad\.csv:26: y 'x' is not a decimal integer"):
+            events._read_csv(path)
 
 
 B = events.CSV_BLOCK_ROWS
