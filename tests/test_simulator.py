@@ -585,6 +585,45 @@ class TestDeterminismAndProvenance:
             "1783b1156c2f4006e0a79ea4856e48002f352bfe03c0367019b3f11acf10f4a5"
         )
 
+    def test_verify_scenes_are_pinned(self):
+        """SHA-256 of the (t, x, y, polarity) arrays of verify's two 1.2 s
+        pole scenes (seed 0), of its sway scene (seed 101), and of the
+        noiseless truth pixels that verify calibrates from. Recorded while
+        verify still wrote these scenes out itself: any change to how a
+        scene is built changes a digest here."""
+        from evdeform.verify import _desk_scene, _pole_trajectories, truth_correspondences
+
+        traj_a, traj_b = _pole_trajectories(1.2)
+        amp = 18.2 * np.array([0.8, 0.45, 0.4])
+        amp = amp / np.linalg.norm(amp) * 18.2
+        sway = Sinusoid3DTrajectory(
+            center=(0.0, 0.0, 4300.0), amplitude=tuple(amp), frequency_hz=(1.8, 1.8, 1.8),
+            phase=(0.0, 0.0, 0.0), start_time=0.4, ramp=0.3,
+        )
+        scenes = {
+            "pole_a": _desk_scene(traj_a, 1.2, 0),
+            "pole_b": _desk_scene(traj_b, 1.2, 11),
+            "sway": _desk_scene(sway, 1.9, 101),
+        }
+        truth = truth_correspondences(preset_paper_rig(), 400, 0.0, 0).pixels
+
+        digests = {}
+        for name, config in scenes.items():
+            digest = hashlib.sha256()
+            for stream in simulate(config).streams:
+                for a in (stream.t, stream.x, stream.y, stream.polarity):
+                    digest.update(a.astype(a.dtype.newbyteorder("<")).tobytes())
+            digests[name] = digest.hexdigest()
+        digests["truth_pixels"] = hashlib.sha256(
+            np.ascontiguousarray(truth, dtype="<f8").tobytes()
+        ).hexdigest()
+        assert digests == {
+            "pole_a": "b33a8bc93480ee3d274f405f79fa028ee931d5f1a96bec69005ac9044fc13767",
+            "pole_b": "7497295910e5eb1d945ba7be748927d3213bbae46c3df72a38f7be55688d00b3",
+            "sway": "d5d5f754ab491a8b48a431b3077631ae84ff1084799a582f7bf5fd3d02674c16",
+            "truth_pixels": "408ff26b3879c4f2937d88761d3d0b9ea3c6d6c47732c13fef1a52789b9620f2",
+        }
+
     def test_written_files_are_pinned(self, tmp_path):
         """SHA-256 of every file that the CSV writer and the ground-truth
         export write for the 0.5 s preset, recorded before the integer
