@@ -10,13 +10,11 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from evdeform.calibration.pipeline import CalibrationConfig, calibrate, write_iteration_log
 from evdeform.deformation import rig_from_calibration, save_rig
 from evdeform.extraction import calibration_profile, extract_center_sequence, match_corresponding
-from evdeform.geometry import relative_pose, rotation_angle
-from evdeform.simulator import paper_rig_cameras, preset_paper_rig, simulate
+from evdeform.simulator import preset_paper_rig, simulate
+from evdeform.verify import truth_errors
 
 
 def main() -> int:
@@ -51,14 +49,9 @@ def main() -> int:
         print(f"  cam{cid}: fx={intr.fx:8.2f} fy={intr.fy:8.2f} "
               f"mean reprojection {calibration.mean_reprojection[cid]:.4f} px")
 
-    true_poses = [p for _, p in paper_rig_cameras()]
-    worst = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            Rt = relative_pose(true_poses[i], true_poses[j]).rotation
-            Re = relative_pose(calibration.poses[i], calibration.poses[j]).rotation
-            worst = max(worst, np.degrees(rotation_angle(Rt @ Re.T)))
-    print(f"  worst pairwise rotation error vs truth: {worst:.4f} deg")
+    focal_err, rot_err = truth_errors(calibration)
+    print(f"  vs truth: worst focal error {100 * focal_err:.4f}%, "
+          f"worst pairwise rotation error {rot_err:.4f} deg")
 
     save_rig(out / "calibration.json", rig_from_calibration(calibration))
     write_iteration_log(out / "iterations.log", calibration.iterations)

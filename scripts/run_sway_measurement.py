@@ -7,30 +7,15 @@ camera baseline, and reports the recovered amplitude and per-axis accuracy.
 """
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from evdeform.calibration.pipeline import CalibrationConfig, calibrate
-from evdeform.deformation import (
-    MeasureConfig,
-    anchor_scale,
-    camera_centers,
-    measure_deformation,
-    rig_from_calibration,
-    write_series,
-    write_summary,
-)
+from evdeform.deformation import MeasureConfig, measure_deformation, write_series, write_summary
 from evdeform.extraction import extract_center_sequence, match_corresponding, measurement_profile
-from evdeform.simulator import (
-    PAPER_RIG_BASELINES_MM,
-    Sinusoid3DTrajectory,
-    paper_rig_cameras,
-    preset_paper_rig,
-    simulate,
-)
-from evdeform.verify import truth_correspondences
+from evdeform.simulator import preset_paper_rig, simulate, sway_scene, truth_correspondences
+from evdeform.verify import anchored_rig
 
 
 def main() -> int:
@@ -43,28 +28,10 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     print("calibrating from a noiseless sweep ...")
-    base = preset_paper_rig()
-    groups = truth_correspondences(base, 400, 0.0, args.seed)
-    calibration = calibrate(groups, CalibrationConfig(seed=args.seed))
-    rig = rig_from_calibration(calibration)
-    centers = camera_centers(rig)
-    rig = anchor_scale(rig, PAPER_RIG_BASELINES_MM[0], (centers[0], centers[1]))
+    groups = truth_correspondences(preset_paper_rig(), 400, 0.0, args.seed)
+    rig = anchored_rig(calibrate(groups, CalibrationConfig(seed=args.seed)))
 
-    direction = np.array([0.8, 0.45, 0.4])
-    amp = direction / np.linalg.norm(direction) * args.amplitude_mm
-    scenario = replace(
-        base,
-        trajectory=Sinusoid3DTrajectory(
-            center=(0.0, 0.0, 4300.0),
-            amplitude=tuple(float(v) for v in amp),
-            frequency_hz=(1.8, 1.8, 1.8),
-            start_time=0.4,
-            ramp=0.3,
-        ),
-        duration_s=1.9,
-        noise_rate=0.005,
-        seed=args.seed + 101,
-    )
+    scenario = sway_scene(args.seed + 101, args.amplitude_mm)
     print(f"simulating a {args.amplitude_mm:.1f} mm sway ...")
     sim = simulate(scenario)
     sequences = [
@@ -78,8 +45,8 @@ def main() -> int:
 
     truth = np.stack(
         [scenario.trajectory.position(t * 1e-6) for t in series.t_us]
-    ) - np.array([0.0, 0.0, 4300.0])
-    truth_ref = truth @ paper_rig_cameras()[0][1].rotation.T
+    ) - np.asarray(scenario.trajectory.center)
+    truth_ref = truth @ scenario.cameras[0][1].rotation.T
     rmse = np.sqrt(np.mean((series.displacements - truth_ref) ** 2, axis=0))
     print(f"  samples: {len(series)} ({series.dropped} dropped)")
     print(f"  recovered amplitude: {series.max_amplitude:.3f} mm "

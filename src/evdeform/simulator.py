@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Protocol
 
@@ -34,6 +34,7 @@ from .errors import (
     read_document,
 )
 from .events import CSV_BLOCK_ROWS, EventStream, digit_counts, scatter_digits
+from .extraction import Correspondences
 from .geometry import CameraIntrinsics, CameraPose, project_points
 
 Array = np.ndarray
@@ -438,6 +439,86 @@ def preset_paper_rig() -> ScenarioConfig:
         latency_jitter_std_us=20.0,
         duration_s=2.0,
         seed=7,
+    )
+
+
+# ---------------------------------------------------------------------------
+# scene catalogue: the preset rig's measurement scenes and truth
+# ---------------------------------------------------------------------------
+
+def _desk_scene(trajectory: Trajectory, duration_s: float, seed: int) -> ScenarioConfig:
+    """A measurement scene on the preset rig: 5 cm marker, 250 Hz blink at
+    40% duty, light background noise and 20 us latency jitter."""
+    return ScenarioConfig(
+        cameras=paper_rig_cameras(), trajectory=trajectory, noise_rate=0.005,
+        latency_jitter_std_us=20.0, duration_s=duration_s, seed=seed,
+    )
+
+
+def pole_scenes(duration_s: float, seed: int) -> tuple[ScenarioConfig, ScenarioConfig]:
+    """The two markers of a rigid 1000 mm pole, one scene each at seeds seed
+    and seed + 11: waypoint trajectories exactly 1000 mm apart at every
+    blink transition."""
+    t_us, _ = blink_schedule(replace(preset_paper_rig(), duration_s=duration_s))
+    tt = t_us * 1e-6
+    base = np.stack(
+        [
+            25.0 * np.sin(2 * np.pi * 0.9 * tt),
+            -480.0 + 18.0 * np.sin(2 * np.pi * 0.7 * tt + 1.0),
+            4300.0 + 20.0 * np.sin(2 * np.pi * 0.5 * tt + 2.0),
+        ],
+        axis=1,
+    )
+    axis = np.stack(
+        [
+            0.05 * np.sin(2 * np.pi * 0.4 * tt),
+            np.ones_like(tt),
+            0.04 * np.cos(2 * np.pi * 0.3 * tt),
+        ],
+        axis=1,
+    )
+    axis = axis / np.linalg.norm(axis, axis=1, keepdims=True)
+    times = tuple(float(v) for v in tt)
+    return tuple(
+        _desk_scene(WaypointSplineTrajectory(times, tuple(map(tuple, ends))), duration_s, s)
+        for ends, s in ((base, seed), (base + 1000.0 * axis, seed + 11))
+    )
+
+
+def sway_scene(seed: int, amplitude_mm: float = 18.2) -> ScenarioConfig:
+    """A 1.9 s structure sway: one 1.8 Hz sinusoid of peak amplitude_mm
+    along a fixed 3D direction about (0, 0, 4300) mm, at rest for 0.4 s
+    and ramped in over 0.3 s."""
+    amp = amplitude_mm * np.array([0.8, 0.45, 0.4])
+    amp = amp / np.linalg.norm(amp) * amplitude_mm
+    trajectory = Sinusoid3DTrajectory(
+        center=(0.0, 0.0, 4300.0),
+        amplitude=tuple(float(v) for v in amp),
+        frequency_hz=(1.8, 1.8, 1.8),
+        start_time=0.4,
+        ramp=0.3,
+    )
+    return _desk_scene(trajectory, 1.9, seed)
+
+
+def truth_correspondences(
+    config: ScenarioConfig, n_points: int, noise_px: float, seed: int
+) -> Correspondences:
+    """Groups built from exact full-model projections of the scenario's
+    trajectory at blink transitions, with optional Gaussian pixel noise
+    drawn point by point, camera by camera."""
+    t_us, _ = blink_schedule(config)
+    step = max(1, len(t_us) // n_points)
+    t_sel = t_us[::step][:n_points]
+    # stacked (k, 1, 3): each point projects bitwise as it would alone
+    positions = np.array([config.trajectory.position(t * 1e-6) for t in t_sel]).reshape(-1, 1, 3)
+    pixels = np.stack([project_points(i, p, positions)[0][:, 0] for i, p in config.cameras])
+    if noise_px > 0:
+        rng = np.random.default_rng(seed)
+        pixels += rng.normal(0.0, noise_px, (len(t_sel), len(pixels), 2)).transpose(1, 0, 2)
+    index = np.broadcast_to(np.arange(len(t_sel)), pixels.shape[:2])
+    return Correspondences.from_members(
+        range(len(config.cameras)), index, pixels, np.broadcast_to(t_sel, index.shape)
     )
 
 

@@ -6,7 +6,7 @@ suite and optionally repeats it to confirm the report is bit-reproducible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .deformation import (
 )
 from .extraction import (
     Centers,
-    Correspondences,
     calibration_profile,
     extract_center_sequence,
     match_corresponding,
@@ -44,13 +43,12 @@ from .geometry import (
 from .simulator import (
     PAPER_RIG_BASELINES_MM,
     PAPER_RIG_FOCAL_PX,
-    ScenarioConfig,
-    Sinusoid3DTrajectory,
-    WaypointSplineTrajectory,
-    blink_schedule,
     paper_rig_cameras,
+    pole_scenes,
     preset_paper_rig,
     simulate,
+    sway_scene,
+    truth_correspondences,
 )
 
 TRUE_FOCAL = PAPER_RIG_FOCAL_PX
@@ -64,42 +62,20 @@ class CheckResult:
     figures: dict[str, float]
     details: str = ""
 
-
-def _fig(x) -> float:
-    return float(x)
+    def __post_init__(self):
+        self.figures = {k: float(v) for k, v in self.figures.items()}
 
 
 # ---------------------------------------------------------------------------
-# shared scenario helpers
+# truth helpers
 # ---------------------------------------------------------------------------
-
-def truth_correspondences(
-    config: ScenarioConfig, n_points: int, noise_px: float, seed: int
-) -> Correspondences:
-    """Groups built from exact full-model projections of the scenario's
-    trajectory at blink transitions, with optional Gaussian pixel noise
-    drawn point by point, camera by camera."""
-    t_us, _ = blink_schedule(config)
-    step = max(1, len(t_us) // n_points)
-    t_sel = t_us[::step][:n_points]
-    # stacked (k, 1, 3): each point projects bitwise as it would alone
-    positions = np.array([config.trajectory.position(t * 1e-6) for t in t_sel]).reshape(-1, 1, 3)
-    pixels = np.stack([project_points(i, p, positions)[0][:, 0] for i, p in config.cameras])
-    if noise_px > 0:
-        rng = np.random.default_rng(seed)
-        pixels += rng.normal(0.0, noise_px, (len(t_sel), len(pixels), 2)).transpose(1, 0, 2)
-    index = np.broadcast_to(np.arange(len(t_sel)), pixels.shape[:2])
-    return Correspondences.from_members(
-        range(len(config.cameras)), index, pixels, np.broadcast_to(t_sel, index.shape)
-    )
-
 
 def _extract_and_match(streams, profile=measurement_profile(250.0)):
     seqs = [extract_center_sequence(s, profile).observations for s in streams]
     return match_corresponding(seqs, 1000.0)
 
 
-def _truth_errors(result: CalibrationResult) -> tuple[float, float]:
+def truth_errors(result: CalibrationResult) -> tuple[float, float]:
     """Worst focal length's relative error and worst pairwise rotation
     error (deg) of a calibrated rig against the preset rig."""
     true_poses = [p for _, p in paper_rig_cameras()]
@@ -116,48 +92,22 @@ def _truth_errors(result: CalibrationResult) -> tuple[float, float]:
     return focal_err, rot_err
 
 
-def _anchored_rig(result: CalibrationResult):
+def anchored_rig(result: CalibrationResult):
     """Rig in metric units, anchored on the known camera 0-1 baseline."""
     rig = rig_from_calibration(result)
     centers = camera_centers(rig)
     return anchor_scale(rig, PAPER_RIG_BASELINES_MM[0], (centers[0], centers[1]))
 
 
-def _desk_scene(trajectory, duration_s: float, seed: int) -> ScenarioConfig:
-    """A measurement scene on the preset rig: 5 cm marker, 250 Hz blink at
-    40% duty, light background noise and 20 us latency jitter."""
-    return ScenarioConfig(
-        cameras=paper_rig_cameras(), trajectory=trajectory, noise_rate=0.005,
-        latency_jitter_std_us=20.0, duration_s=duration_s, seed=seed,
-    )
-
-
-def _pole_trajectories(duration_s: float):
-    """Two waypoint trajectories exactly 1000 mm apart at every transition."""
-    t_us, _ = blink_schedule(replace(preset_paper_rig(), duration_s=duration_s))
-    tt = t_us * 1e-6
-    base = np.stack(
-        [
-            25.0 * np.sin(2 * np.pi * 0.9 * tt),
-            -480.0 + 18.0 * np.sin(2 * np.pi * 0.7 * tt + 1.0),
-            4300.0 + 20.0 * np.sin(2 * np.pi * 0.5 * tt + 2.0),
-        ],
-        axis=1,
-    )
-    axis = np.stack(
-        [
-            0.05 * np.sin(2 * np.pi * 0.4 * tt),
-            np.ones_like(tt),
-            0.04 * np.cos(2 * np.pi * 0.3 * tt),
-        ],
-        axis=1,
-    )
-    axis = axis / np.linalg.norm(axis, axis=1, keepdims=True)
-    top = base + 1000.0 * axis
-    times = tuple(float(v) for v in tt)
-    traj_a = WaypointSplineTrajectory(times, tuple(map(tuple, base)))
-    traj_b = WaypointSplineTrajectory(times, tuple(map(tuple, top)))
-    return traj_a, traj_b
+def paired_distances(t_a, positions_a, t_b, positions_b) -> np.ndarray:
+    """Distances between the samples of two series paired by time: each
+    sample of a with the nearest sample of b (the later one on a tie), kept
+    when the two lie within 300 us."""
+    j = np.clip(np.searchsorted(t_b, t_a), 0, len(t_b) - 1)
+    jm = np.clip(j - 1, 0, len(t_b) - 1)
+    nearer = np.where(np.abs(t_b[j] - t_a) <= np.abs(t_b[jm] - t_a), j, jm)
+    close = np.abs(t_b[nearer] - t_a) < 300.0
+    return np.linalg.norm(positions_a[close] - positions_b[nearer[close]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +122,10 @@ def check_calibration_reprojection(seed: int) -> tuple[CheckResult, CalibrationR
     start = time.time()
     result = calibrate(groups, CalibrationConfig(seed=seed))
     runtime = time.time() - start
-    figures = {"runtime_s": _fig(runtime), "correspondences": _fig(len(groups))}
+    figures = {"runtime_s": runtime, "correspondences": len(groups)}
     for cid in result.camera_ids:
-        figures[f"mean_px_cam{cid}"] = _fig(result.mean_reprojection[cid])
-        figures[f"std_px_cam{cid}"] = _fig(result.std_reprojection[cid])
+        figures[f"mean_px_cam{cid}"] = result.mean_reprojection[cid]
+        figures[f"std_px_cam{cid}"] = result.std_reprojection[cid]
     passed = (
         runtime < 60.0
         and len(groups) >= 200
@@ -191,17 +141,17 @@ def check_noiseless_consistency(seed: int) -> tuple[CheckResult, CalibrationResu
     groups = truth_correspondences(config, 400, 0.0, seed)
     result = calibrate(groups, CalibrationConfig(seed=seed))
     mean_px = max(result.mean_reprojection.values())
-    focal_err, rot_err = _truth_errors(result)
+    focal_err, rot_err = truth_errors(result)
     C = [p.center for p in result.poses]
     ratio = np.linalg.norm(C[0] - C[1]) / np.linalg.norm(C[1] - C[2])
     ratio_true = PAPER_RIG_BASELINES_MM[0] / PAPER_RIG_BASELINES_MM[1]
     ratio_err = abs(ratio - ratio_true) / ratio_true
 
     figures = {
-        "mean_px": _fig(mean_px),
-        "focal_rel_err": _fig(focal_err),
-        "pairwise_rot_deg": _fig(rot_err),
-        "baseline_ratio_rel_err": _fig(ratio_err),
+        "mean_px": mean_px,
+        "focal_rel_err": focal_err,
+        "pairwise_rot_deg": rot_err,
+        "baseline_ratio_rel_err": ratio_err,
     }
     passed = (
         mean_px < 1e-4 and focal_err < 0.005 and rot_err < 0.05 and ratio_err < 0.002
@@ -219,12 +169,12 @@ def check_event_calibration(seed: int) -> tuple[CheckResult, CalibrationResult]:
     sim = simulate(preset_paper_rig())
     groups = _extract_and_match(sim.streams, calibration_profile(250.0))
     result = calibrate(groups, CalibrationConfig(seed=seed))
-    focal_err, rot_err = _truth_errors(result)
+    focal_err, rot_err = truth_errors(result)
     figures = {
-        "correspondences": _fig(len(groups)),
-        "mean_px": _fig(max(result.mean_reprojection.values())),
-        "focal_rel_err": _fig(focal_err),
-        "pairwise_rot_deg": _fig(rot_err),
+        "correspondences": len(groups),
+        "mean_px": max(result.mean_reprojection.values()),
+        "focal_rel_err": focal_err,
+        "pairwise_rot_deg": rot_err,
     }
     passed = focal_err < 0.001 and rot_err < 0.02
     return CheckResult("event_calibration", passed, figures), result
@@ -234,46 +184,36 @@ def check_pole_distance(seed: int, calibration: CalibrationResult) -> CheckResul
     """Criterion 3: two markers on a rigid 1000 mm pole, baseline-anchored,
     max inter-marker distance within 0.1%, within 30 s."""
     start = time.time()
-    duration = 1.2
-    rig = _anchored_rig(calibration)
-    series = []
-    for k, traj in enumerate(_pole_trajectories(duration)):
-        sim = simulate(_desk_scene(traj, duration, seed + 11 * k))
-        groups = _extract_and_match(sim.streams)
-        series.append(
-            measure_deformation(rig, groups, MeasureConfig(residual_threshold_px=0.8))
+    rig = anchored_rig(calibration)
+    sa, sb = (
+        measure_deformation(
+            rig, _extract_and_match(simulate(scene).streams),
+            MeasureConfig(residual_threshold_px=0.8),
         )
-    sa, sb = series
-    # pair samples of the two runs by (shared) transition timestamps
-    j = np.searchsorted(sb.t_us, sa.t_us)
-    j = np.clip(j, 0, len(sb.t_us) - 1)
-    jm = np.clip(j - 1, 0, len(sb.t_us) - 1)
-    nearer = np.where(
-        np.abs(sb.t_us[j] - sa.t_us) <= np.abs(sb.t_us[jm] - sa.t_us), j, jm
+        for scene in pole_scenes(1.2, seed)
     )
-    close = np.abs(sb.t_us[nearer] - sa.t_us) < 300.0
-    dist = np.linalg.norm(sa.positions[close] - sb.positions[nearer[close]], axis=1)
+    dist = paired_distances(sa.t_us, sa.positions, sb.t_us, sb.positions)
     runtime = time.time() - start
     max_dist = float(dist.max())
     rel_err = abs(max_dist - 1000.0) / 1000.0
     # the gate reads the maximum alone, which follows the noisiest sample
     each = np.abs(dist - 1000.0) / 1000.0
     figures = {
-        "max_distance_mm": _fig(max_dist),
-        "rel_err": _fig(rel_err),
-        "rel_err_median": _fig(np.median(each)),
-        "rel_err_p95": _fig(np.percentile(each, 95)),
-        "paired_samples": _fig(close.sum()),
-        "runtime_s": _fig(runtime),
+        "max_distance_mm": max_dist,
+        "rel_err": rel_err,
+        "rel_err_median": np.median(each),
+        "rel_err_p95": np.percentile(each, 95),
+        "paired_samples": len(dist),
+        "runtime_s": runtime,
     }
-    passed = rel_err < 0.001 and runtime < 30.0 and close.sum() >= 200
+    passed = rel_err < 0.001 and runtime < 30.0 and len(dist) >= 200
     return CheckResult("pole_distance", passed, figures)
 
 
 def check_span_grid(seed: int, calibration: CalibrationResult) -> CheckResult:
     """Criterion 4: 50 mm pitch point row, spans of 150/200/250/300 mm
     reconstructed within 1% at 300 mm under 0.3 px noise."""
-    rig = _anchored_rig(calibration)
+    rig = anchored_rig(calibration)
     cams = paper_rig_cameras()
     rng = np.random.default_rng(seed + 77)
     xs = np.arange(7) * 50.0 - 150.0
@@ -297,8 +237,8 @@ def check_span_grid(seed: int, calibration: CalibrationResult) -> CheckResult:
         ]
         measured_mean = float(np.mean(measured))
         errors[span] = abs(measured_mean - span) / span
-        figures[f"span_{int(span)}_mm"] = _fig(measured_mean)
-        figures[f"span_{int(span)}_rel_err"] = _fig(errors[span])
+        figures[f"span_{int(span)}_mm"] = measured_mean
+        figures[f"span_{int(span)}_rel_err"] = errors[span]
     passed = errors[300.0] < 0.01
     return CheckResult("span_grid", passed, figures)
 
@@ -306,43 +246,32 @@ def check_span_grid(seed: int, calibration: CalibrationResult) -> CheckResult:
 def check_deformation_sway(seed: int, calibration: CalibrationResult) -> CheckResult:
     """Criterion 5: 18.2 mm 3D sway recovered within 2%, per-axis RMSE under
     0.5 mm, >= 99% of samples triangulated with residual < 1 px."""
-    amp = 18.2 * np.array([0.8, 0.45, 0.4])
-    amp = amp / np.linalg.norm(amp) * 18.2
-    trajectory = Sinusoid3DTrajectory(
-        center=(0.0, 0.0, 4300.0),
-        amplitude=tuple(amp),
-        frequency_hz=(1.8, 1.8, 1.8),
-        phase=(0.0, 0.0, 0.0),
-        start_time=0.4,
-        ramp=0.3,
-    )
-    sim = simulate(_desk_scene(trajectory, 1.9, seed + 101))
-    groups = _extract_and_match(sim.streams)
-    rig = _anchored_rig(calibration)
+    scene = sway_scene(seed + 101)
+    groups = _extract_and_match(simulate(scene).streams)
+    rig = anchored_rig(calibration)
     series = measure_deformation(rig, groups, MeasureConfig(residual_threshold_px=1.0))
 
     total = len(series) + series.dropped
     kept_fraction = len(series) / total
     amplitude = series.max_amplitude
     t_s = series.t_us * 1e-6
-    truth_world = np.stack([trajectory.position(t) for t in t_s])
-    truth_amp = float(
-        np.linalg.norm(truth_world - np.array([0.0, 0.0, 4300.0]), axis=1).max()
-    )
+    truth_world = np.stack([scene.trajectory.position(t) for t in t_s])
+    centre = np.asarray(scene.trajectory.center)
+    truth_amp = float(np.linalg.norm(truth_world - centre, axis=1).max())
     # express the true displacement in the reference camera's axes
-    R0 = paper_rig_cameras()[0][1].rotation
-    truth_disp = (truth_world - np.array([0.0, 0.0, 4300.0])) @ R0.T
+    R0 = scene.cameras[0][1].rotation
+    truth_disp = (truth_world - centre) @ R0.T
     rmse = np.sqrt(np.mean((series.displacements - truth_disp) ** 2, axis=0))
 
     amp_err = abs(amplitude - truth_amp) / truth_amp
     figures = {
-        "amplitude_mm": _fig(amplitude),
-        "truth_amplitude_mm": _fig(truth_amp),
-        "amplitude_rel_err": _fig(amp_err),
-        "rmse_x_mm": _fig(rmse[0]),
-        "rmse_y_mm": _fig(rmse[1]),
-        "rmse_z_mm": _fig(rmse[2]),
-        "triangulated_fraction": _fig(kept_fraction),
+        "amplitude_mm": amplitude,
+        "truth_amplitude_mm": truth_amp,
+        "amplitude_rel_err": amp_err,
+        "rmse_x_mm": rmse[0],
+        "rmse_y_mm": rmse[1],
+        "rmse_z_mm": rmse[2],
+        "triangulated_fraction": kept_fraction,
     }
     passed = amp_err < 0.02 and float(rmse.max()) < 0.5 and kept_fraction >= 0.99
     return CheckResult("deformation_sway", passed, figures)
@@ -506,13 +435,13 @@ def _prop_reference_invariance(seed: int) -> float:
 
 def check_property_suite(seed: int) -> CheckResult:
     figures = {
-        "rank4_sigma5_over_sigma1": _fig(_prop_rank4(seed)),
-        "ba_monotonic_violations": _fig(_prop_ba_monotonic(seed)),
-        "jacobian_max_rel_err": _fig(_prop_jacobian(seed)),
-        "undistort_roundtrip_px": _fig(_prop_undistort(seed)),
-        "outlier_trials_exact": _fig(_prop_outliers(seed)),
-        "matching_mismatches": _fig(_prop_matching(seed)),
-        "reference_invariance_rel": _fig(_prop_reference_invariance(seed)),
+        "rank4_sigma5_over_sigma1": _prop_rank4(seed),
+        "ba_monotonic_violations": _prop_ba_monotonic(seed),
+        "jacobian_max_rel_err": _prop_jacobian(seed),
+        "undistort_roundtrip_px": _prop_undistort(seed),
+        "outlier_trials_exact": _prop_outliers(seed),
+        "matching_mismatches": _prop_matching(seed),
+        "reference_invariance_rel": _prop_reference_invariance(seed),
     }
     passed = (
         figures["rank4_sigma5_over_sigma1"] < 1e-10
@@ -558,7 +487,7 @@ def run_all(seed: int = 0, check_determinism: bool = True) -> list[CheckResult]:
             CheckResult(
                 "determinism",
                 divergence < 1e-12,
-                {"max_figure_divergence": _fig(divergence)},
+                {"max_figure_divergence": divergence},
             )
         )
     return results

@@ -10,10 +10,13 @@ from evdeform.cli import main
 from evdeform.events import EventStream, write_stream
 from evdeform.geometry import CameraIntrinsics
 from evdeform.simulator import (
-    Sinusoid3DTrajectory,
+    pole_scenes,
     preset_paper_rig,
     save_scenario,
+    sway_scene,
+    truth_correspondences,
 )
+from evdeform.verify import paired_distances
 
 
 def assert_invalid_json_line(capsys, path):
@@ -493,23 +496,8 @@ def sway_setup(preset_run, observations, tmp_path_factory):
     assert main(["calibrate", "--observations", str(observations), "--out", str(cal),
                  "--seed", "3"]) == 0
 
-    amp = 18.2 * np.array([0.8, 0.45, 0.4])
-    amp = amp / np.linalg.norm(amp) * 18.2
-    sway = replace(
-        preset_paper_rig(),
-        trajectory=Sinusoid3DTrajectory(
-            center=(0.0, 0.0, 4300.0),
-            amplitude=tuple(float(v) for v in amp),
-            frequency_hz=(1.8, 1.8, 1.8),
-            start_time=0.4,
-            ramp=0.3,
-        ),
-        duration_s=1.9,
-        noise_rate=0.005,
-        seed=31,
-    )
     scen = root / "sway.json"
-    save_scenario(scen, sway)
+    save_scenario(scen, sway_scene(31))
     sway_sim = root / "sway_sim"
     assert main(["simulate", "--scenario", str(scen), "--out", str(sway_sim)]) == 0
     sway_obs = root / "sway_obs"
@@ -764,11 +752,8 @@ class TestUsageErrors:
 class TestPoleThroughCli:
     def test_inter_marker_distance_on_pole(self, tmp_path):
         """Two measure runs on a rigid 1000 mm pole stay within 0.1%."""
-        import csv
-
         from evdeform.calibration.pipeline import CalibrationConfig, calibrate
         from evdeform.deformation import rig_from_calibration, save_rig
-        from evdeform.verify import _desk_scene, _pole_trajectories, truth_correspondences
 
         # a clean calibration document for the measure command to consume
         groups = truth_correspondences(preset_paper_rig(), 300, 0.0, 0)
@@ -776,10 +761,8 @@ class TestPoleThroughCli:
         cal_path = tmp_path / "calibration.json"
         save_rig(cal_path, rig_from_calibration(calibration))
 
-        traj_a, traj_b = _pole_trajectories(1.0)
-        series = {}
-        for name, traj in (("a", traj_a), ("b", traj_b)):
-            scenario = _desk_scene(traj, 1.0, 5 if name == "a" else 16)
+        series = []
+        for name, scenario in zip("ab", pole_scenes(1.0, 5)):
             scen_path = tmp_path / f"pole_{name}.json"
             save_scenario(scen_path, scenario)
             sim_dir = tmp_path / f"sim_{name}"
@@ -791,24 +774,9 @@ class TestPoleThroughCli:
             assert main(["measure", "--calibration", str(cal_path),
                          "--observations", str(obs_dir),
                          "--anchor", "baseline:0,1:4640", "--out", str(out_dir)]) == 0
-            with open(out_dir / "series.csv", newline="") as fh:
-                rows = list(csv.DictReader(fh))
-            series[name] = {
-                int(r["t_us"]): np.array([float(r["X"]), float(r["Y"]), float(r["Z"])])
-                for r in rows
-            }
+            rows = np.loadtxt(out_dir / "series.csv", delimiter=",", skiprows=1, ndmin=2)
+            series.append((rows[:, 0], rows[:, 1:4]))
 
-        ta = np.array(sorted(series["a"]))
-        tb = np.array(sorted(series["b"]))
-        distances = []
-        for t in ta:
-            j = int(np.searchsorted(tb, t))
-            candidates = [k for k in (j - 1, j) if 0 <= k < len(tb)]
-            k = min(candidates, key=lambda k: abs(int(tb[k]) - int(t)))
-            if abs(int(tb[k]) - int(t)) < 300:
-                distances.append(
-                    np.linalg.norm(series["a"][int(t)] - series["b"][int(tb[k])])
-                )
-        distances = np.array(distances)
+        distances = paired_distances(*series[0], *series[1])
         assert len(distances) > 200
         assert abs(distances.max() - 1000.0) / 1000.0 < 0.001

@@ -27,9 +27,12 @@ from evdeform.simulator import (
     load_scenario,
     marker_tracks,
     paper_rig_cameras,
+    pole_scenes,
     preset_paper_rig,
     save_scenario,
     simulate,
+    sway_scene,
+    truth_correspondences,
 )
 
 
@@ -591,20 +594,8 @@ class TestDeterminismAndProvenance:
         noiseless truth pixels that verify calibrates from. Recorded while
         verify still wrote these scenes out itself: any change to how a
         scene is built changes a digest here."""
-        from evdeform.verify import _desk_scene, _pole_trajectories, truth_correspondences
-
-        traj_a, traj_b = _pole_trajectories(1.2)
-        amp = 18.2 * np.array([0.8, 0.45, 0.4])
-        amp = amp / np.linalg.norm(amp) * 18.2
-        sway = Sinusoid3DTrajectory(
-            center=(0.0, 0.0, 4300.0), amplitude=tuple(amp), frequency_hz=(1.8, 1.8, 1.8),
-            phase=(0.0, 0.0, 0.0), start_time=0.4, ramp=0.3,
-        )
-        scenes = {
-            "pole_a": _desk_scene(traj_a, 1.2, 0),
-            "pole_b": _desk_scene(traj_b, 1.2, 11),
-            "sway": _desk_scene(sway, 1.9, 101),
-        }
+        pole_a, pole_b = pole_scenes(1.2, 0)
+        scenes = {"pole_a": pole_a, "pole_b": pole_b, "sway": sway_scene(101)}
         truth = truth_correspondences(preset_paper_rig(), 400, 0.0, 0).pixels
 
         digests = {}
