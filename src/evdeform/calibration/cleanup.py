@@ -19,6 +19,13 @@ from ..geometry import (
 
 Array = np.ndarray
 
+EPIPOLAR_THRESHOLD = 2.0  # px, symmetric point-to-epipolar-line distance
+REPROJ_THRESHOLD = 1.0  # px, per-camera reprojection error
+# a camera's distortion is refined from at least this many observations
+# whose bounding box covers at least this share of the sensor
+DISTORTION_MIN_POINTS = 20
+DISTORTION_MIN_AREA = 0.3
+
 
 @dataclass(frozen=True)
 class Removal:
@@ -43,15 +50,14 @@ def reject_outliers(
     intrinsics: list[CameraIntrinsics],
     poses: list[CameraPose],
     points3d: Array,
-    d_h: float = 2.0,
-    xi_th: float = 1.0,
 ) -> RejectionReport:
     """Drop correspondences violating epipolar or reprojection thresholds.
 
     A point is removed when any visible camera pair's symmetric point-to-
-    epipolar-line distance exceeds d_h or any per-camera reprojection error
-    exceeds xi_th. Pixels are raw observations: the reprojection test uses
-    the full camera model and the epipolar test their undistorted positions.
+    epipolar-line distance exceeds EPIPOLAR_THRESHOLD or any per-camera
+    reprojection error exceeds REPROJ_THRESHOLD. Pixels are raw
+    observations: the reprojection test uses the full camera model and the
+    epipolar test their undistorted positions.
     Raises AllRejected when nothing survives.
     """
     m, n, _ = pixels.shape
@@ -72,7 +78,8 @@ def reject_outliers(
             d = symmetric_epipolar_distance(
                 pair.fundamental, undistorted[a, shared], undistorted[b, shared]
             )
-            for col, dist in zip(shared[d > d_h], d[d > d_h]):
+            far = d > EPIPOLAR_THRESHOLD
+            for col, dist in zip(shared[far], d[far]):
                 col = int(col)
                 if col not in removed or removed[col].value < dist:
                     removed[col] = Removal(col, "epipolar", (a, b), float(dist))
@@ -85,7 +92,8 @@ def reject_outliers(
         err = np.linalg.norm(proj - pixels[j, cols], axis=1)
         # behind the camera is never an inlier
         err = np.where(depth <= 0, np.inf, err)
-        for col, e in zip(cols[err > xi_th], err[err > xi_th]):
+        far = err > REPROJ_THRESHOLD
+        for col, e in zip(cols[far], err[far]):
             col = int(col)
             if col not in removed or removed[col].value < e:
                 removed[col] = Removal(col, "reprojection", (j,), float(e))
@@ -99,24 +107,20 @@ def reject_outliers(
     return RejectionReport(kept, [removed[i] for i in sorted(removed)])
 
 
-def distortion_gate(
-    observed: Array,
-    intrinsics: CameraIntrinsics,
-    min_points: int = 20,
-    min_area_fraction: float = 0.3,
-) -> str | None:
+def distortion_gate(observed: Array, intrinsics: CameraIntrinsics) -> str | None:
     """Why one camera's observations cannot constrain k1 k2 p1 p2, or None.
 
     Too uneven a coverage leaves the coefficients to absorb noise: fewer
-    than min_points observations, a bounding box under min_area_fraction of
-    the sensor, or all points on one side of the principal point.
+    than DISTORTION_MIN_POINTS observations, a bounding box under
+    DISTORTION_MIN_AREA of the sensor, or all points on one side of the
+    principal point.
     """
     observed = np.asarray(observed, dtype=float).reshape(-1, 2)
-    if len(observed) < min_points:
+    if len(observed) < DISTORTION_MIN_POINTS:
         return f"only {len(observed)} correspondences"
     span = observed.max(axis=0) - observed.min(axis=0)
     area = span[0] * span[1] / (intrinsics.width * intrinsics.height)
-    if area < min_area_fraction:
+    if area < DISTORTION_MIN_AREA:
         return f"coverage {area:.0%} of sensor area"
     u, v = observed[:, 0], observed[:, 1]
     if (

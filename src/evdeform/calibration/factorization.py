@@ -21,6 +21,7 @@ Array = np.ndarray
 TOL = 1e-10
 ABS_TOL = 1e-12
 MAX_ITERS = 200
+BALANCE_PASSES = 2  # column-then-row rescalings before each SVD
 
 
 @dataclass
@@ -62,11 +63,11 @@ def propagate_depths(
     return out
 
 
-def balance_scales(pixels: Array, scales: Array, passes: int = 2) -> Array:
+def balance_scales(pixels: Array, scales: Array) -> Array:
     """Row-triplet and column rescaling of the stacked matrix for conditioning."""
     hom = homogeneous(pixels)  # (m, n, 3)
     s = scales.copy()
-    for _ in range(passes):
+    for _ in range(BALANCE_PASSES):
         w = hom * s[:, :, None]
         col_norm = np.sqrt(np.sum(w * w, axis=(0, 2)))
         s = s / np.where(col_norm > 0, col_norm, 1.0)[None, :]

@@ -49,13 +49,10 @@ from .upgrade import euclidean_upgrade
 Array = np.ndarray
 
 
-# The recipe's fixed settings, in px unless noted
+# The recipe's fixed settings, in px unless noted; the RANSAC and outlier
+# thresholds live in geometry and cleanup, beside the code that applies them
 FALLBACK_FOCAL = 1600.0  # focal seed when no Kruppa estimate succeeds
 REPROJ_TARGET = 0.3  # worst camera's mean reprojection error to converge
-EPIPOLAR_THRESHOLD = 2.0  # d_h of reject_outliers
-REPROJ_THRESHOLD = 1.0  # xi_th of reject_outliers
-RANSAC_THRESHOLD = 1.0
-RANSAC_ITERS = 2000
 MIN_FULL_VISIBILITY = 20  # groups every camera sees
 
 
@@ -118,21 +115,23 @@ def _triangulate_columns(
 
 
 def _reprojection_stats(
-    pixels_raw: Array, vis: Array, intrinsics, poses, points3d: Array, cols: Array,
+    pixels_raw: Array, vis: Array, camera_ids, intrinsics, poses,
+    points3d: Array, cols: Array,
 ) -> tuple[dict[int, float], dict[int, float]]:
-    """Per-camera mean/std of the raw-frame reprojection error over cols; a
-    point behind a camera that sees it counts as an infinite error."""
+    """Mean/std of the raw-frame reprojection error over cols, keyed by
+    camera id; a point behind a camera that sees it counts as an infinite
+    error."""
     means, stds = {}, {}
-    for i in range(len(intrinsics)):
+    for i, cid in enumerate(camera_ids):
         seen = vis[i, cols]
         if not seen.any():
-            means[i], stds[i] = float("nan"), float("nan")
+            means[cid], stds[cid] = float("nan"), float("nan")
             continue
         proj, depth = project_points(intrinsics[i], poses[i], points3d[:, seen].T)
         err = np.linalg.norm(proj - pixels_raw[i, cols[seen]], axis=1)
         err = np.where(depth <= 0, np.inf, err)
-        means[i] = float(err.mean())
-        stds[i] = float(err.std())
+        means[cid] = float(err.mean())
+        stds[cid] = float(err.std())
     return means, stds
 
 
@@ -186,11 +185,7 @@ def calibrate(
                 continue
             try:
                 pair, mask = estimate_fundamental_ransac(
-                    raw[a, shared],
-                    raw[b, shared],
-                    threshold=RANSAC_THRESHOLD,
-                    max_iters=RANSAC_ITERS,
-                    seed=config.seed + 1000 * a + b,
+                    raw[a, shared], raw[b, shared], seed=config.seed + 1000 * a + b
                 )
             except NoModel:
                 continue
@@ -278,10 +273,7 @@ def calibrate(
     in_active = np.isin(np.arange(n), active)
     all_points = np.zeros((3, n))
     all_points[:, active] = points3d
-    report = reject_outliers(
-        raw, vis & in_active, intrinsics, poses, all_points,
-        d_h=EPIPOLAR_THRESHOLD, xi_th=REPROJ_THRESHOLD,
-    )
+    report = reject_outliers(raw, vis & in_active, intrinsics, poses, all_points)
     if len(report.removed):
         actions.append(f"rejected={len(report.removed)}")
         kept = np.isin(active, report.kept)
@@ -289,7 +281,7 @@ def calibrate(
         intrinsics, poses, points3d = adjust(active, intrinsics, poses, points3d[:, kept])
 
     # --- stats + convergence -----------------------------------------------
-    means, stds = _reprojection_stats(raw, vis, intrinsics, poses, points3d, active)
+    means, stds = _reprojection_stats(raw, vis, camera_ids, intrinsics, poses, points3d, active)
     score = max(means.values())
     converged = score < REPROJ_TARGET
     if converged:
@@ -302,8 +294,8 @@ def calibrate(
         inlier_indices=active.copy(),
         inliers=points.take(active),
         points3d=points3d,
-        mean_reprojection={camera_ids[i]: means[i] for i in range(m)},
-        std_reprojection={camera_ids[i]: stds[i] for i in range(m)},
+        mean_reprojection=means,
+        std_reprojection=stds,
         iterations=[IterationRecord(1, means, stds, len(active), actions)],
         converged=converged,
     )

@@ -61,9 +61,10 @@ def _sym_rows(N: Array) -> Array:
 
 
 _TARGET = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+_QUADRIC_MAX_ITERS = 100
 
 
-def _solve_quadric(normalized_cameras: list[Array], max_iters: int = 100) -> Array:
+def _solve_quadric(normalized_cameras: list[Array]) -> Array:
     """Alternate G (linear least squares) with per-camera scales, scale of
     the first camera pinned at 1."""
     m = len(normalized_cameras)
@@ -72,7 +73,7 @@ def _solve_quadric(normalized_cameras: list[Array], max_iters: int = 100) -> Arr
     A_full = np.vstack(rows)
     G = None
     prev = None
-    for _ in range(max_iters):
+    for _ in range(_QUADRIC_MAX_ITERS):
         b = np.concatenate([lam[j] * _TARGET for j in range(m)])
         g, *_ = np.linalg.lstsq(A_full, b, rcond=None)
         G = _sym_from_params(g)

@@ -319,8 +319,7 @@ def cmd_verify(args) -> int:
             {
                 "name": r.name,
                 "passed": bool(r.passed),
-                "figures": {k: float(v) for k, v in r.figures.items()},
-                "details": r.details,
+                "figures": r.figures,
             }
             for r in results
         ]

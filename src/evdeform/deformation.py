@@ -33,6 +33,7 @@ from .geometry import (
 Array = np.ndarray
 
 _CONDITION_LIMIT = 1e12
+BASELINE_WINDOW = 50  # leading samples whose mean is the rest position
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,6 @@ def rebase_extrinsics(
     reference: int,
     intrinsics: Sequence[CameraIntrinsics],
     camera_ids: Sequence[int] | None = None,
-    metric_scale: float | None = None,
 ) -> RigCalibration:
     """Re-express all camera poses relative to the chosen reference camera."""
     ids = tuple(camera_ids) if camera_ids is not None else tuple(range(len(world_poses)))
@@ -82,17 +82,16 @@ def rebase_extrinsics(
         CameraPose.identity() if cid == reference else relative_pose(ref_pose, pose)
         for cid, pose in zip(ids, world_poses)
     )
-    return RigCalibration(reference, ids, tuple(intrinsics), poses, metric_scale)
+    return RigCalibration(reference, ids, tuple(intrinsics), poses)
 
 
-def rig_from_calibration(result, metric_scale: float | None = None) -> RigCalibration:
+def rig_from_calibration(result) -> RigCalibration:
     """Wrap a CalibrationResult (already reference-relative) as a rig."""
     return RigCalibration(
         result.reference_camera,
         tuple(result.camera_ids),
         tuple(result.intrinsics),
         tuple(result.poses),
-        metric_scale,
     )
 
 
@@ -104,15 +103,13 @@ def save_rig(path, rig: RigCalibration) -> None:
     )
 
 
-def load_rig(path, metric_scale: float | None = None) -> RigCalibration:
+def load_rig(path) -> RigCalibration:
     reference, cameras = load_calibration_document(path)
-    ids = tuple(c[0] for c in cameras)
     return RigCalibration(
         reference,
-        ids,
+        tuple(c[0] for c in cameras),
         tuple(c[1] for c in cameras),
         tuple(c[2] for c in cameras),
-        metric_scale,
     )
 
 
@@ -197,7 +194,6 @@ def _pixel_error(intr: CameraIntrinsics, pose: CameraPose, points: Array, ideal:
 @dataclass(frozen=True)
 class MeasureConfig:
     residual_threshold_px: float = 1.0
-    baseline_window: int = 50
 
 
 @dataclass
@@ -210,7 +206,6 @@ class DeformationSeries:
     residuals_px: Array
     camera_counts: Array
     dropped: int
-    baseline_window: int
     metric: bool
 
     def __post_init__(self):
@@ -222,8 +217,7 @@ class DeformationSeries:
 
     @property
     def baseline(self) -> Array:
-        k = min(self.baseline_window, len(self))
-        return self.positions[:k].mean(axis=0)
+        return self.positions[:BASELINE_WINDOW].mean(axis=0)
 
     @property
     def displacements(self) -> Array:
@@ -292,7 +286,6 @@ def measure_deformation(
         residuals_px=residuals[kept],
         camera_counts=counts[kept],
         dropped=len(matched) - len(kept),
-        baseline_window=config.baseline_window,
         metric=rig.metric_scale is not None,
     )
 

@@ -27,6 +27,9 @@ Array = np.ndarray
 _UNDISTORT_MAX_ITERS = 20
 _UNDISTORT_TARGET_PX = 1e-10
 _UNDISTORT_FAIL_PX = 1e-6
+RANSAC_THRESHOLD = 1.0  # px, symmetric epipolar-line distance of an inlier
+RANSAC_ITERS = 2000  # most seven-point draws
+_RANSAC_CONFIDENCE = 0.9999  # of having drawn one all-inlier sample
 
 
 def skew(v: Array) -> Array:
@@ -112,9 +115,6 @@ class CameraIntrinsics:
     def with_focal(self, fx: float, fy: float) -> "CameraIntrinsics":
         return replace(self, fx=fx, fy=fy)
 
-    def with_distortion(self, k1: float, k2: float, p1: float, p2: float) -> "CameraIntrinsics":
-        return replace(self, k1=k1, k2=k2, p1=p1, p2=p2)
-
     def normalized_from_pixel(self, pixels: Array) -> Array:
         pixels = np.asarray(pixels, dtype=float)
         x = (pixels[..., 0] - self.cx) / self.fx
@@ -170,10 +170,6 @@ class CameraPose:
         """Map world points (..., 3) into camera coordinates."""
         points = np.asarray(points, dtype=float)
         return points @ self.rotation.T + self.translation
-
-    def inverse_transform(self, points: Array) -> Array:
-        points = np.asarray(points, dtype=float)
-        return (points - self.translation) @ self.rotation
 
 
 def relative_pose(a: CameraPose, b: CameraPose) -> CameraPose:
@@ -388,15 +384,13 @@ def _fundamental_design(h1: Array, h2: Array) -> Array:
     )
 
 
-def eight_point(h1: Array, h2: Array, weights: Array | None = None) -> Array:
+def eight_point(h1: Array, h2: Array, weights: Array) -> Array:
     """Least-squares F from >= 8 normalized correspondences, rank-2 projected.
 
-    Optional per-correspondence weights turn the algebraic cost into a
-    Sampson-style approximation of the geometric one.
+    Per-correspondence weights turn the algebraic cost into a Sampson-style
+    approximation of the geometric one.
     """
-    A = _fundamental_design(h1, h2)
-    if weights is not None:
-        A = A * weights[:, None]
+    A = _fundamental_design(h1, h2) * weights[:, None]
     # thin factors hold the null vector unless there are fewer rows than unknowns
     _, _, Vt = np.linalg.svd(A, full_matrices=len(A) < A.shape[1])
     F = Vt[-1].reshape(3, 3)
@@ -444,27 +438,24 @@ def seven_point_candidates(h1: Array, h2: Array) -> list[Array]:
     return out
 
 
-def _adaptive_iters(inlier_ratio: float, confidence: float = 0.9999) -> int:
+def _adaptive_iters(inlier_ratio: float) -> int:
     w7 = inlier_ratio ** 7
     if w7 >= 1.0:
         return 1
     if w7 <= 1e-12:
         return 1 << 30
-    return int(np.ceil(np.log(1.0 - confidence) / np.log(1.0 - w7)))
+    return int(np.ceil(np.log(1.0 - _RANSAC_CONFIDENCE) / np.log(1.0 - w7)))
 
 
 def estimate_fundamental_ransac(
-    points1: Array,
-    points2: Array,
-    threshold: float = 1.0,
-    max_iters: int = 2000,
-    seed: int = 0,
+    points1: Array, points2: Array, seed: int = 0
 ) -> tuple[FundamentalPair, Array]:
     """Seven-point RANSAC with Hartley normalization and inlier refit.
 
     Inliers are points whose symmetric epipolar-line distance is at most
-    threshold (pixels). Best model by inlier count, ties broken by lower
-    total inlier residual. Deterministic for a fixed seed.
+    RANSAC_THRESHOLD (pixels), over at most RANSAC_ITERS draws. Best model
+    by inlier count, ties broken by lower total inlier residual.
+    Deterministic for a fixed seed.
     """
     p1 = np.asarray(points1, dtype=float).reshape(-1, 2)
     p2 = np.asarray(points2, dtype=float).reshape(-1, 2)
@@ -482,7 +473,7 @@ def estimate_fundamental_ransac(
 
     def score(F: Array) -> tuple[int, float, Array]:
         d = symmetric_epipolar_distance(F, p1, p2)
-        mask = d <= threshold
+        mask = d <= RANSAC_THRESHOLD
         return int(mask.sum()), float(d[mask].sum()), mask
 
     best: tuple[int, float, Array, Array] | None = None
@@ -500,9 +491,9 @@ def estimate_fundamental_ransac(
             consider(denormalize(Fn))
     else:
         rng = np.random.default_rng(seed)
-        needed = max_iters
+        needed = RANSAC_ITERS
         i = 0
-        while i < min(needed, max_iters):
+        while i < min(needed, RANSAC_ITERS):
             idx = rng.choice(n, size=7, replace=False)
             for Fn in seven_point_candidates(h1[idx], h2[idx]):
                 consider(denormalize(Fn))
@@ -521,7 +512,7 @@ def estimate_fundamental_ransac(
         if mask.sum() < 8:
             break
         w = sampson_weights(F, p1[mask], p2[mask])
-        F_ls = denormalize(eight_point(h1[mask], h2[mask], weights=w))
+        F_ls = denormalize(eight_point(h1[mask], h2[mask], w))
         c2, t2, m2 = score(F_ls)
         if (c2, -t2) <= (count, -total):
             break

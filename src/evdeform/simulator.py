@@ -374,13 +374,14 @@ def simulate(config: ScenarioConfig) -> SimulationResult:
 # canonical desk-scale rig
 # ---------------------------------------------------------------------------
 
-def look_at_pose(center: Array, target: Array, up=(0.0, 1.0, 0.0)) -> CameraPose:
-    """World-to-camera pose for a camera at center aimed at target."""
+def look_at_pose(center: Array, target: Array) -> CameraPose:
+    """World-to-camera pose for a camera at center aimed at target, with
+    world +y up."""
     center = np.asarray(center, dtype=float)
     target = np.asarray(target, dtype=float)
     z = target - center
     z = z / np.linalg.norm(z)
-    x = np.cross(np.asarray(up, dtype=float), z)
+    x = np.cross(np.array([0.0, 1.0, 0.0]), z)
     x = x / np.linalg.norm(x)
     y = np.cross(z, x)
     R = np.stack([x, y, z])

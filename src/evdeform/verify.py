@@ -60,7 +60,6 @@ class CheckResult:
     name: str
     passed: bool
     figures: dict[str, float]
-    details: str = ""
 
     def __post_init__(self):
         self.figures = {k: float(v) for k, v in self.figures.items()}
@@ -281,7 +280,10 @@ def check_deformation_sway(seed: int, calibration: CalibrationResult) -> CheckRe
 # criterion 6: property suite
 # ---------------------------------------------------------------------------
 
-def _random_rig(rng, n_cams=3, n_points=24):
+_OUTLIER_TRIALS = 50
+
+
+def _random_rig(rng, n_cams, n_points):
     intr = CameraIntrinsics(1500.0, 1500.0, 639.5, 359.5)
     poses = []
     for k in range(n_cams):
@@ -308,10 +310,10 @@ def _prop_rank4(seed: int) -> float:
     return float(s[4] / s[0])
 
 
-def _prop_ba_monotonic(seed: int, trials: int = 100) -> int:
+def _prop_ba_monotonic(seed: int) -> int:
     rng = np.random.default_rng(seed)
     violations = 0
-    for _ in range(trials):
+    for _ in range(100):
         intr, poses, points = _random_rig(rng, 3, 15)
         cam_idx = np.repeat(np.arange(3), len(points))
         pt_idx = np.tile(np.arange(len(points)), 3)
@@ -370,10 +372,10 @@ def _prop_undistort(seed: int) -> float:
     return float(np.abs(roundtrip - distorted).max())
 
 
-def _prop_outliers(seed: int, trials: int = 50) -> int:
+def _prop_outliers(seed: int) -> int:
     rng = np.random.default_rng(seed)
     exact = 0
-    for _ in range(trials):
+    for _ in range(_OUTLIER_TRIALS):
         intr, poses, points = _random_rig(rng, 3, 100)
         pix = np.stack([project_points(intr, p, points)[0] for p in poses])
         planted = rng.choice(100, size=10, replace=False)
@@ -382,10 +384,7 @@ def _prop_outliers(seed: int, trials: int = 50) -> int:
             offset = rng.normal(0, 1, 2)
             offset = offset / np.linalg.norm(offset) * 20.0
             pix[cam, idx] += offset
-        report = reject_outliers(
-            pix, np.ones((3, 100), dtype=bool), [intr] * 3, poses, points.T,
-            d_h=2.0, xi_th=1.0,
-        )
+        report = reject_outliers(pix, np.ones((3, 100), dtype=bool), [intr] * 3, poses, points.T)
         removed = {r.point_index for r in report.removed}
         if removed == set(planted.tolist()):
             exact += 1
@@ -448,7 +447,7 @@ def check_property_suite(seed: int) -> CheckResult:
         and figures["ba_monotonic_violations"] == 0
         and figures["jacobian_max_rel_err"] < 1e-4
         and figures["undistort_roundtrip_px"] < 1e-8
-        and figures["outlier_trials_exact"] == 50
+        and figures["outlier_trials_exact"] == _OUTLIER_TRIALS
         and figures["matching_mismatches"] == 0
         and figures["reference_invariance_rel"] < 1e-9
     )

@@ -23,7 +23,7 @@ from evdeform.geometry import (
 )
 from evdeform.simulator import paper_rig_cameras
 
-TABLE_CAM1 = (-0.05359, 0.33899, -0.00157, -0.00479)
+TABLE_CAM1 = dict(k1=-0.05359, k2=0.33899, p1=-0.00157, p2=-0.00479)
 FOCAL_CAM1 = (1778.51, 1772.34)  # fx, fy of a calibrated camera: fy/fx != 1
 
 
@@ -170,7 +170,7 @@ class TestJacobian:
         ci, pi, px = cam_idx[:keep], pt_idx[:keep], pix[:keep]
         P = CAM_PARAMS * 3 + 3 * len(pts)
         h = 1e-6
-        distorted = [i.with_distortion(*TABLE_CAM1) for i in intr]
+        distorted = [replace(i, **TABLE_CAM1) for i in intr]
         for cams in (intr, distorted, [i.with_focal(*FOCAL_CAM1) for i in distorted]):
             _, J = dense_jacobian(cams, poses, pts, ci, pi, px)
             Jfd = np.zeros_like(J)

@@ -1,9 +1,11 @@
 """Self-calibration on synthetic correspondences."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from evdeform import geometry
 from evdeform.calibration import pipeline
 from evdeform.calibration.pipeline import (
     CalibrationConfig,
@@ -11,6 +13,7 @@ from evdeform.calibration.pipeline import (
     write_iteration_log,
 )
 from evdeform.deformation import rebase_extrinsics
+from evdeform.extraction import Correspondences
 from evdeform.errors import InsufficientCorrespondences, NoModel, SingularConfiguration
 from evdeform.geometry import (
     distort_normalized,
@@ -133,7 +136,8 @@ class TestCalibrate:
 
     def test_distorted_observations_recovered(self, rig_cameras):
         """Distortion is refined jointly with focal lengths, poses and points."""
-        intr_true = [i.with_distortion(*TABLE_CAM1) for i, _ in rig_cameras]
+        k1, k2, p1, p2 = TABLE_CAM1
+        intr_true = [replace(i, k1=k1, k2=k2, p1=p1, p2=p2) for i, _ in rig_cameras]
         poses = [p for _, p in rig_cameras]
         rng = np.random.default_rng(8)
         # full-sensor coverage so the distortion fit engages
@@ -143,7 +147,7 @@ class TestCalibrate:
             u, v = rng.uniform(40, 1240), rng.uniform(40, 680)
             depth = rng.uniform(4800, 5600)
             xn = ideal.normalized_from_pixel(np.array([u, v]))
-            p = poses[1].inverse_transform(np.array([xn[0], xn[1], 1.0]) * depth)
+            p = (np.array([xn[0], xn[1], 1.0]) * depth - poses[1].translation) @ poses[1].rotation
             cams_see = []
             try:
                 for intr, pose in rig_cameras:
@@ -184,7 +188,7 @@ class TestCalibrate:
         pixels[1, 17] += 6.0
         groups = correspondences(pixels, groups.mean_t)
         # a wide RANSAC threshold keeps the outlier in the first solve
-        monkeypatch.setattr(pipeline, "RANSAC_THRESHOLD", 50.0)
+        monkeypatch.setattr(geometry, "RANSAC_THRESHOLD", 50.0)
         result = calibrate(groups, CalibrationConfig(seed=2))
         actions = result.iterations[0].actions
         assert "rejected=1" in actions
@@ -226,6 +230,19 @@ class TestCalibrate:
         assert first["iteration"] == 1
         assert set(first["mean_reprojection_px"]) == {"0", "1", "2"}
         assert first["inlier_count"] > 0
+
+    def test_iteration_log_keyed_by_camera_id(self, tmp_path, rig_cameras):
+        groups = correspondences_from_points(rig_cameras, sample_points(40))
+        groups = Correspondences.from_members((3, 5, 7), groups.index, groups.pixels, groups.t_c)
+        result = calibrate(groups, CalibrationConfig(seed=2))
+        path = tmp_path / "iterations.log"
+        write_iteration_log(path, result.iterations)
+        logged = json.loads(path.read_text())
+        for name in ("mean_reprojection", "std_reprojection"):
+            by_camera = getattr(result, name)
+            assert set(by_camera) == {3, 5, 7}
+            assert getattr(result.iterations[0], name) == by_camera
+            assert logged[f"{name}_px"] == {str(k): v for k, v in by_camera.items()}
 
 
 class TestDegenerateTrajectory:

@@ -31,9 +31,7 @@ def clean_scene():
 class TestRejectOutliers:
     def test_noiseless_inliers_survive(self, clean_scene):
         intr, poses, pts, pix = clean_scene
-        report = reject_outliers(
-            pix, np.ones((3, 100), dtype=bool), intr, poses, pts.T, d_h=1.0, xi_th=1.0
-        )
+        report = reject_outliers(pix, np.ones((3, 100), dtype=bool), intr, poses, pts.T)
         assert len(report.removed) == 0
         assert len(report.kept) == 100
 
@@ -46,32 +44,27 @@ class TestRejectOutliers:
             cam = rng.integers(0, 3)
             direction = rng.normal(0, 1, 2)
             pix[cam, idx] += direction / np.linalg.norm(direction) * 20.0
-        report = reject_outliers(
-            pix, np.ones((3, 100), dtype=bool), intr, poses, pts.T, d_h=2.0, xi_th=1.0
-        )
+        report = reject_outliers(pix, np.ones((3, 100), dtype=bool), intr, poses, pts.T)
         assert {r.point_index for r in report.removed} == set(planted.tolist())
 
-    def test_zero_threshold_rejects_noisy_data(self, clean_scene):
+    def test_noise_beyond_thresholds_rejects_all(self, clean_scene):
         intr, poses, pts, pix = clean_scene
         rng = np.random.default_rng(2)
-        pix = pix + rng.normal(0, 0.5, pix.shape)
+        # 20 px noise, ten times the epipolar and twenty times the
+        # reprojection threshold
+        pix = pix + rng.normal(0, 20.0, pix.shape)
         with pytest.raises(AllRejected):
-            reject_outliers(
-                pix, np.ones((3, 100), dtype=bool), intr, poses, pts.T,
-                d_h=0.0, xi_th=0.0,
-            )
+            reject_outliers(pix, np.ones((3, 100), dtype=bool), intr, poses, pts.T)
 
     def test_idempotent_for_fixed_calibration(self, clean_scene):
         intr, poses, pts, pix = clean_scene
         rng = np.random.default_rng(3)
         pix = pix.copy()
         pix[1, [5, 6]] += 25.0
-        first = reject_outliers(
-            pix, np.ones((3, 100), dtype=bool), intr, poses, pts.T, d_h=2.0, xi_th=1.0
-        )
+        first = reject_outliers(pix, np.ones((3, 100), dtype=bool), intr, poses, pts.T)
         vis2 = np.zeros((3, 100), dtype=bool)
         vis2[:, first.kept] = True
-        second = reject_outliers(pix, vis2, intr, poses, pts.T, d_h=2.0, xi_th=1.0)
+        second = reject_outliers(pix, vis2, intr, poses, pts.T)
         assert len(second.removed) == 0
         np.testing.assert_array_equal(second.kept, first.kept)
 
@@ -79,9 +72,7 @@ class TestRejectOutliers:
         intr, poses, pts, pix = clean_scene
         pix = pix.copy()
         pix[2, 7] += 30.0
-        report = reject_outliers(
-            pix, np.ones((3, 100), dtype=bool), intr, poses, pts.T, d_h=2.0, xi_th=1.0
-        )
+        report = reject_outliers(pix, np.ones((3, 100), dtype=bool), intr, poses, pts.T)
         assert len(report.removed) == 1
         removal = report.removed[0]
         assert removal.point_index == 7
@@ -96,7 +87,7 @@ class TestEstimateDistortion:
 
     def _scene(self, coeffs, n=200, seed=1):
         intr_ideal = CameraIntrinsics(1800.0, 1800.0, 639.5, 359.5)
-        intr_true = intr_ideal.with_distortion(*coeffs)
+        intr_true = CameraIntrinsics(1800.0, 1800.0, 639.5, 359.5, *coeffs)
         cams = paper_rig_cameras()
         pose = cams[1][1]
         rng = np.random.default_rng(seed)
@@ -107,7 +98,7 @@ class TestEstimateDistortion:
             v = rng.uniform(30, 690)
             depth = rng.uniform(4500, 6000)
             xn = intr_ideal.normalized_from_pixel(np.array([u, v]))
-            pts.append(pose.inverse_transform(np.array([xn[0], xn[1], 1.0]) * depth))
+            pts.append((np.array([xn[0], xn[1], 1.0]) * depth - pose.translation) @ pose.rotation)
         pts = np.array(pts)
         cam = pose.transform(pts)
         xy = cam[:, :2] / cam[:, 2:3]

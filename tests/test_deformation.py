@@ -1,5 +1,7 @@
 """Reference rebasing, linear intersection and deformation series."""
+import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -30,11 +32,11 @@ from evdeform.simulator import look_at_pose, paper_rig_cameras
 from conftest import correspondences, correspondences_from_points
 
 
-def make_rig(cameras=None, scale=None):
+def make_rig(cameras=None):
     cameras = cameras if cameras is not None else paper_rig_cameras()
     intr = [i for i, _ in cameras]
     poses = [p for _, p in cameras]
-    return rebase_extrinsics(poses, 0, intr, metric_scale=scale)
+    return rebase_extrinsics(poses, 0, intr)
 
 
 class TestRebaseExtrinsics:
@@ -204,7 +206,7 @@ class TestMixedVisibilityBatch:
     def test_measure_drops_exactly_the_bad_samples(self, rig_cameras):
         cameras, groups, truth = _mixed_batch(rig_cameras)
         rig = make_rig(cameras)
-        series = measure_deformation(rig, groups, MeasureConfig(baseline_window=1))
+        series = measure_deformation(rig, groups)
         assert series.dropped == 3
         np.testing.assert_array_equal(series.t_us, groups.mean_t[:6])
         np.testing.assert_allclose(series.positions, truth, rtol=0, atol=1e-9)
@@ -244,13 +246,27 @@ class TestMeasureDeformation:
         with pytest.raises(EmptySeries):
             measure_deformation(rig, groups, MeasureConfig(residual_threshold_px=-1.0))
 
+    def test_baseline_is_the_first_50_samples(self, rig_cameras):
+        rig = make_rig(rig_cameras)
+        rest = np.array([0.0, 0.0, 5200.0])
+        step = np.array([12.0, -5.0, 9.0])
+        pts = np.array([rest] * 50 + [rest + step] * 10)
+        groups = _timestamped(correspondences_from_points(rig_cameras, pts))
+        series = measure_deformation(rig, groups)
+        assert len(series) == 60
+        np.testing.assert_allclose(series.displacements[:50], 0.0, rtol=0, atol=1e-9)
+        # displacements are in the reference camera's frame
+        moved = rig_cameras[0][1].rotation @ step
+        np.testing.assert_allclose(series.displacements[50:], [moved] * 10, rtol=0, atol=1e-9)
+        assert series.max_amplitude == pytest.approx(np.linalg.norm(step), rel=0, abs=1e-9)
+
     def test_summary_axes(self, rig_cameras):
         rig = make_rig(rig_cameras)
         pts = np.stack(
             [np.array([0.0, 0.0, 5200.0]) + [10.0 * np.sin(k / 5), 0, 0] for k in range(60)]
         )
         groups = _timestamped(correspondences_from_points(rig_cameras, pts))
-        series = measure_deformation(rig, groups, MeasureConfig(baseline_window=5))
+        series = measure_deformation(rig, groups)
         s = series.summary()
         assert set(s["axes"]) == {"X", "Y", "Z"}
         assert s["samples"] == 60
@@ -286,11 +302,9 @@ class TestAnchorScale:
         rig = make_rig(rig_cameras)
         pts = np.array([[0.0, 0.0, 5200.0], [40.0, 10.0, 5100.0]] * 15)
         groups = _timestamped(correspondences_from_points(rig_cameras, pts))
-        base = measure_deformation(rig, groups, MeasureConfig(baseline_window=2))
-        import dataclasses
-
+        base = measure_deformation(rig, groups)
         rig2 = dataclasses.replace(rig, metric_scale=3.0)
-        scaled = measure_deformation(rig2, groups, MeasureConfig(baseline_window=2))
+        scaled = measure_deformation(rig2, groups)
         np.testing.assert_allclose(scaled.positions, base.positions * 3.0, rtol=1e-12)
         assert scaled.max_amplitude == pytest.approx(base.max_amplitude * 3.0, rel=1e-12)
 
@@ -321,7 +335,7 @@ class TestReferenceInvariance:
 
 class TestSeriesFiles:
     def test_series_csv_and_summary(self, tmp_path, rig_cameras):
-        rig = make_rig(rig_cameras, scale=2.0)
+        rig = dataclasses.replace(make_rig(rig_cameras), metric_scale=2.0)
         pts = np.array([[0.0, 0.0, 5200.0]] * 10)
         groups = _timestamped(correspondences_from_points(rig_cameras, pts))
         series = measure_deformation(rig, groups)
@@ -330,8 +344,6 @@ class TestSeriesFiles:
         lines = (tmp_path / "series.csv").read_text().splitlines()
         assert lines[0] == "t_us,X,Y,Z,residual_px,cameras"
         assert len(lines) == 11
-        import json
-
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["samples"] == 10
         assert summary["metric_units"] is True

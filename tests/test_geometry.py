@@ -9,6 +9,7 @@ from evdeform.errors import (
     ParseError,
 )
 from evdeform.geometry import (
+    RANSAC_THRESHOLD,
     CameraIntrinsics,
     CameraPose,
     _fundamental_design,
@@ -49,9 +50,8 @@ class TestProject:
             R = rotation_from_axis_angle(rng.normal(0, 0.4, 3))
             t = rng.normal(0, 2.0, 3)
             pose = CameraPose(R, t)
-            point = pose.inverse_transform(
-                np.array([rng.uniform(-1, 1), rng.uniform(-0.6, 0.6), rng.uniform(2, 8)])
-            )
+            in_camera = np.array([rng.uniform(-1, 1), rng.uniform(-0.6, 0.6), rng.uniform(2, 8)])
+            point = (in_camera - t) @ R
             # oracle: explicit homogeneous chain computed step by step
             Xc = R @ point + t
             xn = Xc[:2] / Xc[2]
@@ -172,7 +172,7 @@ class TestRansac:
 
     def test_exact_correspondences_all_inliers(self, small_rig):
         x1, x2 = self._correspondences(small_rig, 100)
-        pair, mask = estimate_fundamental_ransac(x1, x2, threshold=1.0, seed=1)
+        pair, mask = estimate_fundamental_ransac(x1, x2, seed=1)
         assert mask.all()
         assert symmetric_epipolar_distance(pair.fundamental, x1, x2).max() < 1e-8
 
@@ -182,14 +182,14 @@ class TestRansac:
         outliers = rng.choice(100, size=20, replace=False)
         x2 = x2.copy()
         x2[outliers] += rng.uniform(20, 80, (20, 2)) * rng.choice([-1, 1], (20, 2))
-        pair, mask = estimate_fundamental_ransac(x1, x2, threshold=1.0, seed=2)
+        pair, mask = estimate_fundamental_ransac(x1, x2, seed=2)
         assert mask.sum() >= 80
         assert not mask[outliers].any()
 
     def test_seven_points_exact(self, small_rig):
         x1, x2 = self._correspondences(small_rig, 7)
         try:
-            pair, mask = estimate_fundamental_ransac(x1, x2, threshold=1.0, seed=0)
+            pair, mask = estimate_fundamental_ransac(x1, x2, seed=0)
         except NoModel:
             return  # degenerate sample is an allowed outcome
         d = symmetric_epipolar_distance(pair.fundamental, x1, x2)
@@ -206,21 +206,20 @@ class TestRansac:
 
     def test_inlier_mask_matches_threshold_contract(self, small_rig):
         x1, x2 = self._correspondences(small_rig, 120, noise=0.4)
-        threshold = 1.0
-        pair, mask = estimate_fundamental_ransac(x1, x2, threshold=threshold, seed=3)
+        pair, mask = estimate_fundamental_ransac(x1, x2, seed=3)
         d = symmetric_epipolar_distance(pair.fundamental, x1, x2)
-        np.testing.assert_array_equal(mask, d <= threshold)
+        np.testing.assert_array_equal(mask, d <= RANSAC_THRESHOLD)
 
     def test_estimated_fundamental_is_rank_two(self, small_rig):
         x1, x2 = self._correspondences(small_rig, 60, noise=0.3)
-        pair, _ = estimate_fundamental_ransac(x1, x2, threshold=1.0, seed=4)
+        pair, _ = estimate_fundamental_ransac(x1, x2, seed=4)
         F = pair.fundamental / np.linalg.norm(pair.fundamental)
         assert abs(np.linalg.det(F)) < 1e-9
 
     def test_deterministic_for_fixed_seed(self, small_rig):
         x1, x2 = self._correspondences(small_rig, 80, noise=0.5)
-        p1, m1 = estimate_fundamental_ransac(x1, x2, threshold=1.0, seed=11)
-        p2, m2 = estimate_fundamental_ransac(x1, x2, threshold=1.0, seed=11)
+        p1, m1 = estimate_fundamental_ransac(x1, x2, seed=11)
+        p2, m2 = estimate_fundamental_ransac(x1, x2, seed=11)
         np.testing.assert_array_equal(m1, m2)
         np.testing.assert_array_equal(p1.fundamental, p2.fundamental)
 
@@ -236,7 +235,7 @@ class TestEightPoint:
         x2 = project_points(intr, p2, pts)[0] + rng.normal(0, 0.3, (n, 2))
         _, h1 = hartley_normalization(x1)
         _, h2 = hartley_normalization(x2)
-        w = rng.uniform(0.5, 2.0, n) if weighted else None
+        w = rng.uniform(0.5, 2.0, n) if weighted else np.ones(n)
 
         A = _fundamental_design(h1, h2)
         if weighted:
@@ -245,14 +244,14 @@ class TestEightPoint:
         U, s, Vt = np.linalg.svd(Vt[-1].reshape(3, 3))
         reference = U @ np.diag([s[0], s[1], 0.0]) @ Vt
 
-        np.testing.assert_array_equal(eight_point(h1, h2, weights=w), reference)
+        np.testing.assert_array_equal(eight_point(h1, h2, w), reference)
 
 
 class TestCalibrationDocument:
     def test_round_trip_lossless(self, tmp_path, rig_cameras):
         path = tmp_path / "calibration.json"
         cameras = [
-            (i, intr.with_distortion(*TABLE_CAM1), pose)
+            (i, CameraIntrinsics(intr.fx, intr.fy, intr.cx, intr.cy, *TABLE_CAM1), pose)
             for i, (intr, pose) in enumerate(rig_cameras)
         ]
         save_calibration_document(path, 1, cameras)
@@ -284,9 +283,8 @@ class TestPoseValidation:
         for p in pts:
             px = project_points(intr, p1, p)[0]
             xn = intr.normalized_from_pixel(px)
-            ray = p1.inverse_transform(
-                np.array([xn[0], xn[1], 1.0]) * p1.transform(p.reshape(1, 3))[0, 2]
-            )
+            in_camera = np.array([xn[0], xn[1], 1.0]) * p1.transform(p.reshape(1, 3))[0, 2]
+            ray = (in_camera - p1.translation) @ p1.rotation
             np.testing.assert_allclose(ray, p, atol=1e-9)
 
 

@@ -225,7 +225,7 @@ def test_matching_symmetric_under_camera_permutation(seed, t_th, jitter, whole_u
 def test_metric_scale_equivariance(seed, alpha):
     import dataclasses
 
-    from evdeform.deformation import measure_deformation, rebase_extrinsics, MeasureConfig
+    from evdeform.deformation import measure_deformation, rebase_extrinsics
     from evdeform.simulator import paper_rig_cameras
 
     rng = np.random.default_rng(seed)
@@ -234,7 +234,7 @@ def test_metric_scale_equivariance(seed, alpha):
     pts = np.array([0, 0, 5200.0]) + rng.uniform(-1, 1, (6, 3)) * 300.0
     pixels = np.stack([project_points(intr, pose, pts)[0] for intr, pose in cams])
     groups = correspondences(pixels, 4000.0 * np.arange(len(pts)))
-    base = measure_deformation(rig, groups, MeasureConfig(baseline_window=2))
+    base = measure_deformation(rig, groups)
     scaled_rig = dataclasses.replace(rig, metric_scale=alpha)
-    scaled = measure_deformation(scaled_rig, groups, MeasureConfig(baseline_window=2))
+    scaled = measure_deformation(scaled_rig, groups)
     np.testing.assert_allclose(scaled.positions, base.positions * alpha, rtol=1e-12)
