@@ -44,6 +44,21 @@ class RejectionReport:
         return len(self.removed)
 
 
+def reprojection_errors(
+    pixels: Array, visibility: Array, intrinsics, poses, points3d: Array
+) -> list[tuple[Array, Array]]:
+    """Per camera, its visible columns and their raw-frame reprojection
+    errors under the full camera model; a point behind the camera is never
+    an inlier, so its error there is infinite."""
+    out = []
+    for j in range(len(intrinsics)):
+        cols = np.flatnonzero(visibility[j])
+        proj, depth = project_points(intrinsics[j], poses[j], points3d[:, cols].T)
+        err = np.linalg.norm(proj - pixels[j, cols], axis=1)
+        out.append((cols, np.where(depth <= 0, np.inf, err)))
+    return out
+
+
 def reject_outliers(
     pixels: Array,
     visibility: Array,
@@ -84,14 +99,9 @@ def reject_outliers(
                 if col not in removed or removed[col].value < dist:
                     removed[col] = Removal(col, "epipolar", (a, b), float(dist))
 
-    for j in range(m):
-        cols = np.flatnonzero(visibility[j])
-        if not len(cols):
-            continue
-        proj, depth = project_points(intrinsics[j], poses[j], points3d[:, cols].T)
-        err = np.linalg.norm(proj - pixels[j, cols], axis=1)
-        # behind the camera is never an inlier
-        err = np.where(depth <= 0, np.inf, err)
+    for j, (cols, err) in enumerate(
+        reprojection_errors(pixels, visibility, intrinsics, poses, points3d)
+    ):
         far = err > REPROJ_THRESHOLD
         for col, e in zip(cols[far], err[far]):
             col = int(col)

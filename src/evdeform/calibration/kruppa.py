@@ -2,11 +2,11 @@
 
 With the principal point moved to the origin and square pixels assumed, the
 epipolar constraint on the image of the absolute conic reduces to
-F C F' = s [e]x C [e]x' with C = diag(f^2, f^2, 1). Eliminating the scale s
-leaves ratio constraints between the two sides; both sides are linear in
-y = f^2, so the solve is a one-dimensional least-squares problem in y,
-minimized here through the scale-free misalignment of the two sides (the
-entry-wise ratio system in raw form is hopelessly noise-sensitive).
+F C F' = s [e]x C [e]x' with C = diag(f^2, f^2, 1). Both sides, L and R, are
+linear in y = f^2; the scale-free misalignment 1 - a^2 / (p q), with a = L.R,
+p = |L|^2 and q = |R|^2 quadratic in y, is minimised in closed form over the
+roots of one quintic (the entry-wise ratio system in raw form is hopelessly
+noise-sensitive).
 """
 from __future__ import annotations
 
@@ -19,8 +19,7 @@ Array = np.ndarray
 
 _DIAG110 = np.diag([1.0, 1.0, 0.0])
 
-_GRID_POINTS = 600
-_GRID_SPAN = (0.02, 50.0)  # multiples of the coordinate scale
+_FOCAL_SPAN = (0.02, 50.0)  # focal range, multiples of the coordinate scale
 
 
 def _sides(pair: FundamentalPair, principal: tuple[float, float]):
@@ -64,7 +63,6 @@ def _ratio_rows(L1: Array, L0: Array, R1: Array, R0: Array) -> Array:
 
 def _misalignment(L1, L0, R1, R0, y: Array) -> Array:
     """1 - cos^2 of the angle between the stacked sides, per y value."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
     L = y[:, None] * L1.ravel()[None, :] + L0.ravel()[None, :]
     R = y[:, None] * R1.ravel()[None, :] + R0.ravel()[None, :]
     lr = np.einsum("ij,ij->i", L, R)
@@ -73,12 +71,26 @@ def _misalignment(L1, L0, R1, R0, y: Array) -> Array:
     return 1.0 - lr * lr / np.maximum(ll * rr, 1e-300)
 
 
+def _stationary_points(L1, L0, R1, R0) -> Array:
+    """Roots of 2 a' p q - a (p' q + p q'), the numerator of d(cos^2)/dy
+    over a, with a = L.R, p = |L|^2 and q = |R|^2."""
+    l1, l0, r1, r0 = (M.ravel() for M in (L1, L0, R1, R0))
+    P = np.polynomial.Polynomial  # coefficients in ascending powers of y
+    a = P([l0 @ r0, l1 @ r0 + l0 @ r1, l1 @ r1])
+    p = P([l0 @ l0, 2.0 * (l1 @ l0), l1 @ l1])
+    q = P([r0 @ r0, 2.0 * (r1 @ r0), r1 @ r1])
+    return (2.0 * a.deriv() * p * q - a * (p.deriv() * q + p * q.deriv())).roots()
+
+
 def solve_kruppa_focal(pair: FundamentalPair, principal: tuple[float, float]) -> float:
     """Shared focal length in pixels implied by one camera pair.
 
-    Raises DegenerateMotion when the ratio system is rank deficient or the
-    misalignment cost is flat (for example pure translation along the
-    optical axis), and NegativeFocalSquared when no interior minimum exists.
+    The exact minimiser of the misalignment over f in _FOCAL_SPAN times the
+    coordinate scale: the best of the range ends and the quintic's roots
+    between them. Raises DegenerateMotion when the ratio system is rank
+    deficient or the misalignment cost is flat (for example pure translation
+    along the optical axis), and NegativeFocalSquared when the minimum lies
+    at a range end.
     """
     sigma, L1, L0, R1, R0 = _sides(pair, principal)
 
@@ -93,32 +105,15 @@ def solve_kruppa_focal(pair: FundamentalPair, principal: tuple[float, float]) ->
             f"focal-length system is rank deficient (singular values {s})"
         )
 
-    ys = np.geomspace(_GRID_SPAN[0] ** 2, _GRID_SPAN[1] ** 2, _GRID_POINTS)
+    lo, hi = _FOCAL_SPAN[0] ** 2, _FOCAL_SPAN[1] ** 2
+    # a complex root's real part is a harmless extra candidate: the cost there
+    # is never below the minimum, which lies at a real root or a range end
+    roots = _stationary_points(L1, L0, R1, R0).real
+    ys = np.concatenate([[lo, hi], roots[(roots > lo) & (roots < hi)]])
     cost = _misalignment(L1, L0, R1, R0, ys)
     if float(cost.max() - cost.min()) < 1e-12:
         raise DegenerateMotion("misalignment cost is flat in f^2")
     k = int(np.argmin(cost))
-    if k == 0 or k == len(ys) - 1:
+    if k < 2:
         raise NegativeFocalSquared("no interior optimum for f^2 in the search range")
-
-    # golden-section refinement on log(y)
-    lo, hi = np.log(ys[k - 1]), np.log(ys[k + 1])
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc = float(_misalignment(L1, L0, R1, R0, np.exp(c))[0])
-    fd = float(_misalignment(L1, L0, R1, R0, np.exp(d))[0])
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = float(_misalignment(L1, L0, R1, R0, np.exp(c))[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = float(_misalignment(L1, L0, R1, R0, np.exp(d))[0])
-    y = float(np.exp((a + b) / 2.0))
-    if not np.isfinite(y) or y <= 0:
-        raise NegativeFocalSquared(f"f^2 = {y} is not usable")
-    return sigma * float(np.sqrt(y))
+    return sigma * float(np.sqrt(ys[k]))

@@ -36,12 +36,11 @@ from ..geometry import (
     CameraPose,
     FundamentalPair,
     estimate_fundamental_ransac,
-    project_points,
     relative_pose,
     triangulate_linear,
 )
 from .bundle import bundle_adjust
-from .cleanup import distortion_gate, reject_outliers
+from .cleanup import distortion_gate, reject_outliers, reprojection_errors
 from .factorization import projective_factorize
 from .kruppa import solve_kruppa_focal
 from .upgrade import euclidean_upgrade
@@ -122,16 +121,10 @@ def _reprojection_stats(
     camera id; a point behind a camera that sees it counts as an infinite
     error."""
     means, stds = {}, {}
-    for i, cid in enumerate(camera_ids):
-        seen = vis[i, cols]
-        if not seen.any():
-            means[cid], stds[cid] = float("nan"), float("nan")
-            continue
-        proj, depth = project_points(intrinsics[i], poses[i], points3d[:, seen].T)
-        err = np.linalg.norm(proj - pixels_raw[i, cols[seen]], axis=1)
-        err = np.where(depth <= 0, np.inf, err)
-        means[cid] = float(err.mean())
-        stds[cid] = float(err.std())
+    errors = reprojection_errors(pixels_raw[:, cols], vis[:, cols], intrinsics, poses, points3d)
+    for cid, (_, err) in zip(camera_ids, errors):
+        means[cid] = float(err.mean()) if len(err) else float("nan")
+        stds[cid] = float(err.std()) if len(err) else float("nan")
     return means, stds
 
 

@@ -1,10 +1,11 @@
 """Metric upgrade of a projective reconstruction with known intrinsics guesses.
 
 Solves the symmetric 4x4 quadric G = H11 H11' from the per-camera constraints
-M_j G M_j' = lambda_j K_j K_j' by alternating linear solves, projects G to
-PSD rank 3, assembles the homography H = [H11 | h12] with h12 the first
-point that keeps H nonsingular, and decomposes the upgraded cameras by RQ
-factorization.
+M_j G M_j' = lambda_j K_j K_j', which are linear in G and the scales together
+(Triggs, "Autocalibration and the Absolute Quadric", CVPR 1997), by one
+linear least-squares solve with lambda_0 = 1. It then projects G to PSD rank
+3, assembles the homography H = [H11 | h12] with h12 the first point that
+keeps H nonsingular, and decomposes the upgraded cameras by RQ factorization.
 """
 from __future__ import annotations
 
@@ -61,30 +62,21 @@ def _sym_rows(N: Array) -> Array:
 
 
 _TARGET = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-_QUADRIC_MAX_ITERS = 100
 
 
 def _solve_quadric(normalized_cameras: list[Array]) -> Array:
-    """Alternate G (linear least squares) with per-camera scales, scale of
-    the first camera pinned at 1."""
+    """G from one least-squares solve of N_j G N_j' = lambda_j I over the 10
+    entries of G and the scales lambda_1..lambda_{m-1}, lambda_0 pinned at 1."""
     m = len(normalized_cameras)
-    lam = np.ones(m)
-    rows = [_sym_rows(N) for N in normalized_cameras]
-    A_full = np.vstack(rows)
-    G = None
-    prev = None
-    for _ in range(_QUADRIC_MAX_ITERS):
-        b = np.concatenate([lam[j] * _TARGET for j in range(m)])
-        g, *_ = np.linalg.lstsq(A_full, b, rcond=None)
-        G = _sym_from_params(g)
-        for j in range(1, m):
-            P = normalized_cameras[j] @ G @ normalized_cameras[j].T
-            lam[j] = np.trace(P) / 3.0
-        resid = float(np.linalg.norm(A_full @ g - b))
-        if prev is not None and abs(prev - resid) < 1e-15 * max(prev, 1.0):
-            break
-        prev = resid
-    return G
+    A = np.zeros((6 * m, 10 + m - 1))
+    for j, N in enumerate(normalized_cameras):
+        A[6 * j : 6 * j + 6, :10] = _sym_rows(N)
+        if j:
+            A[6 * j : 6 * j + 6, 9 + j] = -_TARGET
+    b = np.zeros(6 * m)
+    b[:6] = _TARGET
+    x, *_ = np.linalg.lstsq(A, b, rcond=None)
+    return _sym_from_params(x[:10])
 
 
 def euclidean_upgrade(

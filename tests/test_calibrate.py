@@ -22,7 +22,7 @@ from evdeform.geometry import (
     relative_pose,
     rotation_angle,
 )
-from evdeform.simulator import look_at_pose
+from evdeform.simulator import look_at_pose, preset_paper_rig, truth_correspondences
 from conftest import correspondences, correspondences_from_points
 
 TABLE_CAM1 = (-0.05359, 0.33899, -0.00157, -0.00479)
@@ -99,6 +99,20 @@ class TestCalibrate:
         for intr in result.intrinsics:
             assert 1750.0 <= intr.fx <= 1850.0
             assert 1750.0 <= intr.fy <= 1850.0
+
+    def test_kruppa_seed_with_cameras_aimed_at_one_point(self):
+        """Every camera of the preset rig re-aimed at (0, 0, 5200) mm: the
+        optical axes of each pair meet, and the Kruppa seed is still the
+        rig's 1800 px rather than the fallback."""
+        config = preset_paper_rig()
+        target = np.array([0.0, 0.0, 5200.0])
+        config = replace(config, cameras=tuple(
+            (intr, look_at_pose(pose.center, target)) for intr, pose in config.cameras
+        ))
+        result = calibrate(truth_correspondences(config, 400, 0.0, 0), CalibrationConfig())
+        seeds = [a for a in result.iterations[0].actions if a.startswith("kruppa")]
+        assert len(seeds) == 1 and seeds[0].startswith("kruppa_f=")
+        assert abs(float(seeds[0].split("=")[1]) - 1800.0) / 1800.0 < 1e-6
 
     def test_reference_camera_is_identity(self, rig_cameras):
         """The lowest camera id is the reference; rebase_extrinsics moves the

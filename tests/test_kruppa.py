@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from evdeform.calibration.kruppa import solve_kruppa_focal
-from evdeform.errors import DegenerateMotion
+from evdeform.errors import DegenerateMotion, NegativeFocalSquared
 from evdeform.geometry import (
     CameraIntrinsics,
     CameraPose,
@@ -11,6 +11,7 @@ from evdeform.geometry import (
     fundamental_from_calibrated,
     project_points,
     relative_pose,
+    rotation_from_axis_angle,
 )
 from evdeform.simulator import look_at_pose
 
@@ -41,6 +42,28 @@ class TestExactRecovery:
         f = solve_kruppa_focal(pair, PRINCIPAL)
         assert abs(f - true_f) / true_f < 1e-6
 
+    @pytest.mark.parametrize("translation", [(1.0, 0.0, 0.0), (1.0, 0.0, 0.2)])
+    @pytest.mark.parametrize("angle", [0.1, 0.4])
+    def test_coplanar_optical_axes(self, angle, translation):
+        """Both optical axes lie in the xz plane and meet, as for cameras
+        aimed at one marker: the misalignment minimum is narrow but exact."""
+        intr = CameraIntrinsics(1800.0, 1800.0, *PRINCIPAL)
+        R = rotation_from_axis_angle(np.array([0.0, angle, 0.0]))
+        rel = CameraPose(R, np.array(translation))
+        pair = fundamental_from_calibrated(intr, intr, rel)
+        f = solve_kruppa_focal(pair, PRINCIPAL)
+        assert abs(f - 1800.0) / 1800.0 < 1e-9
+
+    def test_near_axial_motion(self):
+        """Translation along the optical axis with a 1 mrad rotation: the
+        cost is nearly flat, but its minimum is still exact."""
+        intr = CameraIntrinsics(1800.0, 1800.0, *PRINCIPAL)
+        R = rotation_from_axis_angle(np.array([1e-3, 0.0, 0.0]))
+        rel = CameraPose(R, np.array([0.0, 0.0, 1.0]))
+        pair = fundamental_from_calibrated(intr, intr, rel)
+        f = solve_kruppa_focal(pair, PRINCIPAL)
+        assert abs(f - 1800.0) / 1800.0 < 1e-6
+
 
 class TestNoisyRecovery:
     def test_monte_carlo_within_two_percent(self):
@@ -65,6 +88,18 @@ class TestDegenerateMotion:
         rel = CameraPose(np.eye(3), np.array([0.0, 0.0, 1.0]))
         pair = fundamental_from_calibrated(intr, intr, rel)
         with pytest.raises(DegenerateMotion):
+            solve_kruppa_focal(pair, PRINCIPAL)
+
+
+class TestOutsideFocalRange:
+    @pytest.mark.parametrize("true_f", [10.0, 60_000.0])
+    def test_focal_outside_span_has_no_interior_minimum(self, true_f):
+        """The search spans 0.02 to 50 times cx + cy = 999 px, so an exact
+        pair from a 10 px or a 60,000 px camera has its minimum at a range
+        end."""
+        intr, p1, p2 = convergent_pair(true_f)
+        pair = fundamental_from_calibrated(intr, intr, relative_pose(p1, p2))
+        with pytest.raises(NegativeFocalSquared):
             solve_kruppa_focal(pair, PRINCIPAL)
 
 

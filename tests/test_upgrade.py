@@ -59,6 +59,16 @@ class TestEuclideanUpgrade:
         assert np.sum(w > 1e-9 * w.max()) == 3
         assert abs(w).min() < 1e-9 * w.max()
 
+    def test_quadric_is_the_exact_solution(self, factored_scene):
+        """On exact cameras every N G N' is a multiple of the identity."""
+        cams, _, rec = factored_scene
+        normalized = [np.linalg.inv(intr.K) @ M for (intr, _), M in zip(cams, rec.cameras)]
+        normalized = [N / np.linalg.norm(N) for N in normalized]
+        G = _solve_quadric(normalized)
+        for N in normalized:
+            P = N @ G @ N.T
+            assert np.abs(P / (np.trace(P) / 3.0) - np.eye(3)).max() < 1e-12
+
     def test_majority_positive_depths(self, factored_scene):
         cams, _, rec = factored_scene
         result = euclidean_upgrade(rec, [intr for intr, _ in cams])
