@@ -23,12 +23,13 @@ CSV_HEADER = "t_us,x,y,polarity"
 _RECORD_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")])
 
 # The CSV reader reads and parses blocks of about this many bytes, cut at
-# newlines. A block's rows are found from the positions of its non-digit
-# bytes, four to a row, so its temporaries are the block's bytes, those
-# positions (8 bytes each) and a few arrays of one entry per row: a few times
-# the block, never the file, and each below the 4 MB from which numpy asks
-# for huge pages.
-_CSV_BLOCK_BYTES = 1 << 20
+# newlines, straight into the stream's columns. A block's rows are found from
+# the positions of its non-digit bytes, four to a row, so its temporaries are
+# the block's bytes, those positions (8 bytes each) and a few arrays of one
+# entry per row. The reader thus holds the stream's columns plus a few blocks
+# of temporaries; blocks this small keep those cache-sized, and read a 1M-row
+# file as fast as 1 MB blocks do, at a lower peak.
+_CSV_BLOCK_BYTES = 1 << 18
 _CSV_MAX_DIGITS = 18  # every such integer fits int64
 # The CSV writers format and write this many rows at a time, so their
 # buffers and temporaries stay cache-sized rather than the file's.
@@ -39,8 +40,10 @@ _BINARY_BLOCK_RECORDS = 1 << 16
 _INT32_MAX = np.iinfo(np.int32).max
 _UINT16_MAX = np.iinfo(np.uint16).max  # the binary header's sensor size and x, y
 _LF, _CR, _COMMA, _ZERO = (np.uint8(ord(c)) for c in "\n\r,0")
-# a row's delimiters, ", , , \n", as one word in memory order
+# a row's delimiters, ", , , \n", as one word in memory order; and a CRLF
+# row's once its LF is dropped
 _ROW_KINDS = np.frombuffer(b",,,\n", "<u4")[0]
+_CRLF_ROW_KINDS = np.frombuffer(b",,,\r", "<u4")[0]
 _VALID_ROW = re.compile(rb"(?:[0-9]{1,%d},){3}[01]" % _CSV_MAX_DIGITS)
 _POWERS_OF_TEN = 10 ** np.arange(1, _CSV_MAX_DIGITS + 1, dtype=np.int64)
 # The four ASCII digits of 0000 ... 9999, each as one word in memory order.
@@ -214,13 +217,21 @@ def _format_csv(t, x, y, polarity) -> np.ndarray:
 
 
 def _read_csv(path: Path):
-    """Parse an event CSV with numpy, block by block, cut at newlines.
+    """Parse an event CSV with numpy, block by block, cut at newlines,
+    straight into the stream's columns: t int64, x and y int32, polarity bool.
 
     The grammar: an optional line-1 header whose first field is ``t_us``;
     LF or CRLF line endings; blank lines skipped; the last line may lack
     its newline. Every other line is exactly four non-negative decimal
     integers of at most 18 digits, the last one 0 or 1. Anything else is a
-    ParseError naming ``path:line``.
+    ParseError naming ``path:line``. A pixel above 2**31 - 1 fits no int32
+    column and is a BoundsError naming its line, raised once the whole file
+    has parsed, so a bad line anywhere is still the ParseError.
+
+    A first pass of block reads counts the line ends; one more than that
+    bounds the rows, so the four columns are allocated once and each block's
+    rows are written into the next slice of them. The reader thus holds the
+    stream's columns (17 bytes a row) plus a few blocks of temporaries.
 
     A block is parsed as the fixed layout a valid file has: once the header,
     the CR of each CRLF and the blank lines are set aside, every non-digit
@@ -228,32 +239,37 @@ def _read_csv(path: Path):
     breaks the layout, or a field width or polarity, is then read line by
     line for the first bad line; valid blocks never are.
     """
-    blocks, rest, offset = [], b"", 0
     with open(path, "rb") as fh:
+        lines = 1 + sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(_CSV_BLOCK_BYTES), b""))
+        columns = [np.empty(lines, dtype) for dtype in (np.int64, np.int32, np.int32, bool)]
+        fh.seek(0)
+        rows, wide, rest, offset = 0, None, b"", 0
         while True:
             chunk = fh.read(_CSV_BLOCK_BYTES)
             data = rest + chunk
             cut = data.rfind(b"\n") + 1 if chunk else len(data)
             if cut:
-                blocks.append(_parse_csv_block(data, cut, offset, path))
+                rows, block_wide = _parse_csv_block(data, cut, offset, path, columns, rows)
+                wide = wide or block_wide
             elif len(data) >= _CSV_BLOCK_BYTES:  # far beyond any row or header
                 line = _line_number(path, offset)
                 raise ParseError(f"{path}:{line}: line longer than {_CSV_BLOCK_BYTES} bytes")
             rest, offset = data[cut:], offset + cut
             if not chunk:
                 break
-    if not blocks:
-        return _no_rows()
-    return tuple(np.concatenate(cols) for cols in zip(*blocks))
+    if wide:
+        at, x, y = wide
+        raise BoundsError(f"{path}:{_line_number(path, at)}: pixel ({x}, {y}) does not fit int32")
+    return tuple(column[:rows] for column in columns)
 
 
-def _no_rows():
-    return (np.zeros(0, np.int64),) * 3 + (np.zeros(0, bool),)
+def _parse_csv_block(data: bytes, size: int, offset: int, path: Path, columns, row: int):
+    """Parse the lines in data[:size], which starts at file offset ``offset``
+    and ends just past a newline or at the end of the file, into columns
+    from index row on.
 
-
-def _parse_csv_block(data: bytes, size: int, offset: int, path: Path):
-    """Columns of the lines in data[:size], which starts at file offset
-    ``offset`` and ends just past a newline or at the end of the file."""
+    Returns the index past the block's last row, and the file offset, x and
+    y of its first row whose pixel does not fit int32 (None if none)."""
     buf = np.frombuffer(data, np.uint8, size)
     digits = buf - _ZERO
     delim = np.flatnonzero(digits > 9)  # every byte but a digit
@@ -264,21 +280,32 @@ def _parse_csv_block(data: bytes, size: int, offset: int, path: Path):
     kinds = buf[delim]
     if size > start and buf[-1] != _LF:  # the last line of a file without a final newline
         delim, kinds = np.append(delim, size), np.append(kinds, _LF)
-    rows = _row_delimiters(delim, kinds, start, size)
-    if rows is None:
+    found = _row_delimiters(delim, kinds, start, size)
+    if found is None:
         _raise_first_bad_line(data, start, size, offset, path)
-    line_start, (t_end, x_end, y_end, newline) = rows
+    line_start, (t_end, x_end, y_end, newline) = found
     if not len(newline):
-        return _no_rows()
+        return row, None
+    end = row + len(newline)
+    if end > len(columns[0]):
+        raise ParseError(f"{path}: more rows than line ends; the file changed while it was read")
     widths = [t_end - line_start, x_end - t_end - 1, y_end - x_end - 1]
     spans = [(int(w.min()), int(w.max())) for w in widths]
     polarity = digits[newline - 1]
     if (any(lo < 1 or hi > _CSV_MAX_DIGITS for lo, hi in spans)
             or (newline - y_end != 2).any() or polarity.max() > 1):
         _raise_first_bad_line(data, start, size, offset, path)
-    columns = [_parse_field(digits, end, w, *span)
-               for end, w, span in zip((t_end, x_end, y_end), widths, spans)]
-    return (*columns, polarity.view(bool))
+    t, x, y = (_parse_field(digits, field_end, w, *span)
+               for field_end, w, span in zip((t_end, x_end, y_end), widths, spans))
+    wide = None
+    if max(spans[1][1], spans[2][1]) > 9:  # only then can a pixel exceed int32
+        beyond = np.flatnonzero((x > _INT32_MAX) | (y > _INT32_MAX))
+        if len(beyond):
+            i = beyond[0]
+            wide = offset + int(line_start[i]), int(x[i]), int(y[i])
+    for column, values in zip(columns, (t, x, y, polarity.view(bool))):
+        column[row:end] = values
+    return end, wide
 
 
 def _row_delimiters(delim, kinds, start: int, size: int):
@@ -287,34 +314,46 @@ def _row_delimiters(delim, kinds, start: int, size: int):
 
     The CR of a CRLF stands for its line's end and the LF after it is
     dropped, as is the end of every blank line, before the layout is
-    checked; a file with neither keeps every delimiter.
+    checked. A block of LF rows keeps every delimiter. In a block of CRLF
+    rows every fifth delimiter is such an LF, so dropping those leaves
+    ``, , , \\r`` row after row, and perhaps a last line without an ending;
+    only a block that is neither is searched for CRLFs and blank lines.
     """
-    kept = None
+    if not len(kinds) % 4 and (kinds.view("<u4") == _ROW_KINDS).all():
+        fields = delim.reshape(-1, 4).T  # each row's line starts just past the previous row's
+        return np.concatenate(([start], fields[3][:-1] + 1)), fields
+    crlf_rows, tail = divmod(len(kinds), 5)
+    cut = 5 * crlf_rows
+    body, body_kinds = delim[:cut].reshape(-1, 5), kinds[:cut].reshape(-1, 5)
+    # a CR at the end of the file has no LF after it, only the stand-in at size
+    if (tail in (0, 4) and (tail or delim[-1] < size)
+            and (body_kinds[:, :4].view("<u4") == _CRLF_ROW_KINDS).all()
+            and (body_kinds[:, 4] == _LF).all() and (body[:, 4] - body[:, 3] == 1).all()
+            and (kinds[cut:].view("<u4") == _ROW_KINDS).all()):
+        fields = body[:, :4] if not tail else np.concatenate((body[:, :4], delim[None, cut:]))
+        fields = fields.T  # and here two bytes past its CR
+        return np.concatenate(([start], fields[3][:-1] + 2)), fields
+    crlf = np.flatnonzero((kinds[:-1] == _CR) & (kinds[1:] == _LF)
+                          & (np.diff(delim) == 1) & (delim[1:] < size))
+    kinds[crlf] = _LF
+    line_end = kinds == _LF
+    previous = np.concatenate(([start - 1], delim[:-1]))
+    # a line end right after another, or at the block's start, ends a blank line
+    keep = ~(line_end & np.concatenate(([True], line_end[:-1])) & (delim == previous + 1))
+    keep[crlf + 1] = False
+    kept = np.flatnonzero(keep)
+    delim, kinds = delim[kept], kinds[kept]
     if len(kinds) % 4 or not (kinds.view("<u4") == _ROW_KINDS).all():
-        crlf = np.flatnonzero((kinds[:-1] == _CR) & (kinds[1:] == _LF)
-                              & (np.diff(delim) == 1) & (delim[1:] < size))
-        kinds[crlf] = _LF
-        line_end = kinds == _LF
-        previous = np.concatenate(([start - 1], delim[:-1]))
-        # a line end right after another, or at the block's start, ends a blank line
-        keep = ~(line_end & np.concatenate(([True], line_end[:-1])) & (delim == previous + 1))
-        keep[crlf + 1] = False
-        kept = np.flatnonzero(keep)
-        delim, kinds = delim[kept], kinds[kept]
-        if len(kinds) % 4 or not (kinds.view("<u4") == _ROW_KINDS).all():
-            return None
-    fields = delim.reshape(-1, 4).T
-    if kept is None:  # each row's line starts just past the previous row's
-        line_start = np.concatenate(([start], fields[3][:-1] + 1))
-    else:  # and here just past the newline before its first field
-        line_start = previous[kept[::4]] + 1
-    return line_start, fields
+        return None
+    # each row's line starts just past the newline before its first field
+    return previous[kept[::4]] + 1, delim.reshape(-1, 4).T
 
 
 def _parse_field(digits, end, width, least: int, span: int):
     """The integer of each field of at most span digits, ending just
     before end: right-aligned Horner steps in place, the leading places
-    masked for fields shorter than span. Up to 9 digits add up in int32."""
+    masked for fields shorter than span. Up to 9 digits add up in int32,
+    more in int64."""
     at = end - span
     lead = (span - width).astype(np.uint8)
     digit = np.empty(len(end), dtype=np.uint8)
@@ -326,7 +365,7 @@ def _parse_field(digits, end, width, least: int, span: int):
         value *= 10
         value += digit
         at += 1
-    return value.astype(np.int64, copy=False)
+    return value
 
 
 def _raise_first_bad_line(data: bytes, start: int, size: int, offset: int, path: Path):

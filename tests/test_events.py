@@ -2,6 +2,7 @@
 import csv
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -33,9 +34,15 @@ def random_stream(n, seed=0, width=1280, height=720, camera_id=0):
     )
 
 
+# the columns of every stream: t, x, y and polarity
+STREAM_DTYPES = [np.dtype(np.int64), np.dtype(np.int32), np.dtype(np.int32), np.dtype(bool)]
+INT32_MAX = 2**31 - 1
+
+
 def reference_read_csv(path):
-    """Row-by-row reader with the csv module: the reference for the grammar's valid part."""
-    t, x, y, p = [], [], [], []
+    """Row-by-row reader with the csv module: the reference for the grammar's
+    valid part. Its columns are int64, with each row's line number last."""
+    t, x, y, p, lines = [], [], [], [], []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (lineno == 1 and row[0].strip() == "t_us"):
@@ -47,12 +54,33 @@ def reference_read_csv(path):
             pol = int(row[3])
             assert pol in (0, 1)
             p.append(bool(pol))
+            lines.append(lineno)
     return (
         np.array(t, dtype=np.int64),
         np.array(x, dtype=np.int64),
         np.array(y, dtype=np.int64),
         np.array(p, dtype=bool),
+        np.array(lines, dtype=np.int64),
     )
+
+
+def assert_reads_as(got, want):
+    """got is what _read_csv returned or raised on s.csv, want a reference's
+    columns and line numbers. A pixel above int32 must be the BoundsError of
+    the first row that has one; otherwise got holds want's values in the
+    stream's dtypes."""
+    *columns, lines = want
+    beyond = np.flatnonzero((columns[1] > INT32_MAX) | (columns[2] > INT32_MAX))
+    if len(beyond):
+        i = beyond[0]
+        assert isinstance(got, BoundsError)
+        assert str(got).endswith(
+            f"s.csv:{lines[i]}: pixel ({columns[1][i]}, {columns[2][i]}) does not fit int32")
+        return
+    assert isinstance(got, tuple)
+    assert [a.dtype for a in got] == STREAM_DTYPES
+    for a, b in zip(got, columns):
+        np.testing.assert_array_equal(a, b)
 
 
 class TestReadWrite:
@@ -78,7 +106,15 @@ class TestReadWrite:
         write_stream(stream, path, fmt)
         if fmt == "csv":  # rows cross the reader's block boundaries
             assert path.stat().st_size > 2 * events._CSV_BLOCK_BYTES
-        loaded, warnings = read_stream(path, fmt, sensor=(1280, 720))
+        tracemalloc.start()
+        try:
+            loaded, warnings = read_stream(path, fmt, sensor=(1280, 720))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the reader holds the stream's columns, 17 bytes a row, and a few blocks
+        assert peak <= 17 * len(stream) + 16 * events._CSV_BLOCK_BYTES
+        assert [c.dtype for c in (loaded.t, loaded.x, loaded.y, loaded.polarity)] == STREAM_DTYPES
         assert warnings == 0
         np.testing.assert_array_equal(loaded.t, stream.t)
         np.testing.assert_array_equal(loaded.x, stream.x)
@@ -220,20 +256,25 @@ class TestCsvGrammar:
             ("\n\n", 0),
             (f"0,0,0,0\n{BIG},{BIG},{BIG},1\n", 2),
             ("t_us\n007,0010,1,1\n", 1),
+            (f"{BIG},{INT32_MAX:018d},{7:010d},1\r\n{1:018d},{0:012d},{INT32_MAX},0\r\n", 2),
+            ("0,2147483648,0,1\n", 1),
+            ("t_us,x,y,polarity\r\n\r\n5,1,2,1\r\n6,0,99999999999,0\r\n7,4294967301,1,1\r\n", 3),
         ],
         ids=["crlf", "blank-lines", "no-final-newline", "crlf-no-final-newline",
              "no-header", "header-only", "header-only-no-newline", "zero-byte",
-             "blank-only", "extremes", "leading-zeros"],
+             "blank-only", "extremes", "leading-zeros", "zero-padded-wide-pixels",
+             "pixel-beyond-int32", "first-pixel-beyond-int32"],
     )
     def test_matches_reference_reader(self, tmp_path, text, rows):
         path = tmp_path / "s.csv"
         path.write_bytes(text.encode())
-        got = events._read_csv(path)
-        want = reference_read_csv(path)
-        assert len(got[0]) == rows
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
+        try:
+            got = events._read_csv(path)
+        except BoundsError as exc:
+            got = exc
+        assert_reads_as(got, reference_read_csv(path))
+        if not isinstance(got, BoundsError):
+            assert len(got[0]) == rows
 
     @pytest.mark.parametrize(
         "text, line, reason",
@@ -256,11 +297,14 @@ class TestCsvGrammar:
             ("t_us,x,y,polarity\n \n", 2, "expected 4 fields, got 1"),
             ("x_us,x,y,polarity\n5,1,2,1\n", 1, "t_us 'x_us' is not"),
             ("5,1,2,1\n" + "1" * events._CSV_BLOCK_BYTES, 2, "line longer than"),
+            ("0,2147483648,0,1\n5,1,2\n", 2, "expected 4 fields, got 3"),
+            ("t_us,x,y,polarity\r\n5,1,2,1\r7\n", 2, "polarity '1\\r7' is not"),
         ],
         ids=["too-few-fields", "too-many-fields", "non-digit", "minus-sign", "plus-sign",
              "space", "underscore", "empty-field", "stray-cr", "double-cr", "cr-at-eof",
              "polarity-2", "polarity-01", "19-digits", "23-digits", "whitespace-line",
-             "other-header", "line-longer-than-a-block"],
+             "other-header", "line-longer-than-a-block", "bad-line-after-wide-pixel",
+             "digit-between-cr-and-lf"],
     )
     def test_bad_row_names_path_and_line(self, tmp_path, text, line, reason):
         path = tmp_path / "bad.csv"
@@ -278,6 +322,23 @@ class TestCsvGrammar:
         assert len("t_us,x,y,polarity\n") + 8 * 600_000 > events._CSV_BLOCK_BYTES
         with pytest.raises(ParseError, match=r"bad\.csv:600002: polarity 'x'"):
             read_stream(path, "csv", sensor=(1280, 720))
+
+    def test_rows_beyond_the_line_count_are_a_parse_error(self, tmp_path, monkeypatch):
+        """A file that grows between the count of its line ends and the parse."""
+        path = tmp_path / "s.csv"
+        path.write_text("5,1,2,1\n" * 20)
+        parse = events._parse_csv_block
+
+        def grow_once_then_parse(*args):
+            if path.stat().st_size == 160:
+                with open(path, "a") as fh:
+                    fh.write("5,1,2,1\n" * 10)
+            return parse(*args)
+
+        monkeypatch.setattr(events, "_CSV_BLOCK_BYTES", 64)
+        monkeypatch.setattr(events, "_parse_csv_block", grow_once_then_parse)
+        with pytest.raises(ParseError, match=r"s\.csv: more rows than line ends"):
+            events._read_csv(path)
 
     def test_writer_refuses_values_the_reader_rejects(self, tmp_path):
         stream = EventStream(0, 10, 10, [10**18], [1], [1], [True])
@@ -305,9 +366,25 @@ def csv_text(lines, final_newline: bool) -> str:
     return text
 
 
+def pixels_within_int32(lines):
+    """The lines with each row's x and y cut to their last 9 digits and
+    zero-padded back to their width, so they fit int32 in every field width."""
+    def fit(field):
+        return field if len(field) < 10 else "0" * (len(field) - 9) + field[-9:]
+
+    def row(line):
+        fields = line.split(",")
+        if len(fields) != 4 or not fields[0].isdigit():  # a header or blank line
+            return line
+        return ",".join((fields[0], fit(fields[1]), fit(fields[2]), fields[3]))
+
+    return [(row(line), end) for line, end in lines]
+
+
 def grammar_read(text: str):
-    """Line by line, as the grammar reads: the rows' columns, and the number
-    and content of the first rejected line (None when every line is valid)."""
+    """Line by line, as the grammar reads: the rows' columns and line
+    numbers, and the number and content of the first rejected line (None
+    when every line is valid)."""
     rows = []
     lines = text.split("\n")
     for number, line in enumerate(lines, start=1):
@@ -319,20 +396,20 @@ def grammar_read(text: str):
         if not (len(fields) == 4 and all(f.isascii() and f.isdigit() and len(f) <= 18 for f in fields)
                 and fields[3] in ("0", "1")):
             return None, (number, line)
-        rows.append([int(f) for f in fields])
-    columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    return (*columns[:3], columns[3] == 1), None
+        rows.append([int(f) for f in fields] + [number])
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    return (*columns[:3], columns[3] == 1, columns[4]), None
 
 
 def read_with_blocks(text: str, block: int, reference=reference_read_csv):
-    """_read_csv on text, with blocks of the given size, or the ParseError it
-    raises; and the reference's columns."""
+    """_read_csv on text, with blocks of the given size, or the ParseError or
+    BoundsError it raises; and the reference's columns."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(events, "_CSV_BLOCK_BYTES", block):
         path = Path(tmp) / "s.csv"
         path.write_bytes(text.encode())
         try:
             got = events._read_csv(path)
-        except ParseError as exc:
+        except (ParseError, BoundsError) as exc:
             got = exc
         return got, reference(path)
 
@@ -340,36 +417,54 @@ def read_with_blocks(text: str, block: int, reference=reference_read_csv):
 class TestCsvBlockEdges:
     """The reader with blocks of a few dozen bytes, so that block edges fall
     on every byte of a row, a CRLF and a blank line. The longest line is 60
-    bytes with its CRLF, so each block still holds a whole line."""
+    bytes with its CRLF, so each block still holds a whole line.
+
+    Most texts hold a pixel above int32, which is a BoundsError, so each is
+    read again with its pixels cut to fit and compared value by value."""
 
     @settings(max_examples=300, deadline=None)
     @given(lines=csv_lines(), final_newline=st.booleans(), block=st.integers(61, 160))
     def test_valid_text_matches_reference_reader(self, lines, final_newline, block):
-        got, want = read_with_blocks(csv_text(lines, final_newline), block)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
+        for text_lines in (lines, pixels_within_int32(lines)):
+            assert_reads_as(*read_with_blocks(csv_text(text_lines, final_newline), block))
 
     @settings(max_examples=300, deadline=None)
     @given(lines=csv_lines(), final_newline=st.booleans(), block=st.integers(61, 160),
            at=st.floats(0, 1, exclude_max=True), byte=st.sampled_from("7,\r x-"))
     def test_one_changed_byte_names_the_first_bad_line(self, lines, final_newline, block, at, byte):
         """Any byte but a newline replaced: the reader returns the rows the
-        grammar reads, or names the first line it rejects."""
-        text = csv_text(lines, final_newline)
-        places = [i for i, c in enumerate(text) if c != "\n"]
-        if places:
-            i = places[int(at * len(places))]
-            text = text[:i] + byte + text[i + 1:]
-        got, (want, bad) = read_with_blocks(text, block, lambda path: grammar_read(text))
-        if bad is None:
-            for a, b in zip(got, want):
+        grammar reads, or names the first line it rejects, even after a
+        pixel above int32."""
+        for text_lines in (lines, pixels_within_int32(lines)):
+            text = csv_text(text_lines, final_newline)
+            places = [i for i, c in enumerate(text) if c != "\n"]
+            if places:
+                i = places[int(at * len(places))]
+                text = text[:i] + byte + text[i + 1:]
+            got, (want, bad) = read_with_blocks(text, block, lambda path: grammar_read(text))
+            if bad is None:
+                assert_reads_as(got, want)
+            else:
+                line, content = bad
+                assert isinstance(got, ParseError)
+                assert str(got).endswith(f"s.csv:{line}: {events._row_error(content.encode())}")
+
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_crlf_rows_read_as_their_lf_twin(self, final_newline):
+        """Rows that all end in CRLF, as a file converted to CRLF has: the
+        columns are bitwise those of the same rows ending in LF, wherever a
+        block edge falls."""
+        stream = random_stream(40, seed=5)
+        text = "t_us,x,y,polarity\n" + "".join(
+            f"{t},{x},{y},{int(p)}\n" for t, x, y, p in zip(stream.t, stream.x, stream.y, stream.polarity))
+        if not final_newline:
+            text = text[:-1]
+        for block in range(61, 90):
+            lf, _ = read_with_blocks(text, block)
+            crlf, _ = read_with_blocks(text.replace("\n", "\r\n"), block)
+            for a, b in zip(crlf, lf):
                 assert a.dtype == b.dtype
                 np.testing.assert_array_equal(a, b)
-        else:
-            line, content = bad
-            assert isinstance(got, ParseError)
-            assert str(got).endswith(f"s.csv:{line}: {events._row_error(content.encode())}")
 
     @pytest.mark.parametrize("block", range(61, 90))
     def test_bad_line_after_blank_and_crlf_lines_in_a_later_block(self, tmp_path, monkeypatch, block):
