@@ -40,10 +40,8 @@ _BINARY_BLOCK_RECORDS = 1 << 16
 _INT32_MAX = np.iinfo(np.int32).max
 _UINT16_MAX = np.iinfo(np.uint16).max  # the binary header's sensor size and x, y
 _LF, _CR, _COMMA, _ZERO = (np.uint8(ord(c)) for c in "\n\r,0")
-# a row's delimiters, ", , , \n", as one word in memory order; and a CRLF
-# row's once its LF is dropped
+# a row's delimiters, ", , , \n", as one word in memory order
 _ROW_KINDS = np.frombuffer(b",,,\n", "<u4")[0]
-_CRLF_ROW_KINDS = np.frombuffer(b",,,\r", "<u4")[0]
 _VALID_ROW = re.compile(rb"(?:[0-9]{1,%d},){3}[01]" % _CSV_MAX_DIGITS)
 _POWERS_OF_TEN = 10 ** np.arange(1, _CSV_MAX_DIGITS + 1, dtype=np.int64)
 # The four ASCII digits of 0000 ... 9999, each as one word in memory order.
@@ -239,10 +237,9 @@ def _read_csv(path: Path):
     breaks the layout, or a field width or polarity, is then read line by
     line for the first bad line; valid blocks never are.
     """
+    lines = _line_number(path)  # the file's last line: no more rows than that
+    columns = [np.empty(lines, dtype) for dtype in (np.int64, np.int32, np.int32, bool)]
     with open(path, "rb") as fh:
-        lines = 1 + sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(_CSV_BLOCK_BYTES), b""))
-        columns = [np.empty(lines, dtype) for dtype in (np.int64, np.int32, np.int32, bool)]
-        fh.seek(0)
         rows, wide, rest, offset = 0, None, b"", 0
         while True:
             chunk = fh.read(_CSV_BLOCK_BYTES)
@@ -314,39 +311,28 @@ def _row_delimiters(delim, kinds, start: int, size: int):
 
     The CR of a CRLF stands for its line's end and the LF after it is
     dropped, as is the end of every blank line, before the layout is
-    checked. A block of LF rows keeps every delimiter. In a block of CRLF
-    rows every fifth delimiter is such an LF, so dropping those leaves
-    ``, , , \\r`` row after row, and perhaps a last line without an ending;
-    only a block that is neither is searched for CRLFs and blank lines.
+    checked; a file with neither keeps every delimiter.
     """
-    if not len(kinds) % 4 and (kinds.view("<u4") == _ROW_KINDS).all():
-        fields = delim.reshape(-1, 4).T  # each row's line starts just past the previous row's
-        return np.concatenate(([start], fields[3][:-1] + 1)), fields
-    crlf_rows, tail = divmod(len(kinds), 5)
-    cut = 5 * crlf_rows
-    body, body_kinds = delim[:cut].reshape(-1, 5), kinds[:cut].reshape(-1, 5)
-    # a CR at the end of the file has no LF after it, only the stand-in at size
-    if (tail in (0, 4) and (tail or delim[-1] < size)
-            and (body_kinds[:, :4].view("<u4") == _CRLF_ROW_KINDS).all()
-            and (body_kinds[:, 4] == _LF).all() and (body[:, 4] - body[:, 3] == 1).all()
-            and (kinds[cut:].view("<u4") == _ROW_KINDS).all()):
-        fields = body[:, :4] if not tail else np.concatenate((body[:, :4], delim[None, cut:]))
-        fields = fields.T  # and here two bytes past its CR
-        return np.concatenate(([start], fields[3][:-1] + 2)), fields
-    crlf = np.flatnonzero((kinds[:-1] == _CR) & (kinds[1:] == _LF)
-                          & (np.diff(delim) == 1) & (delim[1:] < size))
-    kinds[crlf] = _LF
-    line_end = kinds == _LF
-    previous = np.concatenate(([start - 1], delim[:-1]))
-    # a line end right after another, or at the block's start, ends a blank line
-    keep = ~(line_end & np.concatenate(([True], line_end[:-1])) & (delim == previous + 1))
-    keep[crlf + 1] = False
-    kept = np.flatnonzero(keep)
-    delim, kinds = delim[kept], kinds[kept]
+    kept = None
     if len(kinds) % 4 or not (kinds.view("<u4") == _ROW_KINDS).all():
-        return None
-    # each row's line starts just past the newline before its first field
-    return previous[kept[::4]] + 1, delim.reshape(-1, 4).T
+        crlf = np.flatnonzero((kinds[:-1] == _CR) & (kinds[1:] == _LF)
+                              & (np.diff(delim) == 1) & (delim[1:] < size))
+        kinds[crlf] = _LF
+        line_end = kinds == _LF
+        previous = np.concatenate(([start - 1], delim[:-1]))
+        # a line end right after another, or at the block's start, ends a blank line
+        keep = ~(line_end & np.concatenate(([True], line_end[:-1])) & (delim == previous + 1))
+        keep[crlf + 1] = False
+        kept = np.flatnonzero(keep)
+        delim, kinds = delim[kept], kinds[kept]
+        if len(kinds) % 4 or not (kinds.view("<u4") == _ROW_KINDS).all():
+            return None
+    fields = delim.reshape(-1, 4).T
+    if kept is None:  # each row's line starts just past the previous row's
+        line_start = np.concatenate(([start], fields[3][:-1] + 1))
+    else:  # and here just past the newline before its first field
+        line_start = previous[kept[::4]] + 1
+    return line_start, fields
 
 
 def _parse_field(digits, end, width, least: int, span: int):
@@ -395,10 +381,15 @@ def _row_error(content: bytes) -> str:
     return f"polarity must be 0 or 1, got {fields[3].decode()!r}"
 
 
-def _line_number(path: Path, offset: int) -> int:
-    """1-based line of the byte at ``offset``; only error paths need it."""
+def _line_number(path: Path, offset: float = np.inf) -> int:
+    """1-based line of the byte at ``offset``, by default the file's last
+    line, counted a block at a time."""
+    line = 1
     with open(path, "rb") as fh:
-        return fh.read(offset).count(b"\n") + 1
+        while offset > 0 and (chunk := fh.read(min(offset, _CSV_BLOCK_BYTES))):
+            line += chunk.count(b"\n")
+            offset -= len(chunk)
+    return line
 
 
 def _read_binary(path: Path):

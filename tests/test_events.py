@@ -120,6 +120,17 @@ class TestReadWrite:
         np.testing.assert_array_equal(loaded.x, stream.x)
         np.testing.assert_array_equal(loaded.y, stream.y)
         np.testing.assert_array_equal(loaded.polarity, stream.polarity)
+        if fmt == "csv":  # a bad last line is named within the same bound
+            with open(path, "a") as fh:
+                fh.write("5,1,2\n")
+            tracemalloc.start()
+            try:
+                with pytest.raises(ParseError, match=r"big\.csv:1000002: expected 4 fields"):
+                    read_stream(path, fmt, sensor=(1280, 720))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 17 * len(stream) + 16 * events._CSV_BLOCK_BYTES
 
     def test_out_of_order_input_sorted_with_warnings(self, tmp_path):
         path = tmp_path / "unsorted.csv"
