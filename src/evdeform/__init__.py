@@ -33,11 +33,8 @@ from .geometry import (
 from .calibration import (
     CalibrationConfig,
     CalibrationResult,
-    ProjectiveReconstruction,
     bundle_adjust,
     calibrate,
-    euclidean_upgrade,
-    projective_factorize,
     reject_outliers,
     solve_kruppa_focal,
 )
@@ -71,7 +68,6 @@ __all__ = [
     "ExtractionConfig",
     "FundamentalPair",
     "GroundTruth",
-    "ProjectiveReconstruction",
     "RigCalibration",
     "ScenarioConfig",
     "anchor_scale",
@@ -79,7 +75,6 @@ __all__ = [
     "calibrate",
     "calibration_profile",
     "estimate_fundamental_ransac",
-    "euclidean_upgrade",
     "extract_center_sequence",
     "fundamental_from_calibrated",
     "match_corresponding",
@@ -87,7 +82,6 @@ __all__ = [
     "measurement_profile",
     "preset_paper_rig",
     "project_points",
-    "projective_factorize",
     "rebase_extrinsics",
     "reject_outliers",
     "simulate",

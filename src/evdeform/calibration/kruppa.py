@@ -5,8 +5,9 @@ epipolar constraint on the image of the absolute conic reduces to
 F C F' = s [e]x C [e]x' with C = diag(f^2, f^2, 1). Both sides, L and R, are
 linear in y = f^2; the scale-free misalignment 1 - a^2 / (p q), with a = L.R,
 p = |L|^2 and q = |R|^2 quadratic in y, is minimised in closed form over the
-roots of one quintic (the entry-wise ratio system in raw form is hopelessly
-noise-sensitive).
+roots of one quintic and evaluated there as the squared rejection of one
+unit side from the other (the entry-wise ratio system in raw form is
+hopelessly noise-sensitive).
 """
 from __future__ import annotations
 
@@ -62,13 +63,15 @@ def _ratio_rows(L1: Array, L0: Array, R1: Array, R0: Array) -> Array:
 
 
 def _misalignment(L1, L0, R1, R0, y: Array) -> Array:
-    """1 - cos^2 of the angle between the stacked sides, per y value."""
+    """sin^2 of the angle between the stacked sides, per y value: the squared
+    norm of the unit left side's rejection from the unit right side, which
+    keeps the digits that 1 - cos^2 loses when the sides are nearly parallel."""
     L = y[:, None] * L1.ravel()[None, :] + L0.ravel()[None, :]
     R = y[:, None] * R1.ravel()[None, :] + R0.ravel()[None, :]
-    lr = np.einsum("ij,ij->i", L, R)
-    ll = np.einsum("ij,ij->i", L, L)
-    rr = np.einsum("ij,ij->i", R, R)
-    return 1.0 - lr * lr / np.maximum(ll * rr, 1e-300)
+    L = L / np.maximum(np.linalg.norm(L, axis=1, keepdims=True), 1e-300)
+    R = R / np.maximum(np.linalg.norm(R, axis=1, keepdims=True), 1e-300)
+    rejection = L - np.einsum("ij,ij->i", L, R)[:, None] * R
+    return np.einsum("ij,ij->i", rejection, rejection)
 
 
 def _stationary_points(L1, L0, R1, R0) -> Array:

@@ -1,12 +1,13 @@
 """Self-calibration over corresponding points, in one pass.
 
 RANSAC epipolar geometry drops inconsistent correspondences and gives the
-Kruppa seed of the shared focal length. The rank-4 factorization, whose
-depth updates reuse RANSAC's (0, i) fundamental matrices, and the metric
-upgrade initialise cameras and points, and one bundle adjustment refines
-the full camera model: pose, one focal length per camera (fy/fx held at its
-starting value) and, for each camera whose observations cover enough of the
-sensor, the distortion coefficients.
+Kruppa seed of the shared focal length. At that focal, each (0, i)
+fundamental matrix RANSAC fitted becomes an essential matrix whose
+decomposition poses camera i; camera 0's depths of the centers every camera
+sees put every pair on camera 1's scale. The points are triangulated and
+one bundle adjustment refines the full camera model: pose, one focal length
+per camera (fy/fx held at its starting value) and, for each camera whose
+observations cover enough of the sensor, the distortion coefficients.
 Outliers are then rejected against that model; if any are, the bundle
 adjustment runs once more without them. The result converges when every
 camera's mean reprojection error is under the target.
@@ -23,6 +24,7 @@ import numpy as np
 
 from ..errors import (
     CalibrationFailed,
+    CheiralityFailure,
     DegenerateMotion,
     DegenerateTrajectoryWarning,
     InsufficientCorrespondences,
@@ -32,18 +34,18 @@ from ..errors import (
 )
 from ..extraction import Correspondences
 from ..geometry import (
+    RANSAC_THRESHOLD,
     CameraIntrinsics,
     CameraPose,
     FundamentalPair,
     estimate_fundamental_ransac,
-    relative_pose,
+    hartley_normalization,
+    homogeneous,
     triangulate_linear,
 )
 from .bundle import bundle_adjust
 from .cleanup import distortion_gate, reject_outliers, reprojection_errors
-from .factorization import projective_factorize
 from .kruppa import solve_kruppa_focal
-from .upgrade import euclidean_upgrade
 
 Array = np.ndarray
 
@@ -53,6 +55,11 @@ Array = np.ndarray
 FALLBACK_FOCAL = 1600.0  # focal seed when no Kruppa estimate succeeds
 REPROJ_TARGET = 0.3  # worst camera's mean reprojection error to converge
 MIN_FULL_VISIBILITY = 20  # groups every camera sees
+# least sigma2/sigma1 of K'FK at the seed focal; an essential matrix has 1
+ESSENTIAL_MIN_RATIO = 0.9
+
+# a quarter turn about z: R = U W V' or U W' V' for E = U diag(1, 1, 0) V'
+_W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -128,12 +135,53 @@ def _reprojection_stats(
     return means, stds
 
 
-def _warn_planar() -> None:
-    warnings.warn(
-        "marker trajectory is near-planar; focal and upgrade estimates are "
-        "ill-conditioned",
-        DegenerateTrajectoryWarning,
-    )
+def essential_pose(E: Array, rays0: Array, rays: Array) -> tuple[CameraPose, Array]:
+    """Pose of the second camera, with |t| = 1, and the first camera's depths
+    of the normalized rays (k, 3) seen by both.
+
+    Of the four (R, t) that E factors into (Hartley & Zisserman, Multiple
+    View Geometry, 2nd ed., section 9.6), the one that puts the most rays in
+    front of both cameras; raises CheiralityFailure when none puts a
+    majority there.
+    """
+    U, _, Vt = np.linalg.svd(E)
+    U, Vt = U * np.linalg.det(U), Vt * np.linalg.det(Vt)
+    best = (-1,)
+    for R in (U @ _W @ Vt, U @ _W.T @ Vt):
+        # depths (z0, z) of z rays = R z0 rays0 + t, each from the cross
+        # product of that equation with the other camera's ray
+        turned = rays0 @ R.T
+        c = np.cross(rays, turned)
+        cc = np.maximum(np.einsum("ij,ij->i", c, c), 1e-300)
+        for t in (U[:, 2], -U[:, 2]):
+            z0 = -np.einsum("ij,ij->i", np.cross(rays, t), c) / cc
+            z = np.einsum("ij,ij->i", np.cross(t, turned), c) / cc
+            front = int(np.sum((z0 > 0) & (z > 0)))
+            if front > best[0]:
+                best = (front, R, t, z0)
+    front, R, t, z0 = best
+    if 2 * front <= len(rays0):
+        raise CheiralityFailure(
+            f"no decomposition of E puts a majority of {len(rays0)} points in "
+            f"front of both cameras (best {front})"
+        )
+    return CameraPose(R, t), z0
+
+
+def _planar(pixels0: Array, pixels: Array) -> bool:
+    """Whether one homography, fitted by DLT, maps pixels0 (k, 2) onto pixels
+    with a median transfer error under RANSAC_THRESHOLD."""
+    T0, h0 = hartley_normalization(pixels0)
+    T, h = hartley_normalization(pixels)
+    zero = np.zeros_like(h0)
+    A = np.vstack([
+        np.hstack([zero, -h[:, 2:] * h0, h[:, 1:2] * h0]),
+        np.hstack([h[:, 2:] * h0, zero, -h[:, :1] * h0]),
+    ])
+    _, _, Vt = np.linalg.svd(A, full_matrices=False)
+    mapped = homogeneous(pixels0) @ (np.linalg.inv(T) @ Vt[-1].reshape(3, 3) @ T0).T
+    err = np.linalg.norm(mapped[:, :2] / mapped[:, 2:] - pixels, axis=1)
+    return float(np.median(err)) < RANSAC_THRESHOLD
 
 
 def calibrate(
@@ -206,39 +254,43 @@ def calibrate(
         CameraIntrinsics(f0, f0, cx, cy, width=width, height=height) for _ in range(m)
     ]
 
-    # --- factorization + metric upgrade ------------------------------------
+    # --- relative poses from the (0, i) essential matrices -----------------
     sub_active = active[vis[:, active].all(axis=0)]
     if len(sub_active) < 8:
         raise InsufficientCorrespondences(
             f"only {len(sub_active)} fully visible inliers remain"
         )
-    # depths reach camera i from camera 0 through RANSAC's (0, i) pair
-    star = [fundamentals.get((0, i)) for i in range(1, m)]
-    for i, pair in enumerate(star, start=1):
+    if any(_planar(raw[0, sub_active], raw[i, sub_active]) for i in range(1, m)):
+        warnings.warn(
+            "marker trajectory is near-planar: one homography maps the centers "
+            "of camera 0 onto another camera's; the focal seed and poses are "
+            "ill-conditioned",
+            DegenerateTrajectoryWarning,
+        )
+    K = intrinsics[0].K
+    rays = homogeneous(raw[:, sub_active]) @ np.linalg.inv(K).T
+    poses = [CameraPose.identity()]
+    for i in range(1, m):
+        pair = fundamentals.get((0, i))
         if pair is None:
             raise SingularConfiguration(
                 f"no fundamental matrix for camera pair (0, {i}): RANSAC found no model"
             )
-    rec = projective_factorize(raw[:, sub_active], star)
-    actions.append(f"factorize_iters={rec.iterations}_res={rec.residual:.3e}")
-    # a planar sweep collapses the factored matrix to rank 3, or else the
-    # upgraded points to a plane
-    sv = rec.singular_values
-    if sv[3] < 1e-6 * sv[0]:
-        _warn_planar()
-    upgrade = euclidean_upgrade(rec, intrinsics)
-    s = np.linalg.svd(upgrade.points.T - upgrade.points.T.mean(axis=0), compute_uv=False)
-    if s[2] < 1e-3 * s[0]:
-        _warn_planar()
-
-    # rebase on the reference camera (row 0), scaled so camera 1 sits at unit distance
-    others = [relative_pose(upgrade.poses[0], p) for p in upgrade.poses[1:]]
-    scale = np.linalg.norm(others[0].translation)
-    if scale < 1e-12:
-        raise CalibrationFailed("degenerate baseline after upgrade")
-    poses = [CameraPose.identity()] + [
-        CameraPose(p.rotation, p.translation / scale) for p in others
-    ]
+        E = K.T @ pair.fundamental @ K
+        sv = np.linalg.svd(E, compute_uv=False)
+        if sv[1] < ESSENTIAL_MIN_RATIO * sv[0]:
+            raise SingularConfiguration(
+                f"camera pair (0, {i}) is not essential at the seed focal "
+                f"{f0:.1f} px: sigma2/sigma1 = {sv[1] / sv[0]:.4f}"
+            )
+        actions.append(f"essential_0_{i}={sv[1] / sv[0]:.4f}")
+        pose, depths = essential_pose(E, rays[0], rays[i])
+        if i == 1:
+            depths_1 = depths  # camera 1 sits at unit distance
+        else:
+            # |t| = 1 from every pair: camera 0's depths fix the pairs' ratio
+            pose = CameraPose(pose.rotation, np.median(depths_1 / depths) * pose.translation)
+        poses.append(pose)
     points3d = _triangulate_columns(raw, vis, intrinsics, poses, active)
 
     # --- bundle adjustment over the full camera model ----------------------

@@ -51,7 +51,8 @@ class InsufficientCorrespondences(EvdeformError):
 
 
 class SingularConfiguration(EvdeformError):
-    """Factorization failed (SVD breakdown or undefined epipole)."""
+    """A camera pair gives no relative pose: RANSAC found no fundamental
+    matrix for it, or K'FK at the seed focal is far from essential."""
 
 
 class DegenerateMotion(EvdeformError):
@@ -62,12 +63,9 @@ class NegativeFocalSquared(EvdeformError):
     """Focal-length solve produced a non-positive or non-finite f²."""
 
 
-class IndefiniteG(EvdeformError):
-    """Upgrade quadric lost too much energy to PSD clamping."""
-
-
 class CheiralityFailure(EvdeformError):
-    """No global sign choice puts the majority of points in front."""
+    """No decomposition of an essential matrix puts the majority of points
+    in front of both cameras."""
 
 
 class DivergedBA(EvdeformError):

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from evdeform.extraction import Centers, Correspondences
-from evdeform.geometry import (
-    CameraIntrinsics,
-    fundamental_from_calibrated,
-    project_points,
-    relative_pose,
-)
+from evdeform.geometry import CameraIntrinsics, project_points
 from evdeform.simulator import look_at_pose, paper_rig_cameras
 
 
@@ -32,16 +27,6 @@ def small_rig(intrinsics_1800):
     p1 = look_at_pose(np.array([0.0, 0.0, 0.0]), target)
     p2 = look_at_pose(np.array([-1000.0, 120.0, 80.0]), target + np.array([50.0, -40.0, 0.0]))
     return intrinsics_1800, [p1, p2]
-
-
-def star_fundamentals(cameras):
-    """Exact (0, i) fundamental matrices, i = 1 .. m-1, of (intrinsics, pose)
-    pairs: the pairs projective_factorize chains its depths through."""
-    (intr0, pose0), *others = cameras
-    return [
-        fundamental_from_calibrated(intr0, intr, relative_pose(pose0, pose))
-        for intr, pose in others
-    ]
 
 
 def centers_table(camera_id: int, t_c, pixels=None) -> Centers:

@@ -1,5 +1,6 @@
 """Self-calibration on synthetic correspondences."""
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,13 +15,23 @@ from evdeform.calibration.pipeline import (
 )
 from evdeform.deformation import rebase_extrinsics
 from evdeform.extraction import Correspondences
-from evdeform.errors import InsufficientCorrespondences, NoModel, SingularConfiguration
+from evdeform.errors import (
+    CheiralityFailure,
+    DegenerateTrajectoryWarning,
+    EvdeformError,
+    InsufficientCorrespondences,
+    NoModel,
+    SingularConfiguration,
+)
 from evdeform.geometry import (
+    CameraPose,
     distort_normalized,
     fundamental_from_calibrated,
     project_points,
     relative_pose,
     rotation_angle,
+    rotation_from_axis_angle,
+    skew,
 )
 from evdeform.simulator import look_at_pose, preset_paper_rig, truth_correspondences
 from conftest import correspondences, correspondences_from_points
@@ -41,9 +52,17 @@ class TestCalibrate:
         with pytest.raises(InsufficientCorrespondences):
             calibrate(groups, CalibrationConfig())
 
+    def test_too_few_fully_visible_points(self, rig_cameras, monkeypatch):
+        """The essential matrices pose the cameras from eight or more points
+        every camera sees."""
+        groups = correspondences_from_points(rig_cameras, sample_points(5))
+        monkeypatch.setattr(pipeline, "MIN_FULL_VISIBILITY", 0)
+        with pytest.raises(InsufficientCorrespondences, match="only 5 fully visible"):
+            calibrate(groups, CalibrationConfig())
+
     def test_pair_without_ransac_model_raises(self, rig_cameras, monkeypatch):
-        """Depths reach camera i only through RANSAC's (0, i) fundamental
-        matrix, so a pair without one stops the calibration."""
+        """Camera i is posed only from RANSAC's (0, i) fundamental matrix, so
+        a pair without one stops the calibration."""
         ransac = pipeline.estimate_fundamental_ransac
 
         def no_model_for_pair_0_2(x1, x2, **kwargs):
@@ -58,15 +77,20 @@ class TestCalibrate:
 
     def test_noiseless_recovery(self, rig_cameras):
         groups = correspondences_from_points(rig_cameras, sample_points(60))
-        result = calibrate(groups, CalibrationConfig(seed=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateTrajectoryWarning)
+            result = calibrate(groups, CalibrationConfig(seed=2))
         assert result.converged
         assert max(result.mean_reprojection.values()) < 1e-4
         for intr in result.intrinsics:
             assert abs(intr.fx - 1800.0) / 1800.0 < 0.005
             assert abs(intr.fy - 1800.0) / 1800.0 < 0.005
+        essential = [a for a in result.iterations[0].actions if a.startswith("essential")]
+        assert essential == ["essential_0_1=1.0000", "essential_0_2=1.0000"]
 
     def test_noiseless_four_cameras(self, rig_cameras):
-        """The factorization reaches cameras 1, 2 and 3 over three (0, i) pairs."""
+        """Cameras 1, 2 and 3 are posed from their (0, i) essential matrices
+        and put on camera 1's scale by camera 0's depths."""
         fourth = look_at_pose([1500.0, -1800.0, 200.0], [0.0, 50.0, 5200.0])
         cams = [*rig_cameras, (rig_cameras[0][0], fourth)]
         groups = correspondences_from_points(cams, sample_points(60))
@@ -76,9 +100,31 @@ class TestCalibrate:
         for intr in result.intrinsics:
             assert abs(intr.fx - 1800.0) / 1800.0 < 0.005
             assert abs(intr.fy - 1800.0) / 1800.0 < 0.005
+        unit = np.linalg.norm(relative_pose(cams[0][1], cams[1][1]).translation)
         for (_, pose), found in zip(cams[1:], result.poses[1:]):
             truth = relative_pose(cams[0][1], pose)
             assert rotation_angle(truth.rotation @ found.rotation.T) < 1e-6
+            np.testing.assert_allclose(found.translation, truth.translation / unit, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 2)], ids=["cameras_0_1", "cameras_1_2"])
+    def test_noiseless_two_cameras(self, rig_cameras, pair):
+        """Two cameras alone: the seed is the exact rig, so the bundle
+        adjustment keeps the true focal lengths."""
+        cams = [rig_cameras[i] for i in pair]
+        result = calibrate(correspondences_from_points(cams, sample_points(200)))
+        assert result.converged
+        for intr in result.intrinsics:
+            assert abs(intr.fx - 1800.0) / 1800.0 < 1e-6
+            assert abs(intr.fy - 1800.0) / 1800.0 < 1e-6
+        truth = relative_pose(cams[0][1], cams[1][1])
+        assert rotation_angle(truth.rotation @ result.poses[1].rotation.T) < 1e-6
+
+    def test_seed_focal_far_from_essential_raises(self, rig_cameras, monkeypatch):
+        """At half the true focal, K'FK has sigma2/sigma1 = 0.86, under 0.9."""
+        monkeypatch.setattr(pipeline, "solve_kruppa_focal", lambda pair, principal: 900.0)
+        groups = correspondences_from_points(rig_cameras, sample_points(60))
+        with pytest.raises(SingularConfiguration, match=r"pair \(0, 1\) is not essential"):
+            calibrate(groups, CalibrationConfig())
 
     def test_noisy_run_converges_under_target(self, rig_cameras):
         rng = np.random.default_rng(1)
@@ -259,24 +305,84 @@ class TestCalibrate:
             assert logged[f"{name}_px"] == {str(k): v for k, v in by_camera.items()}
 
 
+def four_placements():
+    """The four poses, one per (+-R, +-t) factor of one essential matrix:
+    a convergent camera, its center mirrored through camera 0's, and both
+    turned half a revolution about the baseline."""
+    base = look_at_pose(np.array([1000.0, 0.0, 0.0]), np.array([0.0, 0.0, 5000.0]))
+    R, t = base.rotation, base.translation
+    turn = rotation_from_axis_angle(np.pi * t / np.linalg.norm(t))
+    return [CameraPose(R, t), CameraPose(R, -t), CameraPose(turn @ R, t), CameraPose(turn @ R, -t)]
+
+
+def rays_in_front(pose, n, seed=0):
+    """Normalized rays in camera 0 (the identity) and in pose of n points in
+    front of both, with their camera-0 depths."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-5000.0, 5000.0, (200 * n, 3))
+    Xi = pose.transform(X)
+    front = np.flatnonzero((X[:, 2] > 0) & (Xi[:, 2] > 0))[:n]
+    assert len(front) == n
+    X, Xi = X[front], Xi[front]
+    return X / X[:, 2:], Xi / Xi[:, 2:], X[:, 2]
+
+
+class TestEssentialPose:
+    @pytest.mark.parametrize("k", range(4))
+    def test_each_decomposition_picked_where_correct(self, k):
+        """All four placements share E up to sign; each gets its own (R, t)."""
+        pose = four_placements()[k]
+        rays0, rays, depth = rays_in_front(pose, 50)
+        E = skew(pose.translation) @ pose.rotation
+        found, depths = pipeline.essential_pose(E, rays0, rays)
+        unit = np.linalg.norm(pose.translation)
+        np.testing.assert_allclose(found.rotation, pose.rotation, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(found.translation, pose.translation / unit, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(depths, depth / unit, rtol=1e-9)
+
+    def test_no_majority_in_front_raises(self):
+        """Half the points fit one placement and half another, so no factor
+        puts a majority in front of both cameras."""
+        first, mirrored = four_placements()[:2]
+        a0, a, _ = rays_in_front(first, 30)
+        b0, b, _ = rays_in_front(mirrored, 30, seed=1)
+        E = skew(first.translation) @ first.rotation
+        with pytest.raises(CheiralityFailure):
+            pipeline.essential_pose(E, np.vstack([a0, b0]), np.vstack([a, b]))
+
+
+def planar_points(n, z_spread, seed):
+    rng = np.random.default_rng(seed)
+    pts = np.array([0, 0, 5200.0]) + rng.uniform(-1, 1, (n, 3)) * np.array(
+        [500.0, 700.0, z_spread]
+    )
+    return pts, rng
+
+
 class TestDegenerateTrajectory:
-    def test_planar_sweep_warns(self, rig_cameras):
-        import warnings as warnmod
+    @pytest.mark.parametrize(
+        "noise_px, n, z_spread, seed",
+        [(0.0, 60, 0.0, seed) for seed in range(8)]
+        + [(0.2, 200, z, seed) for z in (0.0, 1.0) for seed in range(6)],
+    )
+    def test_planar_sweep_warns(self, rig_cameras, noise_px, n, z_spread, seed):
+        """A flat sweep, or one 1 mm deep under 0.2 px noise, pins no
+        essential matrix: it warns and gives no rig."""
+        pts, rng = planar_points(n, z_spread, seed)
+        groups = correspondences_from_points(rig_cameras, pts, noise_px=noise_px, rng=rng)
+        with pytest.warns(DegenerateTrajectoryWarning), pytest.raises(EvdeformError):
+            calibrate(groups, CalibrationConfig(seed=1))
 
-        from evdeform.errors import DegenerateTrajectoryWarning, EvdeformError
-
-        rng = np.random.default_rng(3)
-        pts = np.array([0, 0, 5200.0]) + rng.uniform(-1, 1, (60, 3)) * np.array(
-            [500.0, 700.0, 0.0]
-        )
+    @pytest.mark.parametrize("seed", range(8))
+    def test_noiseless_millimetre_deep_sweep_warns_and_calibrates(self, rig_cameras, seed):
+        """Without noise, 1 mm of depth still fixes the rig exactly; the
+        sweep is near-planar all the same."""
+        pts, _ = planar_points(60, 1.0, seed)
         groups = correspondences_from_points(rig_cameras, pts)
-        with warnmod.catch_warnings(record=True) as caught:
-            warnmod.simplefilter("always")
-            try:
-                calibrate(groups, CalibrationConfig(seed=1))
-            except EvdeformError:
-                pass  # a planar scene may legitimately fail downstream
-        assert any(issubclass(w.category, DegenerateTrajectoryWarning) for w in caught)
+        with pytest.warns(DegenerateTrajectoryWarning):
+            result = calibrate(groups, CalibrationConfig(seed=1))
+        for intr in result.intrinsics:
+            assert abs(intr.fx - 1800.0) / 1800.0 < 1e-6
 
 
 class TestPartialVisibility:

@@ -54,11 +54,12 @@ class TestExactRecovery:
         f = solve_kruppa_focal(pair, PRINCIPAL)
         assert abs(f - 1800.0) / 1800.0 < 1e-9
 
-    def test_near_axial_motion(self):
-        """Translation along the optical axis with a 1 mrad rotation: the
+    @pytest.mark.parametrize("angle", [1e-3, 1e-4, 3e-5])
+    def test_near_axial_motion(self, angle):
+        """Translation along the optical axis with a small rotation: the
         cost is nearly flat, but its minimum is still exact."""
         intr = CameraIntrinsics(1800.0, 1800.0, *PRINCIPAL)
-        R = rotation_from_axis_angle(np.array([1e-3, 0.0, 0.0]))
+        R = rotation_from_axis_angle(np.array([angle, 0.0, 0.0]))
         rel = CameraPose(R, np.array([0.0, 0.0, 1.0]))
         pair = fundamental_from_calibrated(intr, intr, rel)
         f = solve_kruppa_focal(pair, PRINCIPAL)
@@ -87,6 +88,14 @@ class TestDegenerateMotion:
         intr = CameraIntrinsics(1800.0, 1800.0, *PRINCIPAL)
         rel = CameraPose(np.eye(3), np.array([0.0, 0.0, 1.0]))
         pair = fundamental_from_calibrated(intr, intr, rel)
+        with pytest.raises(DegenerateMotion):
+            solve_kruppa_focal(pair, PRINCIPAL)
+
+    def test_axial_translation_with_tiny_rotation(self):
+        """A 0.01 mrad rotation leaves the misalignment flat to 1e-12."""
+        intr = CameraIntrinsics(1800.0, 1800.0, *PRINCIPAL)
+        R = rotation_from_axis_angle(np.array([1e-5, 0.0, 0.0]))
+        pair = fundamental_from_calibrated(intr, intr, CameraPose(R, np.array([0.0, 0.0, 1.0])))
         with pytest.raises(DegenerateMotion):
             solve_kruppa_focal(pair, PRINCIPAL)
 
