@@ -43,9 +43,7 @@ def main() -> int:
     write_series(out / "series.csv", series)
     write_summary(out / "summary.json", series)
 
-    truth = np.stack(
-        [scenario.trajectory.position(t * 1e-6) for t in series.t_us]
-    ) - np.asarray(scenario.trajectory.center)
+    truth = scenario.trajectory.positions(series.t_us * 1e-6) - scenario.trajectory.center
     truth_ref = truth @ scenario.cameras[0][1].rotation.T
     rmse = np.sqrt(np.mean((series.displacements - truth_ref) ** 2, axis=0))
     print(f"  samples: {len(series)} ({series.dropped} dropped)")

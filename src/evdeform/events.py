@@ -172,8 +172,12 @@ def write_stream(stream: EventStream, path, format: str = "csv") -> None:
 
 
 def digit_counts(values: np.ndarray) -> np.ndarray:
-    """Decimal digits of each non-negative integer."""
-    return np.searchsorted(_POWERS_OF_TEN, values, side="right") + 1
+    """Decimal digits of each non-negative integer: one plus the number of
+    powers of ten it reaches, compared up to the largest value's."""
+    counts = np.ones(len(values), dtype=np.uint8)  # at most 19
+    for power in _POWERS_OF_TEN[_POWERS_OF_TEN <= values.max(initial=0)].tolist():
+        counts += values >= power
+    return counts.astype(np.intp)
 
 
 def scatter_digits(out: np.ndarray, last: np.ndarray, values: np.ndarray) -> None:
@@ -387,7 +391,7 @@ def _line_number(path: Path, offset: float = np.inf) -> int:
     line = 1
     with open(path, "rb") as fh:
         while offset > 0 and (chunk := fh.read(min(offset, _CSV_BLOCK_BYTES))):
-            line += chunk.count(b"\n")
+            line += np.count_nonzero(np.frombuffer(chunk, np.uint8) == _LF)
             offset -= len(chunk)
     return line
 

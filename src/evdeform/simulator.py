@@ -8,12 +8,14 @@ recording. Identical configs (including the seed) produce byte-identical
 streams; every event carries a marker/noise provenance label.
 
 Each camera is simulated in batches, not transition by transition: the
-whole track is projected in one call, every burst is read from one stencil
-of pixel offsets, and the latency jitter of all marker events is one normal
-draw. The streams are bitwise those of a per-transition loop drawing the
-jitter burst by burst. Both event sorts give the stable argsort of one
-packed int64 key, which needs (last event time + 1) * width * height to fit
-int64.
+trajectory is sampled at every transition in one call, the whole track is
+projected in one call, every burst is read from one stencil of pixel
+offsets, and the latency jitter of all marker events is one normal draw.
+The streams are bitwise those of a per-transition loop drawing the jitter
+burst by burst. The refractory filter sorts the values of a packed
+(pixel, time) int64 key and the final event order is the argsort of a
+packed (t, x, y) one; each needs (last event time + 1) * width * height to
+fit int64.
 """
 from __future__ import annotations
 
@@ -46,31 +48,44 @@ _STENCIL_CELLS = 1 << 16
 
 MARKER_LABEL = 0
 NOISE_LABEL = 1
+# The labels file's words "noise" and "marker": the first four letters, and
+# the last three with the newline, each as one word in memory order.
+_LABEL_HEADS = np.frombuffer(b"noismark", "<u4")
+_LABEL_TAILS = np.frombuffer(b"ise\nker\n", "<u4")
 
 
 class Trajectory(Protocol):
-    def position(self, t: float) -> Array: ...
+    """A marker path in world millimetres over time in seconds: positions
+    gives the (T, 3) points at T times in one call, and position the point
+    at one time as positions of a one-element array, so each path has one
+    formula."""
 
-
-@dataclass(frozen=True)
-class StaticTrajectory:
-    point: tuple[float, float, float]
+    def positions(self, times: Array) -> Array: ...
 
     def position(self, t: float) -> Array:
-        return np.asarray(self.point, dtype=float)
+        return self.positions(np.array([t], dtype=float))[0]
 
 
 @dataclass(frozen=True)
-class LinearTrajectory:
+class StaticTrajectory(Trajectory):
+    point: tuple[float, float, float]
+
+    def positions(self, times: Array) -> Array:
+        return np.tile(np.asarray(self.point, dtype=float), (len(times), 1))
+
+
+@dataclass(frozen=True)
+class LinearTrajectory(Trajectory):
     start: tuple[float, float, float]
     velocity: tuple[float, float, float]  # units per second
 
-    def position(self, t: float) -> Array:
+    def positions(self, times: Array) -> Array:
+        t = np.asarray(times, dtype=float)[:, None]
         return np.asarray(self.start, dtype=float) + t * np.asarray(self.velocity, dtype=float)
 
 
 @dataclass(frozen=True)
-class Sinusoid3DTrajectory:
+class Sinusoid3DTrajectory(Trajectory):
     """Per-axis sinusoid around a center, optionally ramped in after a rest."""
 
     center: tuple[float, float, float]
@@ -80,23 +95,26 @@ class Sinusoid3DTrajectory:
     start_time: float = 0.0
     ramp: float = 0.0
 
-    def position(self, t: float) -> Array:
+    def positions(self, times: Array) -> Array:
         c = np.asarray(self.center, dtype=float)
         a = np.asarray(self.amplitude, dtype=float)
         f = np.asarray(self.frequency_hz, dtype=float)
         ph = np.asarray(self.phase, dtype=float)
-        tt = t - self.start_time
-        if self.start_time > 0 and tt <= 0:
-            return c
+        tt = np.asarray(times, dtype=float)[:, None] - self.start_time
         if self.ramp > 0:
-            env = min(1.0, max(tt, 0.0) / self.ramp)
+            env = np.minimum(1.0, np.maximum(tt, 0.0) / self.ramp)
         else:
             env = 1.0
-        return c + env * a * np.sin(2.0 * np.pi * f * tt + ph)
+        out = c + env * a * np.sin(2.0 * np.pi * f * tt + ph)
+        if self.start_time > 0:
+            out[tt[:, 0] <= 0] = c  # at rest until start_time
+        return out
 
 
 @dataclass(frozen=True)
-class WaypointSplineTrajectory:
+class WaypointSplineTrajectory(Trajectory):
+    """A cubic spline through the waypoints, held at its ends outside them."""
+
     times: tuple[float, ...]
     points: tuple[tuple[float, float, float], ...]
 
@@ -109,9 +127,9 @@ class WaypointSplineTrajectory:
             CubicSpline(np.asarray(self.times), np.asarray(self.points), axis=0),
         )
 
-    def position(self, t: float) -> Array:
-        t = float(np.clip(t, self.times[0], self.times[-1]))
-        return np.asarray(self._spline(t), dtype=float)
+    def positions(self, times: Array) -> Array:
+        t = np.clip(np.asarray(times, dtype=float), self.times[0], self.times[-1])
+        return self._spline(t)
 
 
 @dataclass(frozen=True)
@@ -192,24 +210,28 @@ def _refractory_filter(t: Array, x: Array, y: Array, keep_window_us: float) -> A
     In (x, y, t) order, with ties kept in input order, a pixel's first event
     and every event at least the window after its same-pixel predecessor are
     kept outright. Only the runs of shorter gaps are walked in sequence,
-    each starting from the kept event before it. The order sorts the key
-    (x * (y_max + 1) + y) * (t_max + 1) + t, so coordinates and integer times
-    must be non-negative and the key must fit int64; each run of equal keys
-    is put back in input order, giving the stable sort's permutation.
+    each starting from the kept event before it. That order sorts the key
+    (x * (y_max + 1) + y) * span + t, span = t_max + 1, so coordinates and
+    integer times must be non-negative and the key must fit int64.
+
+    The walk reads only the sorted key values: a close pair is two keys less
+    than the window apart whose pixels, key // span, are equal (keys of two
+    pixels can be that close too), and its times are key % span. The
+    permutation is computed only when an event is dropped, to map it back to
+    the input: the argsort of the key with each run of equal keys put back
+    in input order, which is the stable sort's.
     """
     y = np.asarray(y, dtype=np.int64)
     pixel = np.asarray(x, dtype=np.int64) * (int(y.max(initial=0)) + 1) + y
-    key = pixel * (int(t.max(initial=0)) + 1) + t
-    order = np.argsort(key)
-    tie = np.diff(key[order]) == 0
-    run = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
-    order[run] = order[run][np.lexsort((order[run], key[order[run]]))]
-    ts, pixel = t[order], pixel[order]
-    close = (pixel[1:] == pixel[:-1]) & (np.diff(ts) < keep_window_us)
-    idx = np.flatnonzero(close) + 1
+    span = int(t.max(initial=0)) + 1
+    key = pixel * span + t
+    sorted_key = np.sort(key)
+    near = np.flatnonzero(np.diff(sorted_key) < keep_window_us) + 1
+    idx = near[sorted_key[near] // span == sorted_key[near - 1] // span]
     dropped = []
     prev, last = -1, None
-    for i, ti, before in zip(idx.tolist(), ts[idx].tolist(), ts[idx - 1].tolist()):
+    for i, ti, before in zip(idx.tolist(), (sorted_key[idx] % span).tolist(),
+                             (sorted_key[idx - 1] % span).tolist()):
         if i != prev + 1:  # a run starts: the event before it was kept
             last = before
         if ti - last < keep_window_us:
@@ -218,7 +240,12 @@ def _refractory_filter(t: Array, x: Array, y: Array, keep_window_us: float) -> A
             last = ti
         prev = i
     keep = np.ones(len(t), dtype=bool)
-    keep[order[np.array(dropped, dtype=np.intp)]] = False
+    if dropped:
+        order = np.argsort(key)
+        tie = np.diff(key[order]) == 0
+        run = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
+        order[run] = order[run][np.lexsort((order[run], key[order[run]]))]
+        keep[order[np.array(dropped, dtype=np.intp)]] = False
     return keep
 
 
@@ -307,7 +334,7 @@ def simulate(config: ScenarioConfig) -> SimulationResult:
     config.validate()
     t_us, pols = blink_schedule(config)
     T = len(t_us)
-    positions = np.stack([config.trajectory.position(t * 1e-6) for t in t_us]) if T else np.zeros((0, 3))
+    positions = config.trajectory.positions(t_us * 1e-6)
 
     m = len(config.cameras)
     tracks = np.full((m, T, 2), np.nan)
@@ -348,7 +375,8 @@ def simulate(config: ScenarioConfig) -> SimulationResult:
             raise ConfigError(f"camera {ci}: a {config.duration_s:g} s recording on a {intr.width}"
                               f"x{intr.height} sensor overflows the int64 event sort key")
         keep = _refractory_filter(t, x, y, REFRACTORY_US)
-        t, x, y, p, lbl = t[keep], x[keep], y[keep], p[keep], lbl[keep]
+        if not keep.all():
+            t, x, y, p, lbl = t[keep], x[keep], y[keep], p[keep], lbl[keep]
         # no pixel keeps two events at one time, so (t, x, y) is unique and
         # any sort of this key is the permutation of lexsort((p, y, x, t))
         order = np.argsort((t * intr.width + x) * intr.height + y)
@@ -512,7 +540,7 @@ def truth_correspondences(
     step = max(1, len(t_us) // n_points)
     t_sel = t_us[::step][:n_points]
     # stacked (k, 1, 3): each point projects bitwise as it would alone
-    positions = np.array([config.trajectory.position(t * 1e-6) for t in t_sel]).reshape(-1, 1, 3)
+    positions = config.trajectory.positions(t_sel * 1e-6)[:, None, :]
     pixels = np.stack([project_points(i, p, positions)[0][:, 0] for i, p in config.cameras])
     if noise_px > 0:
         rng = np.random.default_rng(seed)
@@ -643,7 +671,9 @@ def load_scenario(path) -> ScenarioConfig:
 def _format_labels(labels: Array, first: int) -> Array:
     """Three spare bytes, then the rows ``index,noise`` or ``index,marker``
     and newline of a non-empty block whose first row has index first,
-    digits scattered in as the event CSV writer does."""
+    digits scattered in as the event CSV writer does, and each label word
+    and newline as two unaligned four-byte stores: its first four letters,
+    then its last three and the newline."""
     index = np.arange(first, first + len(labels))
     noise = labels == NOISE_LABEL
     word = np.where(noise, len(b"noise"), len(b"marker"))
@@ -652,11 +682,9 @@ def _format_labels(labels: Array, first: int) -> Array:
     comma = row_end - 2 - word
     scatter_digits(out, comma - 1, index)
     out[comma] = ord(",")
-    for name, rows in ((b"noise", noise), (b"marker", ~noise)):
-        start = row_end[rows] - 1 - len(name)
-        for j, char in enumerate(name):
-            out[start + j] = char
-    out[row_end - 1] = ord("\n")
+    words = np.ndarray((len(out) - 3,), "<u4", out, strides=(1,))  # unaligned
+    words[comma + 1] = np.where(noise, *_LABEL_HEADS)
+    words[row_end - 4] = np.where(noise, *_LABEL_TAILS)
     return out
 
 

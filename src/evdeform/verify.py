@@ -254,7 +254,7 @@ def check_deformation_sway(seed: int, calibration: CalibrationResult) -> CheckRe
     kept_fraction = len(series) / total
     amplitude = series.max_amplitude
     t_s = series.t_us * 1e-6
-    truth_world = np.stack([scene.trajectory.position(t) for t in t_s])
+    truth_world = scene.trajectory.positions(t_s)
     centre = np.asarray(scene.trajectory.center)
     truth_amp = float(np.linalg.norm(truth_world - centre, axis=1).max())
     # express the true displacement in the reference camera's axes

@@ -529,6 +529,21 @@ class TestCsvWriter:
         write_stream(stream, tmp_path / "s.csv")
         assert (tmp_path / "s.csv").read_bytes() == reference_csv(stream)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_digit_counts_equal_binary_search(self, dtype):
+        """One plus the powers of ten reached, at 0 and on both sides of every
+        power up to 10**18 - 1, for a whole column, one value at a time
+        (each column compares only up to its largest value) and an empty
+        column."""
+        values = [0] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)][:-1]
+        values = np.array([v for v in values if v <= np.iinfo(dtype).max], dtype=dtype)
+        powers = events._POWERS_OF_TEN
+        for column in (values, *values[:, None], values[:0]):
+            expected = np.searchsorted(powers, column, side="right") + 1
+            got = events.digit_counts(column)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+
     def test_scatter_digits_spills_at_most_three_zeros(self):
         """A value's leading group writes '0's into at most the three bytes
         left of its first digit, and no byte to the right of its last."""

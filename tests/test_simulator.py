@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from evdeform import simulator
 from evdeform.errors import ConfigError, FieldOfViewWarning
@@ -49,6 +50,26 @@ def reference_refractory_filter(t, x, y, keep_window_us):
         else:
             last_t[key] = t[i]
     return keep
+
+
+def reference_position(trajectory, t):
+    """One time at a time, with scalar arithmetic: the reference for each
+    trajectory's positions."""
+    if isinstance(trajectory, StaticTrajectory):
+        return np.asarray(trajectory.point, dtype=float)
+    if isinstance(trajectory, LinearTrajectory):
+        return (np.asarray(trajectory.start, dtype=float)
+                + t * np.asarray(trajectory.velocity, dtype=float))
+    if isinstance(trajectory, Sinusoid3DTrajectory):
+        c, a, f, ph = (np.asarray(v, dtype=float) for v in (
+            trajectory.center, trajectory.amplitude, trajectory.frequency_hz, trajectory.phase))
+        tt = t - trajectory.start_time
+        if trajectory.start_time > 0 and tt <= 0:
+            return c
+        env = min(1.0, max(tt, 0.0) / trajectory.ramp) if trajectory.ramp > 0 else 1.0
+        return c + env * a * np.sin(2.0 * np.pi * f * tt + ph)
+    spline = CubicSpline(np.asarray(trajectory.times), np.asarray(trajectory.points), axis=0)
+    return spline(float(np.clip(t, trajectory.times[0], trajectory.times[-1])))
 
 
 def reference_projected_marker(intr, pose, point_mm, radius_mm):
@@ -200,6 +221,39 @@ def sensor_refractory_inputs(draw):
         y.append(yi)
     return (np.array(t, dtype=np.int64), np.array(x, dtype=np.int64),
             np.array(y, dtype=np.int64))
+
+
+@st.composite
+def sampled_trajectories(draw):
+    """A trajectory of each type with times over -10 to 10 s, plus the
+    sinusoid's start time, a time inside its ramp and its ramp's end, and
+    the spline's end knots and times past both ends."""
+    coord = st.floats(-1e4, 1e4)
+    point = st.tuples(coord, coord, coord)
+    times = draw(st.lists(st.floats(-10.0, 10.0), max_size=12))
+    kind = draw(st.sampled_from(["static", "linear", "sinusoid", "spline"]))
+    if kind == "static":
+        trajectory = StaticTrajectory(draw(point))
+    elif kind == "linear":
+        trajectory = LinearTrajectory(draw(point), draw(point))
+    elif kind == "sinusoid":
+        start = draw(st.just(0.0) | st.floats(0.0, 5.0))
+        ramp = draw(st.just(0.0) | st.floats(1e-3, 3.0))
+        frequency = st.floats(0.0, 50.0)
+        trajectory = Sinusoid3DTrajectory(
+            draw(point), draw(point), draw(st.tuples(frequency, frequency, frequency)),
+            draw(st.tuples(*[st.floats(-np.pi, np.pi)] * 3)), start, ramp,
+        )
+        times += [start, start + draw(st.floats(0.0, 1.0)) * ramp, start + ramp]
+    else:
+        steps = draw(st.lists(st.floats(0.01, 2.0), min_size=1, max_size=5))
+        knots = tuple(np.cumsum([draw(st.floats(-5.0, 5.0)), *steps]).tolist())
+        trajectory = WaypointSplineTrajectory(
+            knots, tuple(draw(point) for _ in knots)
+        )
+        times += [knots[0], knots[-1], knots[0] - draw(st.floats(0.0, 3.0)),
+                  knots[-1] + draw(st.floats(0.0, 3.0))]
+    return trajectory, np.array(draw(st.permutations(times)), dtype=float)
 
 
 def static_scenario(**overrides):
@@ -450,6 +504,16 @@ class TestEventModel:
             np.testing.assert_array_equal(flt(t, x, y, 50.0), [1, 0, 1, 0, 1])
             # the mask follows the input order
             np.testing.assert_array_equal(flt(t[[2, 0, 4, 1, 3]], x, y, 50.0), [1, 1, 1, 0, 0])
+
+    def test_refractory_keys_of_two_pixels_closer_than_the_window(self):
+        """Pixel (0, 0) at 100 us and pixel (0, 1) at 10 us pack to keys 100
+        and 101 + 10, 11 apart: both are kept. Pixel (0, 1) again at 40 us
+        comes 30 us after its first event and is dropped."""
+        t = np.array([100, 10, 40], dtype=np.int64)
+        x, y = np.zeros(3, dtype=np.int64), np.array([0, 1, 1])
+        for flt in (simulator._refractory_filter, reference_refractory_filter):
+            np.testing.assert_array_equal(flt(t, x, y, 50.0), [1, 1, 0])
+            np.testing.assert_array_equal(flt(t[:2], x[:2], y[:2], 50.0), [1, 1])
 
     @settings(max_examples=600, deadline=None)
     @given(st.one_of(refractory_inputs(), sensor_refractory_inputs()))
@@ -748,6 +812,29 @@ class TestBlinkSchedule:
         cfg = static_scenario(duration_s=0.1)
         t, _ = blink_schedule(cfg)
         assert t.max() < 0.1e6
+
+
+class TestTrajectorySampling:
+    @settings(max_examples=400, deadline=None)
+    @given(sampled_trajectories())
+    def test_positions_equal_scalar_reference(self, case):
+        """positions samples every time in one call, bitwise as the scalar
+        formula samples each alone, and position(t) is its row."""
+        trajectory, times = case
+        expected = np.array([reference_position(trajectory, t) for t in times]).reshape(-1, 3)
+        assert_bitwise_equal(trajectory.positions(times), expected)
+        for t, row in zip(times, expected):
+            assert_bitwise_equal(trajectory.position(t), row)
+
+    @pytest.mark.parametrize("trajectory", [
+        StaticTrajectory((1.0, 2.0, 3.0)),
+        LinearTrajectory((0.0, 0.0, 4000.0), (10.0, -5.0, 0.0)),
+        Sinusoid3DTrajectory((0.0, 0.0, 4300.0), (5.0, 6.0, 7.0), (1.0, 2.0, 3.0),
+                             start_time=0.4, ramp=0.3),
+        WaypointSplineTrajectory((0.0, 1.0), ((0.0, 0.0, 4000.0), (10.0, 5.0, 4100.0))),
+    ])
+    def test_no_times_give_no_positions(self, trajectory):
+        assert_bitwise_equal(trajectory.positions(np.zeros(0)), np.zeros((0, 3)))
 
 
 class TestScenarioFiles:
