@@ -1,7 +1,7 @@
 """Self-calibration of the camera array from corresponding points."""
 
 from .bundle import BundleResult, bundle_adjust
-from .cleanup import RejectionReport, distortion_gate, reject_outliers
+from .cleanup import distortion_gate, reject_outliers
 from .kruppa import solve_kruppa_focal
 from .pipeline import (
     CalibrationConfig,
@@ -16,7 +16,6 @@ __all__ = [
     "CalibrationConfig",
     "CalibrationResult",
     "IterationRecord",
-    "RejectionReport",
     "bundle_adjust",
     "calibrate",
     "distortion_gate",

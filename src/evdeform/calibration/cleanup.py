@@ -1,47 +1,19 @@
-"""Outlier rejection against the current calibration, and the coverage gate
-that decides whether a camera's distortion is refined."""
+"""Outlier rejection by reprojection error against the current calibration,
+and the coverage gate that decides whether a camera's distortion is refined."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import AllRejected
-from ..geometry import (
-    CameraIntrinsics,
-    CameraPose,
-    fundamental_from_calibrated,
-    project_points,
-    relative_pose,
-    symmetric_epipolar_distance,
-    undistort_pixels,
-)
+from ..geometry import CameraIntrinsics, CameraPose, project_points
 
 Array = np.ndarray
 
-EPIPOLAR_THRESHOLD = 2.0  # px, symmetric point-to-epipolar-line distance
 REPROJ_THRESHOLD = 1.0  # px, per-camera reprojection error
 # a camera's distortion is refined from at least this many observations
 # whose bounding box covers at least this share of the sensor
 DISTORTION_MIN_POINTS = 20
 DISTORTION_MIN_AREA = 0.3
-
-
-@dataclass(frozen=True)
-class Removal:
-    point_index: int
-    reason: str  # "epipolar" or "reprojection"
-    cameras: tuple[int, ...]
-    value: float
-
-
-@dataclass
-class RejectionReport:
-    kept: Array  # indices into the input columns
-    removed: list[Removal]
-
-    def __len__(self):
-        return len(self.removed)
 
 
 def reprojection_errors(
@@ -65,56 +37,24 @@ def reject_outliers(
     intrinsics: list[CameraIntrinsics],
     poses: list[CameraPose],
     points3d: Array,
-) -> RejectionReport:
-    """Drop correspondences violating epipolar or reprojection thresholds.
+) -> Array:
+    """Indices of the visible columns whose worst per-camera reprojection
+    error is at most REPROJ_THRESHOLD.
 
-    A point is removed when any visible camera pair's symmetric point-to-
-    epipolar-line distance exceeds EPIPOLAR_THRESHOLD or any per-camera
-    reprojection error exceeds REPROJ_THRESHOLD. Pixels are raw
-    observations: the reprojection test uses the full camera model and the
-    epipolar test their undistorted positions.
+    Pixels are raw observations, compared under the full camera model; a NaN
+    error, or an infinite one from a point behind a camera, is an outlier.
     Raises AllRejected when nothing survives.
     """
-    m, n, _ = pixels.shape
-    removed: dict[int, Removal] = {}
-    undistorted = pixels.copy()
-    for j in range(m):
-        cols = np.flatnonzero(visibility[j])
-        undistorted[j, cols] = undistort_pixels(intrinsics[j], pixels[j, cols])
-
-    for a in range(m):
-        for b in range(a + 1, m):
-            shared = np.flatnonzero(visibility[a] & visibility[b])
-            if not len(shared):
-                continue
-            pair = fundamental_from_calibrated(
-                intrinsics[a], intrinsics[b], relative_pose(poses[a], poses[b])
-            )
-            d = symmetric_epipolar_distance(
-                pair.fundamental, undistorted[a, shared], undistorted[b, shared]
-            )
-            far = d > EPIPOLAR_THRESHOLD
-            for col, dist in zip(shared[far], d[far]):
-                col = int(col)
-                if col not in removed or removed[col].value < dist:
-                    removed[col] = Removal(col, "epipolar", (a, b), float(dist))
-
-    for j, (cols, err) in enumerate(
-        reprojection_errors(pixels, visibility, intrinsics, poses, points3d)
-    ):
-        far = err > REPROJ_THRESHOLD
-        for col, e in zip(cols[far], err[far]):
-            col = int(col)
-            if col not in removed or removed[col].value < e:
-                removed[col] = Removal(col, "reprojection", (j,), float(e))
-
-    visible = np.flatnonzero(visibility.any(axis=0))
-    kept = np.array([i for i in visible if i not in removed], dtype=np.int64)
-    if len(kept) == 0:
+    visible = visibility.any(axis=0)
+    worst = np.zeros(visibility.shape[1])
+    for cols, err in reprojection_errors(pixels, visibility, intrinsics, poses, points3d):
+        worst[cols] = np.maximum(worst[cols], err)
+    kept = np.flatnonzero(visible & (worst <= REPROJ_THRESHOLD))
+    if not len(kept):
         raise AllRejected(
-            f"all {len(visible)} correspondences exceeded the thresholds"
+            f"all {int(visible.sum())} correspondences exceeded the reprojection threshold"
         )
-    return RejectionReport(kept, [removed[i] for i in sorted(removed)])
+    return kept
 
 
 def distortion_gate(observed: Array, intrinsics: CameraIntrinsics) -> str | None:

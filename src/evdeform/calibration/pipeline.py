@@ -8,9 +8,10 @@ sees put every pair on camera 1's scale. The points are triangulated and
 one bundle adjustment refines the full camera model: pose, one focal length
 per camera (fy/fx held at its starting value) and, for each camera whose
 observations cover enough of the sensor, the distortion coefficients.
-Outliers are then rejected against that model; if any are, the bundle
-adjustment runs once more without them. The result converges when every
-camera's mean reprojection error is under the target.
+A group is then rejected when its reprojection error under that model
+exceeds the threshold in any camera that sees it; if any is, the bundle
+adjustment runs once more without the rejected groups. The result
+converges when every camera's mean reprojection error is under the target.
 """
 from __future__ import annotations
 
@@ -315,13 +316,9 @@ def calibrate(
     intrinsics, poses, points3d = adjust(active, intrinsics, poses, points3d)
 
     # --- outlier rejection, then one more solve without the outliers -------
-    in_active = np.isin(np.arange(n), active)
-    all_points = np.zeros((3, n))
-    all_points[:, active] = points3d
-    report = reject_outliers(raw, vis & in_active, intrinsics, poses, all_points)
-    if len(report.removed):
-        actions.append(f"rejected={len(report.removed)}")
-        kept = np.isin(active, report.kept)
+    kept = reject_outliers(raw[:, active], vis[:, active], intrinsics, poses, points3d)
+    if len(kept) < len(active):
+        actions.append(f"rejected={len(active) - len(kept)}")
         active = active[kept]
         intrinsics, poses, points3d = adjust(active, intrinsics, poses, points3d[:, kept])
 

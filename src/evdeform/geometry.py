@@ -97,6 +97,9 @@ class CameraIntrinsics:
                 f"principal point ({self.cx}, {self.cy}) outside sensor "
                 f"{self.width}x{self.height}"
             )
+        bad = [k for k in ("fx", "fy", "k1", "k2", "p1", "p2") if not np.isfinite(getattr(self, k))]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be finite")
 
     @property
     def K(self) -> Array:
@@ -149,8 +152,14 @@ class CameraPose:
         object.__setattr__(self, "translation", t)
         if R.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {R.shape}")
-        if np.abs(R @ R.T - np.eye(3)).max() > 1e-9 or abs(np.linalg.det(R) - 1.0) > 1e-9:
+        if (
+            not np.isfinite(R).all()
+            or np.abs(R @ R.T - np.eye(3)).max() > 1e-9
+            or abs(np.linalg.det(R) - 1.0) > 1e-9
+        ):
             raise ValueError("rotation is not orthonormal with determinant +1")
+        if not np.isfinite(t).all():
+            raise ValueError(f"translation must be finite, got {t.tolist()}")
 
     @classmethod
     def identity(cls) -> "CameraPose":
@@ -268,7 +277,7 @@ def undistort_pixels(intrinsics: CameraIntrinsics, pixels: Array) -> Array:
         x[rows] = xr - alpha[:, None] * step
         err[rows] = error(x[rows], rows)
     final = err.max(initial=0.0) * scale
-    if final > _UNDISTORT_FAIL_PX:
+    if not final <= _UNDISTORT_FAIL_PX:  # a NaN residual has not converged
         raise NoConvergence(
             f"undistortion residual {final:.3g} px after {_UNDISTORT_MAX_ITERS} iterations"
         )

@@ -259,6 +259,32 @@ class TestCalibrate:
         # noiseless once the outlier is out: the re-solve reaches the exact fit
         assert max(result.mean_reprojection.values()) < 1e-6
 
+    def test_two_camera_column_off_its_epipolar_line_is_rejected(
+        self, rig_cameras, monkeypatch
+    ):
+        """A group only cameras 0 and 1 see, moved across its epipolar line
+        in camera 1: RANSAC lets it through, and its reprojection error
+        after the bundle adjustment rejects it."""
+        groups = correspondences_from_points(rig_cameras, sample_points(100))
+        pixels = groups.pixels.copy()
+        visibility = np.ones((3, 100), dtype=bool)
+        visibility[2, 17] = False
+        (intr0, pose0), (intr1, pose1), _ = rig_cameras
+        F = fundamental_from_calibrated(intr0, intr1, relative_pose(pose0, pose1)).fundamental
+        line = F @ np.append(pixels[0, 17], 1.0)
+        pixels[1, 17] += 6.0 * line[:2] / np.hypot(line[0], line[1])
+        groups = correspondences(pixels, groups.mean_t, visibility)
+        monkeypatch.setattr(geometry, "RANSAC_THRESHOLD", 50.0)
+        result = calibrate(groups, CalibrationConfig(seed=2))
+        actions = result.iterations[0].actions
+        assert not any(a.startswith("ransac_consensus_dropped") for a in actions)
+        assert "rejected=1" in actions
+        assert sum(a.startswith("ba_steps=") for a in actions) == 2
+        assert 17 not in result.inlier_indices
+        assert len(result.inlier_indices) == 99
+        assert result.converged
+        assert max(result.mean_reprojection.values()) < 1e-6
+
     def test_epipolar_consistency_of_result(self, rig_cameras):
         """F built from the solved calibration fits the inlier correspondences."""
         rng = np.random.default_rng(11)

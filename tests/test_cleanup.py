@@ -31,9 +31,8 @@ def clean_scene():
 class TestRejectOutliers:
     def test_noiseless_inliers_survive(self, clean_scene):
         intr, poses, pts, pix = clean_scene
-        report = reject_outliers(pix, np.ones((3, 100), dtype=bool), intr, poses, pts.T)
-        assert len(report.removed) == 0
-        assert len(report.kept) == 100
+        kept = reject_outliers(pix, np.ones((3, 100), dtype=bool), intr, poses, pts.T)
+        np.testing.assert_array_equal(kept, np.arange(100))
 
     def test_planted_offsets_removed_exactly(self, clean_scene):
         intr, poses, pts, pix = clean_scene
@@ -44,14 +43,13 @@ class TestRejectOutliers:
             cam = rng.integers(0, 3)
             direction = rng.normal(0, 1, 2)
             pix[cam, idx] += direction / np.linalg.norm(direction) * 20.0
-        report = reject_outliers(pix, np.ones((3, 100), dtype=bool), intr, poses, pts.T)
-        assert {r.point_index for r in report.removed} == set(planted.tolist())
+        kept = reject_outliers(pix, np.ones((3, 100), dtype=bool), intr, poses, pts.T)
+        np.testing.assert_array_equal(np.setdiff1d(np.arange(100), kept), np.sort(planted))
 
     def test_noise_beyond_thresholds_rejects_all(self, clean_scene):
         intr, poses, pts, pix = clean_scene
         rng = np.random.default_rng(2)
-        # 20 px noise, ten times the epipolar and twenty times the
-        # reprojection threshold
+        # 20 px noise, twenty times the reprojection threshold
         pix = pix + rng.normal(0, 20.0, pix.shape)
         with pytest.raises(AllRejected):
             reject_outliers(pix, np.ones((3, 100), dtype=bool), intr, poses, pts.T)
@@ -63,21 +61,22 @@ class TestRejectOutliers:
         pix[1, [5, 6]] += 25.0
         first = reject_outliers(pix, np.ones((3, 100), dtype=bool), intr, poses, pts.T)
         vis2 = np.zeros((3, 100), dtype=bool)
-        vis2[:, first.kept] = True
+        vis2[:, first] = True
         second = reject_outliers(pix, vis2, intr, poses, pts.T)
-        assert len(second.removed) == 0
-        np.testing.assert_array_equal(second.kept, first.kept)
+        np.testing.assert_array_equal(second, first)
 
-    def test_report_carries_reason_and_value(self, clean_scene):
+    def test_nan_and_behind_camera_are_outliers(self, clean_scene):
+        """A NaN pixel, and a point seen only by camera 0 but mirrored through
+        its center (the same pixel, at negative depth), are both rejected."""
         intr, poses, pts, pix = clean_scene
-        pix = pix.copy()
-        pix[2, 7] += 30.0
-        report = reject_outliers(pix, np.ones((3, 100), dtype=bool), intr, poses, pts.T)
-        assert len(report.removed) == 1
-        removal = report.removed[0]
-        assert removal.point_index == 7
-        assert removal.reason in ("epipolar", "reprojection")
-        assert removal.value > 2.0
+        pix, pts = pix.copy(), pts.copy()
+        pix[1, 3] = np.nan
+        pts[8] = 2.0 * poses[0].center - pts[8]
+        vis = np.ones((3, 100), dtype=bool)
+        vis[1:, 8] = False
+        np.testing.assert_allclose(project_points(intr[0], poses[0], pts[8])[0], pix[0, 8])
+        kept = reject_outliers(pix, vis, intr, poses, pts.T)
+        np.testing.assert_array_equal(np.setdiff1d(np.arange(100), kept), [3, 8])
 
 
 class TestEstimateDistortion:

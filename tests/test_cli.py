@@ -1,6 +1,8 @@
 """Command-line pipeline: simulate, extract, calibrate, measure."""
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ import pytest
 from evdeform.calibration import pipeline
 from evdeform.cli import main
 from evdeform.events import EventStream, write_stream
-from evdeform.geometry import CameraIntrinsics
+from evdeform.geometry import CameraIntrinsics, save_calibration_document
 from evdeform.simulator import (
+    paper_rig_cameras,
     pole_scenes,
     preset_paper_rig,
     save_scenario,
@@ -32,6 +35,21 @@ def malformed_documents(fmt):
         (json.dumps({"format": fmt}), "missing field 'cameras'"),
         ("[1]", "expected a JSON object, got list"),
     ]
+
+
+def non_finite_calibration(camera, field, index=None):
+    """The preset rig's calibration document with one value of one camera,
+    or one element of its list field, set to NaN."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "calibration.json"
+        save_calibration_document(path, 0, [(i, *cam) for i, cam in enumerate(paper_rig_cameras())])
+        doc = json.loads(path.read_text())
+    cam = doc["cameras"][camera]
+    if index is None:
+        cam[field] = float("nan")
+    else:
+        cam[field][index] = float("nan")
+    return json.dumps(doc)
 
 
 def copy_observations(src, dst, cameras="*"):
@@ -546,7 +564,13 @@ class TestMeasure:
         assert code == 2
         assert_invalid_json_line(capsys, calibration)
 
-    @pytest.mark.parametrize("text,named", malformed_documents("evdeform-calibration"))
+    @pytest.mark.parametrize(
+        "text,named",
+        malformed_documents("evdeform-calibration") + [
+            pytest.param(non_finite_calibration(2, "T", 1), "malformed field", id="nan-T"),
+            pytest.param(non_finite_calibration(1, "k1"), "malformed field", id="nan-k1"),
+        ],
+    )
     def test_malformed_calibration_exits_2(self, observations, tmp_path, capsys, text, named):
         calibration = tmp_path / "calibration.json"
         calibration.write_text(text)

@@ -5,6 +5,7 @@ import pytest
 from evdeform.errors import (
     DegenerateBaseline,
     InsufficientPoints,
+    NoConvergence,
     NoModel,
     ParseError,
 )
@@ -103,6 +104,10 @@ class TestUndistort:
         xy = intr.normalized_from_pixel(ideal)
         roundtrip = intr.pixel_from_normalized(distort_normalized(intr, xy))
         assert np.abs(roundtrip - pixels).max() < 1e-8
+        # a NaN residual has not converged
+        pixels[7] = np.nan
+        with pytest.raises(NoConvergence):
+            undistort_pixels(intr, pixels)
 
 
     def test_batch_equals_each_pixel_alone(self):
@@ -275,6 +280,16 @@ class TestPoseValidation:
     def test_rotation_must_be_orthonormal(self):
         with pytest.raises(ValueError):
             CameraPose(np.eye(3) * 1.001, np.zeros(3))
+        # non-finite camera values are refused, not carried into the solve
+        for bad in (np.nan, np.inf):
+            rotation = np.eye(3)
+            rotation[1, 2] = bad
+            with pytest.raises(ValueError, match="orthonormal"):
+                CameraPose(rotation, np.zeros(3))
+            with pytest.raises(ValueError, match="translation must be finite"):
+                CameraPose(np.eye(3), np.array([0.0, bad, 1.0]))
+        with pytest.raises(ValueError, match="must be finite"):
+            CameraIntrinsics(1800.0, 1800.0, 639.5, 359.5, k1=np.nan)
 
     def test_projection_backprojection_consistency(self, small_rig):
         intr, (p1, p2) = small_rig
