@@ -9,8 +9,9 @@ streams; every event carries a marker/noise provenance label.
 
 Each camera is simulated in batches, not transition by transition: the
 trajectory is sampled at every transition in one call, the whole track is
-projected in one call, every burst is read from one stencil of pixel
-offsets, and the latency jitter of all marker events is one normal draw.
+projected in one call, each row of each burst fires an interval of
+columns found by a square root and settled by exact comparisons, and the
+latency jitter of all marker events is one normal draw.
 The streams are bitwise those of a per-transition loop drawing the jitter
 burst by burst. The refractory filter sorts the values of a packed
 (pixel, time) int64 key and the final event order is the argsort of a
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Protocol
 
@@ -42,9 +43,6 @@ from .geometry import CameraIntrinsics, CameraPose, project_points
 Array = np.ndarray
 
 REFRACTORY_US = 50.0
-# Stencil cells evaluated per chunk of bursts: each float temporary of a
-# chunk stays at 512 KB.
-_STENCIL_CELLS = 1 << 16
 
 MARKER_LABEL = 0
 NOISE_LABEL = 1
@@ -64,6 +62,11 @@ class Trajectory(Protocol):
 
     def position(self, t: float) -> Array:
         return self.positions(np.array([t], dtype=float))[0]
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(np.asarray(getattr(self, f.name), dtype=float)).all():
+                raise ConfigError(f"{type(self).__name__} {f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,7 @@ class WaypointSplineTrajectory(Trajectory):
     points: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.times) != len(self.points) or len(self.times) < 2:
             raise ConfigError("waypoint trajectory needs matching times and points")
         object.__setattr__(
@@ -151,14 +155,13 @@ class ScenarioConfig:
             raise ConfigError("scenario needs at least one camera")
         if not 0.0 < self.duty_cycle < 1.0:
             raise ConfigError(f"duty cycle must be in (0, 1), got {self.duty_cycle}")
-        if self.blink_freq_hz <= 0:
-            raise ConfigError(f"blink frequency must be positive, got {self.blink_freq_hz}")
-        if self.duration_s <= 0:
-            raise ConfigError(f"duration must be positive, got {self.duration_s}")
-        if self.marker_radius_mm <= 0:
-            raise ConfigError("marker radius must be positive")
-        if self.noise_rate < 0 or self.latency_jitter_std_us < 0:
-            raise ConfigError("noise rate and jitter must be non-negative")
+        # written so that NaN fails each comparison
+        for name in ("blink_freq_hz", "duration_s", "marker_radius_mm"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("noise_rate", "latency_jitter_std_us"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be non-negative and finite, got {getattr(self, name)}")
         if not 0.0 <= self.contrast_threshold < np.inf or not np.isfinite(self.led_log_amplitude):
             raise ConfigError("contrast threshold must be finite and non-negative, LED amplitude "
                               f"finite, got {self.contrast_threshold} and {self.led_log_amplitude}")
@@ -275,58 +278,101 @@ def marker_tracks(
 def _bursts(
     center: Array, radius: Array, width: int, height: int, amplitude: float, threshold: float
 ) -> tuple[Array, Array, Array]:
-    """Transition index, x and y of every firing pixel, transition by
-    transition and in row-major (y, x) order within each burst.
+    """Transition index, x and y of every firing pixel as int32, transition
+    by transition and in row-major (y, x) order within each burst.
 
     A pixel fires when its step amplitude * cos(pi/2 * rho), rho = distance /
-    radius < 1, clears the threshold >= 0: a disk, tested by squared distance.
-    A burst covers the disk's bounding box, widened by a pixel and clipped to
-    the sensor. Every box is read from one stencil of the largest box's size,
-    offset to the box's corner and masked to its extent (an infinite offset
-    past it: (chunk, 1, W) in x, (chunk, H, 1) in y), a bounded chunk of
-    transitions at a time.
+    radius < 1, clears the threshold >= 0: a disk, tested by squared distance
+    d2 = (x - cx)**2 + (y - cy)**2. A burst covers the disk's bounding box,
+    widened by a pixel and clipped to the sensor, row by row: in each row,
+    the cells with d2 < lo2 fire, and the few with lo2 <= d2 < hi2, within
+    the cosine step's rounding of the circle, fire as the step decides.
+    Only the rows with (y - cy)**2 < hi2 hold such cells.
     """
-    none = np.empty(0, dtype=np.int64)
+    none = np.empty(0, dtype=np.int32)
     k = np.flatnonzero(np.isfinite(center).all(axis=1) & (radius > 0))
     if amplitude <= 0 or not len(k):
         return none, none, none
     cx, cy, r = center[k, 0], center[k, 1], radius[k]
-    # clipped before the cast, which would wrap a bound far off the sensor
-    x0 = np.clip(np.floor(cx - r) - 1, 0, width).astype(np.int64)
-    x1 = np.clip(np.ceil(cx + r) + 1, -1, width - 1).astype(np.int64)
-    y0 = np.clip(np.floor(cy - r) - 1, 0, height).astype(np.int64)
-    y1 = np.clip(np.ceil(cy + r) + 1, -1, height - 1).astype(np.int64)
-    nx, ny = x1 - x0 + 1, y1 - y0 + 1
+    # clipped before any cast, which would wrap a bound far off the sensor
+    x0 = np.clip(np.floor(cx - r) - 1, 0, width)
+    x1 = np.clip(np.ceil(cx + r) + 1, -1, width - 1)
+    y0 = np.clip(np.floor(cy - r) - 1, 0, height)
+    y1 = np.clip(np.ceil(cy + r) + 1, -1, height - 1)
     reach = 2.0 / np.pi * np.arccos(min(threshold / amplitude, 1.0))
     band = 1e-13 / max(reach * np.sin(0.5 * np.pi * reach), 1e-150)  # the step's rounding
     lo2, hi2 = (max(1.0 - band, 0.0) * reach * r) ** 2, ((1.0 + band) * reach * r) ** 2
-    W, H = max(int(nx.max()), 1), max(int(ny.max()), 1)  # boxes may all be empty
-    dx, dy = np.arange(W), np.arange(H)[:, None]
-    per = max(1, _STENCIL_CELLS // (W * H))
-    hits = []
-    for lo in range(0, len(k), per):
-        s = slice(lo, lo + per)
-        ex = np.where(dx < nx[s, None, None], x0[s, None, None] + dx - cx[s, None, None], np.inf)
-        ey = np.where(dy < ny[s, None, None], y0[s, None, None] + dy - cy[s, None, None], np.inf)
-        d2 = ex ** 2 + ey ** 2
-        fire = d2 < lo2[s, None, None]
-        edge = (d2 < hi2[s, None, None]) ^ fire
-        if edge.any():  # the cosine step decides the cells within its rounding of the circle
-            e = np.flatnonzero(edge)
-            i, iy, ix = _cells(e, H, W)
-            rho = np.hypot(ex[i, 0, ix], ey[i, iy, 0]) / r[s][i]
-            np.put(fire, e, (rho < 1.0) & (amplitude * np.cos(0.5 * np.pi * rho) > threshold))
-        i, iy, ix = _cells(np.flatnonzero(fire), H, W)
-        hits.append((i + lo, ix, iy))
-    i, ix, iy = (np.concatenate(c) for c in zip(*hits))
-    return k[i], x0[i] + ix, y0[i] + iy
+
+    ya, ye = _interval(cy, np.zeros(len(k)), hi2, y0, y1)
+    ny = np.where((x0 <= x1) & (y0 <= y1), ye - ya, 0).astype(np.int32)
+    y = _ranges(ya.astype(np.int32), ny)
+    k, cx, cy, r, x0, x1, lo2, hi2 = (
+        np.repeat(v, ny) for v in (k.astype(np.int32), cx, cy, r, x0, x1, lo2, hi2)
+    )
+    ey2 = (y - cy) ** 2
+    a, e = _interval(cx, ey2, lo2, x0, x1)
+    ha, he = _interval(cx, ey2, hi2, x0, x1)
+
+    # the cells between the intervals, each row's left ones then its right ones
+    j = np.flatnonzero((ha < a) | (e < he))
+    ends = np.stack([ha[j], a[j], e[j], he[j]], axis=1).reshape(-1, 2).astype(np.int32)
+    counts = ends[:, 1] - ends[:, 0]
+    row = np.repeat(np.repeat(j, 2), counts)
+    ex = _ranges(ends[:, 0], counts)
+    rho = np.hypot(ex - cx[row], y[row] - cy[row]) / r[row]
+    fire = (rho < 1.0) & (amplitude * np.cos(0.5 * np.pi * rho) > threshold)
+    row, ex = row[fire], ex[fire]
+
+    # one run per row's lo2 interval, a run per firing cell beside it
+    at = row + (ex >= a[row])
+    n = np.insert((e - a).astype(np.int32), at, 1)
+    return (np.repeat(np.insert(k, at, k[row]), n),
+            _ranges(np.insert(a.astype(np.int32), at, ex), n),
+            np.repeat(np.insert(y, at, y[row]), n))
 
 
-def _cells(flat: Array, H: int, W: int) -> tuple[Array, Array, Array]:
-    """Transition, row and column of each flat index into a (chunk, H, W)
-    stencil: np.nonzero's order and values, for less than its cost."""
-    i, rest = np.divmod(flat, H * W)
-    return (i, *np.divmod(rest, W))
+def _interval(c: Array, q2: Array, bound: Array, lo: Array, hi: Array) -> tuple[Array, Array]:
+    """Per row i, the [a, e) of the integers p in [lo, hi] with
+    (p - c)**2 + q2 < bound, all floats; a = e = m + 1 when there are none,
+    m = the p nearest c.
+
+    Each float operation is correctly rounded, so the sum falls to m and
+    rises after it, and the p under a bound are one interval. A square root
+    estimates its ends and exact comparisons of the sum walk them into
+    place, so no rounding of the root decides a p.
+    """
+    m = np.clip(np.rint(c), lo, hi)
+    w = np.sqrt(np.fmax(bound - q2, 0.0))
+    a = np.maximum(np.minimum(np.ceil(c - w), m), lo)
+    e = np.minimum(np.maximum(np.floor(c + w) + 1, m + 1), hi + 1)
+
+    def below(p, i):
+        return (p - c[i]) ** 2 + q2[i] < bound[i]
+
+    _walk(a, 1, lambda p, i: (p <= m[i]) & ~below(p, i))
+    _walk(a, -1, lambda p, i: (p > lo[i]) & below(p - 1, i))
+    _walk(e, -1, lambda p, i: (p > m[i] + 1) & ~below(p - 1, i))
+    _walk(e, 1, lambda p, i: (p <= hi[i]) & below(p, i))
+    return a, e
+
+
+def _walk(pos: Array, step: int, moves) -> None:
+    """Add step to each pos[i] while moves(pos[i], i) holds; moves takes the
+    whole array with i = Ellipsis first."""
+    i = np.flatnonzero(moves(pos, ...))
+    while len(i):
+        pos[i] += step
+        i = i[moves(pos[i], i)]
+
+
+def _ranges(start: Array, count: Array) -> Array:
+    """start[i], start[i] + 1, ..., start[i] + count[i] - 1 for each i in
+    turn, as int32; counts are non-negative and the values fit int32. The
+    offsets may wrap, their sums do not."""
+    end = np.cumsum(count)
+    out = np.repeat((start - end + count).astype(np.int32), count)
+    out += np.arange(len(out), dtype=np.int32)
+    return out
 
 
 def simulate(config: ScenarioConfig) -> SimulationResult:

@@ -115,6 +115,29 @@ class TestSimulate:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {scenario}: field 'edge_band' is 0.2")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", [
+        "blink_freq_hz", "duration_s", "marker_radius_mm", "noise_rate", "latency_jitter_std_us",
+        "trajectory.center", "trajectory.amplitude", "trajectory.frequency_hz",
+        "trajectory.phase", "trajectory.start_time", "trajectory.ramp",
+    ])
+    def test_non_finite_scenario_number_exits_2(self, tmp_path, capsys, field, value):
+        """A NaN or infinite number is refused before anything is simulated
+        (an infinite marker radius would fill the sensor at every burst)."""
+        scenario = tmp_path / "scenario.json"
+        save_scenario(scenario, replace(sway_scene(seed=0), duration_s=0.2))
+        doc = json.loads(scenario.read_text())
+        *parents, name = field.split(".")
+        owner = doc[parents[0]] if parents else doc
+        owner[name] = [value, *owner[name][1:]] if isinstance(owner[name], list) else value
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{name} must be" in err[0] and "finite" in err[0]
+        assert not (out / "streams.json").exists()
+
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["simulate", "--preset", "--seed", "-1", "--out", str(out)])

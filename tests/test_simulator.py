@@ -326,11 +326,24 @@ def _noise_only(res):
         assert len(stream) and np.all(labels == NOISE_LABEL)
 
 
-def _spans_several_chunks(res):
-    # an unclipped box holds at least (2 r)^2 cells, so a chunk holds at most
-    # _STENCIL_CELLS / (2 r)^2 transitions
-    cells = len(res.truth.transition_t_us) * (2.0 * res.truth.radius_px.max()) ** 2
-    assert res.truth.in_view.all() and cells > 2 * simulator._STENCIL_CELLS
+def _one_run_per_row(res):
+    # every burst of 1,000 per camera fires one run of consecutive columns
+    # per row, on consecutive rows, each run centred on the track
+    t_us = res.truth.transition_t_us
+    assert res.truth.in_view.all() and len(t_us) == 1000
+    for track, stream, labels in zip(res.truth.tracks_px, res.streams, res.truth.labels):
+        marker = labels == MARKER_LABEL
+        burst = np.searchsorted(0.5 * (t_us[1:] + t_us[:-1]), stream.t[marker])
+        x, y = stream.x[marker].astype(np.int64), stream.y[marker].astype(np.int64)
+        order = np.lexsort((x, y, burst))
+        burst, x, y = burst[order], x[order], y[order]
+        first = np.flatnonzero(np.r_[True, (np.diff(burst) != 0) | (np.diff(y) != 0)])
+        last = np.r_[first[1:], len(x)] - 1
+        assert np.all(np.delete(np.diff(x), first[1:] - 1) == 1)
+        b = burst[first]
+        assert np.array_equal(np.unique(b), np.arange(len(t_us)))
+        assert np.all(np.diff(y[first])[np.diff(b) == 0] == 1)
+        assert np.all(np.abs(0.5 * (x[first] + x[last]) - track[b, 0]) <= 0.5)
 
 
 def _records_nothing(res):
@@ -390,7 +403,7 @@ REFERENCE_SCENES = {
     ),
     "several_stencil_chunks": (
         lambda: replace(preset_paper_rig(), blink_freq_hz=1000.0, duration_s=0.5),
-        _spans_several_chunks,
+        _one_run_per_row,
     ),
 }
 
@@ -412,11 +425,34 @@ class TestConfigValidation:
             ("contrast_threshold", float("inf")),
             ("led_log_amplitude", float("nan")),
             ("led_log_amplitude", float("-inf")),
+            *((field, value) for field in ("blink_freq_hz", "duration_s", "marker_radius_mm",
+                                           "noise_rate", "latency_jitter_std_us")
+              for value in (float("nan"), float("inf"))),
         ],
     )
     def test_invariants(self, field, value):
         with pytest.raises(ConfigError):
             simulate(replace(static_scenario(), **{field: value}))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["center", "amplitude", "frequency_hz", "phase", "start_time", "ramp"]
+    )
+    def test_trajectory_numbers_must_be_finite(self, tmp_path, field, value):
+        """A NaN or infinite sinusoid parameter raises, built directly or
+        read from a scenario file."""
+        config = sway_scene(seed=0)
+        old = getattr(config.trajectory, field)
+        new = (value, *old[1:]) if isinstance(old, tuple) else value
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            replace(config.trajectory, **{field: new})
+        path = tmp_path / "scenario.json"
+        save_scenario(path, config)
+        doc = json.loads(path.read_text())
+        doc["trajectory"][field] = list(new) if isinstance(new, tuple) else new
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            load_scenario(path)
 
     def test_sort_key_must_fit_int64(self):
         """(t + 1) * width * height bounds both sort keys: a 2^60-pixel
@@ -577,15 +613,22 @@ class TestBatchedSimulation:
 
 @st.composite
 def burst_inputs(draw):
-    """One to four bursts on a sensor of 1-80 x 1-60 px: subpixel centers
-    up to a radius and 3 px past every edge, radii of 0.5-40 px, and a
-    threshold in [0, amplitude), 0 included."""
+    """One to four bursts on a sensor of 1-80 x 1-60 px: centers up to a
+    radius and 3 px past every edge, subpixel or on the half-pixel grid,
+    radii of 1e-3 to 40 px, whole ones among them, and a threshold in
+    [0, amplitude), 0 included. Half-pixel centers and whole radii put
+    pixels on the firing circle; under 0.5 px no pixel may clear the
+    rounding band around it."""
     width, height = draw(st.integers(1, 80)), draw(st.integers(1, 60))
-    radius = np.array(draw(st.lists(st.floats(0.5, 40.0), min_size=1, max_size=4)))
-    center = np.array([
-        (draw(st.floats(-r - 3.0, width + r + 3.0)), draw(st.floats(-r - 3.0, height + r + 3.0)))
-        for r in radius
-    ])
+    radii = st.floats(1e-3, 0.5) | st.floats(0.5, 40.0) | st.integers(1, 40).map(float)
+    radius = np.array(draw(st.lists(radii, min_size=1, max_size=4)))
+
+    def coordinate(r, size):
+        lo, hi = -r - 3.0, size + r + 3.0
+        return draw(st.floats(lo, hi) | st.integers(int(np.ceil(2 * lo)), int(2 * hi)).map(
+            lambda v: v / 2))
+
+    center = np.array([(coordinate(r, width), coordinate(r, height)) for r in radius])
     amplitude = draw(st.floats(0.01, 5.0))
     threshold = draw(st.one_of(st.just(0.0), st.floats(0.0, amplitude, exclude_max=True)))
     return center, radius, width, height, amplitude, threshold
@@ -621,6 +664,22 @@ class TestFiringRule:
         k, x, y = simulator._bursts(np.array([center]), np.array([radius]), 64, 48, 1.0,
                                     threshold)
         px, py = reference_disk_pixels(center, radius, 64, 48, 1.0, threshold)
+        np.testing.assert_array_equal(x, px)
+        np.testing.assert_array_equal(y, py)
+
+    @pytest.mark.parametrize("center,radius", [
+        ((1.152921504606847e+18, -25769803771.0), 1.7293822569105705e+18),
+        ((-1.152921504606847e+18, 17179869194.0), 1.7293822569105705e+18),
+        ((-1.1529215046068475e+18, 25769803782.0), 1.7293822569105718e+18),
+    ])
+    def test_centers_far_off_the_sensor(self, center, radius):
+        """Beyond 2**53 px, x - cx and d2 round to grids coarser than a
+        pixel, and a row's square-root estimate lands columns inside or
+        outside its interval; on these rows the exact comparisons walk each
+        end of it, up and down, to the cosine step's pixels."""
+        k, x, y = simulator._bursts(np.array([center]), np.array([radius]), 256, 12, 1.0, 0.5)
+        px, py = reference_disk_pixels(center, radius, 256, 12, 1.0, 0.5)
+        assert len(px)
         np.testing.assert_array_equal(x, px)
         np.testing.assert_array_equal(y, py)
 
