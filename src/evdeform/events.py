@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 import re
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +36,11 @@ _CSV_MAX_DIGITS = 18  # every such integer fits int64
 # The CSV writers format and write this many rows at a time, so their
 # buffers and temporaries stay cache-sized rather than the file's.
 CSV_BLOCK_ROWS = 1 << 15
+# The simulator's cameras and the CSV writers' blocks are each computed on
+# this many threads and collected in order, so no output depends on it.
+# numpy's sorts, generator fills and array passes release the GIL, so two
+# threads keep both cores of a 2-core machine busy.
+WORKERS = 2
 # The binary reader reads this many records (832 KB) at a time straight into
 # the stream's columns: no copy of the file, and no temporary beyond a block.
 _BINARY_BLOCK_RECORDS = 1 << 16
@@ -142,14 +149,12 @@ def read_stream(
 def write_stream(stream: EventStream, path, format: str = "csv") -> None:
     path = Path(path)
     if format == "csv":
-        columns = (stream.t, stream.x, stream.y)
-        if max(v.max(initial=0) for v in columns) >= 10**_CSV_MAX_DIGITS:
+        columns = (stream.t, stream.x, stream.y, stream.polarity)
+        if max(v.max(initial=0) for v in columns[:3]) >= 10**_CSV_MAX_DIGITS:
             raise ValueError(f"a value has more than the {_CSV_MAX_DIGITS} digits a CSV allows")
         with open(path, "wb") as fh:
             fh.write((CSV_HEADER + "\n").encode())
-            for lo in range(0, len(stream), CSV_BLOCK_ROWS):
-                block = slice(lo, lo + CSV_BLOCK_ROWS)
-                fh.write(_format_csv(*(v[block] for v in columns), stream.polarity[block])[3:])
+            write_blocks(fh, lambda rows: _format_csv(*(v[rows] for v in columns)), len(stream))
     elif format == "binary":
         if max(stream.width, stream.height) > _UINT16_MAX:
             raise BoundsError(f"sensor {stream.width}x{stream.height} does not fit the binary "
@@ -169,6 +174,26 @@ def write_stream(stream: EventStream, path, format: str = "csv") -> None:
             records.tofile(fh)
     else:
         raise ValueError(f"unknown format {format!r}")
+
+
+def worker_pool() -> ThreadPoolExecutor:
+    """A pool of WORKERS threads."""
+    return ThreadPoolExecutor(WORKERS)
+
+
+def write_blocks(fh, format_block, n: int) -> None:
+    """Write format_block(rows)[3:] for each slice rows of CSV_BLOCK_ROWS of
+    the n rows in turn: the pool's threads format the blocks and this one
+    writes them in order, with at most WORKERS blocks waiting to be written.
+    A block's exception is raised when its turn to be written comes."""
+    with worker_pool() as pool:
+        pending = deque()
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            pending.append(pool.submit(format_block, slice(lo, lo + CSV_BLOCK_ROWS)))
+            if len(pending) == WORKERS:
+                fh.write(pending.popleft().result()[3:])
+        for block in pending:
+            fh.write(block.result()[3:])
 
 
 def digit_counts(values: np.ndarray) -> np.ndarray:

@@ -36,13 +36,17 @@ from .errors import (
     document_fields,
     read_document,
 )
-from .events import CSV_BLOCK_ROWS, EventStream, digit_counts, scatter_digits
+from .events import EventStream, digit_counts, scatter_digits, worker_pool, write_blocks
 from .extraction import Correspondences
 from .geometry import CameraIntrinsics, CameraPose, project_points
 
 Array = np.ndarray
 
 REFRACTORY_US = 50.0
+# A camera's marker disks may cover at most this many pixels of their
+# bounding boxes, summed over the recording: each pixel that fires costs
+# about 60 bytes of memory while its camera is simulated.
+_MAX_BURST_CELLS = 2**25
 
 MARKER_LABEL = 0
 NOISE_LABEL = 1
@@ -224,10 +228,12 @@ def _refractory_filter(t: Array, x: Array, y: Array, keep_window_us: float) -> A
     the input: the argsort of the key with each run of equal keys put back
     in input order, which is the stable sort's.
     """
-    y = np.asarray(y, dtype=np.int64)
-    pixel = np.asarray(x, dtype=np.int64) * (int(y.max(initial=0)) + 1) + y
     span = int(t.max(initial=0)) + 1
-    key = pixel * span + t
+    key = np.array(x, dtype=np.int64)  # the key, built in place
+    key *= int(np.max(y, initial=0)) + 1
+    key += y
+    key *= span
+    key += t
     sorted_key = np.sort(key)
     near = np.flatnonzero(np.diff(sorted_key) < keep_window_us) + 1
     idx = near[sorted_key[near] // span == sorted_key[near - 1] // span]
@@ -287,7 +293,8 @@ def _bursts(
     widened by a pixel and clipped to the sensor, row by row: in each row,
     the cells with d2 < lo2 fire, and the few with lo2 <= d2 < hi2, within
     the cosine step's rounding of the circle, fire as the step decides.
-    Only the rows with (y - cy)**2 < hi2 hold such cells.
+    Only the rows with (y - cy)**2 < hi2 hold such cells. Boxes whose cells
+    sum past _MAX_BURST_CELLS raise ConfigError before any is expanded.
     """
     none = np.empty(0, dtype=np.int32)
     k = np.flatnonzero(np.isfinite(center).all(axis=1) & (radius > 0))
@@ -299,6 +306,10 @@ def _bursts(
     x1 = np.clip(np.ceil(cx + r) + 1, -1, width - 1)
     y0 = np.clip(np.floor(cy - r) - 1, 0, height)
     y1 = np.clip(np.ceil(cy + r) + 1, -1, height - 1)
+    cells = float(np.sum(np.fmax(x1 - x0 + 1, 0) * np.fmax(y1 - y0 + 1, 0)))
+    if cells > _MAX_BURST_CELLS:
+        raise ConfigError(f"the marker disks' boxes cover {cells:.0f} pixels of a {width}x{height}"
+                          f" sensor, more than the {_MAX_BURST_CELLS} one camera may fire")
     reach = 2.0 / np.pi * np.arccos(min(threshold / amplitude, 1.0))
     band = 1e-13 / max(reach * np.sin(0.5 * np.pi * reach), 1e-150)  # the step's rounding
     lo2, hi2 = (max(1.0 - band, 0.0) * reach * r) ** 2, ((1.0 + band) * reach * r) ** 2
@@ -376,7 +387,11 @@ def _ranges(start: Array, count: Array) -> Array:
 
 
 def simulate(config: ScenarioConfig) -> SimulationResult:
-    """Generate per-camera streams plus ground truth for the scenario."""
+    """Generate per-camera streams plus ground truth for the scenario.
+
+    Each camera has its own generator, seeded seed ^ camera index, so the
+    cameras are simulated on the worker pool and collected in camera order;
+    the first camera to fail raises its error."""
     config.validate()
     t_us, pols = blink_schedule(config)
     T = len(t_us)
@@ -386,10 +401,10 @@ def simulate(config: ScenarioConfig) -> SimulationResult:
     tracks = np.full((m, T, 2), np.nan)
     radii = np.zeros((m, T))
     in_view = np.zeros((m, T), dtype=bool)
-    streams = []
-    labels = []
 
-    for ci, (intr, pose) in enumerate(config.cameras):
+    def camera(ci: int) -> tuple[EventStream, Array]:
+        """Camera ci's stream and labels; fills its rows of the tracks."""
+        intr, pose = config.cameras[ci]
         rng = np.random.default_rng(config.seed ^ ci)
         tracks[ci], radii[ci], in_view[ci] = marker_tracks(
             intr, pose, positions, config.marker_radius_mm
@@ -398,24 +413,32 @@ def simulate(config: ScenarioConfig) -> SimulationResult:
             tracks[ci], radii[ci], intr.width, intr.height,
             config.led_log_amplitude, config.contrast_threshold,
         )
-        mt = t_us[k]
+        jitter = None
         if config.latency_jitter_std_us > 0 and len(k):
             # one draw in burst order is the sequence of per-burst draws
-            mt = mt + rng.normal(0.0, config.latency_jitter_std_us, len(k))
+            jitter = rng.normal(0.0, config.latency_jitter_std_us, len(k))
 
         n_noise = rng.poisson(config.noise_rate * intr.width * intr.height * config.duration_s)
-        nt = rng.uniform(0.0, config.duration_s * 1e6, n_noise)
+        # the marker times, then the noise times, in one buffer: the jitter,
+        # the clamp at 0 and the rounding are done in place
+        t = np.empty(len(k) + n_noise)
+        marker = np.take(t_us, k, out=t[:len(k)])
+        if jitter is not None:
+            marker += jitter
+        np.maximum(marker, 0.0, out=marker)
+        t[len(k):] = rng.uniform(0.0, config.duration_s * 1e6, n_noise)
+        t = np.rint(t, out=t).astype(np.int64)
         nx = rng.integers(0, intr.width, n_noise)
         ny = rng.integers(0, intr.height, n_noise)
         npol = rng.random(n_noise) < 0.5
 
-        t = np.rint(np.concatenate([np.maximum(mt, 0.0), nt])).astype(np.int64)
-        x, y = np.concatenate([mx, nx]), np.concatenate([my, ny])
+        x, y = (np.concatenate(v, dtype=np.int32) for v in ((mx, nx), (my, ny)))
         p = np.concatenate([pols[k], npol])
         lbl = np.concatenate([
             np.full(len(k), MARKER_LABEL, dtype=np.uint8),
             np.full(n_noise, NOISE_LABEL, dtype=np.uint8),
         ])
+        del k, mx, my, jitter, marker  # copied into the columns: free them before the sorts
 
         if len(t) and (int(t.max()) + 1) * intr.width * intr.height > 2**63 - 1:
             raise ConfigError(f"camera {ci}: a {config.duration_s:g} s recording on a {intr.width}"
@@ -426,10 +449,11 @@ def simulate(config: ScenarioConfig) -> SimulationResult:
         # no pixel keeps two events at one time, so (t, x, y) is unique and
         # any sort of this key is the permutation of lexsort((p, y, x, t))
         order = np.argsort((t * intr.width + x) * intr.height + y)
-        streams.append(
-            EventStream(ci, intr.width, intr.height, t[order], x[order], y[order], p[order])
-        )
-        labels.append(lbl[order])
+        stream = EventStream(ci, intr.width, intr.height, t[order], x[order], y[order], p[order])
+        return stream, lbl[order]
+
+    with worker_pool() as pool:
+        streams, labels = (list(v) for v in zip(*pool.map(camera, range(m))))
 
     if T:
         worst = in_view.mean(axis=1).min()
@@ -766,10 +790,9 @@ def export_ground_truth(out_dir, truth: GroundTruth) -> list[Path]:
         written.append(p)
 
         p = out_dir / f"labels_cam{ci}.csv"
+        labels = truth.labels[ci]
         with open(p, "wb") as fh:
             fh.write(b"event_index,label\n")
-            labels = truth.labels[ci]
-            for lo in range(0, len(labels), CSV_BLOCK_ROWS):
-                fh.write(_format_labels(labels[lo:lo + CSV_BLOCK_ROWS], lo)[3:])
+            write_blocks(fh, lambda rows: _format_labels(labels[rows], rows.start), len(labels))
         written.append(p)
     return written

@@ -138,6 +138,19 @@ class TestSimulate:
         assert len(err) == 1 and f"{name} must be" in err[0] and "finite" in err[0]
         assert not (out / "streams.json").exists()
 
+    def test_oversized_marker_exits_2(self, tmp_path, capsys):
+        """A finite but huge marker radius fills the sensor at every burst;
+        it is refused before any burst is expanded."""
+        scenario = tmp_path / "scenario.json"
+        save_scenario(scenario, replace(sway_scene(seed=0), duration_s=0.2,
+                                        marker_radius_mm=1e300))
+        out = tmp_path / "o"
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "more than the 33554432 one camera may fire" in err[0]
+        assert not (out / "streams.json").exists()
+
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["simulate", "--preset", "--seed", "-1", "--out", str(out)])

@@ -1,6 +1,8 @@
 """Synthetic event generation: counting oracles, determinism, provenance."""
 import hashlib
 import json
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from evdeform import simulator
+from evdeform import events, simulator
 from evdeform.errors import ConfigError, FieldOfViewWarning
 from evdeform.events import CSV_BLOCK_ROWS as B, EventStream, write_stream
 from evdeform.geometry import CameraIntrinsics, CameraPose, project_points
@@ -466,6 +468,46 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="a 10 s recording on a 1073741824x1073741824"):
             simulate(static_scenario(cameras=huge, duration_s=10.0, blink_freq_hz=1.0))
 
+    def test_oversized_marker_is_refused(self):
+        """A huge finite marker covers the whole sensor at every burst."""
+        with pytest.raises(ConfigError, match="cover 460800000 pixels of a 1280x720 sensor"):
+            simulate(static_scenario(marker_radius_mm=1e300))
+
+    def test_burst_cell_limit_bounds_the_summed_boxes(self, monkeypatch):
+        """The limit is on the cells of every burst's box, widened by a
+        pixel and clipped to the sensor, summed over the recording: a scene
+        of exactly that many runs and one more cell is refused."""
+        config = replace(preset_paper_rig(), duration_s=0.1, cameras=paper_rig_cameras()[:1])
+        truth = simulate(config).truth
+        (intr, _), = config.cameras
+        cells = 0
+        for (cx, cy), r in zip(truth.tracks_px[0], truth.radius_px[0]):
+            x0, x1 = max(np.floor(cx - r) - 1, 0), min(np.ceil(cx + r) + 1, intr.width - 1)
+            y0, y1 = max(np.floor(cy - r) - 1, 0), min(np.ceil(cy + r) + 1, intr.height - 1)
+            cells += int(x1 - x0 + 1) * int(y1 - y0 + 1)
+        monkeypatch.setattr(simulator, "_MAX_BURST_CELLS", cells)
+        simulate(config)
+        monkeypatch.setattr(simulator, "_MAX_BURST_CELLS", cells - 1)
+        with pytest.raises(ConfigError, match=f"cover {cells} pixels"):
+            simulate(config)
+
+    def test_first_failing_camera_raises(self, monkeypatch):
+        """Cameras 1 and 2 both overflow the sort key. Camera 1's bursts are
+        slowed so that camera 2 fails first, yet camera 1's error is the one
+        raised."""
+        bursts = simulator._bursts
+
+        def slow_for_camera_1(center, radius, width, *rest):
+            if width == 2**30:
+                time.sleep(0.2)
+            return bursts(center, radius, width, *rest)
+
+        monkeypatch.setattr(simulator, "_bursts", slow_for_camera_1)
+        intr, pose = paper_rig_cameras()[0]
+        huge = tuple((replace(intr, width=w, height=2**30), pose) for w in (2**30, 2**30 - 1))
+        config = static_scenario(cameras=((intr, pose), *huge), duration_s=10.0, blink_freq_hz=1.0)
+        with pytest.raises(ConfigError, match="^camera 1: a 10 s recording on a 1073741824x"):
+            simulate(config)
 
 class TestEventModel:
     def test_zero_amplitude_only_noise(self):
@@ -773,6 +815,43 @@ class TestDeterminismAndProvenance:
             "ground_truth/transitions.csv":
                 "015518da7b69d1e96f8fd836d3e0c818d36dc102c9f9d607e86bd1fd736aba70",
         }
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_worker_count_changes_no_output(self, tmp_path, monkeypatch, workers):
+        """Streams, labels, truth arrays, event CSVs and ground-truth files
+        are the same bytes on one worker, or on more than there are
+        cameras and cores, as on the default pool. Each stream is over one
+        CSV block, and the forced run switches threads every 10 us."""
+        config = replace(preset_paper_rig(), duration_s=0.5)
+
+        def record(out):
+            out.mkdir()
+            res = simulate(config)
+            for stream in res.streams:
+                write_stream(stream, out / f"events_cam{stream.camera_id}.csv", "csv")
+            export_ground_truth(out / "ground_truth", res.truth)
+            files = {p.relative_to(out).as_posix(): p.read_bytes()
+                     for p in out.rglob("*") if p.is_file()}
+            return res, files
+
+        default, default_files = record(tmp_path / "default")
+        monkeypatch.setattr(events, "WORKERS", workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            res, files = record(tmp_path / "forced")
+        finally:
+            sys.setswitchinterval(interval)
+        assert min(len(s) for s in res.streams) > B
+        assert files == default_files and len(files) == 11
+        pairs = [(getattr(a, name), getattr(b, name))
+                 for a, b in zip(default.streams, res.streams) for name in ("t", "x", "y", "polarity")]
+        pairs += list(zip(default.truth.labels, res.truth.labels))
+        pairs += [(getattr(default.truth, name), getattr(res.truth, name))
+                  for name in ("transition_t_us", "transition_polarity", "trajectory_mm",
+                               "tracks_px", "radius_px", "in_view")]
+        for a, b in pairs:
+            np.testing.assert_array_equal(a, b, strict=True)
 
     def test_different_seed_differs(self):
         cfg = replace(preset_paper_rig(), duration_s=0.2)
