@@ -18,14 +18,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySeries, UnknownCamera, ZeroObservedDistance
+from .errors import (
+    EmptySeries,
+    ParseError,
+    UnknownCamera,
+    ZeroObservedDistance,
+    document_fields,
+    read_document,
+)
+from .events import reprs, write_rows
 from .extraction import Correspondences
 from .geometry import (
     CameraIntrinsics,
     CameraPose,
-    load_calibration_document,
+    camera_from_record,
+    camera_record,
     relative_pose,
-    save_calibration_document,
     triangulate_linear,
     undistort_pixels,
 )
@@ -95,22 +103,36 @@ def rig_from_calibration(result) -> RigCalibration:
     )
 
 
+CALIBRATION_FORMAT = "evdeform-calibration"
+CALIBRATION_VERSION = 1
+
+
 def save_rig(path, rig: RigCalibration) -> None:
-    save_calibration_document(
-        path,
-        rig.reference_camera,
-        [(cid, intr, pose) for cid, intr, pose in zip(rig.camera_ids, rig.intrinsics, rig.poses)],
-    )
+    """Write the rig as a JSON document, lossless for float64 values."""
+    doc = {
+        "format": CALIBRATION_FORMAT,
+        "version": CALIBRATION_VERSION,
+        "reference_camera": int(rig.reference_camera),
+        "cameras": [
+            {"camera_id": int(cid), **camera_record(intr, pose)}
+            for cid, intr, pose in zip(rig.camera_ids, rig.intrinsics, rig.poses)
+        ],
+    }
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def load_rig(path) -> RigCalibration:
-    reference, cameras = load_calibration_document(path)
-    return RigCalibration(
-        reference,
-        tuple(c[0] for c in cameras),
-        tuple(c[1] for c in cameras),
-        tuple(c[2] for c in cameras),
-    )
+    """Read a rig written by save_rig; a document of another format, with a
+    missing or malformed field or a reference camera whose pose is not the
+    identity raises ParseError."""
+    doc = read_document(path, ParseError, CALIBRATION_FORMAT)
+    with document_fields(path, ParseError):
+        ids = tuple(int(cam["camera_id"]) for cam in doc["cameras"])
+        cameras = [camera_from_record(cam) for cam in doc["cameras"]]
+        return RigCalibration(
+            int(doc["reference_camera"]), ids,
+            tuple(intr for intr, _ in cameras), tuple(pose for _, pose in cameras),
+        )
 
 
 def triangulate(
@@ -317,14 +339,13 @@ SERIES_HEADER = "t_us,X,Y,Z,residual_px,cameras"
 
 
 def write_series(path, series: DeformationSeries) -> None:
-    lines = [SERIES_HEADER]
-    for i in range(len(series)):
-        p = series.positions[i]
-        lines.append(
-            f"{int(round(series.t_us[i]))},{float(p[0])!r},{float(p[1])!r},{float(p[2])!r},"
-            f"{float(series.residuals_px[i])!r},{int(series.camera_counts[i])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_rows(
+        path, SERIES_HEADER,
+        map(str, np.rint(series.t_us).astype(np.int64).tolist()),
+        *map(reprs, series.positions.T),
+        reprs(series.residuals_px),
+        map(str, np.asarray(series.camera_counts, dtype=np.int64).tolist()),
+    )
 
 
 def write_summary(path, series: DeformationSeries) -> None:

@@ -3,7 +3,9 @@
 Streams hold column arrays (timestamp, x, y, polarity). Two on-disk
 formats: a CSV with header ``t_us,x,y,polarity`` and a little-endian binary
 format with a 16-byte header carrying magic, version and the declared
-sensor size, at most 65535 pixels a side.
+sensor size, at most 65535 pixels a side. The CSVs of floats that the
+other stages write (ground truth, marker centers, deformation series) share
+one row writer here, write_rows, with reprs for their float columns.
 """
 from __future__ import annotations
 
@@ -194,6 +196,18 @@ def write_blocks(fh, format_block, n: int) -> None:
                 fh.write(pending.popleft().result()[3:])
         for block in pending:
             fh.write(block.result()[3:])
+
+
+def reprs(values) -> list[str]:
+    """Python's repr of each value as a float: the shortest text that reads
+    back to the same float."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def write_rows(path, header: str, *columns) -> None:
+    """Write the header, then the columns' strings row by row,
+    comma-separated and each line ended by LF."""
+    Path(path).write_text("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
 
 
 def digit_counts(values: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ParseError, StreamTooShort
-from .events import EventStream
+from .events import EventStream, reprs, write_rows
 
 
 @dataclass(frozen=True)
@@ -352,11 +352,11 @@ _INTEGER_FIELDS = ("camera_id", "n")
 
 
 def write_observations(path, centers: Centers) -> None:
-    rows = zip(centers.t_c.tolist(), centers.pixel.tolist(), centers.count.tolist())
-    lines = [OBSERVATION_HEADER] + [
-        f"{centers.camera_id},{t!r},{x!r},{y!r},{n}" for t, (x, y), n in rows
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_rows(
+        path, OBSERVATION_HEADER, [str(centers.camera_id)] * len(centers),
+        reprs(centers.t_c), *map(reprs, centers.pixel.T),
+        map(str, centers.count.tolist()),
+    )
 
 
 def read_observations(path) -> Centers:

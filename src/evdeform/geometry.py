@@ -6,21 +6,12 @@ estimator. All operations are pure functions on immutable inputs.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
-from pathlib import Path
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import (
-    DegenerateBaseline,
-    InsufficientPoints,
-    NoConvergence,
-    NoModel,
-    ParseError,
-    document_fields,
-    read_document,
-)
+from .errors import DegenerateBaseline, InsufficientPoints, NoConvergence, NoModel
 
 Array = np.ndarray
 
@@ -90,6 +81,9 @@ class CameraIntrinsics:
     height: int = 720
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (self.width, self.height)):
+            raise ValueError(f"sensor width and height must be integers, got "
+                             f"{self.width!r} and {self.height!r}")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError(f"focal lengths must be positive, got ({self.fx}, {self.fy})")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
@@ -568,57 +562,22 @@ def triangulate_linear(
 
 
 # ---------------------------------------------------------------------------
-# calibration document I/O
+# the camera record of scenario and calibration documents
 # ---------------------------------------------------------------------------
 
-CALIBRATION_FORMAT = "evdeform-calibration"
-CALIBRATION_VERSION = 1
-
-
-def save_calibration_document(
-    path,
-    reference_camera: int,
-    cameras: list[tuple[int, CameraIntrinsics, CameraPose]],
-) -> None:
-    """Write the rig as a JSON document, lossless for float64 values."""
-    doc = {
-        "format": CALIBRATION_FORMAT,
-        "version": CALIBRATION_VERSION,
-        "reference_camera": int(reference_camera),
-        "cameras": [
-            {
-                "camera_id": int(cid),
-                "fx": intr.fx,
-                "fy": intr.fy,
-                "cx": intr.cx,
-                "cy": intr.cy,
-                "k1": intr.k1,
-                "k2": intr.k2,
-                "p1": intr.p1,
-                "p2": intr.p2,
-                "width": intr.width,
-                "height": intr.height,
-                "R": [[float(v) for v in row] for row in pose.rotation],
-                "T": [float(v) for v in pose.translation],
-            }
-            for cid, intr, pose in cameras
-        ],
+def camera_record(intr: CameraIntrinsics, pose: CameraPose) -> dict:
+    """One camera as a JSON record: the intrinsics' fields by name, the
+    row-major rotation R and the translation T. json writes each float
+    shortest-exact, so a record reads back bit exact."""
+    return {
+        **{f.name: getattr(intr, f.name) for f in fields(intr)},
+        "R": [[float(v) for v in row] for row in pose.rotation],
+        "T": [float(v) for v in pose.translation],
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def load_calibration_document(path) -> tuple[int, list[tuple[int, CameraIntrinsics, CameraPose]]]:
-    """Read a rig written by save_calibration_document; a document of another
-    format or with a missing or malformed field raises ParseError."""
-    doc = read_document(path, ParseError, CALIBRATION_FORMAT)
-    with document_fields(path, ParseError):
-        cameras = []
-        for cam in doc["cameras"]:
-            intr = CameraIntrinsics(
-                fx=cam["fx"], fy=cam["fy"], cx=cam["cx"], cy=cam["cy"],
-                k1=cam["k1"], k2=cam["k2"], p1=cam["p1"], p2=cam["p2"],
-                width=cam["width"], height=cam["height"],
-            )
-            pose = CameraPose(np.array(cam["R"], dtype=float), np.array(cam["T"], dtype=float))
-            cameras.append((int(cam["camera_id"]), intr, pose))
-        return int(doc["reference_camera"]), cameras
+def camera_from_record(record: dict) -> tuple[CameraIntrinsics, CameraPose]:
+    """The camera of a record camera_record wrote. Every key is required: a
+    missing one raises KeyError naming it, a malformed value ValueError."""
+    intr = CameraIntrinsics(**{f.name: record[f.name] for f in fields(CameraIntrinsics)})
+    return intr, CameraPose(np.array(record["R"], dtype=float), np.array(record["T"], dtype=float))

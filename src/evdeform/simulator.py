@@ -23,9 +23,9 @@ from __future__ import annotations
 import json
 import numbers
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Protocol
+from typing import ClassVar, Protocol
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -36,9 +36,23 @@ from .errors import (
     document_fields,
     read_document,
 )
-from .events import EventStream, digit_counts, scatter_digits, worker_pool, write_blocks
+from .events import (
+    EventStream,
+    digit_counts,
+    reprs,
+    scatter_digits,
+    worker_pool,
+    write_blocks,
+    write_rows,
+)
 from .extraction import Correspondences
-from .geometry import CameraIntrinsics, CameraPose, project_points
+from .geometry import (
+    CameraIntrinsics,
+    CameraPose,
+    camera_from_record,
+    camera_record,
+    project_points,
+)
 
 Array = np.ndarray
 
@@ -60,7 +74,16 @@ class Trajectory(Protocol):
     """A marker path in world millimetres over time in seconds: positions
     gives the (T, 3) points at T times in one call, and position the point
     at one time as positions of a one-element array, so each path has one
-    formula."""
+    formula.
+
+    A path's file form is an object whose "type" is the class's kind and
+    whose other keys are its fields. shapes gives each field's array shape,
+    n standing for any length; a field of another shape, or not finite,
+    raises ConfigError naming it.
+    """
+
+    kind: ClassVar[str]
+    shapes: ClassVar[dict[str, tuple]]
 
     def positions(self, times: Array) -> Array: ...
 
@@ -69,32 +92,30 @@ class Trajectory(Protocol):
 
     def __post_init__(self):
         for f in fields(self):
-            if not np.isfinite(np.asarray(getattr(self, f.name), dtype=float)).all():
+            value, shape = getattr(self, f.name), self.shapes[f.name]
+            try:  # text, or rows of unequal length, raise here
+                array = np.asarray(value, dtype=float)
+                fits = array.ndim == len(shape) and all(
+                    d in ("n", k) for d, k in zip(shape, array.shape))
+            except (TypeError, ValueError):
+                fits = False
+            if not fits:
+                raise ConfigError(f"{type(self).__name__} {f.name} must be numbers of shape "
+                                  f"({', '.join(map(str, shape))}), got {value!r}")
+            if not np.isfinite(array).all():
                 raise ConfigError(f"{type(self).__name__} {f.name} must be finite")
 
 
 @dataclass(frozen=True)
-class StaticTrajectory(Trajectory):
-    point: tuple[float, float, float]
-
-    def positions(self, times: Array) -> Array:
-        return np.tile(np.asarray(self.point, dtype=float), (len(times), 1))
-
-
-@dataclass(frozen=True)
-class LinearTrajectory(Trajectory):
-    start: tuple[float, float, float]
-    velocity: tuple[float, float, float]  # units per second
-
-    def positions(self, times: Array) -> Array:
-        t = np.asarray(times, dtype=float)[:, None]
-        return np.asarray(self.start, dtype=float) + t * np.asarray(self.velocity, dtype=float)
-
-
-@dataclass(frozen=True)
 class Sinusoid3DTrajectory(Trajectory):
-    """Per-axis sinusoid around a center, optionally ramped in after a rest."""
+    """Per-axis sinusoid around a center, optionally ramped in after a rest.
+    A zero amplitude holds the marker still at the center."""
 
+    kind: ClassVar[str] = "sinusoid-3d"
+    shapes: ClassVar[dict[str, tuple]] = {
+        "center": (3,), "amplitude": (3,), "frequency_hz": (3,), "phase": (3,),
+        "start_time": (), "ramp": (),
+    }
     center: tuple[float, float, float]
     amplitude: tuple[float, float, float]
     frequency_hz: tuple[float, float, float]
@@ -120,8 +141,11 @@ class Sinusoid3DTrajectory(Trajectory):
 
 @dataclass(frozen=True)
 class WaypointSplineTrajectory(Trajectory):
-    """A cubic spline through the waypoints, held at its ends outside them."""
+    """A cubic spline through the waypoints, held at its ends outside them.
+    Two waypoints give the straight line between them."""
 
+    kind: ClassVar[str] = "waypoint-spline"
+    shapes: ClassVar[dict[str, tuple]] = {"times": ("n",), "points": ("n", 3)}
     times: tuple[float, ...]
     points: tuple[tuple[float, float, float], ...]
 
@@ -138,6 +162,9 @@ class WaypointSplineTrajectory(Trajectory):
     def positions(self, times: Array) -> Array:
         t = np.clip(np.asarray(times, dtype=float), self.times[0], self.times[-1])
         return self._spline(t)
+
+
+_TRAJECTORIES = {cls.kind: cls for cls in (Sinusoid3DTrajectory, WaypointSplineTrajectory)}
 
 
 @dataclass(frozen=True)
@@ -628,67 +655,29 @@ def truth_correspondences(
 SCENARIO_FORMAT = "evdeform-scenario"
 
 
-def _trajectory_to_json(traj: Trajectory) -> dict:
-    if isinstance(traj, StaticTrajectory):
-        return {"type": "static", "point": list(traj.point)}
-    if isinstance(traj, LinearTrajectory):
-        return {"type": "linear", "start": list(traj.start), "velocity": list(traj.velocity)}
-    if isinstance(traj, Sinusoid3DTrajectory):
-        return {
-            "type": "sinusoid-3d",
-            "center": list(traj.center),
-            "amplitude": list(traj.amplitude),
-            "frequency_hz": list(traj.frequency_hz),
-            "phase": list(traj.phase),
-            "start_time": traj.start_time,
-            "ramp": traj.ramp,
-        }
-    if isinstance(traj, WaypointSplineTrajectory):
-        return {
-            "type": "waypoint-spline",
-            "times": list(traj.times),
-            "points": [list(p) for p in traj.points],
-        }
-    raise ConfigError(f"trajectory {type(traj).__name__} has no file form")
+def _tuples(value):
+    """JSON lists, nested too, as tuples."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def _trajectory_from_json(doc: dict) -> Trajectory:
-    kind = doc.get("type")
-    if kind == "static":
-        return StaticTrajectory(tuple(doc["point"]))
-    if kind == "linear":
-        return LinearTrajectory(tuple(doc["start"]), tuple(doc["velocity"]))
-    if kind == "sinusoid-3d":
-        return Sinusoid3DTrajectory(
-            tuple(doc["center"]),
-            tuple(doc["amplitude"]),
-            tuple(doc["frequency_hz"]),
-            tuple(doc.get("phase", (0.0, 0.0, 0.0))),
-            doc.get("start_time", 0.0),
-            doc.get("ramp", 0.0),
-        )
-    if kind == "waypoint-spline":
-        return WaypointSplineTrajectory(
-            tuple(doc["times"]), tuple(tuple(p) for p in doc["points"])
-        )
-    raise ConfigError(f"unknown trajectory type {kind!r}")
+    """The trajectory of a file form: a field the document lacks takes its
+    default, and one without a default must be there."""
+    cls = _TRAJECTORIES.get(doc.get("type"))
+    if cls is None:
+        raise ConfigError(f"unknown trajectory type {doc.get('type')!r}")
+    return cls(**{f.name: _tuples(doc[f.name]) for f in fields(cls)
+                  if f.name in doc or f.default is MISSING})
 
 
 def save_scenario(path, config: ScenarioConfig) -> None:
     doc = {
         "format": SCENARIO_FORMAT,
         "version": 1,
-        "cameras": [
-            {
-                "fx": intr.fx, "fy": intr.fy, "cx": intr.cx, "cy": intr.cy,
-                "k1": intr.k1, "k2": intr.k2, "p1": intr.p1, "p2": intr.p2,
-                "width": intr.width, "height": intr.height,
-                "R": [[float(v) for v in row] for row in pose.rotation],
-                "T": [float(v) for v in pose.translation],
-            }
-            for intr, pose in config.cameras
-        ],
-        "trajectory": _trajectory_to_json(config.trajectory),
+        "cameras": [camera_record(intr, pose) for intr, pose in config.cameras],
+        "trajectory": {"type": config.trajectory.kind,
+                       **{f.name: getattr(config.trajectory, f.name)
+                          for f in fields(config.trajectory)}},
         "marker_radius_mm": config.marker_radius_mm,
         "blink_freq_hz": config.blink_freq_hz,
         "duty_cycle": config.duty_cycle,
@@ -713,18 +702,8 @@ def load_scenario(path) -> ScenarioConfig:
             "a pixel fires when its step clears the contrast threshold"
         )
     with document_fields(path, ConfigError):
-        cameras = []
-        for cam in doc["cameras"]:
-            intr = CameraIntrinsics(
-                fx=cam["fx"], fy=cam["fy"], cx=cam["cx"], cy=cam["cy"],
-                k1=cam.get("k1", 0.0), k2=cam.get("k2", 0.0),
-                p1=cam.get("p1", 0.0), p2=cam.get("p2", 0.0),
-                width=cam["width"], height=cam["height"],
-            )
-            pose = CameraPose(np.array(cam["R"], dtype=float), np.array(cam["T"], dtype=float))
-            cameras.append((intr, pose))
         return ScenarioConfig(
-            cameras=tuple(cameras),
+            cameras=tuple(map(camera_from_record, doc["cameras"])),
             trajectory=_trajectory_from_json(doc["trajectory"]),
             marker_radius_mm=doc["marker_radius_mm"],
             blink_freq_hz=doc["blink_freq_hz"],
@@ -758,35 +737,25 @@ def _format_labels(labels: Array, first: int) -> Array:
     return out
 
 
-def _reprs(values) -> list[str]:
-    """Python's repr of each value as a float."""
-    return list(map(repr, np.asarray(values, dtype=float).tolist()))
-
-
-def _write_rows(path: Path, header: str, *columns) -> None:
-    """Write the header, then the columns' strings row by row, comma-separated."""
-    path.write_text("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
-
-
 def export_ground_truth(out_dir, truth: GroundTruth) -> list[Path]:
     """Write transition schedule, 3D trajectory, per-camera tracks and labels."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
-    t = _reprs(truth.transition_t_us)
+    t = reprs(truth.transition_t_us)
     p = out_dir / "transitions.csv"
     polarity = map(str, np.asarray(truth.transition_polarity, dtype=int).tolist())
-    _write_rows(p, "t_us,polarity", t, polarity)
+    write_rows(p, "t_us,polarity", t, polarity)
     written.append(p)
 
     p = out_dir / "trajectory.csv"
-    _write_rows(p, "t_us,X,Y,Z", t, *map(_reprs, np.asarray(truth.trajectory_mm).T))
+    write_rows(p, "t_us,X,Y,Z", t, *map(reprs, np.asarray(truth.trajectory_mm).T))
     written.append(p)
 
     for ci in range(truth.tracks_px.shape[0]):
         p = out_dir / f"track_cam{ci}.csv"
-        _write_rows(p, "t_us,u,v", t, *map(_reprs, truth.tracks_px[ci].T))
+        write_rows(p, "t_us,u,v", t, *map(reprs, truth.tracks_px[ci].T))
         written.append(p)
 
         p = out_dir / f"labels_cam{ci}.csv"

@@ -43,6 +43,7 @@ from .geometry import (
 from .simulator import (
     PAPER_RIG_BASELINES_MM,
     PAPER_RIG_FOCAL_PX,
+    look_at_pose,
     paper_rig_cameras,
     pole_scenes,
     preset_paper_rig,
@@ -288,13 +289,8 @@ def _random_rig(rng, n_cams, n_points):
     poses = []
     for k in range(n_cams):
         angle = (k - 1) * 0.5
-        C = np.array([3000.0 * np.sin(angle), 200.0 * k, -3000.0 * (1 - np.cos(angle))])
-        z = np.array([0.0, 0.0, 5000.0]) - C
-        z = z / np.linalg.norm(z)
-        x = np.cross([0.0, 1.0, 0.0], z)
-        x = x / np.linalg.norm(x)
-        R = np.stack([x, np.cross(z, x), z])
-        poses.append(CameraPose(R, -R @ C))
+        C = [3000.0 * np.sin(angle), 200.0 * k, -3000.0 * (1 - np.cos(angle))]
+        poses.append(look_at_pose(C, [0.0, 0.0, 5000.0]))
     points = np.array([0.0, 0.0, 5000.0]) + rng.uniform(-1, 1, (n_points, 3)) * 800.0
     return intr, poses, points
 

@@ -9,8 +9,9 @@ import pytest
 
 from evdeform.calibration import pipeline
 from evdeform.cli import main
+from evdeform.deformation import rebase_extrinsics, save_rig
 from evdeform.events import EventStream, write_stream
-from evdeform.geometry import CameraIntrinsics, save_calibration_document
+from evdeform.geometry import CameraIntrinsics
 from evdeform.simulator import (
     paper_rig_cameras,
     pole_scenes,
@@ -37,18 +38,22 @@ def malformed_documents(fmt):
     ]
 
 
-def non_finite_calibration(camera, field, index=None):
+def changed_calibration(camera, field, value=float("nan"), index=None):
     """The preset rig's calibration document with one value of one camera,
-    or one element of its list field, set to NaN."""
+    or one element of its list field, set to value (NaN by default); a
+    value of None deletes the field."""
+    cameras = paper_rig_cameras()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "calibration.json"
-        save_calibration_document(path, 0, [(i, *cam) for i, cam in enumerate(paper_rig_cameras())])
+        save_rig(path, rebase_extrinsics([p for _, p in cameras], 0, [i for i, _ in cameras]))
         doc = json.loads(path.read_text())
     cam = doc["cameras"][camera]
-    if index is None:
-        cam[field] = float("nan")
+    if value is None:
+        del cam[field]
+    elif index is None:
+        cam[field] = value
     else:
-        cam[field][index] = float("nan")
+        cam[field][index] = value
     return json.dumps(doc)
 
 
@@ -149,6 +154,32 @@ class TestSimulate:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "more than the 33554432 one camera may fire" in err[0]
+        assert not (out / "streams.json").exists()
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda doc: doc["cameras"][1].pop("k1"), "missing field 'k1'"),
+        (lambda doc: doc["cameras"][0].update(width=1280.5),
+         "malformed field: sensor width and height must be integers, got 1280.5 and 720"),
+        (lambda doc: doc["trajectory"].update(amplitude=[1, 2]),
+         "Sinusoid3DTrajectory amplitude must be numbers of shape (3), got (1, 2)"),
+        (lambda doc: doc.update(trajectory={"type": "waypoint-spline", "times": [0, 1],
+                                            "points": [[0, 0], [1, 1]]}),
+         "WaypointSplineTrajectory points must be numbers of shape (n, 3), got ((0, 0), (1, 1))"),
+        (lambda doc: doc["trajectory"].pop("center"), "missing field 'center'"),
+    ], ids=["no-k1", "fractional-width", "short-amplitude", "two-column-points", "no-center"])
+    def test_bad_scenario_field_exits_2(self, tmp_path, capsys, edit, named):
+        """A camera record needs every key and integer sensor sizes, and
+        each trajectory field its shape: each is refused, naming it."""
+        scenario = tmp_path / "scenario.json"
+        save_scenario(scenario, replace(preset_paper_rig(), duration_s=0.2))
+        doc = json.loads(scenario.read_text())
+        edit(doc)
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0]
         assert not (out / "streams.json").exists()
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
@@ -603,8 +634,15 @@ class TestMeasure:
     @pytest.mark.parametrize(
         "text,named",
         malformed_documents("evdeform-calibration") + [
-            pytest.param(non_finite_calibration(2, "T", 1), "malformed field", id="nan-T"),
-            pytest.param(non_finite_calibration(1, "k1"), "malformed field", id="nan-k1"),
+            pytest.param(changed_calibration(2, "T", index=1), "malformed field", id="nan-T"),
+            pytest.param(changed_calibration(1, "k1"), "malformed field", id="nan-k1"),
+            pytest.param(changed_calibration(1, "k1", None), "missing field 'k1'", id="no-k1"),
+            pytest.param(changed_calibration(0, "width", 1280.5),
+                         "malformed field: sensor width and height must be integers",
+                         id="fractional-width"),
+            pytest.param(changed_calibration(0, "T", [1.0, 0.0, 0.0]),
+                         "malformed field: reference camera pose must be identity",
+                         id="moved-reference"),
         ],
     )
     def test_malformed_calibration_exits_2(self, observations, tmp_path, capsys, text, named):

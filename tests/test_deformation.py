@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from evdeform.deformation import (
+    DeformationSeries,
     MeasureConfig,
     anchor_scale,
     load_rig,
@@ -19,6 +20,7 @@ from evdeform.deformation import (
 )
 from evdeform.errors import (
     EmptySeries,
+    ParseError,
     UnknownCamera,
     ZeroObservedDistance,
 )
@@ -28,6 +30,7 @@ from evdeform.geometry import (
     rotation_from_axis_angle,
 )
 from evdeform.simulator import look_at_pose, paper_rig_cameras
+from evdeform.verify import TABLE_DISTORTION
 
 from conftest import correspondences, correspondences_from_points
 
@@ -333,7 +336,32 @@ class TestReferenceInvariance:
         assert spread.max() < 1e-9
 
 
+def reference_series_csv(series):
+    """The series CSV written row by row: the reference for write_series."""
+    lines = ["t_us,X,Y,Z,residual_px,cameras"]
+    for i in range(len(series)):
+        p = series.positions[i]
+        lines.append(
+            f"{int(round(series.t_us[i]))},{float(p[0])!r},{float(p[1])!r},{float(p[2])!r},"
+            f"{float(series.residuals_px[i])!r},{int(series.camera_counts[i])}"
+        )
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestSeriesFiles:
+    def test_series_csv_equals_row_loop(self, tmp_path):
+        """Times at and beside half microseconds, which round half to even,
+        and positions and residuals of every magnitude."""
+        rng = np.random.default_rng(4)
+        t = np.cumsum(rng.choice([0.5, 1.0, 1.5, 1e6 + 0.5, 0.25], 40))
+        special = [0.0, -0.0, 1e-300, 5e-324, -1e16, 123456789.125, 0.1]
+        values = np.where(rng.random((40, 4)) < 0.5, rng.choice(special, (40, 4)),
+                          rng.uniform(-1e4, 1e4, (40, 4)))
+        series = DeformationSeries(0, t, values[:, :3], np.abs(values[:, 3]),
+                                   rng.integers(2, 5, 40), dropped=0, metric=True)
+        write_series(tmp_path / "series.csv", series)
+        assert (tmp_path / "series.csv").read_bytes() == reference_series_csv(series)
+
     def test_series_csv_and_summary(self, tmp_path, rig_cameras):
         rig = dataclasses.replace(make_rig(rig_cameras), metric_scale=2.0)
         pts = np.array([[0.0, 0.0, 5200.0]] * 10)
@@ -357,3 +385,52 @@ class TestSeriesFiles:
         for a, b in zip(rig.poses, loaded.poses):
             np.testing.assert_array_equal(a.rotation, b.rotation)
             np.testing.assert_array_equal(a.translation, b.translation)
+
+
+class TestRigDocument:
+    def test_round_trip_lossless(self, tmp_path, rig_cameras):
+        """Distorted lenses, camera ids 4, 5, 6 and camera 5 the reference:
+        every value reads back bit exact."""
+        lens = dict(zip(("k1", "k2", "p1", "p2"), TABLE_DISTORTION))
+        intrinsics = [dataclasses.replace(i, **lens) for i, _ in rig_cameras]
+        rig = rebase_extrinsics([p for _, p in rig_cameras], 5, intrinsics, (4, 5, 6))
+        path = tmp_path / "calibration.json"
+        save_rig(path, rig)
+        loaded = load_rig(path)
+        assert (loaded.reference_camera, loaded.camera_ids) == (5, (4, 5, 6))
+        assert loaded.intrinsics == rig.intrinsics and loaded.poses == rig.poses
+
+    def test_rejects_other_documents(self, tmp_path):
+        path = tmp_path / "other.json"
+        path.write_text('{"format": "something-else"}')
+        with pytest.raises(ParseError, match="field 'format' is 'something-else'"):
+            load_rig(path)
+
+    @pytest.mark.parametrize("key", ["camera_id", "fx", "k1", "p2", "height", "R", "T"])
+    def test_every_camera_key_is_required(self, tmp_path, rig_cameras, key):
+        path = tmp_path / "calibration.json"
+        save_rig(path, make_rig(rig_cameras))
+        doc = json.loads(path.read_text())
+        del doc["cameras"][1][key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"missing field '{key}'"):
+            load_rig(path)
+
+    @pytest.mark.parametrize("width", [1280.5, 1280.0, "1280"])
+    def test_sensor_width_must_be_an_integer(self, tmp_path, rig_cameras, width):
+        path = tmp_path / "calibration.json"
+        save_rig(path, make_rig(rig_cameras))
+        doc = json.loads(path.read_text())
+        doc["cameras"][2]["width"] = width
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="width and height must be integers"):
+            load_rig(path)
+
+    def test_reference_pose_not_identity_is_a_parse_error(self, tmp_path, rig_cameras):
+        path = tmp_path / "calibration.json"
+        save_rig(path, make_rig(rig_cameras))
+        doc = json.loads(path.read_text())
+        doc["cameras"][0]["T"] = [1.0, 0.0, 0.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="reference camera pose must be identity"):
+            load_rig(path)

@@ -22,7 +22,7 @@ from evdeform.extraction import (
 )
 from evdeform.simulator import (
     ScenarioConfig,
-    StaticTrajectory,
+    Sinusoid3DTrajectory,
     paper_rig_cameras,
     marker_tracks,
     preset_paper_rig,
@@ -216,7 +216,7 @@ class TestAccumulateCluster:
 def static_scenario(**overrides):
     defaults = dict(
         cameras=paper_rig_cameras()[:1],
-        trajectory=StaticTrajectory((0.0, 0.0, 4500.0)),
+        trajectory=Sinusoid3DTrajectory((0.0, 0.0, 4500.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
         marker_radius_mm=25.0,
         blink_freq_hz=250.0,
         duty_cycle=0.4,
@@ -597,7 +597,31 @@ class TestMatchCorresponding:
         assert_same_groups(groups, reference_match_corresponding(tables, 1000.0), tables)
 
 
+def reference_observations_csv(centers):
+    """The observation CSV written row by row: the reference for
+    write_observations."""
+    rows = zip(centers.t_c.tolist(), centers.pixel.tolist(), centers.count.tolist())
+    lines = ["camera_id,t_us,x,y,n"] + [
+        f"{centers.camera_id},{t!r},{x!r},{y!r},{n}" for t, (x, y), n in rows
+    ]
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestObservationCsv:
+    @pytest.mark.parametrize("k", [0, 1, 25])
+    def test_equals_row_loop(self, tmp_path, k):
+        """Float times and pixels of every magnitude, including ones whose
+        shortest repr is an exponent, -0.0 and integral floats."""
+        rng = np.random.default_rng(k)
+        special = [0.0, -0.0, 1e-300, 5e-324, 1e16, 123456789.125, 2.0**53 + 2, 0.1]
+        values = np.where(rng.random((k, 3)) < 0.5, rng.choice(special, (k, 3)),
+                          rng.uniform(-1e4, 1e4, (k, 3)))
+        centers = Centers(np.int64(7), values[:, 0], values[:, 1:], rng.integers(1, 10**6, k),
+                          np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64))
+        path = tmp_path / "observations_cam7.csv"
+        write_observations(path, centers)
+        assert path.read_bytes() == reference_observations_csv(centers)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         k = 25

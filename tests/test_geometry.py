@@ -7,7 +7,6 @@ from evdeform.errors import (
     InsufficientPoints,
     NoConvergence,
     NoModel,
-    ParseError,
 )
 from evdeform.geometry import (
     RANSAC_THRESHOLD,
@@ -19,11 +18,9 @@ from evdeform.geometry import (
     estimate_fundamental_ransac,
     fundamental_from_calibrated,
     hartley_normalization,
-    load_calibration_document,
     project_points,
     relative_pose,
     rotation_from_axis_angle,
-    save_calibration_document,
     skew,
     symmetric_epipolar_distance,
     triangulate_linear,
@@ -252,30 +249,6 @@ class TestEightPoint:
         np.testing.assert_array_equal(eight_point(h1, h2, w), reference)
 
 
-class TestCalibrationDocument:
-    def test_round_trip_lossless(self, tmp_path, rig_cameras):
-        path = tmp_path / "calibration.json"
-        cameras = [
-            (i, CameraIntrinsics(intr.fx, intr.fy, intr.cx, intr.cy, *TABLE_CAM1), pose)
-            for i, (intr, pose) in enumerate(rig_cameras)
-        ]
-        save_calibration_document(path, 1, cameras)
-        reference, loaded = load_calibration_document(path)
-        assert reference == 1
-        for (cid, intr, pose), (cid2, intr2, pose2) in zip(cameras, loaded):
-            assert cid == cid2
-            for field in ("fx", "fy", "cx", "cy", "k1", "k2", "p1", "p2"):
-                assert getattr(intr, field) == getattr(intr2, field)
-            np.testing.assert_array_equal(pose.rotation, pose2.rotation)
-            np.testing.assert_array_equal(pose.translation, pose2.translation)
-
-    def test_rejects_other_documents(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ParseError, match="field 'format' is 'something-else'"):
-            load_calibration_document(path)
-
-
 class TestPoseValidation:
     def test_rotation_must_be_orthonormal(self):
         with pytest.raises(ValueError):
@@ -290,6 +263,12 @@ class TestPoseValidation:
                 CameraPose(np.eye(3), np.array([0.0, bad, 1.0]))
         with pytest.raises(ValueError, match="must be finite"):
             CameraIntrinsics(1800.0, 1800.0, 639.5, 359.5, k1=np.nan)
+
+    @pytest.mark.parametrize("sensor", [(1280.5, 720), (1280, 720.0), (1280, None)])
+    def test_sensor_size_must_be_integers(self, sensor):
+        with pytest.raises(ValueError, match="width and height must be integers"):
+            CameraIntrinsics(1800.0, 1800.0, 639.5, 359.5, *(0.0,) * 4, *sensor)
+        assert CameraIntrinsics(1800.0, 1800.0, 639.5, 359.5, width=np.int64(1280)).width == 1280
 
     def test_projection_backprojection_consistency(self, small_rig):
         intr, (p1, p2) = small_rig

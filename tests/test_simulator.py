@@ -1,6 +1,7 @@
 """Synthetic event generation: counting oracles, determinism, provenance."""
 import hashlib
 import json
+import re
 import sys
 import time
 from dataclasses import replace
@@ -19,11 +20,9 @@ from evdeform.simulator import (
     NOISE_LABEL,
     REFRACTORY_US,
     GroundTruth,
-    LinearTrajectory,
     ScenarioConfig,
     SimulationResult,
     Sinusoid3DTrajectory,
-    StaticTrajectory,
     WaypointSplineTrajectory,
     blink_schedule,
     export_ground_truth,
@@ -54,14 +53,21 @@ def reference_refractory_filter(t, x, y, keep_window_us):
     return keep
 
 
+def still(point):
+    """A marker held at point: a sinusoid of zero amplitude."""
+    return Sinusoid3DTrajectory(point, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+
+def line(start, velocity, duration_s):
+    """A marker moving from start at constant velocity (mm/s) for
+    duration_s: a spline through its two ends."""
+    end = tuple(float(a + duration_s * v) for a, v in zip(start, velocity))
+    return WaypointSplineTrajectory((0.0, duration_s), (start, end))
+
+
 def reference_position(trajectory, t):
     """One time at a time, with scalar arithmetic: the reference for each
     trajectory's positions."""
-    if isinstance(trajectory, StaticTrajectory):
-        return np.asarray(trajectory.point, dtype=float)
-    if isinstance(trajectory, LinearTrajectory):
-        return (np.asarray(trajectory.start, dtype=float)
-                + t * np.asarray(trajectory.velocity, dtype=float))
     if isinstance(trajectory, Sinusoid3DTrajectory):
         c, a, f, ph = (np.asarray(v, dtype=float) for v in (
             trajectory.center, trajectory.amplitude, trajectory.frequency_hz, trajectory.phase))
@@ -233,17 +239,14 @@ def sampled_trajectories(draw):
     coord = st.floats(-1e4, 1e4)
     point = st.tuples(coord, coord, coord)
     times = draw(st.lists(st.floats(-10.0, 10.0), max_size=12))
-    kind = draw(st.sampled_from(["static", "linear", "sinusoid", "spline"]))
-    if kind == "static":
-        trajectory = StaticTrajectory(draw(point))
-    elif kind == "linear":
-        trajectory = LinearTrajectory(draw(point), draw(point))
-    elif kind == "sinusoid":
+    kind = draw(st.sampled_from(["sinusoid", "spline"]))
+    if kind == "sinusoid":
         start = draw(st.just(0.0) | st.floats(0.0, 5.0))
         ramp = draw(st.just(0.0) | st.floats(1e-3, 3.0))
         frequency = st.floats(0.0, 50.0)
         trajectory = Sinusoid3DTrajectory(
-            draw(point), draw(point), draw(st.tuples(frequency, frequency, frequency)),
+            draw(point), draw(st.just((0.0, 0.0, 0.0)) | point),
+            draw(st.tuples(frequency, frequency, frequency)),
             draw(st.tuples(*[st.floats(-np.pi, np.pi)] * 3)), start, ramp,
         )
         times += [start, start + draw(st.floats(0.0, 1.0)) * ramp, start + ramp]
@@ -261,7 +264,7 @@ def sampled_trajectories(draw):
 def static_scenario(**overrides):
     defaults = dict(
         cameras=paper_rig_cameras()[:1],
-        trajectory=StaticTrajectory((0.0, 0.0, 4500.0)),
+        trajectory=still((0.0, 0.0, 4500.0)),
         marker_radius_mm=25.0,
         blink_freq_hz=250.0,
         duty_cycle=0.4,
@@ -368,26 +371,26 @@ def _preset(res):
 REFERENCE_SCENES = {
     "preset_sweep": (preset_paper_rig, _preset),
     "passes_behind_camera": (
-        lambda: small_camera_scenario(LinearTrajectory((5.0, 3.0, 300.0), (0.0, 0.0, -3000.0))),
+        lambda: small_camera_scenario(line((5.0, 3.0, 300.0), (0.0, 0.0, -3000.0), 0.2)),
         _passes_behind,
     ),
     "clipped_at_sensor_edge": (
         lambda: small_camera_scenario(
-            LinearTrajectory((-250.0, -155.0, 400.0), (2500.0, 0.0, 0.0))
+            line((-250.0, -155.0, 400.0), (2500.0, 0.0, 0.0), 0.2)
         ),
         _clipped_at_edges,
     ),
     "beside_the_sensor": (
-        lambda: small_camera_scenario(StaticTrajectory((400.0, 0.0, 400.0)), noise_rate=0.0),
+        lambda: small_camera_scenario(still((400.0, 0.0, 400.0)), noise_rate=0.0),
         _fires_nothing,
     ),
     "grazing_the_camera": (
-        lambda: small_camera_scenario(StaticTrajectory((5.0, 3.0, 1e-17)), duration_s=0.02,
+        lambda: small_camera_scenario(still((5.0, 3.0, 1e-17)), duration_s=0.02,
                                       noise_rate=0.0),
         _fills_sensor_from_far_off,
     ),
     "behind_the_camera": (
-        lambda: small_camera_scenario(StaticTrajectory((0.0, 0.0, -400.0)), noise_rate=0.0),
+        lambda: small_camera_scenario(still((0.0, 0.0, -400.0)), noise_rate=0.0),
         _records_nothing,
     ),
     "preset_in_dense_noise": (
@@ -455,6 +458,29 @@ class TestConfigValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("make,named", [
+        (lambda: Sinusoid3DTrajectory((0.0, 0.0, 4300.0), (1.0, 2.0), (1.0, 1.0, 1.0)),
+         "amplitude must be numbers of shape (3), got (1.0, 2.0)"),
+        (lambda: Sinusoid3DTrajectory((0.0, 0.0, 4300.0), (1.0, 2.0, 3.0), 1.8),
+         "frequency_hz must be numbers of shape (3), got 1.8"),
+        (lambda: Sinusoid3DTrajectory((0.0, 0.0, 4300.0), (1.0, 2.0, 3.0), (1.0,) * 3, ramp=(0.3,)),
+         "ramp must be numbers of shape (), got (0.3,)"),
+        (lambda: Sinusoid3DTrajectory(("a", 0.0, 1.0), (1.0, 2.0, 3.0), (1.0,) * 3),
+         "center must be numbers of shape (3)"),
+        (lambda: WaypointSplineTrajectory((0.0, 1.0), ((0.0, 0.0), (1.0, 1.0))),
+         "points must be numbers of shape (n, 3), got ((0.0, 0.0), (1.0, 1.0))"),
+        (lambda: WaypointSplineTrajectory((0.0, 1.0), ((0.0, 0.0, 1.0), (1.0, 1.0))),
+         "points must be numbers of shape (n, 3)"),
+        (lambda: WaypointSplineTrajectory(((0.0, 1.0),), ((0.0, 0.0, 1.0), (1.0, 1.0, 1.0))),
+         "times must be numbers of shape (n)"),
+    ], ids=["short-vector", "scalar-vector", "vector-scalar", "not-numbers", "two-columns",
+            "ragged-rows", "nested-times"])
+    def test_trajectory_shapes_are_checked(self, make, named):
+        """A field of the wrong shape is refused at construction, naming
+        it, before any formula broadcasts it."""
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            make()
 
     def test_sort_key_must_fit_int64(self):
         """(t + 1) * width * height bounds both sort keys: a 2^60-pixel
@@ -524,7 +550,7 @@ class TestEventModel:
         # counting oracle: transitions x disk pixel count, recomputed directly
         intr, pose = cfg.cameras[0]
         (center,), (radius,), _ = marker_tracks(
-            intr, pose, np.array([cfg.trajectory.point]), cfg.marker_radius_mm
+            intr, pose, np.array([cfg.trajectory.center]), cfg.marker_radius_mm
         )
         x0, x1 = int(np.floor(center[0] - radius)) - 1, int(np.ceil(center[0] + radius)) + 1
         y0, y1 = int(np.floor(center[1] - radius)) - 1, int(np.ceil(center[1] + radius)) + 1
@@ -891,7 +917,7 @@ class TestDeterminismAndProvenance:
 
     def test_fov_warning_when_marker_leaves(self):
         cfg = static_scenario(
-            trajectory=LinearTrajectory((0.0, 0.0, 4500.0), (6000.0, 0.0, 0.0)),
+            trajectory=line((0.0, 0.0, 4500.0), (6000.0, 0.0, 0.0), 1.0),
             duration_s=1.0,
             contrast_threshold=0.25,
         )
@@ -964,9 +990,24 @@ class TestTrajectorySampling:
         for t, row in zip(times, expected):
             assert_bitwise_equal(trajectory.position(t), row)
 
+    @pytest.mark.parametrize("start,velocity,duration_s", [
+        ((5.0, 3.0, 300.0), (0.0, 0.0, -3000.0), 0.2),
+        ((-250.0, -155.0, 400.0), (2500.0, 0.0, 0.0), 0.2),
+        ((0.0, 0.0, 4500.0), (6000.0, 0.0, 0.0), 1.0),
+    ])
+    def test_still_and_line_are_the_plain_paths(self, start, velocity, duration_s):
+        """The zero-amplitude sinusoid holds its center and the two-waypoint
+        spline is start + t * velocity, exactly, at the blink transitions
+        of the scenes that use them."""
+        t_us, _ = blink_schedule(static_scenario(duration_s=duration_s))
+        t = t_us * 1e-6
+        np.testing.assert_array_equal(still(start).positions(t), np.tile(start, (len(t), 1)))
+        np.testing.assert_array_equal(line(start, velocity, duration_s).positions(t),
+                                      np.asarray(start) + t[:, None] * np.asarray(velocity))
+
     @pytest.mark.parametrize("trajectory", [
-        StaticTrajectory((1.0, 2.0, 3.0)),
-        LinearTrajectory((0.0, 0.0, 4000.0), (10.0, -5.0, 0.0)),
+        still((1.0, 2.0, 3.0)),
+        line((0.0, 0.0, 4000.0), (10.0, -5.0, 0.0), 1.0),
         Sinusoid3DTrajectory((0.0, 0.0, 4300.0), (5.0, 6.0, 7.0), (1.0, 2.0, 3.0),
                              start_time=0.4, ramp=0.3),
         WaypointSplineTrajectory((0.0, 1.0), ((0.0, 0.0, 4000.0), (10.0, 5.0, 4100.0))),
@@ -979,8 +1020,8 @@ class TestScenarioFiles:
     @pytest.mark.parametrize(
         "trajectory",
         [
-            StaticTrajectory((1.0, 2.0, 3.0)),
-            LinearTrajectory((0.0, 0.0, 4000.0), (10.0, -5.0, 0.0)),
+            still((1.0, 2.0, 3.0)),
+            line((0.0, 0.0, 4000.0), (10.0, -5.0, 0.0), 1.0),
             Sinusoid3DTrajectory(
                 (0.0, 0.0, 4300.0), (5.0, 6.0, 7.0), (1.0, 2.0, 3.0),
                 (0.1, 0.2, 0.3), 0.5, 0.25,
@@ -997,15 +1038,62 @@ class TestScenarioFiles:
         save_scenario(path, cfg)
         loaded = load_scenario(path)
         assert type(loaded.trajectory) is type(trajectory)
-        for t in (0.0, 0.21, 0.49):
-            np.testing.assert_allclose(
-                loaded.trajectory.position(t), cfg.trajectory.position(t), atol=1e-12
-            )
+        assert loaded.trajectory == trajectory
+        times = np.array([0.0, 0.21, 0.49])
+        assert_bitwise_equal(loaded.trajectory.positions(times), trajectory.positions(times))
         assert loaded.blink_freq_hz == cfg.blink_freq_hz
         assert loaded.seed == cfg.seed
         for (ia, pa), (ib, pb) in zip(cfg.cameras, loaded.cameras):
             assert ia.fx == ib.fx
             np.testing.assert_array_equal(pa.rotation, pb.rotation)
+
+    def test_trajectory_defaults_are_honoured(self, tmp_path):
+        """A sinusoid file without phase, start_time or ramp reads them as
+        the class's defaults."""
+        path = tmp_path / "scenario.json"
+        save_scenario(path, preset_paper_rig())
+        doc = json.loads(path.read_text())
+        doc["trajectory"] = {"type": "sinusoid-3d", "center": [0, 0, 5000],
+                             "amplitude": [1, 2, 3], "frequency_hz": [1, 1, 1]}
+        path.write_text(json.dumps(doc))
+        assert load_scenario(path).trajectory == Sinusoid3DTrajectory((0, 0, 5000), (1, 2, 3),
+                                                                       (1, 1, 1))
+
+    @pytest.mark.parametrize("kind", [None, "static", "linear"])
+    def test_unknown_trajectory_type_raises(self, tmp_path, kind):
+        path = tmp_path / "scenario.json"
+        save_scenario(path, preset_paper_rig())
+        doc = json.loads(path.read_text())
+        doc["trajectory"]["type"] = kind
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"unknown trajectory type {kind!r}"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("key", ["fx", "k1", "k2", "p1", "p2", "width", "R", "T"])
+    def test_every_camera_key_is_required(self, tmp_path, key):
+        """Scenario cameras are the calibration document's records: a
+        missing key is refused, distortion coefficients too."""
+        path = tmp_path / "scenario.json"
+        save_scenario(path, preset_paper_rig())
+        doc = json.loads(path.read_text())
+        del doc["cameras"][2][key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"missing field '{key}'"):
+            load_scenario(path)
+
+    def test_scenario_files_are_pinned(self, tmp_path):
+        """SHA-256 of scenario.json for the preset sweep and for verify's
+        first pole scene (seed 0), a waypoint spline of 600 knots, recorded
+        before the camera record and the trajectory file form were shared.
+        A change to any byte fails here."""
+        digests = {}
+        for name, config in (("preset", preset_paper_rig()), ("pole_a", pole_scenes(1.2, 0)[0])):
+            save_scenario(tmp_path / f"{name}.json", config)
+            digests[name] = hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest()
+        assert digests == {
+            "preset": "7415aaeadc390ff86d9412365da5176250f6fd2ebac3267b5b458e95c176d5d6",
+            "pole_a": "a3923e17a59e05e2b5ef02d46a0de3ada83d8d0b506b21cc3dc3aa5ed4956fb4",
+        }
 
     def test_edge_band_absent_or_zero_loads(self, tmp_path):
         cfg = replace(preset_paper_rig(), duration_s=0.5)
