@@ -1,11 +1,12 @@
 """Event data model and bit-exact file I/O for multi-camera recordings.
 
-Streams hold column arrays (timestamp, x, y, polarity). Two on-disk
-formats: a CSV with header ``t_us,x,y,polarity`` and a little-endian binary
-format with a 16-byte header carrying magic, version and the declared
-sensor size, at most 65535 pixels a side. The CSVs of floats that the
-other stages write (ground truth, marker centers, deformation series) share
-one row writer here, write_rows, with reprs for their float columns.
+Streams hold column arrays: timestamp int64, x and y uint16, polarity bool,
+13 bytes an event. A sensor is 1 to 65535 pixels a side, the range of the
+pixel columns. Two on-disk formats: a CSV with header ``t_us,x,y,polarity``
+and a little-endian binary format with a 16-byte header carrying magic,
+version and the declared sensor size. The CSVs of floats that the other
+stages write (ground truth, marker centers, deformation series) share one
+row writer here, write_rows, with reprs for their float columns.
 """
 from __future__ import annotations
 
@@ -30,9 +31,9 @@ _RECORD_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")]
 # newlines, straight into the stream's columns. A block's rows are found from
 # the positions of its non-digit bytes, four to a row, so its temporaries are
 # the block's bytes, those positions (8 bytes each) and a few arrays of one
-# entry per row. The reader thus holds the stream's columns plus a few blocks
-# of temporaries; blocks this small keep those cache-sized, and read a 1M-row
-# file as fast as 1 MB blocks do, at a lower peak.
+# entry per row. The reader thus holds the stream's columns (13 bytes a row)
+# plus a few blocks of temporaries; blocks this small keep those cache-sized,
+# and read a 1M-row file as fast as 1 MB blocks do, at a lower peak.
 _CSV_BLOCK_BYTES = 1 << 18
 _CSV_MAX_DIGITS = 18  # every such integer fits int64
 # The CSV writers format and write this many rows at a time, so their
@@ -46,8 +47,7 @@ WORKERS = 2
 # The binary reader reads this many records (832 KB) at a time straight into
 # the stream's columns: no copy of the file, and no temporary beyond a block.
 _BINARY_BLOCK_RECORDS = 1 << 16
-_INT32_MAX = np.iinfo(np.int32).max
-_UINT16_MAX = np.iinfo(np.uint16).max  # the binary header's sensor size and x, y
+_UINT16_MAX = np.iinfo(np.uint16).max  # the largest sensor side, as in the binary header
 _LF, _CR, _COMMA, _ZERO = (np.uint8(ord(c)) for c in "\n\r,0")
 # a row's delimiters, ", , , \n", as one word in memory order
 _ROW_KINDS = np.frombuffer(b",,,\n", "<u4")[0]
@@ -70,9 +70,8 @@ class EventStream:
     polarity: np.ndarray
 
     def __post_init__(self):
-        if max(self.width, self.height) > _INT32_MAX:
-            raise BoundsError(f"sensor {self.width}x{self.height} does not fit int32")
-        # pixels are checked against the sensor before the int32 cast, which wraps
+        check_sensor(self.width, self.height)
+        # pixels are checked against the sensor before the uint16 cast, which wraps
         x, y = np.asarray(self.x), np.asarray(self.y)
         object.__setattr__(self, "t", np.asarray(self.t, dtype=np.int64))
         object.__setattr__(self, "polarity", np.asarray(self.polarity, dtype=bool))
@@ -85,11 +84,9 @@ class EventStream:
             if np.any(self.t[1:] < self.t[:-1]):
                 raise ValueError("timestamps must be non-decreasing")
             if x.min() < 0 or x.max() >= self.width or y.min() < 0 or y.max() >= self.height:
-                raise BoundsError(
-                    f"event pixel outside sensor {self.width}x{self.height}"
-                )
-        object.__setattr__(self, "x", x.astype(np.int32, copy=False))
-        object.__setattr__(self, "y", y.astype(np.int32, copy=False))
+                raise BoundsError(f"event pixel outside sensor {self.width}x{self.height}")
+        object.__setattr__(self, "x", x.astype(np.uint16, copy=False))
+        object.__setattr__(self, "y", y.astype(np.uint16, copy=False))
 
     def __len__(self) -> int:
         return len(self.t)
@@ -97,6 +94,13 @@ class EventStream:
     @property
     def sensor(self) -> tuple[int, int]:
         return (self.width, self.height)
+
+
+def check_sensor(width: int, height: int) -> None:
+    """Raise BoundsError unless the sensor is 1 to 65535 pixels a side."""
+    if not (1 <= width <= _UINT16_MAX and 1 <= height <= _UINT16_MAX):
+        raise BoundsError(f"sensor {width}x{height} out of range: width and height must be "
+                          "1 to at most 65535")
 
 
 def make_stream(camera_id, width, height, t, x, y, polarity) -> tuple[EventStream, int]:
@@ -133,18 +137,14 @@ def read_stream(
         if sensor is None:
             raise ValueError("CSV streams need an explicit sensor size")
         width, height = sensor
-        t, x, y, p = _read_csv(path)
+        t, x, y, p = _read_csv(path, sensor)
     elif format == "binary":
         width, height, t, x, y, p = _read_binary(path)
         if sensor is not None and (width, height) != tuple(sensor):
-            raise BoundsError(
-                f"declared sensor {sensor} does not match file header "
-                f"({width}, {height})"
-            )
+            raise BoundsError(f"declared sensor {sensor} does not match file header "
+                              f"({width}, {height})")
     else:
         raise ValueError(f"unknown format {format!r}")
-    if len(x) and (x.min() < 0 or x.max() >= width or y.min() < 0 or y.max() >= height):
-        raise BoundsError(f"event pixel outside declared sensor {width}x{height}")
     return make_stream(camera_id, width, height, t, x, y, p)
 
 
@@ -152,15 +152,12 @@ def write_stream(stream: EventStream, path, format: str = "csv") -> None:
     path = Path(path)
     if format == "csv":
         columns = (stream.t, stream.x, stream.y, stream.polarity)
-        if max(v.max(initial=0) for v in columns[:3]) >= 10**_CSV_MAX_DIGITS:
-            raise ValueError(f"a value has more than the {_CSV_MAX_DIGITS} digits a CSV allows")
+        if stream.t.max(initial=0) >= 10**_CSV_MAX_DIGITS:
+            raise ValueError(f"a timestamp has more than the {_CSV_MAX_DIGITS} digits a CSV allows")
         with open(path, "wb") as fh:
             fh.write((CSV_HEADER + "\n").encode())
             write_blocks(fh, lambda rows: _format_csv(*(v[rows] for v in columns)), len(stream))
     elif format == "binary":
-        if max(stream.width, stream.height) > _UINT16_MAX:
-            raise BoundsError(f"sensor {stream.width}x{stream.height} does not fit the binary "
-                              f"format, whose width and height are at most {_UINT16_MAX}")
         header = bytearray(16)
         header[0:8] = BINARY_MAGIC
         header[8:10] = BINARY_VERSION.to_bytes(2, "little")
@@ -257,22 +254,23 @@ def _format_csv(t, x, y, polarity) -> np.ndarray:
     return out
 
 
-def _read_csv(path: Path):
-    """Parse an event CSV with numpy, block by block, cut at newlines,
-    straight into the stream's columns: t int64, x and y int32, polarity bool.
+def _read_csv(path: Path, sensor: tuple[int, int]):
+    """Parse an event CSV of the given (width, height) sensor with numpy,
+    block by block, cut at newlines, straight into the stream's columns:
+    t int64, x and y uint16, polarity bool.
 
     The grammar: an optional line-1 header whose first field is ``t_us``;
     LF or CRLF line endings; blank lines skipped; the last line may lack
     its newline. Every other line is exactly four non-negative decimal
     integers of at most 18 digits, the last one 0 or 1. Anything else is a
-    ParseError naming ``path:line``. A pixel above 2**31 - 1 fits no int32
-    column and is a BoundsError naming its line, raised once the whole file
-    has parsed, so a bad line anywhere is still the ParseError.
+    ParseError naming ``path:line``. The first pixel outside the sensor is
+    a BoundsError naming its line, raised once the whole file has parsed,
+    so a bad line anywhere is still the ParseError.
 
     A first pass of block reads counts the line ends; one more than that
     bounds the rows, so the four columns are allocated once and each block's
     rows are written into the next slice of them. The reader thus holds the
-    stream's columns (17 bytes a row) plus a few blocks of temporaries.
+    stream's columns (13 bytes a row) plus a few blocks of temporaries.
 
     A block is parsed as the fixed layout a valid file has: once the header,
     the CR of each CRLF and the blank lines are set aside, every non-digit
@@ -280,36 +278,38 @@ def _read_csv(path: Path):
     breaks the layout, or a field width or polarity, is then read line by
     line for the first bad line; valid blocks never are.
     """
+    check_sensor(*sensor)
     lines = _line_number(path)  # the file's last line: no more rows than that
-    columns = [np.empty(lines, dtype) for dtype in (np.int64, np.int32, np.int32, bool)]
+    columns = [np.empty(lines, dtype) for dtype in (np.int64, np.uint16, np.uint16, bool)]
     with open(path, "rb") as fh:
-        rows, wide, rest, offset = 0, None, b"", 0
+        rows, outside, rest, offset = 0, None, b"", 0
         while True:
             chunk = fh.read(_CSV_BLOCK_BYTES)
             data = rest + chunk
             cut = data.rfind(b"\n") + 1 if chunk else len(data)
             if cut:
-                rows, block_wide = _parse_csv_block(data, cut, offset, path, columns, rows)
-                wide = wide or block_wide
+                rows, found = _parse_csv_block(data, cut, offset, path, sensor, columns, rows)
+                outside = outside or found
             elif len(data) >= _CSV_BLOCK_BYTES:  # far beyond any row or header
                 line = _line_number(path, offset)
                 raise ParseError(f"{path}:{line}: line longer than {_CSV_BLOCK_BYTES} bytes")
             rest, offset = data[cut:], offset + cut
             if not chunk:
                 break
-    if wide:
-        at, x, y = wide
-        raise BoundsError(f"{path}:{_line_number(path, at)}: pixel ({x}, {y}) does not fit int32")
+    if outside:
+        at, reason = outside
+        raise BoundsError(f"{path}:{_line_number(path, at)}: {reason}")
     return tuple(column[:rows] for column in columns)
 
 
-def _parse_csv_block(data: bytes, size: int, offset: int, path: Path, columns, row: int):
+def _parse_csv_block(data: bytes, size: int, offset: int, path: Path, sensor, columns, row: int):
     """Parse the lines in data[:size], which starts at file offset ``offset``
     and ends just past a newline or at the end of the file, into columns
     from index row on.
 
-    Returns the index past the block's last row, and the file offset, x and
-    y of its first row whose pixel does not fit int32 (None if none)."""
+    Returns the index past the block's last row, and the file offset of its
+    first row whose pixel lies outside the (width, height) sensor with the
+    reason (None if none)."""
     buf = np.frombuffer(data, np.uint8, size)
     digits = buf - _ZERO
     delim = np.flatnonzero(digits > 9)  # every byte but a digit
@@ -337,15 +337,15 @@ def _parse_csv_block(data: bytes, size: int, offset: int, path: Path, columns, r
         _raise_first_bad_line(data, start, size, offset, path)
     t, x, y = (_parse_field(digits, field_end, w, *span)
                for field_end, w, span in zip((t_end, x_end, y_end), widths, spans))
-    wide = None
-    if max(spans[1][1], spans[2][1]) > 9:  # only then can a pixel exceed int32
-        beyond = np.flatnonzero((x > _INT32_MAX) | (y > _INT32_MAX))
-        if len(beyond):
-            i = beyond[0]
-            wide = offset + int(line_start[i]), int(x[i]), int(y[i])
+    width, height = sensor
+    outside = None
+    if x.max() >= width or y.max() >= height:
+        i = ((x >= width) | (y >= height)).argmax()
+        outside = (offset + int(line_start[i]),
+                   f"pixel ({x[i]}, {y[i]}) outside sensor {width}x{height}")
     for column, values in zip(columns, (t, x, y, polarity.view(bool))):
         column[row:end] = values
-    return end, wide
+    return end, outside
 
 
 def _row_delimiters(delim, kinds, start: int, size: int):
@@ -449,20 +449,17 @@ def _read_binary(path: Path):
         height = int.from_bytes(raw[12:14], "little")
         size = os.fstat(fh.fileno()).st_size - 16
         if size % _RECORD_DTYPE.itemsize:
-            raise ParseError(
-                f"{path}: body size {size} not a multiple of record size "
-                f"{_RECORD_DTYPE.itemsize}"
-            )
+            raise ParseError(f"{path}: body size {size} not a multiple of record size "
+                             f"{_RECORD_DTYPE.itemsize}")
         n = size // _RECORD_DTYPE.itemsize
-        t, x, y, p = (np.empty(n, dtype) for dtype in (np.int64, np.int32, np.int32, bool))
+        t, x, y, p = (np.empty(n, dtype) for dtype in (np.int64, np.uint16, np.uint16, bool))
         for lo in range(0, n, _BINARY_BLOCK_RECORDS):
             records = np.fromfile(fh, _RECORD_DTYPE, min(_BINARY_BLOCK_RECORDS, n - lo))
             too_late = np.flatnonzero(records["t"] > np.iinfo(np.int64).max)
             if len(too_late):
                 i = int(too_late[0])
-                raise ParseError(
-                    f"{path}: record {lo + i}: timestamp {records['t'][i]} does not fit int64"
-                )
+                raise ParseError(f"{path}: record {lo + i}: timestamp {records['t'][i]} does "
+                                 "not fit int64")
             block = slice(lo, lo + _BINARY_BLOCK_RECORDS)
             t[block], x[block], y[block], p[block] = (records[k] for k in "txyp")
     return width, height, t, x, y, p

@@ -125,7 +125,7 @@ class Correspondences:
 # A run of accepted events shorter than this is not a burst.
 _MIN_BURST = 20
 # Most events extract_center_sequence gates at once, unless one run is longer.
-_BLOCK_CAP = 4096
+_BLOCK_CAP = 8192
 
 
 def _finite_positive(value) -> bool:

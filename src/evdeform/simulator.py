@@ -38,6 +38,7 @@ from .errors import (
 )
 from .events import (
     EventStream,
+    check_sensor,
     digit_counts,
     reprs,
     scatter_digits,
@@ -184,6 +185,8 @@ class ScenarioConfig:
     def validate(self) -> None:
         if not self.cameras:
             raise ConfigError("scenario needs at least one camera")
+        for intr, _ in self.cameras:  # before any pixel is cast to the streams' uint16
+            check_sensor(intr.width, intr.height)
         if not 0.0 < self.duty_cycle < 1.0:
             raise ConfigError(f"duty cycle must be in (0, 1), got {self.duty_cycle}")
         # written so that NaN fails each comparison
@@ -459,7 +462,7 @@ def simulate(config: ScenarioConfig) -> SimulationResult:
         ny = rng.integers(0, intr.height, n_noise)
         npol = rng.random(n_noise) < 0.5
 
-        x, y = (np.concatenate(v, dtype=np.int32) for v in ((mx, nx), (my, ny)))
+        x, y = (np.concatenate(v, dtype=np.uint16, casting="unsafe") for v in ((mx, nx), (my, ny)))
         p = np.concatenate([pols[k], npol])
         lbl = np.concatenate([
             np.full(len(k), MARKER_LABEL, dtype=np.uint8),
@@ -709,11 +712,11 @@ def load_scenario(path) -> ScenarioConfig:
             blink_freq_hz=doc["blink_freq_hz"],
             duty_cycle=doc["duty_cycle"],
             contrast_threshold=doc["contrast_threshold"],
-            led_log_amplitude=doc.get("led_log_amplitude", 1.0),
-            noise_rate=doc.get("noise_rate", 0.0),
-            latency_jitter_std_us=doc.get("latency_jitter_std_us", 0.0),
+            led_log_amplitude=doc["led_log_amplitude"],
+            noise_rate=doc["noise_rate"],
+            latency_jitter_std_us=doc["latency_jitter_std_us"],
             duration_s=doc["duration_s"],
-            seed=doc.get("seed", 0),
+            seed=doc["seed"],
         )
 
 

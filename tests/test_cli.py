@@ -166,7 +166,9 @@ class TestSimulate:
                                             "points": [[0, 0], [1, 1]]}),
          "WaypointSplineTrajectory points must be numbers of shape (n, 3), got ((0, 0), (1, 1))"),
         (lambda doc: doc["trajectory"].pop("center"), "missing field 'center'"),
-    ], ids=["no-k1", "fractional-width", "short-amplitude", "two-column-points", "no-center"])
+        (lambda doc: doc.pop("noise_rate"), "missing field 'noise_rate'"),
+    ], ids=["no-k1", "fractional-width", "short-amplitude", "two-column-points", "no-center",
+            "no-noise-rate"])
     def test_bad_scenario_field_exits_2(self, tmp_path, capsys, edit, named):
         """A camera record needs every key and integer sensor sizes, and
         each trajectory field its shape: each is refused, naming it."""
@@ -204,11 +206,13 @@ class TestSimulate:
         assert not (out / "streams.json").exists()
 
     @pytest.mark.parametrize("sensor,fields,named", [
-        # the binary files hold the sensor size in 16 bits
-        ((70000, 720), {"duration_s": 0.2}, "sensor 70000x720 does not fit the binary format"),
-        # (t + 1) * width * height must fit int64 for the event sort
-        ((2**30, 2**30), {"noise_rate": 0.0, "duration_s": 10.0},
-         "camera 0: a 10 s recording on a 1073741824x1073741824 sensor overflows"),
+        # the binary header and the streams' uint16 pixel columns hold a sensor side in 16 bits
+        ((70000, 720), {"duration_s": 0.2},
+         "sensor 70000x720 out of range: width and height must be 1 to at most 65535"),
+        # (t + 1) * width * height must fit int64 for the event sort; the
+        # widest sensor overflows it from about 2147.5 s on
+        ((65535, 65535), {"noise_rate": 0.0, "duration_s": 2201.0, "blink_freq_hz": 1 / 2200},
+         "camera 0: a 2201 s recording on a 65535x65535 sensor overflows"),
     ], ids=["binary_header", "sort_key"])
     def test_oversized_sensor_exits_2(self, tmp_path, capsys, sensor, fields, named):
         scenario = tmp_path / "scenario.json"
@@ -297,7 +301,7 @@ class TestExtract:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("5,1280,1,1", "outside declared sensor"),
+            ("5,1280,1,1", "events_cam0.csv:2: pixel (1280, 1) outside sensor 1280x720"),
             ("-5,1,1,1", "events_cam0.csv:2: t_us '-5'"),
             ("1" * 23 + ",1,1,1", "events_cam0.csv:2: t_us has 23 digits"),
         ],
@@ -339,19 +343,25 @@ class TestExtract:
         assert len(err) == 1 and "does not fit int64" in err[0]
 
     def test_pixel_beyond_int32_exits_2(self, tmp_path, capsys):
+        """A pixel of 2**32 + 5, which a uint16 or int32 column wraps to 5,
+        is outside even the widest sensor; a wider sensor is refused."""
         streams = tmp_path / "streams"
         streams.mkdir()
-        (streams / "streams.json").write_text(json.dumps({
-            "format": "csv",
-            "cameras": [
-                {"camera_id": 0, "file": "events_cam0.csv", "width": 2**40, "height": 2**40}
-            ],
-        }))
         (streams / "events_cam0.csv").write_text("0,4294967301,0,1\n")
-        code = main(["extract", "--streams", str(streams), "--out", str(tmp_path / "o")])
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "does not fit int32" in err[0]
+        for side, named in (
+            (65535, "events_cam0.csv:1: pixel (4294967301, 0) outside sensor 65535x65535"),
+            (2**40, "sensor 1099511627776x1099511627776 out of range"),
+        ):
+            (streams / "streams.json").write_text(json.dumps({
+                "format": "csv",
+                "cameras": [
+                    {"camera_id": 0, "file": "events_cam0.csv", "width": side, "height": side}
+                ],
+            }))
+            code = main(["extract", "--streams", str(streams), "--out", str(tmp_path / "o")])
+            assert code == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and named in err[0]
 
     @pytest.mark.parametrize(
         "text, named",

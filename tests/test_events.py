@@ -35,8 +35,9 @@ def random_stream(n, seed=0, width=1280, height=720, camera_id=0):
 
 
 # the columns of every stream: t, x, y and polarity
-STREAM_DTYPES = [np.dtype(np.int64), np.dtype(np.int32), np.dtype(np.int32), np.dtype(bool)]
-INT32_MAX = 2**31 - 1
+STREAM_DTYPES = [np.dtype(np.int64), np.dtype(np.uint16), np.dtype(np.uint16), np.dtype(bool)]
+SIDE = 65535  # the widest and tallest sensor
+WIDEST = (SIDE, SIDE)
 
 
 def reference_read_csv(path):
@@ -64,18 +65,19 @@ def reference_read_csv(path):
     )
 
 
-def assert_reads_as(got, want):
-    """got is what _read_csv returned or raised on s.csv, want a reference's
-    columns and line numbers. A pixel above int32 must be the BoundsError of
-    the first row that has one; otherwise got holds want's values in the
-    stream's dtypes."""
+def assert_reads_as(got, want, sensor=WIDEST):
+    """got is what _read_csv returned or raised on s.csv of the sensor, want
+    a reference's columns and line numbers. A pixel outside the sensor must
+    be the BoundsError of the first row that has one; otherwise got holds
+    want's values in the stream's dtypes."""
     *columns, lines = want
-    beyond = np.flatnonzero((columns[1] > INT32_MAX) | (columns[2] > INT32_MAX))
+    width, height = sensor
+    beyond = np.flatnonzero((columns[1] >= width) | (columns[2] >= height))
     if len(beyond):
         i = beyond[0]
         assert isinstance(got, BoundsError)
-        assert str(got).endswith(
-            f"s.csv:{lines[i]}: pixel ({columns[1][i]}, {columns[2][i]}) does not fit int32")
+        assert str(got).endswith(f"s.csv:{lines[i]}: pixel ({columns[1][i]}, {columns[2][i]}) "
+                                 f"outside sensor {width}x{height}")
         return
     assert isinstance(got, tuple)
     assert [a.dtype for a in got] == STREAM_DTYPES
@@ -112,8 +114,8 @@ class TestReadWrite:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the reader holds the stream's columns, 17 bytes a row, and a few blocks
-        assert peak <= 17 * len(stream) + 16 * events._CSV_BLOCK_BYTES
+        # the reader holds the stream's columns, 13 bytes a row, and a few blocks
+        assert peak <= 13 * len(stream) + 16 * events._CSV_BLOCK_BYTES
         assert [c.dtype for c in (loaded.t, loaded.x, loaded.y, loaded.polarity)] == STREAM_DTYPES
         assert warnings == 0
         np.testing.assert_array_equal(loaded.t, stream.t)
@@ -130,7 +132,20 @@ class TestReadWrite:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 17 * len(stream) + 16 * events._CSV_BLOCK_BYTES
+            assert peak <= 13 * len(stream) + 16 * events._CSV_BLOCK_BYTES
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_columns_hold_13_bytes_an_event(self, tmp_path, fmt):
+        """t int64, x and y uint16 and polarity bool: 13 bytes an event, as
+        many as a binary record."""
+        stream = random_stream(1000, seed=4)
+        path = tmp_path / f"s.{fmt}"
+        write_stream(stream, path, fmt)
+        loaded, _ = read_stream(path, fmt, sensor=(1280, 720))
+        columns = (loaded.t, loaded.x, loaded.y, loaded.polarity)
+        assert [c.dtype for c in columns] == STREAM_DTYPES
+        assert sum(c.nbytes for c in columns) == 13 * len(loaded) == 13_000
+        assert events._RECORD_DTYPE.itemsize == 13
 
     def test_out_of_order_input_sorted_with_warnings(self, tmp_path):
         path = tmp_path / "unsorted.csv"
@@ -153,15 +168,29 @@ class TestReadWrite:
 
     def test_bounds_error(self, tmp_path):
         path = tmp_path / "oob.csv"
-        path.write_text("t_us,x,y,polarity\n5,1280,1,1\n")
-        with pytest.raises(BoundsError):
+        path.write_text("t_us,x,y,polarity\n5,1279,719,1\n5,1280,1,1\n6,1,720,1\n")
+        with pytest.raises(BoundsError, match=r"oob\.csv:3: pixel \(1280, 1\) outside sensor "
+                                              "1280x720$"):
             read_stream(path, "csv", sensor=(1280, 720))
+        with pytest.raises(BoundsError, match=r"oob\.csv:4: pixel \(1, 720\) outside sensor "
+                                              "1281x720$"):
+            read_stream(path, "csv", sensor=(1281, 720))
+        assert len(read_stream(path, "csv", sensor=(1281, 721))[0]) == 3
 
     def test_pixel_beyond_int32_is_bounds_error(self, tmp_path):
+        """Pixels of 2**32 + 5 and 2**16 + 5, which uint16 wraps to 5, name
+        their line; a sensor wider than uint16 is refused before any row is
+        read, so before a bad row is found."""
         path = tmp_path / "wide.csv"
-        path.write_text("0,4294967301,0,1\n")  # 2**32 + 5, which int32 wraps to 5
-        with pytest.raises(BoundsError, match="does not fit int32"):
-            read_stream(path, "csv", sensor=(2**40, 2**40))
+        for line, pixel in enumerate((2**32 + 5, 2**16 + 5, SIDE), start=1):
+            path.write_text("0,5,0,1\n" * (line - 1) + f"0,{pixel},0,1\n")
+            with pytest.raises(BoundsError, match=rf"wide\.csv:{line}: pixel \({pixel}, 0\) "
+                                                  "outside sensor 65535x65535"):
+                read_stream(path, "csv", sensor=WIDEST)
+        path.write_text("0,5,0\n")
+        for sensor in ((2**40, 2**40), (2**16, 1), (1, 2**16), (0, 720)):
+            with pytest.raises(BoundsError, match=rf"sensor {sensor[0]}x{sensor[1]} out of range"):
+                read_stream(path, "csv", sensor=sensor)
 
     def test_binary_timestamp_beyond_int64(self, tmp_path):
         path = tmp_path / "s.bin"
@@ -224,8 +253,9 @@ class TestReadWrite:
         assert loaded.sensor == (640, 480)
 
     def test_binary_sensor_beyond_16_bits(self, tmp_path):
-        """The header holds width and height in 16 bits each: 65535 round
-        trips, and a wider sensor is refused before the file is opened."""
+        """The header holds width and height in 16 bits each, as the pixel
+        columns do: 65535 round trips, and no stream, so no file, has a
+        wider sensor."""
         path = tmp_path / "s.bin"
         write_stream(random_stream(10, seed=1, width=65535, height=65535), path, "binary")
         assert read_stream(path, "binary")[0].sensor == (65535, 65535)
@@ -267,20 +297,24 @@ class TestCsvGrammar:
             ("\n\n", 0),
             (f"0,0,0,0\n{BIG},{BIG},{BIG},1\n", 2),
             ("t_us\n007,0010,1,1\n", 1),
-            (f"{BIG},{INT32_MAX:018d},{7:010d},1\r\n{1:018d},{0:012d},{INT32_MAX},0\r\n", 2),
+            (f"{BIG},{SIDE - 1:018d},{7:010d},1\r\n{1:018d},{0:012d},{SIDE - 1},0\r\n", 2),
             ("0,2147483648,0,1\n", 1),
             ("t_us,x,y,polarity\r\n\r\n5,1,2,1\r\n6,0,99999999999,0\r\n7,4294967301,1,1\r\n", 3),
+            (f"0,0,0,0\n{BIG},{SIDE - 1},{SIDE - 1},1\n", 2),
+            (f"5,1,2,1\r\n6,{SIDE:018d},0,1\r\n7,{SIDE},{SIDE},0\r\n", 3),
+            (f"5,{SIDE - 1},{SIDE},1\n", 1),
         ],
         ids=["crlf", "blank-lines", "no-final-newline", "crlf-no-final-newline",
              "no-header", "header-only", "header-only-no-newline", "zero-byte",
              "blank-only", "extremes", "leading-zeros", "zero-padded-wide-pixels",
-             "pixel-beyond-int32", "first-pixel-beyond-int32"],
+             "pixel-beyond-int32", "first-pixel-beyond-int32", "sensor-edge",
+             "zero-padded-pixel-beyond-sensor", "y-beyond-sensor"],
     )
     def test_matches_reference_reader(self, tmp_path, text, rows):
         path = tmp_path / "s.csv"
         path.write_bytes(text.encode())
         try:
-            got = events._read_csv(path)
+            got = events._read_csv(path, WIDEST)
         except BoundsError as exc:
             got = exc
         assert_reads_as(got, reference_read_csv(path))
@@ -309,13 +343,14 @@ class TestCsvGrammar:
             ("x_us,x,y,polarity\n5,1,2,1\n", 1, "t_us 'x_us' is not"),
             ("5,1,2,1\n" + "1" * events._CSV_BLOCK_BYTES, 2, "line longer than"),
             ("0,2147483648,0,1\n5,1,2\n", 2, "expected 4 fields, got 3"),
+            (f"0,{SIDE:018d},0,1\n0,1280,0,1\n5,1,2,1,\n", 3, "expected 4 fields, got 5"),
             ("t_us,x,y,polarity\r\n5,1,2,1\r7\n", 2, "polarity '1\\r7' is not"),
         ],
         ids=["too-few-fields", "too-many-fields", "non-digit", "minus-sign", "plus-sign",
              "space", "underscore", "empty-field", "stray-cr", "double-cr", "cr-at-eof",
              "polarity-2", "polarity-01", "19-digits", "23-digits", "whitespace-line",
              "other-header", "line-longer-than-a-block", "bad-line-after-wide-pixel",
-             "digit-between-cr-and-lf"],
+             "digit-between-cr-and-lf", "bad-line-after-zero-padded-pixels-beyond-sensor"],
     )
     def test_bad_row_names_path_and_line(self, tmp_path, text, line, reason):
         path = tmp_path / "bad.csv"
@@ -349,7 +384,7 @@ class TestCsvGrammar:
         monkeypatch.setattr(events, "_CSV_BLOCK_BYTES", 64)
         monkeypatch.setattr(events, "_parse_csv_block", grow_once_then_parse)
         with pytest.raises(ParseError, match=r"s\.csv: more rows than line ends"):
-            events._read_csv(path)
+            events._read_csv(path, (1280, 720))
 
     def test_writer_refuses_values_the_reader_rejects(self, tmp_path):
         stream = EventStream(0, 10, 10, [10**18], [1], [1], [True])
@@ -377,11 +412,12 @@ def csv_text(lines, final_newline: bool) -> str:
     return text
 
 
-def pixels_within_int32(lines):
-    """The lines with each row's x and y cut to their last 9 digits and
-    zero-padded back to their width, so they fit int32 in every field width."""
+def pixels_within_sensor(lines):
+    """The lines with each row's x and y taken modulo 65535 and zero-padded
+    back to their width, so they lie on the widest sensor in every field
+    width."""
     def fit(field):
-        return field if len(field) < 10 else "0" * (len(field) - 9) + field[-9:]
+        return f"{int(field) % SIDE:0{len(field)}d}"
 
     def row(line):
         fields = line.split(",")
@@ -413,13 +449,13 @@ def grammar_read(text: str):
 
 
 def read_with_blocks(text: str, block: int, reference=reference_read_csv):
-    """_read_csv on text, with blocks of the given size, or the ParseError or
-    BoundsError it raises; and the reference's columns."""
+    """_read_csv on text of the widest sensor, with blocks of the given size,
+    or the ParseError or BoundsError it raises; and the reference's columns."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(events, "_CSV_BLOCK_BYTES", block):
         path = Path(tmp) / "s.csv"
         path.write_bytes(text.encode())
         try:
-            got = events._read_csv(path)
+            got = events._read_csv(path, WIDEST)
         except (ParseError, BoundsError) as exc:
             got = exc
         return got, reference(path)
@@ -430,13 +466,14 @@ class TestCsvBlockEdges:
     on every byte of a row, a CRLF and a blank line. The longest line is 60
     bytes with its CRLF, so each block still holds a whole line.
 
-    Most texts hold a pixel above int32, which is a BoundsError, so each is
-    read again with its pixels cut to fit and compared value by value."""
+    Most texts hold a pixel outside the widest sensor, which is a
+    BoundsError, so each is read again with its pixels cut to fit and
+    compared value by value."""
 
     @settings(max_examples=300, deadline=None)
     @given(lines=csv_lines(), final_newline=st.booleans(), block=st.integers(61, 160))
     def test_valid_text_matches_reference_reader(self, lines, final_newline, block):
-        for text_lines in (lines, pixels_within_int32(lines)):
+        for text_lines in (lines, pixels_within_sensor(lines)):
             assert_reads_as(*read_with_blocks(csv_text(text_lines, final_newline), block))
 
     @settings(max_examples=300, deadline=None)
@@ -445,8 +482,8 @@ class TestCsvBlockEdges:
     def test_one_changed_byte_names_the_first_bad_line(self, lines, final_newline, block, at, byte):
         """Any byte but a newline replaced: the reader returns the rows the
         grammar reads, or names the first line it rejects, even after a
-        pixel above int32."""
-        for text_lines in (lines, pixels_within_int32(lines)):
+        pixel outside the sensor."""
+        for text_lines in (lines, pixels_within_sensor(lines)):
             text = csv_text(text_lines, final_newline)
             places = [i for i, c in enumerate(text) if c != "\n"]
             if places:
@@ -486,7 +523,7 @@ class TestCsvBlockEdges:
         path.write_bytes(text.encode())
         assert text.index("1003") > 3 * block
         with pytest.raises(ParseError, match=r"bad\.csv:26: y 'x' is not a decimal integer"):
-            events._read_csv(path)
+            events._read_csv(path, (1280, 720))
 
 
 B = events.CSV_BLOCK_ROWS
@@ -518,18 +555,17 @@ class TestCsvWriter:
         """Every digit count and group edge, in each column, at row counts
         around the writer's block edges."""
         rng = np.random.default_rng(n)
-        side = events._INT32_MAX
         stream = EventStream(
-            0, side, side,
+            0, SIDE, SIDE,
             np.sort(edge_column(n, rng, 10**18)),
-            edge_column(n, rng, side),
-            edge_column(n, rng, side),
+            edge_column(n, rng, SIDE),
+            edge_column(n, rng, SIDE),
             rng.random(n) < 0.5,
         )
         write_stream(stream, tmp_path / "s.csv")
         assert (tmp_path / "s.csv").read_bytes() == reference_csv(stream)
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
     def test_digit_counts_equal_binary_search(self, dtype):
         """One plus the powers of ten reached, at 0 and on both sides of every
         power up to 10**18 - 1, for a whole column, one value at a time
@@ -566,13 +602,22 @@ class TestStreamModel:
             EventStream(0, 10, 10, [1, 2], [0, 10], [0, 0], [True, True])
 
     def test_values_beyond_int32_rejected_before_the_cast(self):
-        wide = np.array([2**32 + 5], dtype=np.int64)
-        with pytest.raises(BoundsError, match="outside sensor"):
-            EventStream(0, 10, 10, [1], wide, [0], [True])
-        with pytest.raises(BoundsError, match="does not fit int32"):
-            EventStream(0, 2**31, 10, [1], wide, [0], [True])
-        edge = EventStream(0, 2**31 - 1, 10, [1], [2**31 - 2], [9], [True])
-        assert edge.x.dtype == np.int32 and edge.x[0] == 2**31 - 2
+        """Pixels are checked against the sensor before the uint16 cast,
+        which wraps -1 to 65535 and 2**32 + 5 and 2**16 + 5 to 5. The sensor
+        is 1 to 65535 pixels a side."""
+        for value in (-1, 2**16 + 5, 2**32 + 5):
+            for x, y in ((value, 0), (0, value)):
+                with pytest.raises(BoundsError, match="outside sensor 65535x65535"):
+                    EventStream(0, SIDE, SIDE, [1], np.array([x]), np.array([y]), [True])
+        for width, height in ((SIDE + 1, 10), (10, SIDE + 1), (2**31, 10), (0, 10), (10, 0)):
+            with pytest.raises(BoundsError, match=f"sensor {width}x{height} out of range: .* "
+                                                  "1 to at most 65535"):
+                EventStream(0, width, height, [1], [0], [0], [True])
+        edge = EventStream(0, SIDE, SIDE, [1], [SIDE - 1], [SIDE - 1], [True])
+        assert edge.x.dtype == edge.y.dtype == np.uint16
+        assert edge.x[0] == edge.y[0] == SIDE - 1
+        with pytest.raises(BoundsError, match="outside sensor 65535x65535"):
+            EventStream(0, SIDE, SIDE, [1], [SIDE], [0], [True])
 
     def test_make_stream_sorts_stably(self):
         stream, warnings = make_stream(

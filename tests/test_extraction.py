@@ -376,9 +376,11 @@ def _short_run(size):
 
 
 def _long_burst():
-    """Bursts of 60 events 20 ms apart, the second three block caps long."""
+    """Bursts of 60 events 1 us apart, the second three block caps long,
+    each period four block caps of microseconds, so the long burst ends
+    before the next begins."""
     sizes = [60, 3 * extraction._BLOCK_CAP, 60, 60, 60]
-    return _burst_train(np.full((5, 2), 300.0), sizes, period_us=20_000)
+    return _burst_train(np.full((5, 2), 300.0), sizes, period_us=4 * extraction._BLOCK_CAP)
 
 
 def _fast_marker():

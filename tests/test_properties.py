@@ -88,7 +88,7 @@ def test_project_points_alone_equals_stacked_batch(seed, n, k1, p1):
     assert np.all(np.abs(flat_pix[ahead] - stacked) <= bound)
 
 
-SENSOR = 2**31 - 1  # EventStream holds pixel coordinates as int32
+SENSOR = 65535  # the widest sensor: EventStream holds pixel coordinates as uint16
 PIXEL = st.one_of(st.integers(0, 2000), st.integers(0, SENSOR - 1))
 
 

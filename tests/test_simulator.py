@@ -483,16 +483,24 @@ class TestConfigValidation:
             make()
 
     def test_sort_key_must_fit_int64(self):
-        """(t + 1) * width * height bounds both sort keys: a 2^60-pixel
-        sensor fits a burst at t = 0 and raises for events at 7 us or later."""
+        """(t + 1) * width * height bounds both sort keys: the widest
+        sensor, 65535 x 65535, fits a burst at t = 0 and at
+        t = 2_147_549_183 us, and raises for one a microsecond later. A
+        blink period of that many microseconds puts the last burst there."""
         (intr, pose), = paper_rig_cameras()[:1]
-        huge = ((replace(intr, width=2**30, height=2**30), pose),)
+        huge = ((replace(intr, width=65535, height=65535), pose),)
         one_burst = static_scenario(cameras=huge, duration_s=1e-6)
         res = simulate(one_burst)
         assert len(res.streams[0]) > 100 and not res.streams[0].t.any()
         assert_same_simulation(res, reference_simulate(one_burst))
-        with pytest.raises(ConfigError, match="a 10 s recording on a 1073741824x1073741824"):
-            simulate(static_scenario(cameras=huge, duration_s=10.0, blink_freq_hz=1.0))
+        last = (2**63 - 1) // 65535**2 - 1
+        assert (last + 1) * 65535**2 <= 2**63 - 1 < (last + 2) * 65535**2
+        latest = static_scenario(cameras=huge, duration_s=2148.0, blink_freq_hz=1e6 / last)
+        stream = simulate(latest).streams[0]
+        assert stream.t[0] == 0 and stream.t[-1] == last
+        with pytest.raises(ConfigError, match="a 2148 s recording on a 65535x65535 sensor "
+                                              "overflows the int64 event sort key"):
+            simulate(replace(latest, blink_freq_hz=1e6 / (last + 1)))
 
     def test_oversized_marker_is_refused(self):
         """A huge finite marker covers the whole sensor at every burst."""
@@ -524,15 +532,16 @@ class TestConfigValidation:
         bursts = simulator._bursts
 
         def slow_for_camera_1(center, radius, width, *rest):
-            if width == 2**30:
+            if width == 65535:
                 time.sleep(0.2)
             return bursts(center, radius, width, *rest)
 
         monkeypatch.setattr(simulator, "_bursts", slow_for_camera_1)
         intr, pose = paper_rig_cameras()[0]
-        huge = tuple((replace(intr, width=w, height=2**30), pose) for w in (2**30, 2**30 - 1))
-        config = static_scenario(cameras=((intr, pose), *huge), duration_s=10.0, blink_freq_hz=1.0)
-        with pytest.raises(ConfigError, match="^camera 1: a 10 s recording on a 1073741824x"):
+        huge = tuple((replace(intr, width=w, height=65535), pose) for w in (65535, 65534))
+        config = static_scenario(cameras=((intr, pose), *huge), duration_s=2201.0,
+                                 blink_freq_hz=1 / 2200)
+        with pytest.raises(ConfigError, match="^camera 1: a 2201 s recording on a 65535x"):
             simulate(config)
 
 class TestEventModel:
@@ -752,6 +761,11 @@ class TestFiringRule:
         np.testing.assert_array_equal(y, py)
 
 
+# The pinned stream digests hash t, x, y and polarity in the dtypes the
+# columns had when they were recorded: x and y as little-endian int32.
+PINNED_DTYPES = ("<i8", "<i4", "<i4", "?")
+
+
 class TestDeterminismAndProvenance:
     def test_identical_seed_identical_streams(self):
         cfg = replace(preset_paper_rig(), duration_s=0.2)
@@ -773,8 +787,9 @@ class TestDeterminismAndProvenance:
         res = simulate(replace(preset_paper_rig(), duration_s=0.5))
         digest = hashlib.sha256()
         for stream, labels in zip(res.streams, res.truth.labels):
-            for a in (stream.t, stream.x, stream.y, stream.polarity, labels):
-                digest.update(a.astype(a.dtype.newbyteorder("<")).tobytes())
+            for a, dtype in zip((stream.t, stream.x, stream.y, stream.polarity, labels),
+                                PINNED_DTYPES + ("u1",)):
+                digest.update(a.astype(dtype).tobytes())
         assert digest.hexdigest() == (
             "1783b1156c2f4006e0a79ea4856e48002f352bfe03c0367019b3f11acf10f4a5"
         )
@@ -793,8 +808,8 @@ class TestDeterminismAndProvenance:
         for name, config in scenes.items():
             digest = hashlib.sha256()
             for stream in simulate(config).streams:
-                for a in (stream.t, stream.x, stream.y, stream.polarity):
-                    digest.update(a.astype(a.dtype.newbyteorder("<")).tobytes())
+                for a, dtype in zip((stream.t, stream.x, stream.y, stream.polarity), PINNED_DTYPES):
+                    digest.update(a.astype(dtype).tobytes())
             digests[name] = digest.hexdigest()
         digests["truth_pixels"] = hashlib.sha256(
             np.ascontiguousarray(truth, dtype="<f8").tobytes()
@@ -1077,6 +1092,19 @@ class TestScenarioFiles:
         save_scenario(path, preset_paper_rig())
         doc = json.loads(path.read_text())
         del doc["cameras"][2][key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"missing field '{key}'"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("key", ["seed", "noise_rate", "latency_jitter_std_us",
+                                     "led_log_amplitude", "duration_s", "contrast_threshold"])
+    def test_every_scenario_field_is_required(self, tmp_path, key):
+        """No scenario field has a default: a file without one is refused,
+        naming it, rather than read as a quieter scene."""
+        path = tmp_path / "scenario.json"
+        save_scenario(path, preset_paper_rig())
+        doc = json.loads(path.read_text())
+        del doc[key]
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=f"missing field '{key}'"):
             load_scenario(path)
